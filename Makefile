@@ -30,18 +30,27 @@ fmt-check:
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# API-surface snapshot: the public package's go doc output is committed
-# as api/dap.txt; apicheck fails when the surface drifts from the golden
-# file, making every public API change explicit. Regenerate deliberately
-# with make apigen.
+# API-surface snapshots: the go doc output of the public package and of
+# the serving stack (internal/stream, internal/transport) is committed
+# under api/; apicheck fails when a surface drifts from its golden file,
+# making every API change — and every growth of the serving surface — a
+# reviewed diff. Regenerate deliberately with make apigen.
+API_SNAPSHOTS := .:dap ./internal/stream:stream ./internal/transport:transport
+
 apicheck:
-	@$(GO) doc -all . > /tmp/dap-api-current.txt; \
-	if ! diff -u api/dap.txt /tmp/dap-api-current.txt; then \
-		echo; echo "public API surface changed — review the diff above and run 'make apigen' to accept"; exit 1; \
-	fi
+	@for s in $(API_SNAPSHOTS); do \
+		pkg=$${s%%:*}; name=$${s##*:}; \
+		$(GO) doc -all $$pkg > /tmp/$$name-api-current.txt; \
+		if ! diff -u api/$$name.txt /tmp/$$name-api-current.txt; then \
+			echo; echo "API surface of $$pkg changed — review the diff above and run 'make apigen' to accept"; exit 1; \
+		fi; \
+	done
 
 apigen:
-	$(GO) doc -all . > api/dap.txt
+	@for s in $(API_SNAPSHOTS); do \
+		pkg=$${s%%:*}; name=$${s##*:}; \
+		$(GO) doc -all $$pkg > api/$$name.txt; \
+	done
 
 # Documentation gate: exported symbols of the public package need doc
 # comments, and the relative links in README/DESIGN/specs must resolve.

@@ -243,7 +243,7 @@ func BenchmarkKRRCollect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.RunFreq(rng.Split(3, uint64(i)), cats, []int{10}, 0.25); err != nil {
+		if _, err := f.Run(rng.Split(3, uint64(i)), cats, []int{10}, 0.25); err != nil {
 			b.Fatal(err)
 		}
 	}

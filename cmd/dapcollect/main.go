@@ -5,23 +5,25 @@
 //	dapcollect -addr :8080 -spec specs/serve.json
 //	dapcollect -addr :8080 -eps 1 -eps0 0.0625 -scheme cemf -epoch 30s
 //
-// The default tenant is created from a task spec: -spec file.json loads
-// one (the same JSON accepted by batch estimation, the stream engine and
-// POST /v1/tenants), and the protocol flags act as overrides for fields
-// set explicitly on the command line. Further tenants are managed at
-// runtime via POST /v1/tenants. Endpoints: the original single-collector
-// API (GET /v1/config, POST /v1/join, POST /v1/report, GET /v1/status,
-// GET /v1/estimate) plus POST /v1/ingest (batched reports), POST
-// /v1/rotate (seal the epoch), tenant CRUD under /v1/tenants and the same
-// routes per tenant under /v1/tenants/{tenant}/... . Clients perturb
+// The collector boots with one tenant, "default", created from a task
+// spec: -spec file.json loads one (the same JSON accepted by batch
+// estimation, the stream engine and POST /v1/tenants), and the protocol
+// flags act as overrides for fields set explicitly on the command line.
+// Further tenants are managed at runtime via POST /v1/tenants with
+// {"name","spec"}. Every data-plane route names its tenant in the path:
+// GET /v1/tenants/{tenant}/config, POST .../join, POST .../report (one
+// user's reports), POST .../ingest (batched reports), GET .../status,
+// GET .../estimate and POST .../rotate (seal the epoch). Clients perturb
 // locally; the server never sees raw values, charges each user's ε
 // atomically before any state changes, and stores only sharded
 // histograms — never raw reports.
 //
-// Besides JSON, POST /v1/ingest accepts compact binary frames
-// (Content-Type: application/x-dap-frame), and -udp (or the spec's
-// serve.udp_addr) opens a best-effort UDP socket where one datagram is
-// one frame — see DESIGN.md's wire-format section.
+// Besides JSON, POST /v1/tenants/{tenant}/ingest accepts compact binary
+// frames (Content-Type: application/x-dap-frame, or
+// application/x-dap-frame-stream for several length-prefixed frames per
+// request), and -udp (or the spec's serve.udp_addr) opens a best-effort
+// UDP socket where one datagram is one frame naming its tenant (empty =
+// "default") — see DESIGN.md's wire-format section.
 //
 // With -store-dir the collector is durable: accepted reports, joins,
 // rotations and tenant lifecycle events are WAL-logged under the
@@ -54,11 +56,11 @@
 // the deltas (publishing an epoch once every node — or, after the
 // -straggler timeout, a -quorum — has reported; partial epochs are
 // flagged degraded on /v1/admin/status), and serves the merged
-// estimates on GET /v1/merge/estimate. With -store-dir a coordinator
-// WAL-logs accepted deltas and recovers in-flight epochs bit-identically
-// after a crash; the store then belongs to the merge plane and the
-// regular serving registry stays in-memory. See DESIGN.md's
-// "Distributed collector" section.
+// estimates on GET /v1/merge/estimate/{tenant}. With -store-dir a
+// coordinator WAL-logs accepted deltas and recovers in-flight epochs
+// bit-identically after a crash; the store then belongs to the merge
+// plane and the regular serving registry stays in-memory. See
+// DESIGN.md's "Distributed collector" section.
 package main
 
 import (
@@ -121,7 +123,7 @@ func main() {
 		storeDir     = flag.String("store-dir", "", "durability directory (WAL + snapshots); empty = in-memory only")
 		snapEvery    = flag.Duration("snapshot-interval", 30*time.Second, "periodic snapshot interval (with -store-dir; 0 disables)")
 		fsync        = flag.String("fsync", "interval", "WAL fsync policy: always | interval | os (with -store-dir)")
-		maxBody      = flag.Int64("max-ingest-bytes", 0, "request body limit for report/ingest (0 = 8 MiB default, negative = unlimited)")
+		maxBody      = flag.Int64("max-ingest-bytes", 0, "request body limit for report/ingest/tenant-create/merge (0 = 8 MiB default, negative = unlimited)")
 		udpAddr      = flag.String("udp", "", "UDP listen address for binary ingest frames (e.g. :9200; empty = spec serve.udp_addr, or off)")
 		pprofOn      = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (admin-only; off by default)")
 		logLevel     = flag.String("log-level", "info", "log level: debug | info | warn | error")
@@ -204,7 +206,7 @@ func main() {
 		fmt.Printf("dapcollect: coordinating %d nodes (quorum=%d, straggler=%v)\n",
 			len(ids), *quorum, *straggler)
 	}
-	srv, err := transport.NewServerSpecOpts(sp, opts)
+	srv, err := transport.NewServerOpts(stream.Config{Spec: sp}, opts)
 	if err != nil {
 		log.Fatal("dapcollect: ", err)
 	}

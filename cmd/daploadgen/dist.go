@@ -43,7 +43,7 @@ type distRun struct {
 
 // serveSpec boots one in-process collector over a loopback listener.
 func serveSpec(sp core.Spec, opts transport.ServerOptions) (string, *transport.Server, func(), error) {
-	srv, err := transport.NewServerSpecOpts(sp, opts)
+	srv, err := transport.NewServerOpts(stream.Config{Spec: sp}, opts)
 	if err != nil {
 		return "", nil, nil, err
 	}
@@ -113,11 +113,11 @@ func runDistributed(c distRun) int {
 		return 1
 	}
 	defer closeRef()
-	refClient := transport.NewClient(refBase, nil)
+	refClient := transport.NewClient(refBase, nil).Tenant(transport.DefaultTenant)
 
 	type nodeSrv struct {
 		srv    *transport.Server
-		client *transport.Client
+		client *transport.TenantClient
 	}
 	cluster := make([]nodeSrv, c.nodes)
 	for i := range cluster {
@@ -139,7 +139,7 @@ func runDistributed(c distRun) int {
 				log.Print("daploadgen: push delta: ", err)
 			}
 		})
-		cluster[i] = nodeSrv{srv: srv, client: transport.NewClient(base, nil)}
+		cluster[i] = nodeSrv{srv: srv, client: transport.NewClient(base, nil).Tenant(transport.DefaultTenant)}
 	}
 
 	ctx := context.Background()
@@ -186,9 +186,8 @@ func runDistributed(c distRun) int {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tc := cluster[i].client.Tenant(transport.DefaultTenant)
 			acc, l, _, err := drive(ctx, parts[i], 1, c.batch,
-				makeSender(ctx, tc, "json", "", transport.DefaultTenant, 1, parts[i]))
+				makeSender(ctx, cluster[i].client, "json", "", transport.DefaultTenant, 1, parts[i]))
 			mu.Lock()
 			accepted += acc
 			lats = append(lats, l...)
@@ -230,7 +229,7 @@ func runDistributed(c distRun) int {
 		log.Print("daploadgen: reference rotate: ", err)
 		return 1
 	}
-	got, err := coordClient.MergeEstimate(ctx, "")
+	got, err := coordClient.MergeEstimate(ctx, transport.DefaultTenant)
 	if err != nil {
 		log.Print("daploadgen: merged estimate: ", err)
 		return 1

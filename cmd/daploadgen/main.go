@@ -11,8 +11,9 @@
 // loopback HTTP listener (the full wire stack, no external process) —
 // that is the CI smoke mode. Honest users perturb locally with their
 // assigned group's budget, exactly like real clients; Byzantine users
-// submit high-half poison values. Reports travel in batched /v1/ingest
-// requests of -batch users each.
+// submit high-half poison values. Reports travel in batched
+// POST /v1/tenants/{tenant}/ingest requests of -batch users each (-tenant
+// picks the tenant, "default" unless given).
 //
 // -min-rate fails the run when ingest throughput drops below the bound;
 // -assert additionally checks that a live per-epoch estimate exists and is
@@ -58,6 +59,7 @@ import (
 	"repro/internal/specflag"
 	"repro/internal/stats"
 	"repro/internal/store"
+	"repro/internal/stream"
 	"repro/internal/transport"
 	"repro/internal/wirebin"
 )
@@ -401,7 +403,7 @@ func main() {
 // the resolved task spec. A non-empty storeDir makes it durable (WAL +
 // snapshots under the directory with the given fsync policy) — the WAL
 // overhead benchmark mode. With wantUDP (or a spec serve.udp_addr) the
-// binary-ingest UDP socket is opened too and advertised on /v1/config.
+// binary-ingest UDP socket is opened too and advertised on the config route.
 func selfServe(sp core.Spec, users, reports int, storeDir, fsync string, wantUDP bool) (string, func(), error) {
 	if sp.Serve == nil {
 		sp.Serve = &core.ServeSpec{}
@@ -429,7 +431,7 @@ func selfServe(sp core.Spec, users, reports int, storeDir, fsync string, wantUDP
 		}
 		opts.Store = st
 	}
-	srv, err := transport.NewServerSpecOpts(sp, opts)
+	srv, err := transport.NewServerOpts(stream.Config{Spec: sp}, opts)
 	if err != nil {
 		if st != nil {
 			_ = st.Close()
@@ -766,7 +768,7 @@ func drive(ctx context.Context, entries []entry, conns, batch int, mkSend func()
 // waitDelivered polls the collector's monotonic per-tenant ingested
 // counter until sent reports have drained from the UDP socket into the
 // engine (or delivery stalls for 2s — lost datagrams never arrive). It
-// returns how many of the sent reports landed. The /v1/status window
+// returns how many of the sent reports landed. The status route's window
 // counts reset on epoch rotation, so the metric — not the status — is
 // the only reliable delivery signal against a rotating collector.
 func waitDelivered(poll func() (float64, error), before float64, sent int) (int, error) {

@@ -44,6 +44,7 @@ import (
 	"repro/internal/ldp/pm"
 	"repro/internal/metrics"
 	"repro/internal/store"
+	"repro/internal/stream"
 	"repro/internal/transport"
 	"repro/internal/wirebin"
 )
@@ -151,7 +152,7 @@ func boot() (string, func(), error) {
 	sp := core.NewSpec(core.MeanTask(), core.WithBudget(1, 0.25),
 		core.WithScheme(core.SchemeEMFStar),
 		core.WithServe(core.ServeSpec{Warm: true, ExpectedUsers: 64}))
-	srv, err := transport.NewServerSpecOpts(sp, transport.ServerOptions{Store: st})
+	srv, err := transport.NewServerOpts(stream.Config{Spec: sp}, transport.ServerOptions{Store: st})
 	if err != nil {
 		_ = st.Close()
 		os.RemoveAll(dir)
@@ -189,7 +190,8 @@ func boot() (string, func(), error) {
 // estimate (solver).
 func driveTraffic(base string) error {
 	ctx := context.Background()
-	client := transport.NewClient(base, nil)
+	root := transport.NewClient(base, nil)
+	client := root.Tenant(transport.DefaultTenant)
 	r := rand.New(rand.NewPCG(1, 2))
 	for i := 0; i < 16; i++ {
 		if _, err := client.SubmitValue(ctx, r, 0.2); err != nil {
@@ -197,7 +199,7 @@ func driveTraffic(base string) error {
 		}
 	}
 	// A 4xx on an instrumented route: config of a tenant that never existed.
-	if _, err := client.Tenant("no-such-tenant").Config(ctx); err == nil {
+	if _, err := root.Tenant("no-such-tenant").Config(ctx); err == nil {
 		return fmt.Errorf("expected a 404 for the unknown tenant")
 	}
 	if err := driveFrames(ctx, client, base, r); err != nil {
@@ -206,7 +208,7 @@ func driveTraffic(base string) error {
 	if _, err := client.Rotate(ctx); err != nil {
 		return fmt.Errorf("rotate: %w", err)
 	}
-	if _, err := client.Estimate(ctx); err != nil {
+	if _, err := client.Estimate(ctx, ""); err != nil {
 		return fmt.Errorf("estimate: %w", err)
 	}
 	return nil
@@ -216,7 +218,7 @@ func driveTraffic(base string) error {
 // corrupt frame (a guaranteed reject), and one frame as a UDP datagram —
 // polling the status endpoint until the asynchronous UDP delivery lands
 // so the scrape sees every dap_frames_*/dap_udp_* family moved.
-func driveFrames(ctx context.Context, client *transport.Client, base string, r *rand.Rand) error {
+func driveFrames(ctx context.Context, client *transport.TenantClient, base string, r *rand.Rand) error {
 	cfg, err := client.Config(ctx)
 	if err != nil {
 		return fmt.Errorf("config: %w", err)
@@ -239,7 +241,7 @@ func driveFrames(ctx context.Context, client *transport.Client, base string, r *
 		return fmt.Errorf("frame ingest: %v (rejected %d: %v)", err, out.Rejected, out.Errors)
 	}
 	// A corrupt frame must answer 400 and bump the reject counter.
-	resp, err := http.Post(base+"/v1/ingest", wirebin.ContentType,
+	resp, err := http.Post(base+"/v1/tenants/"+transport.DefaultTenant+"/ingest", wirebin.ContentType,
 		bytes.NewReader([]byte("DAPF not a frame")))
 	if err != nil {
 		return err
@@ -249,7 +251,7 @@ func driveFrames(ctx context.Context, client *transport.Client, base string, r *
 		return fmt.Errorf("corrupt frame answered %s, want 400", resp.Status)
 	}
 	if cfg.UDPAddr == "" {
-		return fmt.Errorf("no udp_addr advertised on /v1/config")
+		return fmt.Errorf("no udp_addr advertised on the config route")
 	}
 	// Confirm the asynchronous UDP delivery from the monotonic ingested
 	// metric, not the window report totals: an epoch rotation resets the
@@ -285,7 +287,7 @@ func driveFrames(ctx context.Context, client *transport.Client, base string, r *
 
 // ingestedTotal scrapes the default tenant's monotonic
 // dap_stream_reports_ingested_total — the delivery-confirmation signal
-// that, unlike /v1/status window totals, survives epoch rotation.
+// that, unlike the status route's window totals, survives epoch rotation.
 func ingestedTotal(base string) (float64, error) {
 	sc, err := scrape(base)
 	if err != nil {
@@ -365,8 +367,8 @@ func checkValues(sc *metrics.Scrape) bool {
 			ok   bool
 		}{what, got, ok})
 	}
-	v := sc.Value("dap_http_requests_total", map[string]string{"code": "2xx", "route": "/v1/report"})
-	add("2xx /v1/report requests", v, v >= 16)
+	v := sc.Value("dap_http_requests_total", map[string]string{"code": "2xx", "route": "/v1/tenants/{tenant}/report"})
+	add("2xx /v1/tenants/{tenant}/report requests", v, v >= 16)
 	// Every route pre-binds all status classes at 0, so sum across routes
 	// rather than trusting the first matching series.
 	v = sum(sc, "dap_http_requests_total", map[string]string{"code": "4xx"})

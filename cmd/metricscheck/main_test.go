@@ -9,7 +9,7 @@ import (
 )
 
 // TestIngestedSurvivesRotation is the regression test for the delivery-
-// confirmation signal: /v1/status window report totals reset when an
+// confirmation signal: the status route's window report totals reset when an
 // epoch seals, so a poller using them can watch a confirmed delivery
 // vanish mid-wait. The monotonic dap_stream_reports_ingested_total —
 // what driveFrames and daploadgen poll — must keep every accepted
@@ -22,7 +22,7 @@ func TestIngestedSurvivesRotation(t *testing.T) {
 	defer closeFn()
 
 	ctx := context.Background()
-	client := transport.NewClient(base, nil)
+	client := transport.NewClient(base, nil).Tenant(transport.DefaultTenant)
 	r := rand.New(rand.NewPCG(3, 4))
 	const submits = 8
 	var sent int

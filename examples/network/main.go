@@ -18,6 +18,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/ldp/pm"
 	"repro/internal/rng"
+	"repro/internal/stream"
 	"repro/internal/transport"
 )
 
@@ -25,13 +26,14 @@ func main() {
 	sp := dap.NewSpec(dap.Mean(),
 		dap.WithBudget(1, 0.25),
 		dap.WithScheme(dap.SchemeEMFStar))
-	srv, err := transport.NewServerSpec(sp)
+	srv, err := transport.NewServerOpts(stream.Config{Spec: sp}, transport.ServerOptions{})
 	if err != nil {
 		panic(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	client := transport.NewClient(ts.URL, ts.Client())
+	collector := transport.NewClient(ts.URL, ts.Client())
+	client := collector.Tenant(transport.DefaultTenant)
 	ctx := context.Background()
 
 	cfg, err := client.Config(ctx)
@@ -87,7 +89,7 @@ func main() {
 	}
 	fmt.Printf("collected: %d users, per-group reports %v\n", status.Users, status.GroupReports)
 
-	est, err := client.Estimate(ctx)
+	est, err := client.Estimate(ctx, "")
 	if err != nil {
 		panic(err)
 	}
@@ -98,7 +100,7 @@ func main() {
 
 	// A second tenant — frequency estimation — created over the wire from
 	// its own spec; the CRUD response echoes the effective spec back.
-	created, err := client.CreateTenantSpec(ctx, "ages",
+	created, err := collector.CreateTenantSpec(ctx, "ages",
 		dap.NewSpec(dap.Frequency(15), dap.WithBudget(2, 1)))
 	if err != nil {
 		panic(err)

@@ -220,7 +220,7 @@ func TestFreqFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := f.RunFreq(rng.New(9), cats, []int{10}, 0.25)
+	est, err := f.Run(rng.New(9), cats, []int{10}, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}

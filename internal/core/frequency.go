@@ -315,13 +315,6 @@ func (d *FreqDAP) RunAdv(r *rand.Rand, cats []int, adv attack.Adversary, gamma f
 	return d.EstimateFreq(col)
 }
 
-// RunFreq is the historical name of Run.
-//
-// Deprecated: use Run.
-func (d *FreqDAP) RunFreq(r *rand.Rand, cats []int, poisonCats []int, gamma float64) (*FreqEstimate, error) {
-	return d.Run(r, cats, poisonCats, gamma)
-}
-
 // OstrichFreq estimates frequencies ignoring Byzantine users: per-group
 // unbiased k-RR estimation aggregated with the same weights.
 func (d *FreqDAP) OstrichFreq(col *FreqCollection) ([]float64, error) {

@@ -98,7 +98,7 @@ func TestFreqDAPNoAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := d.RunFreq(rng.New(8), cats, nil, 0)
+	est, err := d.Run(rng.New(8), cats, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

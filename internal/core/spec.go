@@ -98,6 +98,20 @@ type DomainSpec struct {
 	Hi float64 `json:"hi"`
 }
 
+// Upper bounds on a ServeSpec. A tenant allocates shards × buckets floats
+// per group when it is created — buckets derived from expected_users by
+// the paper's d′ = ⌊√n⌋ rule when not fixed — so a spec arriving over the
+// wire must not be able to name arbitrary sizes. Each bound is at least
+// 8× the largest value any committed spec, test or benchmark uses. The
+// span bound is the loosest: the sealed ring grows by one epoch per
+// rotation, never up front.
+const (
+	MaxServeShards        = 1 << 8
+	MaxServeBuckets       = 1 << 12
+	MaxServeSpan          = 1 << 23
+	MaxServeExpectedUsers = 1 << 22
+)
+
 // ServeSpec carries the serving-layer parameters of a task — how a stream
 // tenant hosting this spec shards, buckets and windows its histograms.
 // Batch estimation ignores it. Zero values select the engine defaults.
@@ -417,6 +431,11 @@ func (sp Spec) Validate() error {
 	if s := sp.Serve; s != nil {
 		if s.Buckets < 0 || s.ExpectedUsers < 0 || s.Shards < 0 || s.Span < 0 || s.EpochMs < 0 {
 			return badSpec("serve parameters must be non-negative")
+		}
+		if s.Shards > MaxServeShards || s.Buckets > MaxServeBuckets ||
+			s.Span > MaxServeSpan || s.ExpectedUsers > MaxServeExpectedUsers {
+			return badSpec("serve parameters exceed their bounds (shards ≤ %d, buckets ≤ %d, span ≤ %d, expected_users ≤ %d)",
+				MaxServeShards, MaxServeBuckets, MaxServeSpan, MaxServeExpectedUsers)
 		}
 		if !validWindowMode(s.Window) {
 			return badSpec("unknown window mode %q", s.Window)

@@ -9,7 +9,7 @@ import (
 // analyzerBudget enforces the charge-then-refund accounting contract in
 // internal/stream's ingest paths:
 //
-//   - Histogram mutation (shard.addLocked, shardSet.add) must be
+//   - Histogram mutation (shard.addLocked) must be
 //     lexically dominated by an Accountant charge (Spend, SpendN or
 //     ForceSpend) in the same function — state never moves before the
 //     privacy budget pays for it.

@@ -398,7 +398,7 @@ func checkStripeLoops(p *Package, r *Reporter, fd *ast.FuncDecl) {
 			return true // lock-per-iteration: only one held at a time
 		}
 		if !sortedBefore(p, fd, n.Pos()) {
-			r.Reportf(lock.Pos(), "%s acquires stripe locks in a loop without sorting the keys first; unordered acquisition deadlocks concurrent batches (see ingestBatch)", p.funcName(fd))
+			r.Reportf(lock.Pos(), "%s acquires stripe locks in a loop without sorting the keys first; unordered acquisition deadlocks concurrent batches (see Tenant.ingestStaged)", p.funcName(fd))
 		}
 		return true
 	})

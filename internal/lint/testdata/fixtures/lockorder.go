@@ -81,7 +81,7 @@ func lockAllUnsorted(shards []shard, keys []int) {
 	}
 }
 
-// lockAllSorted is the ingestBatch idiom: sort, then acquire.
+// lockAllSorted is the ingestStaged idiom: sort, then acquire.
 func lockAllSorted(shards []shard, keys []int) {
 	slices.Sort(keys)
 	for _, k := range keys {

@@ -523,11 +523,6 @@ func (s *Store) fail(err error) {
 	}
 }
 
-// AppendIngest logs one accepted report batch and returns its LSN.
-func (s *Store) AppendIngest(tenant, user string, group int, values []float64) (uint64, error) {
-	return s.append(&Record{Type: RecIngest, Tenant: tenant, User: user, Group: group, Values: values})
-}
-
 // IngestEntry is one report in a batched WAL append.
 type IngestEntry struct {
 	User   string

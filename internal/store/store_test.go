@@ -18,6 +18,11 @@ func openTest(t *testing.T, dir string, opts Options) *Store {
 	return s
 }
 
+// appendIngest logs one report as a one-entry batch.
+func appendIngest(s *Store, tenant, user string, group int, values []float64) (uint64, error) {
+	return s.AppendIngestBatch(tenant, []IngestEntry{{User: user, Group: group, Values: values}})
+}
+
 func mustLoad(t *testing.T, s *Store) *Recovery {
 	t.Helper()
 	rec, err := s.Load()
@@ -48,7 +53,7 @@ func appendMix(t *testing.T, s *Store) []Record {
 		case RecJoin:
 			lsn, err = s.AppendJoin(r.Tenant, r.User, r.Group)
 		case RecIngest:
-			lsn, err = s.AppendIngest(r.Tenant, r.User, r.Group, r.Values)
+			lsn, err = appendIngest(s, r.Tenant, r.User, r.Group, r.Values)
 		case RecRotate:
 			lsn, err = s.AppendRotate(r.Tenant, r.Seq)
 		case RecMergeDelta:
@@ -255,7 +260,7 @@ func TestSnapshotGC(t *testing.T) {
 	s := openTest(t, dir, Options{Sync: SyncOS, MaxSegmentBytes: 64, KeepSnapshots: 2})
 	mustLoad(t, s)
 	for i := 0; i < 8; i++ {
-		if _, err := s.AppendIngest("a", "u", 0, []float64{float64(i)}); err != nil {
+		if _, err := appendIngest(s, "a", "u", 0, []float64{float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -303,18 +308,18 @@ func TestFlakyWriteErrorDegradesAndHeals(t *testing.T) {
 	flaky := NewFlaky(nil)
 	s := openTest(t, dir, Options{Sync: SyncOS, FS: flaky})
 	mustLoad(t, s)
-	if _, err := s.AppendIngest("a", "u0", 0, []float64{1}); err != nil {
+	if _, err := appendIngest(s, "a", "u0", 0, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	flaky.FailWrites(1, false, false)
-	if _, err := s.AppendIngest("a", "u1", 0, []float64{2}); err == nil {
+	if _, err := appendIngest(s, "a", "u1", 0, []float64{2}); err == nil {
 		t.Fatal("injected write error not surfaced")
 	}
 	if h := s.Health(); h.Healthy || h.LastErr == "" {
 		t.Fatalf("store should be unhealthy after injected error: %+v", h)
 	}
 	// The next append self-heals into a fresh segment.
-	lsn, err := s.AppendIngest("a", "u2", 0, []float64{3})
+	lsn, err := appendIngest(s, "a", "u2", 0, []float64{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,11 +347,11 @@ func TestFlakyTornWriteTruncates(t *testing.T) {
 	flaky := NewFlaky(nil)
 	s := openTest(t, dir, Options{Sync: SyncOS, FS: flaky})
 	mustLoad(t, s)
-	if _, err := s.AppendIngest("a", "u0", 0, []float64{1}); err != nil {
+	if _, err := appendIngest(s, "a", "u0", 0, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	flaky.FailWrites(1, true, false)
-	if _, err := s.AppendIngest("a", "u1", 0, []float64{2}); err == nil {
+	if _, err := appendIngest(s, "a", "u1", 0, []float64{2}); err == nil {
 		t.Fatal("torn write error not surfaced")
 	}
 	// Crash here: the store survived the failed write, so it already cut
@@ -373,7 +378,7 @@ func TestFailedBatchLeavesNoPartialFrames(t *testing.T) {
 	flaky := NewFlaky(nil)
 	s := openTest(t, dir, Options{Sync: SyncOS, FS: flaky})
 	mustLoad(t, s)
-	if _, err := s.AppendIngest("a", "u0", 0, []float64{1}); err != nil {
+	if _, err := appendIngest(s, "a", "u0", 0, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	// A three-frame batch whose write lands its first half: without the
@@ -473,7 +478,7 @@ func TestCloseWaitsForInflightFlush(t *testing.T) {
 	flaky := NewFlaky(nil)
 	s := openTest(t, dir, Options{Sync: SyncOS, FS: flaky})
 	mustLoad(t, s)
-	if _, err := s.AppendIngest("a", "u0", 0, []float64{1}); err != nil {
+	if _, err := appendIngest(s, "a", "u0", 0, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -501,16 +506,16 @@ func TestCloseWaitsForInflightFlush(t *testing.T) {
 	flaky.Latency(lat)
 	errc := make(chan error, 3)
 	go func() {
-		_, err := s.AppendIngest("a", "uc", 0, []float64{2})
+		_, err := appendIngest(s, "a", "uc", 0, []float64{2})
 		errc <- err
 	}()
 	waitWrites(3) // C is mid-write for the next ~lat
 	go func() {
-		_, err := s.AppendIngest("a", "ua", 0, []float64{3})
+		_, err := appendIngest(s, "a", "ua", 0, []float64{3})
 		errc <- err
 	}()
 	go func() {
-		_, err := s.AppendIngest("a", "ub", 0, []float64{4})
+		_, err := appendIngest(s, "a", "ub", 0, []float64{4})
 		errc <- err
 	}()
 	time.Sleep(lat / 4) // both enqueue on the pending batch while C sleeps
@@ -567,7 +572,7 @@ func TestSyncAlwaysAndIntervalPolicies(t *testing.T) {
 		flaky := NewFlaky(nil)
 		s := openTest(t, dir, Options{Sync: pol, SyncEvery: time.Millisecond, FS: flaky})
 		mustLoad(t, s)
-		if _, err := s.AppendIngest("a", "u", 0, []float64{1}); err != nil {
+		if _, err := appendIngest(s, "a", "u", 0, []float64{1}); err != nil {
 			t.Fatal(err)
 		}
 		if pol == SyncInterval {
@@ -615,7 +620,7 @@ func TestFlakyLatency(t *testing.T) {
 	s := openTest(t, dir, Options{Sync: SyncOS, FS: flaky})
 	mustLoad(t, s)
 	start := time.Now()
-	if _, err := s.AppendIngest("a", "u", 0, []float64{1}); err != nil {
+	if _, err := appendIngest(s, "a", "u", 0, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {

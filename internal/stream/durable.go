@@ -195,7 +195,16 @@ func Recover(st *store.Store) (*Registry, *RecoveryReport, error) {
 			if r.LSN < t.walStart {
 				continue // already inside a sealed epoch the snapshot holds
 			}
-			if err := t.replayIngest(r.User, r.Group, r.Values, r.LSN >= t.acctFrom); err != nil {
+			// The record re-runs the normal ingest stages; its charge is
+			// replayed only when the ledger does not already reflect it. An
+			// erroring record — possible only if the spec changed under a
+			// tenant, which the spec-from-WAL recovery path prevents — is
+			// reported, not applied.
+			mode := replayApply
+			if r.LSN >= t.acctFrom {
+				mode = replayCharge
+			}
+			if err := t.ingestOne(r.User, r.Group, r.Values, mode); err != nil {
 				rep.Warnings = append(rep.Warnings,
 					fmt.Sprintf("tenant %s ingest at LSN %d: %v", r.Tenant, r.LSN, err))
 				continue

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ldp/pm"
+	"repro/internal/privacy"
 	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/internal/stream"
@@ -305,6 +306,46 @@ func TestRecoverAfterCleanShutdown(t *testing.T) {
 	}
 }
 
+// TestRecoverKeepsReportOfReboundUser: Join hands out predictable ids and
+// overwrites the binding, so a user who reported under a self-chosen id can
+// be rebound to another group afterwards. A snapshot then carries the new
+// binding while the WAL still holds the admitted report for the old one;
+// replay must apply it (its charge is in the snapshot ledger) rather than
+// reject it against the live binding.
+func TestRecoverKeepsReportOfReboundUser(t *testing.T) {
+	dir := t.TempDir()
+	reg, _, _ := openDurable(t, dir, nil)
+	tn, err := reg.CreateSpec("t", durableSpec(stream.Tumbling))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(tn.Groups()) - 1
+	if err := tn.Ingest("u000000", last, []float64{0.25}); err != nil {
+		t.Fatal(err)
+	}
+	if id, g := tn.Join(); id != "u000000" || g != tn.Groups()[0] {
+		t.Fatalf("Join = %s in group %+v, want u000000 rebound to group 0", id, g)
+	}
+	if err := reg.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg2, _, rep := openDurable(t, dir, nil)
+	if len(rep.Warnings) != 0 {
+		t.Errorf("recovery warnings: %q", rep.Warnings)
+	}
+	tn2, ok := reg2.Get("t")
+	if !ok {
+		t.Fatal("tenant lost across crash")
+	}
+	if got, want := tn2.Status().GroupReports, tn.Status().GroupReports; !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered group reports %v, live had %v", got, want)
+	}
+	if got, want := tn2.Accountant().Export(), tn.Accountant().Export(); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered ledger %v, live had %v", got, want)
+	}
+}
+
 // TestDurableTenantLifecycle: creations and deletions survive restarts.
 func TestDurableTenantLifecycle(t *testing.T) {
 	dir := t.TempDir()
@@ -422,12 +463,25 @@ func TestConcurrentIngestRecoversBitIdentical(t *testing.T) {
 					}
 					continue
 				}
-				// ...odd workers the batched one, three reports at a time.
+				// ...odd workers the batched one, three reports at a time,
+				// each batch closed by two entries that must be rejected: a
+				// repeat of its first report (that user's budget is spent by
+				// then) and an out-of-domain value from a user who never
+				// reports otherwise. The WAL then holds the accepted subset
+				// of a partially rejected batch, and replay must neither
+				// apply nor charge the rest.
 				batch = append(batch, stream.BatchEntry{User: r.user, Group: r.group, Values: r.vals})
 				if len(batch) == 3 {
+					batch = append(batch, batch[0],
+						stream.BatchEntry{User: "stray" + itoa(i), Group: 0, Values: []float64{math.Inf(1)}})
 					for j, err := range tn.IngestBatch(batch) {
-						if err != nil {
+						switch {
+						case j < 3 && err != nil:
 							t.Errorf("batch ingest %s: %v", batch[j].User, err)
+						case j == 3 && !errors.Is(err, privacy.ErrBudgetExceeded):
+							t.Errorf("repeated report of %s: %v, want ErrBudgetExceeded", batch[j].User, err)
+						case j == 4 && !errors.Is(err, core.ErrDomain):
+							t.Errorf("out-of-domain report: %v, want ErrDomain", err)
 						}
 					}
 					batch = batch[:0]
@@ -463,5 +517,8 @@ func TestConcurrentIngestRecoversBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(got.Result, want.Result) {
 		t.Errorf("recovered estimate differs from the concurrent live run\n got: %+v\nwant: %+v",
 			got.Result, want.Result)
+	}
+	if !reflect.DeepEqual(tn2.Accountant().Export(), tn.Accountant().Export()) {
+		t.Error("recovered budget ledger differs from the concurrent live run")
 	}
 }

@@ -36,22 +36,12 @@ func (s *shardSet) stripe(hash uint64) *shard {
 	return &s.shards[hash%uint64(len(s.shards))]
 }
 
-// add records a batch of reports on stripe. idx and vals are parallel:
-// idx[j] is the precomputed bucket of value vals[j]. Validation happened
-// before the lock — nothing here can fail, so the critical section is a
-// handful of adds.
-//
-//dapvet:hotpath
-func (s *shardSet) add(stripe uint64, idx []int, vals []float64) {
-	sh := s.stripe(stripe)
-	sh.mu.Lock()
-	sh.addLocked(idx, vals)
-	sh.mu.Unlock()
-}
-
-// addLocked is add with the shard lock already held — the durable ingest
-// path holds it across the WAL append so same-stripe applies happen in
-// LSN order (see Tenant.Ingest).
+// addLocked records a batch of reports with the shard lock held — the
+// ingest path holds it across charge, WAL append and apply so same-stripe
+// applies happen in LSN order (see Tenant.ingestStaged). idx and vals are
+// parallel: idx[j] is the precomputed bucket of value vals[j]. Validation
+// happened before the lock — nothing here can fail, so the critical
+// section is a handful of adds.
 //
 //dapvet:hotpath
 func (sh *shard) addLocked(idx []int, vals []float64) {

@@ -43,26 +43,6 @@ import (
 	"repro/internal/core"
 )
 
-// Kind is the historical tenant-kind enum, now unified with the task-spec
-// API's kinds.
-//
-// Deprecated: use core.TaskKind.
-type Kind = core.TaskKind
-
-// Historical kind names.
-//
-// Deprecated: use the core.Task* constants.
-const (
-	KindMean = core.TaskMean
-	KindFreq = core.TaskFrequency
-	KindDist = core.TaskDistribution
-)
-
-// ParseKind parses a tenant kind name.
-//
-// Deprecated: use core.ParseTask.
-func ParseKind(s string) (Kind, error) { return core.ParseTask(s) }
-
 // WindowMode selects the epoch window shape.
 type WindowMode int
 
@@ -264,5 +244,8 @@ func (cfg Config) normalize() (Config, error) {
 	if cfg.Window.Epoch < 0 {
 		return cfg, errors.New("stream: epoch duration must be non-negative")
 	}
-	return cfg, nil
+	// Engine fields set directly obey the bounds of a spec's serve section:
+	// a durable tenant persists SpecWithServe and recovery re-validates it,
+	// so creation must not admit what a restart would reject.
+	return cfg, cfg.SpecWithServe().Validate()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"time"
 
@@ -66,18 +67,6 @@ func itoa(i int) string {
 }
 
 func TestParsers(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want stream.Kind
-	}{{"mean", stream.KindMean}, {"", stream.KindMean}, {"freq", stream.KindFreq}, {"sw", stream.KindDist}} {
-		k, err := stream.ParseKind(tc.in)
-		if err != nil || k != tc.want {
-			t.Fatalf("ParseKind(%q) = %v, %v", tc.in, k, err)
-		}
-	}
-	if _, err := stream.ParseKind("nope"); err == nil {
-		t.Fatal("bad kind accepted")
-	}
 	if m, err := stream.ParseWindowMode("sliding"); err != nil || m != stream.Sliding {
 		t.Fatalf("ParseWindowMode(sliding) = %v, %v", m, err)
 	}
@@ -115,6 +104,13 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 		{Spec: core.Spec{Task: core.TaskFrequency, Eps: 1, Eps0: 0.5}}, // K missing
 		{Spec: core.Spec{Task: core.TaskMean, Eps: -1, Eps0: 0.5}},     // bad budgets
 		{Spec: core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.5}, Shards: -1},
+		// Engine fields set directly obey the spec's serve bounds, so a
+		// durable tenant's persisted spec always re-validates on recovery.
+		{Spec: core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.5}, Shards: core.MaxServeShards + 1},
+		{Spec: core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.5}, Buckets: core.MaxServeBuckets + 2},
+		{Spec: core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.5}, ExpectedUsers: core.MaxServeExpectedUsers + 1},
+		{Spec: core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.5},
+			Window: stream.WindowConfig{Mode: stream.Sliding, Span: core.MaxServeSpan + 1}},
 		{Spec: core.Spec{Task: "nope", Eps: 1, Eps0: 0.5}},            // unknown task
 		{Spec: core.Spec{Task: core.TaskVariance, Eps: 1, Eps0: 0.5}}, // not streamable
 	} {
@@ -145,38 +141,116 @@ func TestJoinRoundRobin(t *testing.T) {
 	}
 }
 
-func TestIngestValidation(t *testing.T) {
-	tn := newMeanTenant(t, meanConfig())
-	dom := pmDomain(t, tn.Groups()[0].Eps)
-	for _, tc := range []struct {
-		name   string
-		user   string
-		group  int
-		values []float64
+// ingestStep is one report of an ingest table with the error class it must
+// end in ("ok" for accepted, see errClass).
+type ingestStep struct {
+	name   string
+	user   string
+	group  int
+	values []float64
+	want   string
+}
+
+// errClass folds an ingest error onto the taxonomy callers branch on.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, stream.ErrWrongGroup):
+		return "wrong-group"
+	case errors.Is(err, privacy.ErrBudgetExceeded):
+		return "budget"
+	case errors.Is(err, core.ErrDomain):
+		return "domain"
+	default:
+		return "invalid"
+	}
+}
+
+// ingestState is what a table leaves behind: the budget ledger, the
+// per-group report counts and the live estimate (or why there is none).
+type ingestState struct {
+	Ledger  map[string]float64
+	Reports []float64
+	Result  *core.Result
+	EstErr  string
+}
+
+// runIngestTable drives steps through every public entry of the one
+// ingest path — Ingest per step, a one-entry IngestBatch per step, and the
+// whole table as a single IngestBatch — each on a fresh tenant. Every
+// entry must put every step in its wanted error class and leave the same
+// ledger, counts and estimate behind; that state is returned.
+func runIngestTable(t *testing.T, cfg stream.Config, steps []ingestStep) ingestState {
+	t.Helper()
+	batch := make([]stream.BatchEntry, len(steps))
+	for i, st := range steps {
+		batch[i] = stream.BatchEntry{User: st.user, Group: st.group, Values: st.values}
+	}
+	entries := []struct {
+		name string
+		run  func(*stream.Tenant) []error
 	}{
-		{"empty user", "", 0, []float64{0}},
-		{"bad group", "u", 9, []float64{0}},
-		{"negative group", "u", -1, []float64{0}},
-		{"no values", "u", 0, nil},
-		{"oversized", "u", 0, []float64{0, 0}}, // group 0 has 1 slot
-		{"nan", "u", 0, []float64{math.NaN()}},
-		{"+inf", "u", 0, []float64{math.Inf(1)}},
-		{"-inf", "u", 0, []float64{math.Inf(-1)}},
-		{"above domain", "u", 0, []float64{dom + 1}},
-		{"below domain", "u", 0, []float64{-dom - 1}},
-	} {
-		if err := tn.Ingest(tc.user, tc.group, tc.values); err == nil {
-			t.Fatalf("%s: accepted", tc.name)
+		{"Ingest", func(tn *stream.Tenant) []error {
+			errs := make([]error, len(steps))
+			for i, st := range steps {
+				errs[i] = tn.Ingest(st.user, st.group, st.values)
+			}
+			return errs
+		}},
+		{"IngestBatch/one-by-one", func(tn *stream.Tenant) []error {
+			errs := make([]error, len(steps))
+			for i := range batch {
+				errs[i] = tn.IngestBatch(batch[i : i+1])[0]
+			}
+			return errs
+		}},
+		{"IngestBatch/whole", func(tn *stream.Tenant) []error { return tn.IngestBatch(batch) }},
+	}
+	var first ingestState
+	for k, entry := range entries {
+		tn := newMeanTenant(t, cfg)
+		for i, err := range entry.run(tn) {
+			if got := errClass(err); got != steps[i].want {
+				t.Errorf("%s: step %q ended %s (%v), want %s", entry.name, steps[i].name, got, err, steps[i].want)
+			}
+		}
+		state := ingestState{Ledger: tn.Accountant().Export(), Reports: tn.Status().GroupReports}
+		if snap, err := tn.Estimate(true); err != nil {
+			state.EstErr = err.Error()
+		} else {
+			state.Result = snap.Result
+		}
+		if k == 0 {
+			first = state
+		} else if !reflect.DeepEqual(state, first) {
+			t.Errorf("%s left a different state than %s:\n got %+v\nwant %+v", entry.name, entries[0].name, state, first)
 		}
 	}
+	return first
+}
+
+func TestIngestValidation(t *testing.T) {
+	dom := pmDomain(t, newMeanTenant(t, meanConfig()).Groups()[0].Eps)
+	state := runIngestTable(t, meanConfig(), []ingestStep{
+		{"empty user", "", 0, []float64{0}, "invalid"},
+		{"bad group", "u", 9, []float64{0}, "invalid"},
+		{"negative group", "u", -1, []float64{0}, "invalid"},
+		{"no values", "u", 0, nil, "invalid"},
+		{"oversized", "u", 0, []float64{0, 0}, "invalid"}, // group 0 has 1 slot
+		{"nan", "u", 0, []float64{math.NaN()}, "domain"},
+		{"+inf", "u", 0, []float64{math.Inf(1)}, "domain"},
+		{"-inf", "u", 0, []float64{math.Inf(-1)}, "domain"},
+		{"above domain", "u", 0, []float64{dom + 1}, "domain"},
+		{"below domain", "u", 0, []float64{-dom - 1}, "domain"},
+	})
 	// Nothing above may have consumed budget or mutated state.
-	if tn.Accountant().Users() != 0 {
-		t.Fatal("rejected ingests consumed budget")
+	if len(state.Ledger) != 0 {
+		t.Fatalf("rejected ingests consumed budget: %v", state.Ledger)
 	}
-	st := tn.Status()
-	for _, n := range st.GroupReports {
+	for _, n := range state.Reports {
 		if n != 0 {
-			t.Fatalf("rejected ingests landed: %v", st.GroupReports)
+			t.Fatalf("rejected ingests landed: %v", state.Reports)
 		}
 	}
 }
@@ -191,51 +265,37 @@ func pmDomain(t *testing.T, eps float64) float64 {
 }
 
 func TestIngestGroupBindingAndBudget(t *testing.T) {
-	tn := newMeanTenant(t, meanConfig())
-	// First report binds u to group 0.
-	if err := tn.Ingest("u", 0, []float64{0.1}); err != nil {
-		t.Fatal(err)
+	state := runIngestTable(t, meanConfig(), []ingestStep{
+		{"first report binds u to group 0", "u", 0, []float64{0.1}, "ok"},
+		{"cross-group report", "u", 1, []float64{0.1}, "wrong-group"},
+		// Group 0 costs ε per report; u's budget is exhausted.
+		{"overspend", "u", 0, []float64{0.1}, "budget"},
+		// Atomicity: group 2 has 4 slots of ε/4. A fresh user uploading 3
+		// then 2 must be rejected on the second entry with nothing recorded.
+		{"three of four slots", "v", 2, []float64{0, 0, 0}, "ok"},
+		{"partial batch", "v", 2, []float64{0, 0}, "budget"},
+		{"final slot", "v", 2, []float64{0}, "ok"},
+	})
+	if want := []float64{1, 0, 4}; !reflect.DeepEqual(state.Reports, want) {
+		t.Fatalf("group reports %v, want %v", state.Reports, want)
 	}
-	err := tn.Ingest("u", 1, []float64{0.1})
-	if !errors.Is(err, stream.ErrWrongGroup) {
-		t.Fatalf("cross-group report: %v", err)
-	}
-	// Group 0 costs ε per report; u's budget is exhausted.
-	err = tn.Ingest("u", 0, []float64{0.1})
-	if !errors.Is(err, privacy.ErrBudgetExceeded) {
-		t.Fatalf("overspend: %v", err)
-	}
-	// Atomicity: group 2 has 4 slots of ε/4. A fresh user uploading 3 then
-	// 2 must be rejected on the second batch with nothing recorded.
-	if err := tn.Ingest("v", 2, []float64{0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	before := tn.Accountant().Spent("v")
-	if err := tn.Ingest("v", 2, []float64{0, 0}); !errors.Is(err, privacy.ErrBudgetExceeded) {
-		t.Fatalf("partial batch: %v", err)
-	}
-	if got := tn.Accountant().Spent("v"); got != before {
-		t.Fatalf("rejected batch changed spent: %v → %v", before, got)
-	}
-	if err := tn.Ingest("v", 2, []float64{0}); err != nil {
-		t.Fatalf("final slot rejected: %v", err)
+	if state.Ledger["u"] != 1 || state.Ledger["v"] != 1 {
+		t.Fatalf("ledger %v, want u and v at the cap", state.Ledger)
 	}
 }
 
 func TestFreqIngestValidation(t *testing.T) {
-	tn, err := stream.NewTenant("f", stream.Config{
+	state := runIngestTable(t, stream.Config{
 		Spec: core.Spec{Task: core.TaskFrequency, Eps: 1, Eps0: 0.5, K: 4},
+	}, []ingestStep{
+		{"category K", "u", 0, []float64{4}, "domain"},
+		{"negative category", "u", 0, []float64{-1}, "domain"},
+		{"fractional category", "u", 0, []float64{1.5}, "domain"},
+		{"nan category", "u", 0, []float64{math.NaN()}, "domain"},
+		{"last category", "u", 0, []float64{3}, "ok"},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range [][]float64{{4}, {-1}, {1.5}, {math.NaN()}} {
-		if err := tn.Ingest("u", 0, bad); err == nil {
-			t.Fatalf("category %v accepted", bad)
-		}
-	}
-	if err := tn.Ingest("u", 0, []float64{3}); err != nil {
-		t.Fatal(err)
+	if want := []float64{1, 0}; !reflect.DeepEqual(state.Reports, want) {
+		t.Fatalf("group reports %v, want %v", state.Reports, want)
 	}
 }
 

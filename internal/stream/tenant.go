@@ -322,207 +322,169 @@ func (u *userGroups) store(hash uint64, user string, group int) {
 	s.mu.Unlock()
 }
 
-// idxPool recycles the per-request bucket-index buffer so the steady-state
-// ingest path allocates nothing (pointer-to-slice avoids boxing the slice
-// header on Put).
-var idxPool = sync.Pool{New: func() any { s := make([]int, 0, 64); return &s }}
-
-// Ingest validates and records a batch of reports from one user. The
-// sequence is strict: every value is validated and discretized first, the
-// user's budget is charged atomically for the whole batch, and only then
-// is group state touched — a rejected request mutates nothing. Unknown
-// users are bound to the group they first report for; later reports for a
-// different group are rejected.
-func (t *Tenant) Ingest(user string, group int, values []float64) error {
-	err := t.ingest(user, group, values)
-	if err != nil {
-		t.met.rejected.Inc()
-	} else {
-		t.met.ingested.Add(uint64(len(values)))
-	}
-	return err
-}
-
-// ingest is Ingest's body; the exported wrapper only feeds the tenant's
-// accept/reject counters (pre-bound handles — no allocation).
-func (t *Tenant) ingest(user string, group int, values []float64) error {
-	if user == "" {
-		return errors.New("stream: user id must be non-empty")
-	}
-	if group < 0 || group >= len(t.groups) {
-		return fmt.Errorf("stream: group %d out of range [0,%d)", group, len(t.groups))
-	}
-	g := t.groups[group]
-	if len(values) == 0 {
-		return errors.New("stream: no values")
-	}
-	if len(values) > g.Reports {
-		return fmt.Errorf("stream: group %d accepts at most %d reports per request", group, g.Reports)
-	}
-	buf := idxPool.Get().(*[]int)
-	defer idxPool.Put(buf)
-	idx, err := t.indices(group, values, (*buf)[:0])
-	*buf = idx[:0]
-	if err != nil {
-		return err
-	}
-	stripe := hashUser(user)
-	if prev, loaded := t.userGrp.loadOrStore(stripe, user, group); loaded && prev != group {
-		return fmt.Errorf("%w: user %s is bound to group %d", ErrWrongGroup, user, prev)
-	}
-	// Budget accounting: each report in group t costs ε_t; the batch is
-	// charged atomically before any histogram is touched. Charge, WAL
-	// append and histogram apply all happen under the shared rotation lock
-	// so an epoch seal (which logs its own record under the exclusive
-	// lock) can never slip between the append and the apply — the WAL's
-	// record order is exactly the order state changed in. The target
-	// stripe's lock is additionally held across the same window: replay
-	// applies records in LSN order, so same-stripe ingests must serialize
-	// their append+apply for the live run's per-stripe float accumulation
-	// order (and a same-user ledger's charge order) to equal log order —
-	// that is what makes recovered sums bit-identical rather than
-	// approximately equal. Different stripes still proceed concurrently
-	// and coalesce into one group-commit write.
-	t.mu.RLock()
-	sh := t.live[group].stripe(stripe)
-	sh.mu.Lock()
-	if err := t.acct.SpendN(user, g.Eps, len(values)); err != nil {
-		sh.mu.Unlock()
-		t.mu.RUnlock()
-		return err
-	}
-	if t.st != nil {
-		if _, err := t.st.AppendIngest(t.name, user, group, values); err != nil {
-			// Not durable ⇒ not accepted: roll the charge back so the
-			// rejected request leaves no trace, and surface a retryable
-			// store-down error.
-			t.acct.Refund(user, g.Eps, len(values))
-			sh.mu.Unlock()
-			t.mu.RUnlock()
-			return fmt.Errorf("%w: %v", ErrStoreDown, err)
-		}
-	}
-	sh.addLocked(idx, values)
-	sh.mu.Unlock()
-	t.mu.RUnlock()
-	return nil
-}
-
 // BatchEntry is one report in a batched ingest. It aliases the store's
 // WAL entry type so an all-accepted batch is logged without copying.
 type BatchEntry = store.IngestEntry
 
-// IngestBatch applies many reports with Ingest's exact per-entry
-// semantics — validate, bind, charge atomically, then touch group state —
-// but one WAL write covers every accepted entry, which is what makes the
-// durable ingest path fast. The returned slice holds one error per entry,
-// nil for accepted ones; a rejected entry mutates nothing and does not
-// block the rest. When the store cannot log the batch, every staged
-// entry's charge is rolled back and reported as ErrStoreDown.
+// Ingest validates and records one user's reports: IngestBatch with a
+// single entry, same semantics, its error returned directly.
+func (t *Tenant) Ingest(user string, group int, values []float64) error {
+	return t.ingestOne(user, group, values, ingestLive)
+}
+
+// ingestOne runs a one-entry batch through ingestStaged without touching
+// the heap — the form single reports and replayed WAL records arrive in.
+func (t *Tenant) ingestOne(user string, group int, values []float64, mode ingestMode) error {
+	entry := [1]BatchEntry{{User: user, Group: group, Values: values}}
+	var errs [1]error
+	t.ingestStaged(entry[:], errs[:], mode)
+	return errs[0]
+}
+
+// IngestBatch applies many reports, each with the same strict sequence:
+// every value is validated and discretized first, an unknown user is bound
+// to the group they first report for (later reports for another group are
+// rejected), the user's budget is charged atomically for the whole entry,
+// and only then is group state touched. One WAL write covers every
+// accepted entry, which is what makes the durable ingest path fast. The
+// returned slice holds one error per entry, nil for accepted ones; a
+// rejected entry mutates nothing and does not block the rest. When the
+// store cannot log the batch, every staged entry's charge is rolled back
+// and reported as ErrStoreDown.
 func (t *Tenant) IngestBatch(entries []BatchEntry) []error {
-	errs := t.ingestBatch(entries)
-	var accepted uint64
-	for i, err := range errs {
-		if err != nil {
-			t.met.rejected.Inc()
-		} else {
-			accepted += uint64(len(entries[i].Values))
-		}
-	}
-	t.met.ingested.Add(accepted)
+	errs := make([]error, len(entries))
+	t.ingestStaged(entries, errs, ingestLive)
 	return errs
 }
 
-// ingestBatch is IngestBatch's body; the exported wrapper feeds the
-// accept/reject counters once per batch.
-func (t *Tenant) ingestBatch(entries []BatchEntry) []error {
-	errs := make([]error, len(entries))
-	type stagedEntry struct {
-		i      int
-		stripe uint64
-		idx    []int
-	}
-	staged := make([]stagedEntry, 0, len(entries))
-	// One index arena for the whole batch, pre-sized so sub-slices never
-	// move under a later grow.
-	total := 0
-	for i := range entries {
-		total += len(entries[i].Values)
-	}
-	arena := make([]int, 0, total)
-	// As in Ingest: charge, WAL append and histogram apply all happen
-	// under the shared rotation lock, so an epoch seal can never slip
-	// between the append and the apply — record order is state order.
+// ingestMode is what a pass through ingestStaged does about budget,
+// durability and metrics.
+type ingestMode uint8
+
+const (
+	// ingestLive serves a request: charge under the cap, WAL-append, feed
+	// the tenant's accept/reject counters.
+	ingestLive ingestMode = iota
+	// replayCharge re-applies a logged record the recovered ledger does not
+	// reflect yet. The charge is forced — the record was admitted under the
+	// cap when it was logged — and nothing is appended or counted.
+	replayCharge
+	// replayApply re-applies a logged record whose charge the snapshot
+	// ledger already holds: histograms only.
+	replayApply
+)
+
+// stagedEntry is one validated, bound entry of a batch awaiting its charge.
+type stagedEntry struct {
+	i      int    // position in the caller's entries
+	stripe uint64 // hashUser of the entry's user
+	lo, hi int    // its bucket indices are arena[lo:hi]
+}
+
+// ingestScratch is the working memory of one ingestStaged call. It holds
+// no pointers into the caller's batch, so pooling it retains nothing.
+type ingestScratch struct {
+	staged []stagedEntry
+	arena  []int // bucket indices of every staged entry, back to back
+	keys   []int // (group, stripe) lock keys
+}
+
+// Scratch grown past these sizes by an unusually large batch is dropped
+// instead of pooled, so one such batch does not pin its arena for good.
+const (
+	maxScratchEntries = 1024
+	maxScratchValues  = 8192
+)
+
+// scratchPool recycles ingestScratch so the steady-state ingest path
+// allocates nothing.
+var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
+
+// ingestStaged is the one way a report enters the tenant — live requests,
+// batched or single, and recovery replay. errs (len(entries), all nil)
+// receives one error per rejected entry. The stages run in a fixed order
+// and a rejected entry leaves no trace:
+//
+//  1. validate and discretize every value, then bind the user to the group;
+//  2. lock every stripe the batch touches, in one global (group, stripe)
+//     order so concurrent batches cannot deadlock;
+//  3. charge each entry's budget atomically — each report in group g costs
+//     ε_g; a failed charge rejects that entry alone;
+//  4. WAL-append the charged entries with one write; on failure refund all
+//     of them and report ErrStoreDown;
+//  5. apply to the live histograms.
+//
+// The whole pass holds the shared rotation lock, so an epoch seal (which
+// logs its own record under the exclusive lock) can never slip between the
+// append and the apply: the WAL's record order is exactly the order state
+// changed in. The stripe locks are held across stages 3–5 because replay
+// applies records in LSN order: same-stripe ingests must serialize
+// their append+apply for the live run's per-stripe float accumulation order
+// (and a same-user ledger's charge order) to equal log order. That is what
+// makes recovered sums bit-identical rather than approximately equal.
+// Different stripes still proceed concurrently and coalesce into one
+// group-commit write.
+func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMode) {
+	sc := scratchPool.Get().(*ingestScratch)
+	staged, arena, keys := sc.staged[:0], sc.arena[:0], sc.keys[:0]
+	nsh := t.cfg.Shards
 	t.mu.RLock()
-	defer t.mu.RUnlock()
 	for i := range entries {
 		e := &entries[i]
-		if e.User == "" {
+		switch {
+		case e.User == "":
 			errs[i] = errors.New("stream: user id must be non-empty")
-			continue
-		}
-		if e.Group < 0 || e.Group >= len(t.groups) {
+		case e.Group < 0 || e.Group >= len(t.groups):
 			errs[i] = fmt.Errorf("stream: group %d out of range [0,%d)", e.Group, len(t.groups))
-			continue
-		}
-		g := t.groups[e.Group]
-		if len(e.Values) == 0 {
+		case len(e.Values) == 0:
 			errs[i] = errors.New("stream: no values")
+		case len(e.Values) > t.groups[e.Group].Reports:
+			errs[i] = fmt.Errorf("stream: group %d accepts at most %d reports per request",
+				e.Group, t.groups[e.Group].Reports)
+		}
+		if errs[i] != nil {
 			continue
 		}
-		if len(e.Values) > g.Reports {
-			errs[i] = fmt.Errorf("stream: group %d accepts at most %d reports per request", e.Group, g.Reports)
+		lo := len(arena)
+		if arena, errs[i] = t.appendIndices(arena, e.Group, e.Values); errs[i] != nil {
 			continue
 		}
-		base := len(arena)
-		idx, err := t.indices(e.Group, e.Values, arena[base:base])
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		arena = arena[:base+len(idx)]
 		stripe := hashUser(e.User)
-		if prev, loaded := t.userGrp.loadOrStore(stripe, e.User, e.Group); loaded && prev != e.Group {
+		// A replayed record was admitted when it was logged; a Join issued
+		// since may have rebound its user, which must not un-admit it.
+		if prev, loaded := t.userGrp.loadOrStore(stripe, e.User, e.Group); loaded && prev != e.Group && mode == ingestLive {
+			arena = arena[:lo]
 			errs[i] = fmt.Errorf("%w: user %s is bound to group %d", ErrWrongGroup, e.User, prev)
 			continue
 		}
-		staged = append(staged, stagedEntry{i: i, stripe: stripe, idx: idx})
+		staged = append(staged, stagedEntry{i: i, stripe: stripe, lo: lo, hi: len(arena)})
+		keys = append(keys, e.Group*nsh+int(stripe%uint64(nsh)))
 	}
-	// Same-stripe serialization, batch form (see Ingest): every stripe the
-	// batch touches is locked — in one global (group, stripe) order, so
-	// concurrent batches cannot deadlock — and held across charge, WAL
-	// append and apply, keeping per-stripe (and per-user ledger) apply
-	// order equal to LSN order for bit-identical replay.
-	nsh := t.cfg.Shards
-	keys := make([]int, 0, len(staged))
-	for _, sg := range staged {
-		keys = append(keys, entries[sg.i].Group*nsh+int(sg.stripe%uint64(nsh)))
+	if len(keys) > 1 {
+		slices.Sort(keys)
+		keys = slices.Compact(keys)
 	}
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
 	for _, k := range keys {
 		t.live[k/nsh].shards[k%nsh].mu.Lock()
 	}
-	defer func() {
-		for _, k := range keys {
-			t.live[k/nsh].shards[k%nsh].mu.Unlock()
-		}
-	}()
-	// Charge each staged entry; a failed charge rejects that entry alone.
 	charged := staged[:0]
 	for _, sg := range staged {
 		e := &entries[sg.i]
-		if err := t.acct.SpendN(e.User, t.groups[e.Group].Eps, len(e.Values)); err != nil {
-			errs[sg.i] = err
-			continue
+		switch mode {
+		case ingestLive:
+			if errs[sg.i] = t.acct.SpendN(e.User, t.groups[e.Group].Eps, len(e.Values)); errs[sg.i] != nil {
+				continue
+			}
+		case replayCharge:
+			t.acct.ForceSpend(e.User, t.groups[e.Group].Eps, len(e.Values))
 		}
 		charged = append(charged, sg)
 	}
 	staged = charged
-	if t.st != nil && len(staged) > 0 {
+	if mode == ingestLive && t.st != nil && len(staged) > 0 {
 		recs := entries // all-accepted batches log as-is, no copy
 		if len(staged) != len(entries) {
-			recs = make([]store.IngestEntry, len(staged))
+			recs = make([]BatchEntry, len(staged))
 			for j, sg := range staged {
 				recs[j] = entries[sg.i]
 			}
@@ -536,74 +498,60 @@ func (t *Tenant) ingestBatch(entries []BatchEntry) []error {
 				t.acct.Refund(e.User, t.groups[e.Group].Eps, len(e.Values))
 				errs[sg.i] = fmt.Errorf("%w: %v", ErrStoreDown, err)
 			}
-			return errs
+			staged = staged[:0]
 		}
 	}
+	accepted := 0
 	for _, sg := range staged {
 		e := &entries[sg.i]
-		t.live[e.Group].stripe(sg.stripe).addLocked(sg.idx, e.Values)
+		t.live[e.Group].stripe(sg.stripe).addLocked(arena[sg.lo:sg.hi], e.Values)
+		accepted += len(e.Values)
 	}
-	return errs
+	for _, k := range keys {
+		t.live[k/nsh].shards[k%nsh].mu.Unlock()
+	}
+	t.mu.RUnlock()
+	if mode == ingestLive {
+		t.met.ingested.Add(uint64(accepted))
+		if rejected := len(entries) - len(staged); rejected > 0 {
+			t.met.rejected.Add(uint64(rejected))
+		}
+	}
+	if cap(staged) <= maxScratchEntries && cap(arena) <= maxScratchValues {
+		sc.staged, sc.arena, sc.keys = staged, arena, keys
+		scratchPool.Put(sc)
+	}
 }
 
-// replayIngest re-applies one logged ingest record during recovery. The
-// values re-run the normal validation/discretization path; the budget
-// charge is forced (the record was admitted under the cap when logged)
-// and only applied when the accountant does not already reflect it
-// (withCharge). Erroring records — possible only if the spec changed
-// under a tenant, which the spec-from-WAL recovery path prevents — are
-// reported, not applied.
-func (t *Tenant) replayIngest(user string, group int, values []float64, withCharge bool) error {
-	if group < 0 || group >= len(t.groups) {
-		return fmt.Errorf("stream: replay: group %d out of range", group)
-	}
-	buf := idxPool.Get().(*[]int)
-	defer idxPool.Put(buf)
-	idx, err := t.indices(group, values, (*buf)[:0])
-	*buf = idx[:0]
-	if err != nil {
-		return err
-	}
-	stripe := hashUser(user)
-	t.userGrp.loadOrStore(stripe, user, group)
-	if withCharge {
-		t.acct.ForceSpend(user, t.groups[group].Eps, len(values))
-	}
-	t.live[group].add(stripe, idx, values)
-	return nil
-}
-
-// indices validates values for the tenant's task and appends their bucket
-// indices to idx. NaN, ±Inf, out-of-domain values and (for frequency
-// tenants) non-integral or out-of-range categories are rejected here, at
-// the wire boundary, before any state changes; rejections wrap
-// core.ErrDomain.
-func (t *Tenant) indices(group int, values []float64, idx []int) ([]int, error) {
-	if cap(idx) < len(values) {
-		idx = make([]int, len(values))
-	}
-	idx = idx[:len(values)]
+// appendIndices validates values for the tenant's task and appends their
+// bucket indices to idx; on error idx comes back at its original length.
+// NaN, ±Inf, out-of-domain values and (for frequency tenants)
+// non-integral or out-of-range categories are rejected here, at the wire
+// boundary, before any state changes; rejections wrap core.ErrDomain.
+func (t *Tenant) appendIndices(idx []int, group int, values []float64) ([]int, error) {
+	base := len(idx)
+	idx = slices.Grow(idx, len(values))
 	if t.cfg.Spec.Task == core.TaskFrequency {
 		k := float64(t.cfg.Spec.K)
-		for j, v := range values {
+		for _, v := range values {
 			c := int(v)
 			if v != float64(c) || v < 0 || v >= k {
-				return idx, fmt.Errorf("%w: %g is not a category in [0,%d)",
+				return idx[:base], fmt.Errorf("%w: %g is not a category in [0,%d)",
 					core.ErrDomain, v, t.cfg.Spec.K)
 			}
-			idx[j] = c
+			idx = append(idx, c)
 		}
 		return idx, nil
 	}
 	d := t.disc[group]
-	for j, v := range values {
+	for _, v := range values {
 		i, ok := d.Index(v)
 		if !ok {
 			dom := t.est.OutputDomain(group)
-			return idx, fmt.Errorf("%w: %g outside output domain [%g,%g]",
+			return idx[:base], fmt.Errorf("%w: %g outside output domain [%g,%g]",
 				core.ErrDomain, v, dom.Lo, dom.Hi)
 		}
-		idx[j] = i
+		idx = append(idx, i)
 	}
 	return idx, nil
 }

@@ -175,48 +175,6 @@ func (c *Client) backoff(ctx context.Context, attempt int, retryAfter string) bo
 	}
 }
 
-// Config fetches the protocol configuration.
-func (c *Client) Config(ctx context.Context) (*ConfigResponse, error) {
-	var out ConfigResponse
-	if err := c.get(ctx, "/v1/config", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Join registers and returns the caller's group assignment.
-func (c *Client) Join(ctx context.Context) (*JoinResponse, error) {
-	var out JoinResponse
-	if err := c.post(ctx, "/v1/join", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Report uploads already-perturbed values for a group.
-func (c *Client) Report(ctx context.Context, user string, group int, values []float64) error {
-	var out ReportResponse
-	return c.post(ctx, "/v1/report", ReportRequest{User: user, Group: group, Values: values}, &out)
-}
-
-// Status fetches collection progress.
-func (c *Client) Status(ctx context.Context) (*StatusResponse, error) {
-	var out StatusResponse
-	if err := c.get(ctx, "/v1/status", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Estimate asks the collector to run the DAP pipeline.
-func (c *Client) Estimate(ctx context.Context) (*EstimateResponse, error) {
-	var out EstimateResponse
-	if err := c.get(ctx, "/v1/estimate", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // AdminStatus fetches the collector's operational health: recovery state,
 // store health and last-snapshot age. It is served even while the
 // collector is recovering. AdminStatus never retries — it is the endpoint
@@ -241,99 +199,12 @@ func (c *Client) AdminStatus(ctx context.Context) (*AdminStatusResponse, error) 
 	return &out, nil
 }
 
-// Rotate asks the collector to seal the current epoch and re-estimate the
-// window.
-func (c *Client) Rotate(ctx context.Context) (*EstimateResponse, error) {
-	var out EstimateResponse
-	if err := c.post(ctx, "/v1/rotate", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Ingest uploads many reports in one round-trip.
-func (c *Client) Ingest(ctx context.Context, reports []ReportRequest) (*IngestResponse, error) {
-	var out IngestResponse
-	if err := c.post(ctx, "/v1/ingest", IngestRequest{Reports: reports}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // frameEncoders pools the binary encoders behind IngestFrame so
 // concurrent senders on one client reuse buffers without contention.
 var frameEncoders = sync.Pool{New: func() any { return new(wirebin.Encoder) }}
 
-// postFrame encodes entries as one binary frame and POSTs it to an
-// ingest path with the frame media type — the lossless binary wire.
-func (c *Client) postFrame(ctx context.Context, path string, seq uint64, entries []wirebin.Entry) (*IngestResponse, error) {
-	enc := frameEncoders.Get().(*wirebin.Encoder)
-	defer frameEncoders.Put(enc)
-	// The tenant travels in the URL, as on the JSON wire; the frame's
-	// tenant field stays empty.
-	frame, err := enc.Encode("", seq, entries)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(frame))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", wirebin.ContentType)
-	var out IngestResponse
-	if err := c.do(req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// IngestFrame uploads many reports as one binary frame — the same batch
-// semantics as Ingest at a fraction of the serialization cost. seq is
-// echoed back in the response (0 = unsequenced).
-func (c *Client) IngestFrame(ctx context.Context, seq uint64, entries []wirebin.Entry) (*IngestResponse, error) {
-	return c.postFrame(ctx, "/v1/ingest", seq, entries)
-}
-
 // streamBufs pools the frame-stream body builders behind IngestFrames.
 var streamBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// postFrameStream encodes each batch as its own frame (stamped seqBase,
-// seqBase+1, …) and POSTs them length-prefixed in one request body with
-// the frame-stream media type — one HTTP round trip for many frames.
-func (c *Client) postFrameStream(ctx context.Context, path string, seqBase uint64, batches [][]wirebin.Entry) (*IngestResponse, error) {
-	enc := frameEncoders.Get().(*wirebin.Encoder)
-	defer frameEncoders.Put(enc)
-	bp := streamBufs.Get().(*[]byte)
-	defer streamBufs.Put(bp)
-	body := (*bp)[:0]
-	for i, entries := range batches {
-		frame, err := enc.Encode("", seqBase+uint64(i), entries)
-		if err != nil {
-			return nil, err
-		}
-		body = binary.AppendUvarint(body, uint64(len(frame)))
-		body = append(body, frame...)
-	}
-	*bp = body
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", wirebin.ContentTypeStream)
-	var out IngestResponse
-	if err := c.do(req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// IngestFrames uploads several frame batches in one request (the frame
-// stream wire): batch i is stamped sequence seqBase+i, and the response
-// accumulates accepted/rejected across all of them, acking the last
-// applied frame's sequence.
-func (c *Client) IngestFrames(ctx context.Context, seqBase uint64, batches [][]wirebin.Entry) (*IngestResponse, error) {
-	return c.postFrameStream(ctx, "/v1/ingest", seqBase, batches)
-}
 
 // PushDelta uploads one sealed epoch delta frame (wirebin.EncodeDelta)
 // to a coordinator's merge plane. Safe to retry: a re-sent frame is
@@ -352,24 +223,10 @@ func (c *Client) PushDelta(ctx context.Context, frame []byte) (*MergeResponse, e
 	return &out, nil
 }
 
-// MergeEstimate fetches a coordinator's merged estimate for a tenant
-// (empty = the default tenant).
+// MergeEstimate fetches a coordinator's merged estimate for a tenant.
 func (c *Client) MergeEstimate(ctx context.Context, tenant string) (*EstimateResponse, error) {
-	path := "/v1/merge/estimate"
-	if tenant != "" {
-		path += "/" + tenant
-	}
 	var out EstimateResponse
-	if err := c.get(ctx, path, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// CreateTenant registers a new tenant.
-func (c *Client) CreateTenant(ctx context.Context, req TenantRequest) (*TenantStatusResponse, error) {
-	var out TenantStatusResponse
-	if err := c.post(ctx, "/v1/tenants", req, &out); err != nil {
+	if err := c.get(ctx, "/v1/merge/estimate/"+tenant, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -378,7 +235,11 @@ func (c *Client) CreateTenant(ctx context.Context, req TenantRequest) (*TenantSt
 // CreateTenantSpec registers a new tenant from a task spec — the same
 // JSON that drives batch estimation and the CLIs.
 func (c *Client) CreateTenantSpec(ctx context.Context, name string, sp core.Spec) (*TenantStatusResponse, error) {
-	return c.CreateTenant(ctx, TenantRequest{Name: name, Spec: &sp})
+	var out TenantStatusResponse
+	if err := c.post(ctx, "/v1/tenants", TenantRequest{Name: name, Spec: &sp}, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 // Tenants lists all hosted tenants.
@@ -399,9 +260,8 @@ func (c *Client) DeleteTenant(ctx context.Context, name string) error {
 	return c.do(req, nil)
 }
 
-// Tenant returns a client addressing the named tenant's routes. The
-// default tenant is reachable both ways: c and c.Tenant("default") hit the
-// same engine state.
+// Tenant returns a client addressing the named tenant's routes; the
+// tenant every collector boots with is c.Tenant(DefaultTenant).
 func (c *Client) Tenant(name string) *TenantClient {
 	return &TenantClient{c: c, prefix: "/v1/tenants/" + name}
 }
@@ -445,16 +305,57 @@ func (tc *TenantClient) Ingest(ctx context.Context, reports []ReportRequest) (*I
 	return &out, nil
 }
 
-// IngestFrame uploads many reports as one binary frame to the tenant's
-// ingest route (see Client.IngestFrame).
-func (tc *TenantClient) IngestFrame(ctx context.Context, seq uint64, entries []wirebin.Entry) (*IngestResponse, error) {
-	return tc.c.postFrame(ctx, tc.prefix+"/ingest", seq, entries)
+// postIngestBody POSTs an encoded binary body to the tenant's ingest
+// route under the given media type.
+func (tc *TenantClient) postIngestBody(ctx context.Context, contentType string, body []byte) (*IngestResponse, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, tc.c.base+tc.prefix+"/ingest", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", contentType)
+	var out IngestResponse
+	if err := tc.c.do(req, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
-// IngestFrames uploads several frame batches in one request to the
-// tenant's ingest route (see Client.IngestFrames).
+// IngestFrame uploads many reports as one binary frame — the same batch
+// semantics as Ingest at a fraction of the serialization cost, lossless.
+// seq is echoed back in the response (0 = unsequenced). The tenant
+// travels in the URL, as on the JSON wire; the frame's tenant field stays
+// empty.
+func (tc *TenantClient) IngestFrame(ctx context.Context, seq uint64, entries []wirebin.Entry) (*IngestResponse, error) {
+	enc := frameEncoders.Get().(*wirebin.Encoder)
+	defer frameEncoders.Put(enc)
+	frame, err := enc.Encode("", seq, entries)
+	if err != nil {
+		return nil, err
+	}
+	return tc.postIngestBody(ctx, wirebin.ContentType, frame)
+}
+
+// IngestFrames uploads several frame batches in one request (the frame
+// stream wire): batch i is encoded as its own frame stamped sequence
+// seqBase+i, the frames travel length-prefixed in one body, and the
+// response accumulates accepted/rejected across all of them, acking the
+// last applied frame's sequence.
 func (tc *TenantClient) IngestFrames(ctx context.Context, seqBase uint64, batches [][]wirebin.Entry) (*IngestResponse, error) {
-	return tc.c.postFrameStream(ctx, tc.prefix+"/ingest", seqBase, batches)
+	enc := frameEncoders.Get().(*wirebin.Encoder)
+	defer frameEncoders.Put(enc)
+	bp := streamBufs.Get().(*[]byte)
+	defer streamBufs.Put(bp)
+	body := (*bp)[:0]
+	for i, entries := range batches {
+		frame, err := enc.Encode("", seqBase+uint64(i), entries)
+		if err != nil {
+			return nil, err
+		}
+		body = binary.AppendUvarint(body, uint64(len(frame)))
+		body = append(body, frame...)
+	}
+	*bp = body
+	return tc.postIngestBody(ctx, wirebin.ContentTypeStream, body)
 }
 
 // Status fetches the tenant's collection progress.
@@ -493,8 +394,8 @@ func (tc *TenantClient) Rotate(ctx context.Context) (*EstimateResponse, error) {
 // SubmitValue performs a full honest-user round: join, perturb the value
 // locally with the assigned group's budget (once per report slot), and
 // upload. The raw value never leaves this function.
-func (c *Client) SubmitValue(ctx context.Context, r *rand.Rand, value float64) (*JoinResponse, error) {
-	join, err := c.Join(ctx)
+func (tc *TenantClient) SubmitValue(ctx context.Context, r *rand.Rand, value float64) (*JoinResponse, error) {
+	join, err := tc.Join(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -506,7 +407,7 @@ func (c *Client) SubmitValue(ctx context.Context, r *rand.Rand, value float64) (
 	for i := range values {
 		values[i] = mech.Perturb(r, value)
 	}
-	if err := c.Report(ctx, join.User, join.Group.Index, values); err != nil {
+	if err := tc.Report(ctx, join.User, join.Group.Index, values); err != nil {
 		return nil, err
 	}
 	return join, nil
@@ -514,15 +415,15 @@ func (c *Client) SubmitValue(ctx context.Context, r *rand.Rand, value float64) (
 
 // SubmitPoison performs a Byzantine round: join, then upload the given
 // poison values directly (clamped to the report slot limit).
-func (c *Client) SubmitPoison(ctx context.Context, values []float64) (*JoinResponse, error) {
-	join, err := c.Join(ctx)
+func (tc *TenantClient) SubmitPoison(ctx context.Context, values []float64) (*JoinResponse, error) {
+	join, err := tc.Join(ctx)
 	if err != nil {
 		return nil, err
 	}
 	if len(values) > join.Group.Reports {
 		values = values[:join.Group.Reports]
 	}
-	if err := c.Report(ctx, join.User, join.Group.Index, values); err != nil {
+	if err := tc.Report(ctx, join.User, join.Group.Index, values); err != nil {
 		return nil, err
 	}
 	return join, nil

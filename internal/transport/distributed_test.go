@@ -62,7 +62,7 @@ type distNode struct {
 
 func newDistNode(t *testing.T, id string, coord *Client) *distNode {
 	t.Helper()
-	srv, err := NewServerSpecOpts(distSpec(), ServerOptions{})
+	srv, err := NewServerOpts(stream.Config{Spec: distSpec()}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func newDistNode(t *testing.T, id string, coord *Client) *distNode {
 // retrying client for it — the client nodes push through.
 func newCoordServer(t *testing.T, co *stream.Coordinator) *Client {
 	t.Helper()
-	srv, err := NewServerSpecOpts(distSpec(), ServerOptions{Coordinator: co})
+	srv, err := NewServerOpts(stream.Config{Spec: distSpec()}, ServerOptions{Coordinator: co})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDistributedEquivalence(t *testing.T) {
 	}
 
 	// Reference: one collector sees the whole stream.
-	refSrv, err := NewServerSpecOpts(distSpec(), ServerOptions{})
+	refSrv, err := NewServerOpts(stream.Config{Spec: distSpec()}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +161,13 @@ func TestDistributedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: reference rotate: %v", round, err)
 		}
-		got, err := coord.MergeEstimate(ctx, "")
+		got, err := coord.MergeEstimate(ctx, DefaultTenant)
 		if err != nil {
 			t.Fatalf("round %d: merged estimate: %v", round, err)
+		}
+		// The merged estimate, too, is addressed by tenant only.
+		if _, err := coord.MergeEstimate(ctx, ""); err == nil {
+			t.Fatalf("round %d: tenant-less merged estimate still served", round)
 		}
 		want := estimateResponse(refSnap)
 		if !reflect.DeepEqual(*got, want) {
@@ -200,7 +204,7 @@ func TestDistributedEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				owner := stream.StripeOf(user, shards) % nodes
-				if err := cluster[owner].client.Report(ctx, user, g, vals); err != nil {
+				if err := cluster[owner].client.Tenant(DefaultTenant).Report(ctx, user, g, vals); err != nil {
 					t.Fatalf("round %d: node %d report: %v", round, owner, err)
 				}
 			}
@@ -211,7 +215,7 @@ func TestDistributedEquivalence(t *testing.T) {
 		t.Helper()
 		// A node that owns an empty group cannot estimate; the seal (and
 		// the delta push it triggers) still happens.
-		if _, err := n.client.Rotate(ctx); err == nil {
+		if _, err := n.client.Tenant(DefaultTenant).Rotate(ctx); err == nil {
 			return
 		}
 		tn, _ := n.srv.Registry().Get(DefaultTenant)

@@ -41,7 +41,7 @@ func newDurableServer(t *testing.T, dir string, flaky *store.Flaky, opts ServerO
 		t.Fatal(err)
 	}
 	opts.Store = st
-	srv, err := NewServerSpecOpts(durableServerSpec(), opts)
+	srv, err := NewServerOpts(mustConfig(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func feedReports(t *testing.T, c *Client, n int) {
 	t.Helper()
 	ctx := context.Background()
 	for i := 0; i < n; i++ {
-		j, err := c.Join(ctx)
+		j, err := c.Tenant(DefaultTenant).Join(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func feedReports(t *testing.T, c *Client, n int) {
 		for k := range vals {
 			vals[k] = 0.1 * float64(i%7)
 		}
-		if err := c.Report(ctx, j.User, j.Group.Index, vals); err != nil {
+		if err := c.Tenant(DefaultTenant).Report(ctx, j.User, j.Group.Index, vals); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func TestDurableServerCrashRestart(t *testing.T) {
 
 	srv, st, c := newDurableServer(t, dir, nil, ServerOptions{})
 	feedReports(t, c, 12)
-	sealed, err := c.Rotate(ctx)
+	sealed, err := c.Tenant(DefaultTenant).Rotate(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestDurableServerCrashRestart(t *testing.T) {
 
 	srv2, _, c2 := newDurableServer(t, dir, nil, ServerOptions{})
 	defer srv2.Close()
-	got, err := c2.Estimate(ctx)
+	got, err := c2.Tenant(DefaultTenant).Estimate(ctx, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestDurableServerCrashRestart(t *testing.T) {
 		}
 	}
 	// The live tail survived too: rotating now seals those 5 reports.
-	st2, err := c2.Status(ctx)
+	st2, err := c2.Tenant(DefaultTenant).Status(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestAsyncRecoverGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServerSpecOpts(durableServerSpec(), ServerOptions{Store: st, AsyncRecover: true})
+	srv, err := NewServerOpts(mustConfig(t), ServerOptions{Store: st, AsyncRecover: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestAsyncRecoverGate(t *testing.T) {
 	c := NewClient(ts.URL, ts.Client())
 	ctx := context.Background()
 
-	resp, err := ts.Client().Get(ts.URL + "/v1/status")
+	resp, err := ts.Client().Get(ts.URL + "/v1/tenants/default/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestAsyncRecoverGate(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := c.Status(ctx); err != nil {
+	if _, err := c.Tenant(DefaultTenant).Status(ctx); err != nil {
 		t.Fatalf("status after recovery: %v", err)
 	}
 }
@@ -208,26 +208,26 @@ func TestStoreDownDegradedMode(t *testing.T) {
 	ctx := context.Background()
 
 	feedReports(t, c, 9)
-	sealed, err := c.Rotate(ctx)
+	sealed, err := c.Tenant(DefaultTenant).Rotate(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	j, err := c.Join(ctx) // joins are best-effort logged, still served
+	j, err := c.Tenant(DefaultTenant).Join(ctx) // joins are best-effort logged, still served
 	if err != nil {
 		t.Fatal(err)
 	}
 	flaky.FailWrites(1, false, true) // persistent write failure
 
 	vals := make([]float64, j.Group.Reports)
-	err = c.Report(ctx, j.User, j.Group.Index, vals)
+	err = c.Tenant(DefaultTenant).Report(ctx, j.User, j.Group.Index, vals)
 	if err == nil || !strings.Contains(err.Error(), "store") {
 		t.Fatalf("report with store down: %v, want store-down 503", err)
 	}
-	if _, err := c.Rotate(ctx); err == nil {
+	if _, err := c.Tenant(DefaultTenant).Rotate(ctx); err == nil {
 		t.Fatal("rotate with store down should fail")
 	}
-	got, err := c.Estimate(ctx)
+	got, err := c.Tenant(DefaultTenant).Estimate(ctx, "")
 	if err != nil {
 		t.Fatalf("read during store outage: %v", err)
 	}
@@ -243,7 +243,7 @@ func TestStoreDownDegradedMode(t *testing.T) {
 	}
 
 	flaky.Heal()
-	if err := c.Report(ctx, j.User, j.Group.Index, vals); err != nil {
+	if err := c.Tenant(DefaultTenant).Report(ctx, j.User, j.Group.Index, vals); err != nil {
 		t.Fatalf("report after heal: %v", err)
 	}
 }
@@ -265,7 +265,7 @@ func TestIngestBodyLimit(t *testing.T) {
 	if err := json.NewEncoder(&body).Encode(big); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ts.Client().Post(ts.URL+"/v1/ingest", "application/json", &body)
+	resp, err := ts.Client().Post(ts.URL+"/v1/tenants/default/ingest", "application/json", &body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,12 +276,12 @@ func TestIngestBodyLimit(t *testing.T) {
 
 	// A small request on the same server still works.
 	c := NewClient(ts.URL, ts.Client())
-	j, err := c.Join(context.Background())
+	j, err := c.Tenant(DefaultTenant).Join(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	vals := make([]float64, j.Group.Reports)
-	if err := c.Report(context.Background(), j.User, j.Group.Index, vals); err != nil {
+	if err := c.Tenant(DefaultTenant).Report(context.Background(), j.User, j.Group.Index, vals); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -96,7 +96,7 @@ func isFrameStream(r *http.Request) bool {
 	return strings.HasPrefix(r.Header.Get("Content-Type"), wirebin.ContentTypeStream)
 }
 
-// handleIngestFrame is the binary branch of POST /v1/ingest: one frame
+// handleIngestFrame is the binary branch of the ingest route: one frame
 // per request body — or, with the stream content type, several
 // length-prefixed frames — lossless (the response acks the last frame's
 // sequence). A frame's tenant must be empty or match the route's tenant;

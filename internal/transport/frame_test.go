@@ -267,14 +267,14 @@ func TestFrameHTTPRejects(t *testing.T) {
 	}
 
 	// A well-formed frame without a tenant lands on the route's tenant.
-	out, err := c.IngestFrame(ctx, 7, entries)
+	out, err := c.Tenant(DefaultTenant).IngestFrame(ctx, 7, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Accepted != 1 || out.Seq != 7 {
 		t.Fatalf("frame ingest: %+v", out)
 	}
-	st, err := c.Status(ctx)
+	st, err := c.Tenant(DefaultTenant).Status(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestFrameStreamRejects(t *testing.T) {
 		return append([]byte(nil), frame...)
 	}
 	reports := func() int {
-		st, err := c.Status(ctx)
+		st, err := c.Tenant(DefaultTenant).Status(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func TestFrameStreamRejects(t *testing.T) {
 	}
 
 	// The same two frames intact land both.
-	out, err := c.IngestFrames(ctx, 1, [][]wirebin.Entry{
+	out, err := c.Tenant(DefaultTenant).IngestFrames(ctx, 1, [][]wirebin.Entry{
 		{{User: "u0", Group: 0, Values: []float64{0.5}}},
 		{{User: "u1", Group: 1, Values: []float64{-0.5}}},
 	})
@@ -366,7 +366,7 @@ func postRawStream(ctx context.Context, c *Client, body []byte) error {
 }
 
 func postRaw(ctx context.Context, c *Client, contentType string, body []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/ingest", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/tenants/default/ingest", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}

@@ -64,13 +64,9 @@ func writeMergeErr(w http.ResponseWriter, err error) {
 
 // handleMergeEstimate serves the merged estimate of one tenant on
 // GET /v1/merge/estimate/{tenant} — the coordinator-side mirror of
-// GET /v1/estimate.
+// GET /v1/tenants/{tenant}/estimate.
 func (s *Server) handleMergeEstimate(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	if name == "" {
-		name = DefaultTenant
-	}
-	snap, err := s.opts.Coordinator.Estimate(name)
+	snap, err := s.opts.Coordinator.Estimate(r.PathValue("tenant"))
 	if err != nil {
 		if errors.Is(err, stream.ErrUnknownTenant) {
 			writeErr(w, http.StatusNotFound, "%v", err)

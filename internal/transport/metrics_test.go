@@ -49,10 +49,10 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 
 	before := scrapeMetrics(t, ts)
 	ingBefore := before.Value("dap_stream_reports_ingested_total", map[string]string{"tenant": "default"})
-	okBefore := before.Value("dap_http_requests_total", map[string]string{"route": "/v1/report", "code": "2xx"})
+	okBefore := before.Value("dap_http_requests_total", map[string]string{"route": "/v1/tenants/{tenant}/report", "code": "2xx"})
 
 	feedReports(t, c, 8)
-	if _, err := c.Rotate(ctx); err != nil {
+	if _, err := c.Tenant(DefaultTenant).Rotate(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// One 4xx: unknown tenant.
@@ -68,7 +68,7 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	sc := scrapeMetrics(t, ts)
 	// Transport: per-route counters moved, the 4xx registered, latency
 	// histograms populated.
-	if got := sc.Value("dap_http_requests_total", map[string]string{"route": "/v1/report", "code": "2xx"}); got-okBefore < 8 {
+	if got := sc.Value("dap_http_requests_total", map[string]string{"route": "/v1/tenants/{tenant}/report", "code": "2xx"}); got-okBefore < 8 {
 		t.Errorf("report route 2xx advanced by %v, want >= 8", got-okBefore)
 	}
 	if got := sc.Value("dap_http_requests_total", map[string]string{"route": "/v1/tenants/{tenant}", "code": "4xx"}); got < 1 {
@@ -138,13 +138,13 @@ func TestMetricsScrapeWhileIngesting(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				j, err := c.Join(ctx)
+				j, err := c.Tenant(DefaultTenant).Join(ctx)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				vals := make([]float64, j.Group.Reports)
-				if err := c.Report(ctx, j.User, j.Group.Index, vals); err != nil {
+				if err := c.Tenant(DefaultTenant).Report(ctx, j.User, j.Group.Index, vals); err != nil {
 					t.Error(err)
 					return
 				}
@@ -174,7 +174,7 @@ func TestMetricsAgreeWithAdminDuringRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServerSpecOpts(durableServerSpec(), ServerOptions{Store: st, AsyncRecover: true})
+	srv, err := NewServerOpts(mustConfig(t), ServerOptions{Store: st, AsyncRecover: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,13 +232,13 @@ func TestMetricsAgreeWithAdminWhenDegraded(t *testing.T) {
 	defer ts.Close()
 
 	feedReports(t, c, 4)
-	j, err := c.Join(ctx)
+	j, err := c.Tenant(DefaultTenant).Join(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flaky.FailWrites(1, false, true)
 	vals := make([]float64, j.Group.Reports)
-	if err := c.Report(ctx, j.User, j.Group.Index, vals); err == nil {
+	if err := c.Tenant(DefaultTenant).Report(ctx, j.User, j.Group.Index, vals); err == nil {
 		t.Fatal("report with store down should fail")
 	}
 
@@ -258,7 +258,7 @@ func TestMetricsAgreeWithAdminWhenDegraded(t *testing.T) {
 	}
 
 	flaky.Heal()
-	if err := c.Report(ctx, j.User, j.Group.Index, vals); err != nil {
+	if err := c.Tenant(DefaultTenant).Report(ctx, j.User, j.Group.Index, vals); err != nil {
 		t.Fatalf("report after heal: %v", err)
 	}
 	sc = scrapeMetrics(t, ts)

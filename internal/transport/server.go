@@ -17,8 +17,9 @@ import (
 	"repro/internal/stream"
 )
 
-// DefaultTenant is the tenant the original (tenant-less) wire API
-// addresses.
+// DefaultTenant is the tenant every collector boots with (built from the
+// configuration NewServerOpts is given) and the one a UDP frame with an
+// empty tenant field addresses. It cannot be deleted.
 const DefaultTenant = "default"
 
 // maxIngestErrors caps the per-entry rejection reasons echoed back from a
@@ -42,9 +43,9 @@ type ServerOptions struct {
 	// (durable servers only; zero disables periodic snapshots — one is
 	// still cut on Close).
 	SnapshotInterval time.Duration
-	// MaxIngestBytes bounds report/ingest request bodies; oversized
-	// requests fail fast with 413 before any decoding (default 8 MiB,
-	// negative disables the limit).
+	// MaxIngestBytes bounds request bodies (report, ingest, tenant
+	// creation, merge); oversized requests fail fast with 413 before any
+	// decoding (default 8 MiB, negative disables the limit).
 	MaxIngestBytes int64
 	// AsyncRecover serves immediately: requests answer 503 + Retry-After
 	// while recovery runs in the background. Off, construction blocks
@@ -68,11 +69,10 @@ type ServerOptions struct {
 // is durable: boot recovers tenants from snapshot + WAL, and a crash never
 // loses acked budget spend (see internal/store).
 type Server struct {
-	// regP/defP are published atomically so async recovery can install
-	// them while the 503 gate is still up; handlers only dereference them
-	// after observing recovering == false.
+	// regP is published atomically so async recovery can install it while
+	// the 503 gate is still up; handlers only dereference it after
+	// observing recovering == false.
 	regP atomic.Pointer[stream.Registry]
-	defP atomic.Pointer[stream.Tenant]
 
 	opts       ServerOptions
 	recovering atomic.Bool
@@ -80,49 +80,8 @@ type Server struct {
 	report     atomic.Pointer[stream.RecoveryReport]
 
 	// udpAddr is the bound binary-ingest socket address, advertised on
-	// GET /v1/config once ListenUDP has opened it.
+	// every tenant's config route once ListenUDP has opened it.
 	udpAddr atomic.Pointer[string]
-}
-
-// NewServer builds a collector whose default tenant runs mean estimation
-// with the given protocol parameters — the original single-collector
-// construction, preserved for compatibility.
-//
-// Deprecated: use NewServerSpec with a task spec.
-func NewServer(p core.Params) (*Server, error) {
-	return NewServerSpec(core.Spec{
-		Task: core.TaskMean, Eps: p.Eps, Eps0: p.Eps0, Scheme: p.Scheme.String(),
-		Weights: p.WeightMode.String(),
-		OPrime:  p.OPrime, AutoOPrime: p.AutoOPrime, GammaSup: p.GammaSup,
-		SuppressFactor: p.SuppressFactor, EMFMaxIter: p.EMFMaxIter,
-	})
-}
-
-// NewServerSpec builds a collector whose default tenant runs the given
-// task spec (honouring its Serve section) — the one-call spec→service
-// path used by cmd/dapcollect and cmd/daploadgen.
-func NewServerSpec(sp core.Spec) (*Server, error) {
-	cfg, err := stream.ConfigFromSpec(sp)
-	if err != nil {
-		return nil, err
-	}
-	return NewServerConfig(cfg)
-}
-
-// NewServerConfig builds a collector whose default tenant runs the given
-// engine configuration (any task, epoch clock, shard and bucket layout).
-func NewServerConfig(cfg stream.Config) (*Server, error) {
-	return NewServerOpts(cfg, ServerOptions{})
-}
-
-// NewServerSpecOpts builds a collector from a task spec plus deployment
-// options — the durable spec→service path used by cmd/dapcollect.
-func NewServerSpecOpts(sp core.Spec, opts ServerOptions) (*Server, error) {
-	cfg, err := stream.ConfigFromSpec(sp)
-	if err != nil {
-		return nil, err
-	}
-	return NewServerOpts(cfg, opts)
 }
 
 // NewServerOpts builds a collector from an engine configuration plus
@@ -136,11 +95,10 @@ func NewServerOpts(cfg stream.Config, opts ServerOptions) (*Server, error) {
 	s := &Server{opts: opts}
 	if opts.Store == nil {
 		reg := stream.NewRegistry()
-		def, err := reg.Create(DefaultTenant, cfg)
-		if err != nil {
+		if _, err := reg.Create(DefaultTenant, cfg); err != nil {
 			return nil, err
 		}
-		s.install(reg, def, nil)
+		s.install(reg, nil)
 		return s, nil
 	}
 	s.recovering.Store(true)
@@ -166,9 +124,8 @@ func (s *Server) recover(cfg stream.Config) error {
 		slog.Error("boot recovery failed", "dir", s.opts.Store.Dir(), "err", err)
 		return err
 	}
-	def, ok := reg.Get(DefaultTenant)
-	if !ok {
-		if def, err = reg.Create(DefaultTenant, cfg); err != nil {
+	if _, ok := reg.Get(DefaultTenant); !ok {
+		if _, err = reg.Create(DefaultTenant, cfg); err != nil {
 			msg := err.Error()
 			s.recoverErr.Store(&msg)
 			slog.Error("boot recovery failed", "dir", s.opts.Store.Dir(), "err", err)
@@ -176,7 +133,7 @@ func (s *Server) recover(cfg stream.Config) error {
 		}
 	}
 	reg.StartSnapshots(s.opts.SnapshotInterval)
-	s.install(reg, def, rep)
+	s.install(reg, rep)
 	dur := time.Since(start)
 	metRecoveryDur.Set(dur.Seconds())
 	attrs := []any{"dir", s.opts.Store.Dir(), "duration_ms", dur.Milliseconds()}
@@ -190,11 +147,10 @@ func (s *Server) recover(cfg stream.Config) error {
 }
 
 // install publishes the registry and drops the recovery gate. The
-// atomic.Bool store orders after the pointer stores, so a handler that
+// atomic.Bool store orders after the pointer store, so a handler that
 // observes recovering == false sees the installed registry.
-func (s *Server) install(reg *stream.Registry, def *stream.Tenant, rep *stream.RecoveryReport) {
+func (s *Server) install(reg *stream.Registry, rep *stream.RecoveryReport) {
 	s.regP.Store(reg)
-	s.defP.Store(def)
 	if rep != nil {
 		s.report.Store(rep)
 	}
@@ -227,20 +183,12 @@ func (s *Server) Handler() http.Handler {
 	handle := func(method, route string, h http.HandlerFunc) {
 		mux.HandleFunc(method+" "+route, instrument(route, h))
 	}
-	// Original wire API, bound to the default tenant.
-	handle("GET", "/v1/config", s.tenantless(s.handleConfig))
-	handle("POST", "/v1/join", s.tenantless(s.handleJoin))
-	handle("POST", "/v1/report", s.tenantless(s.handleReport))
-	handle("POST", "/v1/ingest", s.tenantless(s.handleIngest))
-	handle("GET", "/v1/status", s.tenantless(s.handleStatus))
-	handle("GET", "/v1/estimate", s.tenantless(s.handleEstimate))
-	handle("POST", "/v1/rotate", s.tenantless(s.handleRotate))
 	// Tenant CRUD.
 	handle("GET", "/v1/tenants", s.handleTenantList)
 	handle("POST", "/v1/tenants", s.handleTenantCreate)
 	handle("GET", "/v1/tenants/{tenant}", s.scoped(s.handleTenantStatus))
 	handle("DELETE", "/v1/tenants/{tenant}", s.handleTenantDelete)
-	// Per-tenant routes, mirroring the original API.
+	// The data plane: every route addresses its tenant in the path.
 	handle("GET", "/v1/tenants/{tenant}/config", s.scoped(s.handleConfig))
 	handle("POST", "/v1/tenants/{tenant}/join", s.scoped(s.handleJoin))
 	handle("POST", "/v1/tenants/{tenant}/report", s.scoped(s.handleReport))
@@ -252,7 +200,6 @@ func (s *Server) Handler() http.Handler {
 	// reads serve the merged estimates.
 	if s.opts.Coordinator != nil {
 		handle("POST", "/v1/merge", s.handleMerge)
-		handle("GET", "/v1/merge/estimate", s.handleMergeEstimate)
 		handle("GET", "/v1/merge/estimate/{tenant}", s.handleMergeEstimate)
 	}
 	// Admin: store health, recovery state, last-snapshot age. Reachable
@@ -290,11 +237,6 @@ func recoveryExempt(r *http.Request) bool {
 	}
 	p := r.URL.Path
 	return p == "/v1/admin/status" || p == "/metrics" || strings.HasPrefix(p, "/debug/pprof/")
-}
-
-// tenantless adapts a tenant-scoped handler to the original API.
-func (s *Server) tenantless(h func(http.ResponseWriter, *http.Request, *stream.Tenant)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) { h(w, r, s.defP.Load()) }
 }
 
 // scoped resolves {tenant} from the path.
@@ -345,7 +287,7 @@ func writeEngineErr(w http.ResponseWriter, err error) {
 	writeErr(w, status, "%v", err)
 }
 
-// limitBody enforces the ingest body-size limit: oversized requests with
+// limitBody enforces the request body-size limit: oversized requests with
 // a declared length fail fast with 413 before a byte is decoded, and
 // chunked uploads are cut off at the limit mid-decode.
 func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) bool {
@@ -583,17 +525,19 @@ func (s *Server) handleAdminStatus(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
+	if !s.limitBody(w, r) {
+		return
+	}
 	var req TenantRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid JSON: %v", err)
+		writeErr(w, decodeStatus(err), "invalid JSON: %v", err)
 		return
 	}
-	sp, err := tenantSpec(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+	if req.Spec == nil {
+		writeErr(w, http.StatusBadRequest, "tenant creation needs a task spec in \"spec\"")
 		return
 	}
-	t, err := s.regP.Load().CreateSpec(req.Name, sp)
+	t, err := s.regP.Load().CreateSpec(req.Name, *req.Spec)
 	if err != nil {
 		status := http.StatusConflict
 		if errors.Is(err, core.ErrBadSpec) {
@@ -607,29 +551,6 @@ func (s *Server) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, tenantStatusResponse(t))
-}
-
-// tenantSpec resolves the task spec of a creation request: the embedded
-// spec when present, otherwise the deprecated flat fields folded into an
-// equivalent spec — one parsing path for both wire shapes, feeding
-// Registry.CreateSpec like every other spec consumer.
-func tenantSpec(req TenantRequest) (core.Spec, error) {
-	if req.Spec != nil {
-		return *req.Spec, nil
-	}
-	task, err := core.ParseTask(req.Kind)
-	if err != nil {
-		return core.Spec{}, err
-	}
-	return core.Spec{
-		Task: task, Eps: req.Eps, Eps0: req.Eps0, Scheme: req.Scheme, K: req.K,
-		OPrime: req.OPrime, AutoOPrime: req.AutoOPrime, GammaSup: req.GammaSup,
-		TrimFrac: req.TrimFrac,
-		Serve: &core.ServeSpec{
-			Buckets: req.Buckets, ExpectedUsers: req.ExpectedUsers, Shards: req.Shards,
-			Window: req.WindowMode, Span: req.WindowSpan, EpochMs: req.EpochMs,
-		},
-	}, nil
 }
 
 func (s *Server) handleTenantStatus(w http.ResponseWriter, _ *http.Request, t *stream.Tenant) {

@@ -4,17 +4,20 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/stream"
 )
 
 func newTestServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	srv, err := NewServer(core.Params{Eps: 1, Eps0: 0.25, Scheme: core.SchemeEMFStar})
+	srv, err := NewServerOpts(stream.Config{Spec: core.NewSpec(core.MeanTask(),
+		core.WithBudget(1, 0.25), core.WithScheme(core.SchemeEMFStar))}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +28,7 @@ func newTestServer(t *testing.T) (*Server, *Client) {
 
 func TestConfigEndpoint(t *testing.T) {
 	_, c := newTestServer(t)
-	cfg, err := c.Config(context.Background())
+	cfg, err := c.Tenant(DefaultTenant).Config(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +54,7 @@ func TestJoinRoundRobin(t *testing.T) {
 	seen := map[int]int{}
 	users := map[string]bool{}
 	for i := 0; i < 9; i++ {
-		j, err := c.Join(ctx)
+		j, err := c.Tenant(DefaultTenant).Join(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,21 +74,21 @@ func TestJoinRoundRobin(t *testing.T) {
 func TestReportValidation(t *testing.T) {
 	_, c := newTestServer(t)
 	ctx := context.Background()
-	j, err := c.Join(ctx)
+	j, err := c.Tenant(DefaultTenant).Join(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Report(ctx, j.User, 99, []float64{0}); err == nil {
+	if err := c.Tenant(DefaultTenant).Report(ctx, j.User, 99, []float64{0}); err == nil {
 		t.Fatal("bad group accepted")
 	}
-	if err := c.Report(ctx, j.User, j.Group.Index, nil); err == nil {
+	if err := c.Tenant(DefaultTenant).Report(ctx, j.User, j.Group.Index, nil); err == nil {
 		t.Fatal("empty values accepted")
 	}
-	if err := c.Report(ctx, j.User, j.Group.Index, []float64{1e9}); err == nil {
+	if err := c.Tenant(DefaultTenant).Report(ctx, j.User, j.Group.Index, []float64{1e9}); err == nil {
 		t.Fatal("out-of-domain value accepted")
 	}
 	too := make([]float64, j.Group.Reports+1)
-	if err := c.Report(ctx, j.User, j.Group.Index, too); err == nil {
+	if err := c.Tenant(DefaultTenant).Report(ctx, j.User, j.Group.Index, too); err == nil {
 		t.Fatal("oversized report accepted")
 	}
 }
@@ -93,16 +96,16 @@ func TestReportValidation(t *testing.T) {
 func TestBudgetEnforcement(t *testing.T) {
 	_, c := newTestServer(t)
 	ctx := context.Background()
-	j, err := c.Join(ctx)
+	j, err := c.Tenant(DefaultTenant).Join(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	vals := make([]float64, j.Group.Reports)
-	if err := c.Report(ctx, j.User, j.Group.Index, vals); err != nil {
+	if err := c.Tenant(DefaultTenant).Report(ctx, j.User, j.Group.Index, vals); err != nil {
 		t.Fatal(err)
 	}
 	// The budget is now exhausted: further reports must be rejected.
-	err = c.Report(ctx, j.User, j.Group.Index, []float64{0})
+	err = c.Tenant(DefaultTenant).Report(ctx, j.User, j.Group.Index, []float64{0})
 	if err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("budget not enforced: %v", err)
 	}
@@ -111,12 +114,12 @@ func TestBudgetEnforcement(t *testing.T) {
 func TestWrongGroupRejected(t *testing.T) {
 	_, c := newTestServer(t)
 	ctx := context.Background()
-	j, err := c.Join(ctx)
+	j, err := c.Tenant(DefaultTenant).Join(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := (j.Group.Index + 1) % 3
-	if err := c.Report(ctx, j.User, other, []float64{0}); err == nil {
+	if err := c.Tenant(DefaultTenant).Report(ctx, j.User, other, []float64{0}); err == nil {
 		t.Fatal("cross-group report accepted")
 	}
 }
@@ -133,19 +136,19 @@ func TestEndToEndEstimate(t *testing.T) {
 	for i := 0; i < n; i++ {
 		v := rng.Uniform(r, -0.5, 0.1)
 		sum += v
-		if _, err := c.SubmitValue(ctx, r, v); err != nil {
+		if _, err := c.Tenant(DefaultTenant).SubmitValue(ctx, r, v); err != nil {
 			t.Fatal(err)
 		}
 	}
 	trueMean := sum / n
-	st, err := c.Status(ctx)
+	st, err := c.Tenant(DefaultTenant).Status(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Users != n {
 		t.Fatalf("status users = %d", st.Users)
 	}
-	est, err := c.Estimate(ctx)
+	est, err := c.Tenant(DefaultTenant).Estimate(ctx, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,7 @@ func TestEndToEndEstimate(t *testing.T) {
 
 func TestEstimateFailsOnEmptyCollection(t *testing.T) {
 	_, c := newTestServer(t)
-	if _, err := c.Estimate(context.Background()); err == nil {
+	if _, err := c.Tenant(DefaultTenant).Estimate(context.Background(), ""); err == nil {
 		t.Fatal("estimate on empty collection should fail")
 	}
 }
@@ -181,7 +184,7 @@ func TestSubmitPoisonClamps(t *testing.T) {
 	_, c := newTestServer(t)
 	ctx := context.Background()
 	vals := make([]float64, 64) // longer than any group's slot count
-	j, err := c.SubmitPoison(ctx, vals)
+	j, err := c.Tenant(DefaultTenant).SubmitPoison(ctx, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +194,8 @@ func TestSubmitPoisonClamps(t *testing.T) {
 }
 
 func TestServerRejectsBadParams(t *testing.T) {
-	if _, err := NewServer(core.Params{Eps: -1, Eps0: 1}); err == nil {
+	bad := stream.Config{Spec: core.Spec{Task: core.TaskMean, Eps: -1, Eps0: 1}}
+	if _, err := NewServerOpts(bad, ServerOptions{}); err == nil {
 		t.Fatal("bad params accepted")
 	}
 }
@@ -208,7 +212,7 @@ func TestReportRejectsNaNAndInf(t *testing.T) {
 		`{"user":"u0","group":0,"values":[1e999]}`,
 		`{"user":"u0","group":0,"values":["Inf"]}`,
 	} {
-		resp, err := ts.Client().Post(ts.URL+"/v1/report", "application/json", strings.NewReader(body))
+		resp, err := ts.Client().Post(ts.URL+"/v1/tenants/default/report", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +221,7 @@ func TestReportRejectsNaNAndInf(t *testing.T) {
 			t.Fatalf("body %s → HTTP %d", body, resp.StatusCode)
 		}
 	}
-	st, err := NewClient(ts.URL, ts.Client()).Status(context.Background())
+	st, err := NewClient(ts.URL, ts.Client()).Tenant(DefaultTenant).Status(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,20 +244,19 @@ func TestTenantCRUDAndRoutes(t *testing.T) {
 		t.Fatalf("tenants = %+v", ls.Tenants)
 	}
 	// Create a frequency tenant and drive it through its scoped routes.
-	created, err := c.CreateTenant(ctx, TenantRequest{
-		Name: "clicks", Kind: "freq", Eps: 2, Eps0: 1, K: 3, Scheme: "emfstar",
-	})
+	clicks := core.Spec{Task: core.TaskFrequency, Eps: 2, Eps0: 1, K: 3, Scheme: "emfstar"}
+	created, err := c.CreateTenantSpec(ctx, "clicks", clicks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if created.Kind != "frequency" || created.Spec.K != 3 {
 		t.Fatalf("created = %+v", created)
 	}
-	if _, err := c.CreateTenant(ctx, TenantRequest{Name: "clicks", Kind: "freq", Eps: 2, Eps0: 1, K: 3}); err == nil {
+	if _, err := c.CreateTenantSpec(ctx, "clicks", clicks); err == nil {
 		t.Fatal("duplicate tenant accepted")
 	}
-	if _, err := c.CreateTenant(ctx, TenantRequest{Name: "bad", Kind: "nope", Eps: 1, Eps0: 1}); err == nil {
-		t.Fatal("bad kind accepted")
+	if _, err := c.CreateTenantSpec(ctx, "bad", core.Spec{Task: "nope", Eps: 1, Eps0: 1}); err == nil {
+		t.Fatal("bad task accepted")
 	}
 	tc := c.Tenant("clicks")
 	cfg, err := tc.Config(ctx)
@@ -287,7 +290,7 @@ func TestTenantCRUDAndRoutes(t *testing.T) {
 	if est.Kind != "frequency" || len(est.Freqs) != 3 {
 		t.Fatalf("estimate = %+v", est)
 	}
-	if st, err := c.Status(ctx); err != nil || st.Users != 0 {
+	if st, err := c.Tenant(DefaultTenant).Status(ctx); err != nil || st.Users != 0 {
 		t.Fatalf("default tenant leaked state: %+v, %v", st, err)
 	}
 	// Deletion: the scoped routes disappear; default cannot be deleted.
@@ -306,7 +309,7 @@ func TestBatchIngestAndRotate(t *testing.T) {
 	_, c := newTestServer(t)
 	ctx := context.Background()
 	r := rng.New(8)
-	cfg, err := c.Config(ctx)
+	cfg, err := c.Tenant(DefaultTenant).Config(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,14 +326,14 @@ func TestBatchIngestAndRotate(t *testing.T) {
 	}
 	// Poison one entry so per-entry isolation is visible.
 	batch[0].Values = []float64{1e9}
-	res, err := c.Ingest(ctx, batch)
+	res, err := c.Tenant(DefaultTenant).Ingest(ctx, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rejected != 1 || len(res.Errors) == 0 {
 		t.Fatalf("ingest = %+v", res)
 	}
-	est, err := c.Rotate(ctx)
+	est, err := c.Tenant(DefaultTenant).Rotate(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,12 +341,65 @@ func TestBatchIngestAndRotate(t *testing.T) {
 		t.Fatalf("rotate = %+v (accepted %d)", est, res.Accepted)
 	}
 	// The cached per-epoch estimate now serves reads.
-	got, err := c.Estimate(ctx)
+	got, err := c.Tenant(DefaultTenant).Estimate(ctx, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Epoch != 1 || got.Live {
 		t.Fatalf("estimate after rotate = %+v", got)
+	}
+}
+
+// TestAddressingAndCreateRejections pins the two edges of the wire
+// surface: a tenant is addressed by the {tenant} path segment and nothing
+// else (the tenant-less mirror routes answer 404), and tenant creation
+// takes a bounded body holding a spec whose serve section is bounded.
+func TestAddressingAndCreateRejections(t *testing.T) {
+	srv, err := NewServerOpts(mustConfig(t), ServerOptions{MaxIngestBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	report := `{"user":"u0","group":0,"values":[0]}`
+	for _, tc := range []struct {
+		name, method, path, body string
+		want                     int
+	}{
+		{"tenant-less config", "GET", "/v1/config", "", 404},
+		{"tenant-less join", "POST", "/v1/join", "", 404},
+		{"tenant-less report", "POST", "/v1/report", report, 404},
+		{"tenant-less ingest", "POST", "/v1/ingest", `{"reports":[` + report + `]}`, 404},
+		{"tenant-less status", "GET", "/v1/status", "", 404},
+		{"tenant-less estimate", "GET", "/v1/estimate", "", 404},
+		{"tenant-less rotate", "POST", "/v1/rotate", "", 404},
+		{"scoped report", "POST", "/v1/tenants/default/report", report, 200},
+		{"create without spec", "POST", "/v1/tenants", `{"name":"flat","kind":"mean","eps":1,"eps0":0.5}`, 400},
+		{"create over the body limit", "POST", "/v1/tenants",
+			`{"name":"big","spec":{"task":"mean","eps":1},"pad":"` + strings.Repeat("x", 600) + `"}`, 413},
+		{"create over the shard bound", "POST", "/v1/tenants",
+			`{"name":"wide","spec":{"task":"mean","eps":1,"serve":{"shards":100000000,"buckets":100000000}}}`, 400},
+		{"create", "POST", "/v1/tenants", `{"name":"ok","spec":{"task":"mean","eps":1}}`, 201},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: %s %s → HTTP %d, want %d", tc.name, tc.method, tc.path, resp.StatusCode, tc.want)
+		}
+	}
+	ls, err := NewClient(ts.URL, ts.Client()).Tenants(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ls.Tenants) != 2 {
+		t.Fatalf("rejected creations left tenants behind: %+v", ls.Tenants)
 	}
 }
 

@@ -46,8 +46,8 @@ type UDPListener struct {
 
 // ListenUDP opens the binary ingest socket on addr (e.g. ":9200" or
 // "127.0.0.1:0") and starts its receive loop. The bound address is
-// advertised on GET /v1/config as udp_addr. Close the listener before
-// closing the server.
+// advertised on every tenant's config route as udp_addr. Close the
+// listener before closing the server.
 func (s *Server) ListenUDP(addr string) (*UDPListener, error) {
 	uaddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -118,13 +118,14 @@ func (l *UDPListener) serve() {
 			frameUDP.rejected.Inc()
 			continue
 		}
-		t := l.s.defP.Load()
-		if fr.Tenant != "" {
-			var ok bool
-			if t, ok = l.s.regP.Load().Get(fr.Tenant); !ok {
-				frameUDP.rejected.Inc()
-				continue
-			}
+		name := fr.Tenant
+		if name == "" {
+			name = DefaultTenant
+		}
+		t, ok := l.s.regP.Load().Get(name)
+		if !ok {
+			frameUDP.rejected.Inc()
+			continue
 		}
 		frameUDP.decoded.Inc()
 		// Engine rejections (budget, validation, store-down) are dropped

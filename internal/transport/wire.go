@@ -6,13 +6,25 @@
 // windows, re-estimated on rotation so reads never rescan reports.
 //
 // One process hosts many tenants, each defined by a task spec (core.Spec)
-// — the same JSON that drives batch estimation and the CLIs. The original
-// single-collector wire API (/v1/config, /v1/join, /v1/report,
-// /v1/status, /v1/estimate) is preserved verbatim and operates on the
-// tenant named "default"; the same routes exist per tenant under
-// /v1/tenants/{tenant}/..., alongside tenant CRUD on /v1/tenants (which
-// accepts and returns task specs), epoch rotation and a batched ingest
-// endpoint for high-throughput clients.
+// — the same JSON that drives batch estimation and the CLIs — and a
+// tenant is addressed by the {tenant} path segment alone:
+//
+//	GET|POST   /v1/tenants                      list, create ({"name","spec"})
+//	GET|DELETE /v1/tenants/{tenant}             status, delete
+//	GET        /v1/tenants/{tenant}/config      groups, budgets, serving layout
+//	POST       /v1/tenants/{tenant}/join        group assignment
+//	POST       /v1/tenants/{tenant}/report      one user's reports (JSON)
+//	POST       /v1/tenants/{tenant}/ingest      batched: JSON, frame or frame stream
+//	GET        /v1/tenants/{tenant}/status      collection progress
+//	GET        /v1/tenants/{tenant}/estimate    window estimate (?live=0|1)
+//	POST       /v1/tenants/{tenant}/rotate      seal the epoch, re-estimate
+//	POST       /v1/merge                        coordinators: push an epoch delta
+//	GET        /v1/merge/estimate/{tenant}      coordinators: merged estimate
+//	GET        /v1/admin/status, /metrics       operations
+//
+// A collector boots with one tenant, DefaultTenant, built from the
+// configuration NewServerOpts is given. The UDP wire carries the tenant
+// name in the frame instead (empty = DefaultTenant).
 package transport
 
 import "repro/internal/core"
@@ -24,10 +36,10 @@ type GroupInfo struct {
 	Reports int     `json:"reports"`
 }
 
-// ConfigResponse is returned by GET /v1/config. Fields beyond the original
-// four describe the serving configuration and are additive; Spec carries
-// the tenant's full task spec (the same JSON accepted by tenant creation,
-// dap.Build and the CLIs).
+// ConfigResponse is returned by GET /v1/tenants/{tenant}/config: the
+// protocol parameters and group layout, then the serving configuration.
+// Spec carries the tenant's full task spec (the same JSON accepted by
+// tenant creation, dap.Build and the CLIs).
 type ConfigResponse struct {
 	Eps    float64     `json:"eps"`
 	Eps0   float64     `json:"eps0"`
@@ -51,17 +63,17 @@ type ConfigResponse struct {
 	Spec *core.Spec `json:"spec,omitempty"`
 }
 
-// JoinResponse is returned by POST /v1/join: the caller's group
-// assignment.
+// JoinResponse is returned by POST /v1/tenants/{tenant}/join: the
+// caller's group assignment.
 type JoinResponse struct {
 	User  string    `json:"user"`
 	Group GroupInfo `json:"group"`
 }
 
-// ReportRequest is the body of POST /v1/report. Values must already be
-// perturbed (or poisoned — the collector cannot tell) and fall within the
-// group mechanism's output domain; frequency tenants expect integral
-// category indices in [0,K).
+// ReportRequest is the body of POST /v1/tenants/{tenant}/report. Values
+// must already be perturbed (or poisoned — the collector cannot tell) and
+// fall within the group mechanism's output domain; frequency tenants
+// expect integral category indices in [0,K).
 type ReportRequest struct {
 	User   string    `json:"user"`
 	Group  int       `json:"group"`
@@ -73,9 +85,10 @@ type ReportResponse struct {
 	Accepted int `json:"accepted"`
 }
 
-// IngestRequest is the body of POST /v1/ingest: many reports in one
-// round-trip. Entries are applied independently — a rejected entry does
-// not block the rest — and each entry's budget is charged atomically.
+// IngestRequest is the JSON body of POST /v1/tenants/{tenant}/ingest:
+// many reports in one round-trip. Entries are applied independently — a
+// rejected entry does not block the rest — and each entry's budget is
+// charged atomically.
 type IngestRequest struct {
 	Reports []ReportRequest `json:"reports"`
 }
@@ -93,7 +106,7 @@ type IngestResponse struct {
 	Frames   int      `json:"frames,omitempty"`
 }
 
-// StatusResponse is returned by GET /v1/status. Epoch fields are additive.
+// StatusResponse is returned by GET /v1/tenants/{tenant}/status.
 type StatusResponse struct {
 	Users        int   `json:"users"`
 	GroupReports []int `json:"group_reports"`
@@ -104,10 +117,10 @@ type StatusResponse struct {
 	CachedEpoch uint64 `json:"cached_epoch,omitempty"`
 }
 
-// EstimateResponse is returned by GET /v1/estimate — a flat rendering of
-// the unified core.Result. The original mean fields keep their meaning;
-// Kind, Epoch, Live, Reports and the task-specific
-// Freqs/XHat/PoisonCats/Variance fields are additive.
+// EstimateResponse is returned by GET /v1/tenants/{tenant}/estimate — a
+// flat rendering of the unified core.Result: the mean-task fields first,
+// then Kind, Epoch, Live, Reports and the task-specific
+// Freqs/XHat/PoisonCats/Variance fields.
 type EstimateResponse struct {
 	Mean          float64   `json:"mean"`
 	Gamma         float64   `json:"gamma"`
@@ -136,30 +149,11 @@ type EstimateResponse struct {
 }
 
 // TenantRequest is the body of POST /v1/tenants: a name plus the task
-// spec. The flat fields are the pre-spec wire shape, still honoured when
-// Spec is absent; new clients send Spec — the same JSON consumed by
-// dap.Build, the stream engine and the CLIs.
+// spec (with optional Serve section) — the same JSON consumed by
+// dap.Build, the stream engine and the CLIs. Spec is required.
 type TenantRequest struct {
-	Name string `json:"name"`
-	// Spec is the task spec (with optional Serve section).
-	Spec *core.Spec `json:"spec,omitempty"`
-
-	// Deprecated: pre-spec flat fields, used only when Spec is nil.
-	Kind          string  `json:"kind,omitempty"`
-	Eps           float64 `json:"eps,omitempty"`
-	Eps0          float64 `json:"eps0,omitempty"`
-	Scheme        string  `json:"scheme,omitempty"`
-	K             int     `json:"k,omitempty"`
-	Buckets       int     `json:"buckets,omitempty"`
-	ExpectedUsers int     `json:"expected_users,omitempty"`
-	Shards        int     `json:"shards,omitempty"`
-	WindowMode    string  `json:"window_mode,omitempty"`
-	WindowSpan    int     `json:"window_span,omitempty"`
-	EpochMs       int64   `json:"epoch_ms,omitempty"`
-	AutoOPrime    bool    `json:"auto_oprime,omitempty"`
-	OPrime        float64 `json:"oprime,omitempty"`
-	GammaSup      float64 `json:"gamma_sup,omitempty"`
-	TrimFrac      float64 `json:"trim_frac,omitempty"`
+	Name string     `json:"name"`
+	Spec *core.Spec `json:"spec"`
 }
 
 // TenantStatusResponse is returned by tenant CRUD and

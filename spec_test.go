@@ -263,6 +263,10 @@ func TestSpecValidation(t *testing.T) {
 		{Task: core.TaskMean, Eps: 1, GammaSup: 1},
 		{Task: core.TaskMean, Eps: 1, Serve: &core.ServeSpec{Window: "spiral"}},
 		{Task: core.TaskMean, Eps: 1, Serve: &core.ServeSpec{Shards: -1}},
+		{Task: core.TaskMean, Eps: 1, Serve: &core.ServeSpec{Shards: core.MaxServeShards + 1}},
+		{Task: core.TaskMean, Eps: 1, Serve: &core.ServeSpec{Buckets: core.MaxServeBuckets + 1}},
+		{Task: core.TaskMean, Eps: 1, Serve: &core.ServeSpec{Span: core.MaxServeSpan + 1}},
+		{Task: core.TaskMean, Eps: 1, Serve: &core.ServeSpec{ExpectedUsers: core.MaxServeExpectedUsers + 1}},
 	}
 	for _, sp := range bad {
 		if _, err := core.Build(sp); !errors.Is(err, core.ErrBadSpec) {
@@ -370,7 +374,7 @@ func TestSpecEndToEnd(t *testing.T) {
 
 	// (3) Wire: the same spec becomes a tenant over HTTP; the identical
 	// reports flow through batched ingest.
-	srv, err := transport.NewServerSpec(core.NewSpec(core.MeanTask()))
+	srv, err := transport.NewServerOpts(stream.Config{Spec: core.NewSpec(core.MeanTask())}, transport.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
