@@ -154,8 +154,7 @@ func BenchmarkEstimate(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5Cell regenerates one cell of the hottest experiment (the
-// unit the BENCH_*.json trajectory tracks at full scale).
+// BenchmarkFig5Cell regenerates one cell of the hottest experiment.
 func BenchmarkFig5Cell(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -300,7 +299,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		sum += values[i]
 	}
 	trueMean := sum / float64(len(values))
-	d, err := NewDAP(Params{Eps: 1, Eps0: 0.25, Scheme: SchemeCEMFStar})
+	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 0.25, Scheme: SchemeCEMFStar})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,21 +4,16 @@
 //
 //	dapbench -exp fig6 -n 200000 -trials 20
 //	dapbench -exp all -csv > results.csv
-//	dapbench -exp all -bench-json BENCH_$(date +%F).json
 //	dapbench -list
 //
 // Every run is deterministic for a fixed -seed, independent of -workers
 // and GOMAXPROCS: experiment cells and Monte-Carlo trials own fixed rng
-// streams and results are collected in table order.
-//
-// With -bench-json, a machine-readable timing record (per-experiment and
-// total wall-clock milliseconds plus the run configuration) is written to
-// the given path, so the performance trajectory of the harness can be
-// tracked commit over commit; see EXPERIMENTS.md for the recorded history.
+// streams and results are collected in table order. The wall time printed
+// on stderr is a courtesy: speed is measured by the repository benchmark
+// (benchmark/, workload paper_batch), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -32,21 +27,6 @@ import (
 	"repro/internal/core"
 )
 
-// benchRecord is the BENCH_*.json schema.
-type benchRecord struct {
-	Schema      int              `json:"schema"`
-	Date        string           `json:"date"`
-	GoVersion   string           `json:"go_version"`
-	GOMAXPROCS  int              `json:"gomaxprocs"`
-	N           int              `json:"n"`
-	Trials      int              `json:"trials"`
-	Seed        uint64           `json:"seed"`
-	MaxIter     int              `json:"emf_max_iter"`
-	Workers     int              `json:"workers"`
-	Experiments map[string]int64 `json:"experiment_wall_ms"`
-	TotalMs     int64            `json:"total_wall_ms"`
-}
-
 func main() {
 	var (
 		exp     = flag.String("exp", "all", "experiment id ("+strings.Join(bench.Experiments(), ", ")+") or 'all'")
@@ -57,7 +37,6 @@ func main() {
 		workers = flag.Int("workers", 0, "concurrent experiment cells (0 = GOMAXPROCS)")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		list    = flag.Bool("list", false, "list experiments and exit")
-		jsonOut = flag.String("bench-json", "", "write a machine-readable timing record to this path")
 		specF   = flag.String("spec", "", "task spec file for the 'spec' experiment (sweeps the spec's estimator over the γ grid)")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
@@ -129,8 +108,7 @@ func main() {
 	if *exp == "all" {
 		// The spec experiment needs a -spec file, and the red-team matrix
 		// has its own runner (cmd/dapredteam) — the paper experiments alone
-		// make up "all", keeping BENCH_*.json totals comparable across
-		// releases.
+		// make up "all".
 		names = names[:0]
 		for _, name := range bench.Experiments() {
 			if name != "spec" && name != "matrix" {
@@ -138,26 +116,12 @@ func main() {
 			}
 		}
 	}
-	rec := benchRecord{
-		Schema:      1,
-		Date:        time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		N:           *n,
-		Trials:      *trials,
-		Seed:        *seed,
-		MaxIter:     *maxIter,
-		Workers:     *workers,
-		Experiments: make(map[string]int64, len(names)),
-	}
 	start := time.Now()
 	for _, name := range names {
-		expStart := time.Now()
 		tables, err := bench.Run(name, cfg)
 		if err != nil {
 			fatal(err)
 		}
-		rec.Experiments[name] = time.Since(expStart).Milliseconds()
 		for _, t := range tables {
 			if *csv {
 				t.CSV(os.Stdout)
@@ -165,17 +129,6 @@ func main() {
 				t.Fprint(os.Stdout)
 			}
 		}
-	}
-	rec.TotalMs = time.Since(start).Milliseconds()
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			fatal("encode timing record:", err)
-		}
-		if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-			fatal("write timing record:", err)
-		}
-		fmt.Fprintf(os.Stderr, "dapbench: timing record written to %s\n", *jsonOut)
 	}
 	fmt.Fprintf(os.Stderr, "dapbench: %s done in %s (N=%d, trials=%d, seed=%d)\n",
 		*exp, time.Since(start).Round(time.Millisecond), *n, *trials, *seed)

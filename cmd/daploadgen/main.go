@@ -1,11 +1,12 @@
 // Command daploadgen drives a running DAP collector with a configurable
-// honest+Byzantine client mix and reports ingest throughput and latency
-// percentiles — the serving layer's benchmark harness.
+// honest+Byzantine client mix and checks what the collector serves back.
+// It is a traffic source and a smoke test, not a measuring instrument:
+// speed is measured by the repository benchmark (benchmark/).
 //
 // Usage:
 //
 //	daploadgen -addr http://localhost:8080 -users 10000 -gamma 0.1 -conns 8
-//	daploadgen -addr "" -reports 10000 -epoch 150ms -min-rate 100000 -assert
+//	daploadgen -addr "" -reports 10000 -epoch 150ms -assert
 //
 // With -addr "" the generator boots an in-process collector over a real
 // loopback HTTP listener (the full wire stack, no external process) —
@@ -15,28 +16,22 @@
 // POST /v1/tenants/{tenant}/ingest requests of -batch users each (-tenant
 // picks the tenant, "default" unless given).
 //
-// -min-rate fails the run when ingest throughput drops below the bound;
-// -assert additionally checks that a live per-epoch estimate exists and is
-// sane. -scrape-metrics scrapes the collector's /metrics before and after
-// the run and fails unless the server-side ingest counter delta for the
-// tenant matches the client-side acked report count — an end-to-end check
-// that the observability pipeline counts exactly what the wire acked.
-// -bench-json merges a "load" record into an existing BENCH_*.json
-// (or creates the file), recording throughput, estimate latency, retry
-// counts and the metrics cross-check next to the experiment timings.
+// After ingest the epoch is sealed and the live and cached estimates are
+// read back. -assert fails the run unless a sane per-epoch estimate is
+// served. -scrape-metrics scrapes the collector's /metrics before and
+// after the run and fails unless the server-side ingest counter delta for
+// the tenant matches the client-side acked report count — an end-to-end
+// check that the observability pipeline counts exactly what the wire
+// acked.
 //
 // -retries N retries transient failures (network errors, 5xx responses)
-// with exponential backoff plus jitter capped at -retry-max-wait,
-// honouring the collector's Retry-After — rotation and crash-recovery
-// windows then cost latency instead of failed runs. With -addr "",
-// -store-dir makes the self-served collector durable (WAL + snapshots,
-// -fsync policy), which is how the WAL overhead gate measures durability
-// cost against the in-memory baseline.
+// with exponential backoff plus jitter, honouring the collector's
+// Retry-After — rotation and crash-recovery windows then cost latency
+// instead of failed runs.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -57,8 +52,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/specflag"
-	"repro/internal/stats"
-	"repro/internal/store"
 	"repro/internal/stream"
 	"repro/internal/transport"
 	"repro/internal/wirebin"
@@ -77,21 +70,14 @@ func main() {
 		lo      = flag.Float64("lo", -0.5, "honest value range low")
 		hi      = flag.Float64("hi", 0.1, "honest value range high")
 		seed    = flag.Uint64("seed", 1, "workload rng seed")
-		rotate  = flag.Bool("rotate", true, "seal the epoch after ingest (fresh cached estimate)")
-		minRate = flag.Float64("min-rate", 0, "fail when ingest reports/sec falls below this")
 		assert  = flag.Bool("assert", false, "fail unless a sane per-epoch estimate is served")
-		jsonOut = flag.String("bench-json", "", "merge a load record into this BENCH_*.json")
 		retries = flag.Int("retries", 0, "retry transient failures (network errors, 5xx) up to this many times per request")
-		retryMW = flag.Duration("retry-max-wait", 2*time.Second, "cap on per-retry backoff (exponential + jitter; server Retry-After honoured)")
-		stDir   = flag.String("store-dir", "", "durability directory for the self-served collector (with -addr \"\")")
-		fsync   = flag.String("fsync", "os", "self-served store fsync policy: always | interval | os")
 		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
 		memProf = flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
 		scrapeM = flag.Bool("scrape-metrics", false, "scrape the collector's /metrics before and after the run and fail unless the server-side ingest counter delta matches the client-side acked count")
 		wire    = flag.String("wire", "", "ingest wire: json | bin (binary frames over HTTP) | udp (binary frames over UDP); empty follows the tenant's advertised preference")
 		udpAddr = flag.String("udp-addr", "", "UDP ingest socket address for -wire=udp (empty uses the collector's advertised udp_addr)")
 		frames  = flag.Int("frames", 8, "frames coalesced per HTTP request on -wire=bin (the frame-stream wire; 1 = one request per frame)")
-		nodesN  = flag.Int("nodes", 0, "distributed mode: boot this many in-process node collectors plus a coordinator, partition the stream stripe-disjointly, and assert the merged estimate matches a single collector bit for bit (needs -addr \"\")")
 	)
 	// Self-serve collector spec (only with -addr ""): -spec file.json plus
 	// the shared protocol/serving flags as overrides — the same resolution
@@ -144,36 +130,6 @@ func main() {
 		})
 	}
 
-	if *nodesN != 0 {
-		if *nodesN < 2 {
-			fatal("-nodes wants at least 2 node collectors")
-		}
-		if *addr != "" {
-			fatal("-nodes boots in-process collectors and needs -addr \"\"")
-		}
-		if *stDir != "" {
-			fatal("-nodes runs ephemeral collectors; -store-dir is not supported")
-		}
-		if *wire != "" && *wire != "json" {
-			fatal("-nodes drives the JSON wire only")
-		}
-		sp, err := sf.Resolve()
-		if err != nil {
-			fatal(err)
-		}
-		advSpec := sp.Attack
-		sp.Attack = nil
-		adv, epochs := resolveAdversary(advSpec, *atkEps, fatal)
-		code := runDistributed(distRun{
-			sp: sp, adv: adv, atkEpochs: epochs,
-			nodes: *nodesN, users: *users, reports: *reports, batch: *batch,
-			gamma: *gamma, lo: *lo, hi: *hi, seed: *seed,
-			minRate: *minRate, jsonOut: *jsonOut,
-		})
-		stopProfiles()
-		os.Exit(code)
-	}
-
 	base := *addr
 	if base != "" && sf.Path() != "" {
 		fatal("-spec configures the self-served collector and needs -addr \"\"")
@@ -192,16 +148,13 @@ func main() {
 		advSpec = sp.Attack
 		sp.Attack = nil
 		var closeSrv func()
-		base, closeSrv, err = selfServe(sp, *users, *reports, *stDir, *fsync, *wire == "udp")
+		base, closeSrv, err = selfServe(sp, *users, *reports, *wire == "udp")
 		if err != nil {
 			fatal(err)
 		}
 		defer closeSrv()
 		fmt.Printf("daploadgen: self-serving collector at %s\n", base)
 	} else {
-		if *stDir != "" {
-			fatal("-store-dir configures the self-served collector and needs -addr \"\"")
-		}
 		var err error
 		if advSpec, err = sf.Attack(); err != nil {
 			fatal(err)
@@ -214,7 +167,7 @@ func main() {
 	}}
 	client := transport.NewClient(base, hc)
 	if *retries > 0 {
-		client.SetRetry(*retries, *retryMW)
+		client.SetRetry(*retries, retryMaxWait)
 	}
 	c := client.Tenant(*tenant)
 	ctx := context.Background()
@@ -257,78 +210,55 @@ func main() {
 		len(entries), total, *gamma, *conns, *batch, w)
 
 	var ingestedBefore float64
-	if *scrapeM {
-		v, err := scrapeIngested(hc, base, *tenant)
-		if err != nil {
-			fatal("scrape-metrics: ", err)
-		}
-		ingestedBefore = v
-	}
-	var reportsBefore float64
-	if w == "udp" {
-		if reportsBefore, err = scrapeIngested(hc, base, *tenant); err != nil {
-			fatal(err)
+	if *scrapeM || w == "udp" {
+		if ingestedBefore, err = scrapeIngested(hc, base, *tenant); err != nil {
+			fatal("scrape /metrics: ", err)
 		}
 	}
 
 	runStart := time.Now()
-	accepted, latencies, wall, err := drive(ctx, entries, *conns, *batch, makeSender(ctx, c, w, udpTarget, *tenant, *frames, entries))
+	accepted, err := drive(entries, *conns, *batch, makeSender(ctx, c, w, udpTarget, *tenant, *frames, entries))
 	if err != nil {
 		fatal(err)
 	}
 	if w == "udp" {
 		// Fire-and-forget wire: wait for the datagrams to drain into the
 		// engine and count what actually landed; the difference is loss.
-		// The drain time counts toward the measured wall clock.
 		delivered, derr := waitDelivered(func() (float64, error) {
 			return scrapeIngested(hc, base, *tenant)
-		}, reportsBefore, accepted)
+		}, ingestedBefore, accepted)
 		if derr != nil {
 			fatal(derr)
 		}
-		wall = time.Since(runStart)
 		if delivered < accepted {
 			fmt.Printf("daploadgen: udp loss: %d of %d reports dropped\n", accepted-delivered, accepted)
 		}
 		accepted = delivered
 	}
-	rate := float64(accepted) / wall.Seconds()
-	p50 := stats.Quantile(latencies, 0.5)
-	p90 := stats.Quantile(latencies, 0.9)
-	p99 := stats.Quantile(latencies, 0.99)
-	retried := client.Retries()
-	fmt.Printf("daploadgen: ingested %d reports in %v → %.0f reports/sec (%d retries)\n",
-		accepted, wall.Round(time.Millisecond), rate, retried)
-	fmt.Printf("daploadgen: request latency ms p50=%.2f p90=%.2f p99=%.2f (n=%d)\n", p50, p90, p99, len(latencies))
+	fmt.Printf("daploadgen: ingested %d reports in %v (%d retries)\n",
+		accepted, time.Since(runStart).Round(time.Millisecond), client.Retries())
 
-	if *rotate {
-		if _, err := c.Rotate(ctx); err != nil {
-			fatal("rotate: ", err)
-		}
+	// Seal the epoch so the cached estimate covers what was just sent.
+	if _, err := c.Rotate(ctx); err != nil {
+		fatal("rotate: ", err)
 	}
-	liveStart := time.Now()
 	live, err := c.Estimate(ctx, "1")
 	if err != nil {
 		fatal("live estimate: ", err)
 	}
-	liveMs := float64(time.Since(liveStart).Microseconds()) / 1000
-	cachedStart := time.Now()
 	cached, cachedErr := c.Estimate(ctx, "0")
-	cachedMs := float64(time.Since(cachedStart).Microseconds()) / 1000
-	fmt.Printf("daploadgen: live estimate %.2fms → mean %.4f γ̂ %.3f (epoch %d)\n", liveMs, live.Mean, live.Gamma, live.Epoch)
+	fmt.Printf("daploadgen: live estimate → mean %.4f γ̂ %.3f (epoch %d)\n", live.Mean, live.Gamma, live.Epoch)
 	if cachedErr == nil {
-		fmt.Printf("daploadgen: cached per-epoch estimate %.2fms → mean %.4f (epoch %d)\n", cachedMs, cached.Mean, cached.Epoch)
+		fmt.Printf("daploadgen: cached per-epoch estimate → mean %.4f (epoch %d)\n", cached.Mean, cached.Epoch)
 	}
 
 	failed := false
-	var serverIngested float64
 	if *scrapeM {
 		after, err := scrapeIngested(hc, base, *tenant)
 		if err != nil {
-			fatal("scrape-metrics: ", err)
+			fatal("scrape /metrics: ", err)
 		}
-		serverIngested = after - ingestedBefore
-		if serverIngested != float64(accepted) {
+		if serverIngested := after - ingestedBefore; serverIngested != float64(accepted) {
 			fmt.Printf("daploadgen: FAIL metrics cross-check: server ingested %.0f reports, client acked %d\n",
 				serverIngested, accepted)
 			failed = true
@@ -337,61 +267,13 @@ func main() {
 				serverIngested, accepted)
 		}
 	}
-	if *minRate > 0 && rate < *minRate {
-		fmt.Printf("daploadgen: FAIL ingest rate %.0f < required %.0f reports/sec\n", rate, *minRate)
-		failed = true
-	}
 	if *assert {
-		if err := sane(live, cached, cachedErr, honestMean, *gamma, *rotate || cfg.EpochMs > 0); err != nil {
+		if err := sane(live, cached, cachedErr, honestMean, *gamma); err != nil {
 			fmt.Printf("daploadgen: FAIL %v\n", err)
 			failed = true
 		} else {
 			fmt.Println("daploadgen: estimate sanity OK")
 		}
-	}
-	if *jsonOut != "" {
-		rec := map[string]any{
-			"users":           len(entries),
-			"reports":         accepted,
-			"conns":           *conns,
-			"batch":           *batch,
-			"gamma":           *gamma,
-			"wire":            w,
-			"wall_ms":         wall.Milliseconds(),
-			"reports_per_sec": math.Round(rate),
-			"retries":         client.Retries(),
-			// Latencies are recorded at fixed precision (three decimals,
-			// i.e. microseconds) so BENCH files don't accumulate float noise
-			// like "p99": 4.742509999999999.
-			"latency_ms":       map[string]float64{"p50": round3(p50), "p90": round3(p90), "p99": round3(p99)},
-			"estimate_live_ms": round3(liveMs),
-		}
-		if *stDir != "" {
-			rec["store"] = map[string]any{"dir": *stDir, "fsync": *fsync}
-		}
-		if cachedErr == nil {
-			rec["estimate_cached_ms"] = round3(cachedMs)
-		}
-		if *scrapeM {
-			rec["metrics"] = map[string]any{
-				"server_ingested": serverIngested,
-				"client_acked":    accepted,
-			}
-		}
-		// One record key per wire, so a BENCH file can carry the JSON
-		// baseline and the binary fast-path result side by side ("load"
-		// stays the JSON-wire record for schema back-compat).
-		key := "load"
-		switch w {
-		case "bin":
-			key = "load_bin"
-		case "udp":
-			key = "load_udp"
-		}
-		if err := mergeBenchJSON(*jsonOut, key, rec); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "daploadgen: %s record merged into %s\n", key, *jsonOut)
 	}
 	stopProfiles()
 	if failed {
@@ -399,12 +281,14 @@ func main() {
 	}
 }
 
-// selfServe boots an in-process collector over a loopback listener from
-// the resolved task spec. A non-empty storeDir makes it durable (WAL +
-// snapshots under the directory with the given fsync policy) — the WAL
-// overhead benchmark mode. With wantUDP (or a spec serve.udp_addr) the
-// binary-ingest UDP socket is opened too and advertised on the config route.
-func selfServe(sp core.Spec, users, reports int, storeDir, fsync string, wantUDP bool) (string, func(), error) {
+// retryMaxWait caps the per-retry backoff of -retries.
+const retryMaxWait = 2 * time.Second
+
+// selfServe boots an in-process, in-memory collector over a loopback
+// listener from the resolved task spec. With wantUDP (or a spec
+// serve.udp_addr) the binary-ingest UDP socket is opened too and
+// advertised on the config route.
+func selfServe(sp core.Spec, users, reports int, wantUDP bool) (string, func(), error) {
 	if sp.Serve == nil {
 		sp.Serve = &core.ServeSpec{}
 	}
@@ -419,46 +303,23 @@ func selfServe(sp core.Spec, users, reports int, storeDir, fsync string, wantUDP
 		}
 		sp.Serve.ExpectedUsers = expected
 	}
-	var opts transport.ServerOptions
-	var st *store.Store
-	if storeDir != "" {
-		policy, err := store.ParseSyncPolicy(fsync)
-		if err != nil {
-			return "", nil, err
-		}
-		if st, err = store.Open(storeDir, store.Options{Sync: policy}); err != nil {
-			return "", nil, err
-		}
-		opts.Store = st
-	}
-	srv, err := transport.NewServerOpts(stream.Config{Spec: sp}, opts)
+	srv, err := transport.NewServerOpts(stream.Config{Spec: sp}, transport.ServerOptions{})
 	if err != nil {
-		if st != nil {
-			_ = st.Close()
-		}
 		return "", nil, err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		if st != nil {
-			_ = st.Close()
-		}
+		srv.Close()
 		return "", nil, err
 	}
 	var udp *transport.UDPListener
-	if uaddr := ""; wantUDP || (sp.Serve != nil && sp.Serve.UDPAddr != "") {
-		if sp.Serve != nil {
-			uaddr = sp.Serve.UDPAddr
-		}
+	if uaddr := sp.Serve.UDPAddr; wantUDP || uaddr != "" {
 		if uaddr == "" {
 			uaddr = "127.0.0.1:0"
 		}
 		if udp, err = srv.ListenUDP(uaddr); err != nil {
 			_ = ln.Close()
 			srv.Close()
-			if st != nil {
-				_ = st.Close()
-			}
 			return "", nil, err
 		}
 	}
@@ -470,9 +331,6 @@ func selfServe(sp core.Spec, users, reports int, storeDir, fsync string, wantUDP
 			_ = udp.Close()
 		}
 		srv.Close()
-		if st != nil {
-			_ = st.Close()
-		}
 	}
 	return "http://" + ln.Addr().String(), closeFn, nil
 }
@@ -597,9 +455,8 @@ type sendFunc func(seq uint64, lo, hi int) (int, error)
 
 // makeSender builds the per-worker sender factory for the chosen wire.
 // All three wires batch identically; only the serialization and transport
-// differ, so measured differences are wire cost, not workload shape. On
-// the bin wire, frames consecutive batches ride one HTTP request as a
-// length-prefixed frame stream.
+// differ. On the bin wire, frames consecutive batches ride one HTTP
+// request as a length-prefixed frame stream.
 func makeSender(ctx context.Context, c *transport.TenantClient, w, udpTarget, tenant string, frames int, entries []entry) func() (sendFunc, func() (int, error), error) {
 	// The binary wires reuse the workload's user/value storage; only the
 	// entry headers are re-typed, once.
@@ -646,8 +503,8 @@ func makeSender(ctx context.Context, c *transport.TenantClient, w, udpTarget, te
 			return send, flush, nil
 		}
 	case "udp":
-		// Frames to the default tenant travel without a tenant name, like
-		// the tenant-less HTTP routes.
+		// Frames to the default tenant travel without a tenant name; the
+		// UDP listener resolves the empty name to the boot tenant.
 		if tenant == transport.DefaultTenant {
 			tenant = ""
 		}
@@ -686,11 +543,8 @@ func makeSender(ctx context.Context, c *transport.TenantClient, w, udpTarget, te
 }
 
 // drive sends the entries in batches over conns parallel workers and
-// returns accepted report count, per-request latencies (ms) and the wall
-// time of the whole ingest. Latency is sampled per wire operation: sends
-// that only buffered into a coalescing sender (0 reports, no error)
-// produce no sample.
-func drive(ctx context.Context, entries []entry, conns, batch int, mkSend func() (sendFunc, func() (int, error), error)) (int, []float64, time.Duration, error) {
+// returns the accepted report count.
+func drive(entries []entry, conns, batch int, mkSend func() (sendFunc, func() (int, error), error)) (int, error) {
 	if batch < 1 {
 		batch = 1
 	}
@@ -706,54 +560,34 @@ func drive(ctx context.Context, entries []entry, conns, batch int, mkSend func()
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		accepted int
-		lats     []float64
 		firstErr error
 	)
+	record := func(n int, err error) {
+		mu.Lock()
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		accepted += n
+		mu.Unlock()
+	}
 	ch := make(chan job)
-	start := time.Now()
 	for w := 0; w < conns; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			send, closeSend, err := mkSend()
 			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
+				record(0, err)
 				for range ch {
 				}
 				return
 			}
 			for j := range ch {
-				t0 := time.Now()
-				n, err := send(j.seq, j.lo, j.hi)
-				lat := float64(time.Since(t0).Microseconds()) / 1000
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				accepted += n
-				if n > 0 || err != nil {
-					lats = append(lats, lat)
-				}
-				mu.Unlock()
+				record(send(j.seq, j.lo, j.hi))
 			}
 			// The closer flushes any batches still pending in a coalescing
 			// sender (and releases the connection).
-			t0 := time.Now()
-			n, err := closeSend()
-			lat := float64(time.Since(t0).Microseconds()) / 1000
-			mu.Lock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			accepted += n
-			if n > 0 || err != nil {
-				lats = append(lats, lat)
-			}
-			mu.Unlock()
+			record(closeSend())
 		}()
 	}
 	for _, j := range jobs {
@@ -761,8 +595,7 @@ func drive(ctx context.Context, entries []entry, conns, batch int, mkSend func()
 	}
 	close(ch)
 	wg.Wait()
-	_ = ctx
-	return accepted, lats, time.Since(start), firstErr
+	return accepted, firstErr
 }
 
 // waitDelivered polls the collector's monotonic per-tenant ingested
@@ -810,7 +643,7 @@ func scrapeIngested(hc *http.Client, base, tenant string) (float64, error) {
 }
 
 // sane validates the served estimates.
-func sane(live, cached *transport.EstimateResponse, cachedErr error, honestMean, gamma float64, epochs bool) error {
+func sane(live, cached *transport.EstimateResponse, cachedErr error, honestMean, gamma float64) error {
 	var wSum float64
 	for _, w := range live.Weights {
 		wSum += w
@@ -827,37 +660,11 @@ func sane(live, cached *transport.EstimateResponse, cachedErr error, honestMean,
 	if gamma > 0 && math.Abs(live.Mean-honestMean) > 0.5 {
 		return fmt.Errorf("attacked mean %v implausibly far from truth %v", live.Mean, honestMean)
 	}
-	if epochs {
-		if cachedErr != nil {
-			return fmt.Errorf("no cached per-epoch estimate: %v", cachedErr)
-		}
-		if cached.Epoch < 1 {
-			return fmt.Errorf("cached estimate has epoch %d", cached.Epoch)
-		}
+	if cachedErr != nil {
+		return fmt.Errorf("no cached per-epoch estimate: %v", cachedErr)
+	}
+	if cached.Epoch < 1 {
+		return fmt.Errorf("cached estimate has epoch %d", cached.Epoch)
 	}
 	return nil
-}
-
-// round3 rounds to three decimals — the fixed precision of BENCH load
-// floats (milliseconds quantities keep microsecond resolution).
-func round3(x float64) float64 { return math.Round(x*1000) / 1000 }
-
-// mergeBenchJSON sets the given load-record key in the JSON object at
-// path, creating the file (with schema/date stamps) when absent.
-func mergeBenchJSON(path, key string, load map[string]any) error {
-	obj := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &obj); err != nil {
-			return fmt.Errorf("merge %s: %w", path, err)
-		}
-	} else {
-		obj["schema"] = 1
-		obj["date"] = time.Now().UTC().Format(time.RFC3339)
-	}
-	obj[key] = load
-	data, err := json.MarshalIndent(obj, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

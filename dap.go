@@ -122,61 +122,28 @@ var NewDefense = defense.New
 type Defense = defense.Defense
 
 // ---------------------------------------------------------------------------
-// Protocol-level API. The constructors remain for direct protocol access
-// and for code written against earlier releases; new code should describe
-// tasks with a Spec and call Build.
+// Protocol-level API: the protocol types Build wraps and the collection
+// helpers. Tasks are described with a Spec and built by Build.
 // ---------------------------------------------------------------------------
 
 // Core protocol types (see internal/core for full documentation).
 type (
-	// Params configures a DAP instance.
-	//
-	// Deprecated: describe the task with a Spec instead.
-	Params = core.Params
 	// DAP is the multi-group Differential Aggregation Protocol (§V).
 	DAP = core.DAP
 	// Baseline is the two-budget protocol of §IV.
 	Baseline = core.Baseline
-	// Estimate is the mean-protocol collector output.
-	//
-	// Deprecated: Build's Estimator returns the unified Result.
-	Estimate = core.Estimate
 	// Collection holds per-group reports.
 	Collection = core.Collection
 	// Scheme selects EMF, EMF* or CEMF* estimation.
 	Scheme = core.Scheme
 	// WeightMode selects the inter-group aggregation weights.
 	WeightMode = core.WeightMode
-	// SWParams configures the Square Wave variant (§V-D).
-	//
-	// Deprecated: describe the task with a Spec instead.
-	SWParams = core.SWParams
 	// SWDAP is the Square Wave instantiation of the protocol.
 	SWDAP = core.SWDAP
-	// SWEstimate is the SW collector output.
-	//
-	// Deprecated: Build's Estimator returns the unified Result.
-	SWEstimate = core.SWEstimate
-	// FreqParams configures the categorical variant (§V-D).
-	//
-	// Deprecated: describe the task with a Spec instead.
-	FreqParams = core.FreqParams
 	// FreqDAP is the categorical instantiation of the protocol.
 	FreqDAP = core.FreqDAP
-	// FreqEstimate is the categorical collector output.
-	//
-	// Deprecated: Build's Estimator returns the unified Result.
-	FreqEstimate = core.FreqEstimate
 	// Group describes one protocol group.
 	Group = core.Group
-	// VarianceEstimator generalizes DAP to variance estimation (§V-D).
-	//
-	// Deprecated: build a Spec with Variance() instead.
-	VarianceEstimator = core.VarianceEstimator
-	// VarianceEstimate is its output.
-	//
-	// Deprecated: Build's Estimator returns the unified Result.
-	VarianceEstimate = core.VarianceEstimate
 )
 
 // Estimation schemes.
@@ -198,24 +165,7 @@ var (
 	ParseWeightMode = core.ParseWeightMode
 )
 
-// Protocol constructors.
 var (
-	// NewDAP builds the numerical mean-estimation protocol over PM.
-	//
-	// Deprecated: use Build(NewSpec(Mean(), ...)).
-	NewDAP = core.NewDAP
-	// NewBaseline builds the §IV two-budget protocol.
-	//
-	// Deprecated: use Build(NewSpec(BaselineTask(α, β), ...)).
-	NewBaseline = core.NewBaseline
-	// NewSWDAP builds the Square Wave variant.
-	//
-	// Deprecated: use Build(NewSpec(Distribution(), ...)).
-	NewSWDAP = core.NewSWDAP
-	// NewFreqDAP builds the categorical k-RR variant.
-	//
-	// Deprecated: use Build(NewSpec(Frequency(k), ...)).
-	NewFreqDAP = core.NewFreqDAP
 	// PessimisticO computes Theorem 2's pessimistic mean initialization.
 	PessimisticO = core.PessimisticO
 	// CollectPM gathers a plain single-group PM collection (the input of

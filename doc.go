@@ -49,10 +49,6 @@
 // identically (≤1e-12) through batch Estimate, a stream tenant and the
 // wire API.
 //
-// The pre-spec constructors (NewDAP, NewSWDAP, NewFreqDAP, NewBaseline)
-// remain as deprecated aliases for one release; see DESIGN.md for the
-// migration table.
-//
 // # Attacks
 //
 // The threat side mirrors the defense side: a declarative AttackSpec
@@ -98,8 +94,7 @@
 // number of concurrently evaluated cells (0 selects GOMAXPROCS); tables
 // are byte-identical for every Workers value and GOMAXPROCS because each
 // cell and trial owns a fixed rng stream and results are collected in
-// table order. cmd/dapbench exposes the same knob as -workers and can
-// write a BENCH_*.json wall-clock record via -bench-json.
+// table order. cmd/dapbench exposes the same knob as -workers.
 //
 // # Serving layer
 //
@@ -128,9 +123,9 @@
 // state changes; NaN/Inf, out-of-domain values and bucket-index abuse are
 // rejected at the wire boundary. cmd/dapcollect runs it with graceful
 // shutdown; cmd/daploadgen drives it with honest+Byzantine client mixes
-// and records ingest throughput and estimate latency.
+// and checks the estimates it serves back.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record of every table and figure plus the
-// performance trajectory.
+// See DESIGN.md for the system inventory, EXPERIMENTS.md for the
+// paper-versus-measured record of every table and figure, and
+// benchmark/README.md for how speed is measured.
 package dap

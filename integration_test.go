@@ -44,7 +44,7 @@ func TestDAPAgainstAllThreatModels(t *testing.T) {
 	}
 	for _, th := range threats {
 		t.Run(th.name, func(t *testing.T) {
-			d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar})
+			d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func TestOpportunisticDefeatsTrimmingNotDAP(t *testing.T) {
 	}
 	trimmed := Trimming(reports, 0.5, true)
 
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar})
+	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestOpportunisticDefeatsTrimmingNotDAP(t *testing.T) {
 // the clean case (the bound is worst-case, so coverage is conservative).
 func TestConfidenceIntervalCoversCleanTruth(t *testing.T) {
 	vals, trueMean := integrationValues(22, 12000)
-	d, err := NewDAP(Params{Eps: 1, Eps0: 0.25, Scheme: SchemeEMFStar})
+	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 0.25, Scheme: SchemeEMFStar})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestGamedBaselineVsDAP(t *testing.T) {
 	vals, trueMean := integrationValues(4, 20000)
 	adv := NewBBA(RangeHighHalf, DistUniform)
 
-	bl, err := NewBaseline(1.0/8, 7.0/8, SchemeEMFStar)
+	bl, err := core.NewBaseline(1.0/8, 7.0/8, SchemeEMFStar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestGamedBaselineVsDAP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar})
+	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSWFacade(t *testing.T) {
 		sum += vals[i]
 	}
 	trueMean := sum / float64(len(vals))
-	d, err := NewSWDAP(SWParams{Eps: 1, Eps0: 0.25, Scheme: SchemeCEMFStar})
+	d, err := core.NewSWDAP(core.SWParams{Eps: 1, Eps0: 0.25, Scheme: SchemeCEMFStar})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestFreqFacade(t *testing.T) {
 	r := rng.New(8)
 	cov := COVID19()
 	cats := cov.Sample(r, 20000)
-	f, err := NewFreqDAP(FreqParams{Eps: 1, Eps0: 0.25, K: cov.K(), Scheme: SchemeEMFStar})
+	f, err := core.NewFreqDAP(core.FreqParams{Eps: 1, Eps0: 0.25, K: cov.K(), Scheme: SchemeEMFStar})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestFullPipelineDeterminism(t *testing.T) {
 	vals, _ := integrationValues(12, 6000)
 	adv := NewBBA(RangeHighHalf, DistUniform)
 	run := func() float64 {
-		d, err := NewDAP(Params{Eps: 1, Eps0: 0.25, Scheme: SchemeCEMFStar})
+		d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 0.25, Scheme: SchemeCEMFStar})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,26 +23,30 @@ import (
 // Flags binds a task spec to a flag set. Construct with New before
 // flag.Parse; call Resolve after.
 type Flags struct {
-	fs   *flag.FlagSet
-	path string
-	// defAttack keeps the default spec's full attack section: the -attack
-	// flag default can only carry its name, so the no-file Resolve path
-	// restores the parameterized section unless the flag was explicitly
-	// set.
-	defAttack *attack.Spec
+	fs      *flag.FlagSet
+	def     core.Spec
+	path    string
+	attackF string
+	// apply holds, per flag name, the function that copies the flag's
+	// parsed value onto a spec — the one place a flag is tied to its
+	// field. Resolve runs the explicitly-set ones.
+	apply map[string]func(*core.Spec) error
+}
 
-	task, scheme, weights     string
-	attackF                   string
-	eps, eps0                 float64
-	k                         int
-	oPrime, gammaSup          float64
-	autoOPrime                bool
-	suppress, trimFrac        float64
-	maxIter                   int
-	buckets, expUsers, shards int
-	window                    string
-	span                      int
-	epoch                     time.Duration
+// bind ties flag name, parsed into v, to the spec field set assigns.
+func bind[T any](f *Flags, name string, v *T, set func(*core.Spec, T)) {
+	f.apply[name] = func(sp *core.Spec) error {
+		set(sp, *v)
+		return nil
+	}
+}
+
+// serve returns sp's Serve section, creating it on first use.
+func serve(sp *core.Spec) *core.ServeSpec {
+	if sp.Serve == nil {
+		sp.Serve = &core.ServeSpec{}
+	}
+	return sp.Serve
 }
 
 // New registers -spec and the task-spec override flags on fs with
@@ -50,40 +54,73 @@ type Flags struct {
 // expected-users, shards, window, span, epoch) default to def's Serve
 // section when present.
 func New(fs *flag.FlagSet, def core.Spec) *Flags {
+	// Flag defaults show def's effective (normalized) values. The fields
+	// Normalize derives from the task and ε (mechanism, baseline split)
+	// have no flag and stay as given, so they follow a -task or -eps
+	// override when Resolve normalizes the result.
+	given := def
 	def = def.Normalize()
-	f := &Flags{fs: fs}
-	if def.Attack != nil {
-		a := *def.Attack
-		f.defAttack = &a
-	}
+	def.Mechanism, def.EpsAlpha, def.EpsBeta = given.Mechanism, given.EpsAlpha, given.EpsBeta
+	f := &Flags{fs: fs, def: def, apply: make(map[string]func(*core.Spec) error)}
 	fs.StringVar(&f.path, "spec", "", "JSON task spec file; explicit flags below override its fields")
-	fs.StringVar(&f.task, "task", string(def.Task), "task kind: mean, distribution, frequency, variance, baseline")
-	fs.StringVar(&f.task, "kind", string(def.Task), "alias of -task")
-	fs.Float64Var(&f.eps, "eps", def.Eps, "total privacy budget ε")
-	fs.Float64Var(&f.eps0, "eps0", def.Eps0, "minimum group budget ε0")
-	fs.StringVar(&f.scheme, "scheme", def.Scheme, "estimation scheme: emf, emfstar, cemfstar")
-	fs.StringVar(&f.weights, "weights", def.Weights, "aggregation weights: paper, general")
-	fs.IntVar(&f.k, "k", def.K, "category count (task frequency)")
-	fs.Float64Var(&f.oPrime, "oprime", def.OPrime, "fixed pessimistic mean O′")
-	fs.BoolVar(&f.autoOPrime, "auto-oprime", def.AutoOPrime, "derive O′ per Theorem 2")
-	fs.Float64Var(&f.gammaSup, "gamma-sup", def.GammaSup, "Byzantine-proportion bound γsup for Theorem 2 (0 = 1/2)")
-	fs.Float64Var(&f.suppress, "suppress", def.SuppressFactor, "CEMF* concentration threshold factor (0 = 0.5)")
-	fs.IntVar(&f.maxIter, "emf-maxiter", def.EMFMaxIter, "EM iteration cap (0 = engine default)")
-	fs.Float64Var(&f.trimFrac, "trim-frac", def.TrimFrac, "SW pessimistic-O′ trim fraction (task distribution)")
+	task := fs.String("task", string(def.Task), "task kind: mean, distribution, frequency, variance, baseline")
+	fs.StringVar(task, "kind", string(def.Task), "alias of -task")
+	setTask := func(sp *core.Spec, v string) {
+		task, err := core.ParseTask(v)
+		if err != nil {
+			task = core.TaskKind(v) // leave it for Validate to reject
+		}
+		sp.Task = task
+	}
+	bind(f, "task", task, setTask)
+	bind(f, "kind", task, setTask)
+	bind(f, "eps", fs.Float64("eps", def.Eps, "total privacy budget ε"),
+		func(sp *core.Spec, v float64) { sp.Eps = v })
+	bind(f, "eps0", fs.Float64("eps0", def.Eps0, "minimum group budget ε0"),
+		func(sp *core.Spec, v float64) { sp.Eps0 = v })
+	bind(f, "scheme", fs.String("scheme", def.Scheme, "estimation scheme: emf, emfstar, cemfstar"),
+		func(sp *core.Spec, v string) { sp.Scheme = v })
+	bind(f, "weights", fs.String("weights", def.Weights, "aggregation weights: paper, general"),
+		func(sp *core.Spec, v string) { sp.Weights = v })
+	bind(f, "k", fs.Int("k", def.K, "category count (task frequency)"),
+		func(sp *core.Spec, v int) { sp.K = v })
+	bind(f, "oprime", fs.Float64("oprime", def.OPrime, "fixed pessimistic mean O′"),
+		func(sp *core.Spec, v float64) { sp.OPrime = v })
+	bind(f, "auto-oprime", fs.Bool("auto-oprime", def.AutoOPrime, "derive O′ per Theorem 2"),
+		func(sp *core.Spec, v bool) { sp.AutoOPrime = v })
+	bind(f, "gamma-sup", fs.Float64("gamma-sup", def.GammaSup, "Byzantine-proportion bound γsup for Theorem 2 (0 = 1/2)"),
+		func(sp *core.Spec, v float64) { sp.GammaSup = v })
+	bind(f, "suppress", fs.Float64("suppress", def.SuppressFactor, "CEMF* concentration threshold factor (0 = 0.5)"),
+		func(sp *core.Spec, v float64) { sp.SuppressFactor = v })
+	bind(f, "emf-maxiter", fs.Int("emf-maxiter", def.EMFMaxIter, "EM iteration cap (0 = engine default)"),
+		func(sp *core.Spec, v int) { sp.EMFMaxIter = v })
+	bind(f, "trim-frac", fs.Float64("trim-frac", def.TrimFrac, "SW pessimistic-O′ trim fraction (task distribution)"),
+		func(sp *core.Spec, v float64) { sp.TrimFrac = v })
+	// The flag default can only carry the attack's name; an untouched flag
+	// leaves def's (or the file's) full attack section in place.
 	fs.StringVar(&f.attackF, "attack", attackDefault(def),
 		"simulated adversary: a registry name (see attack.Names), inline JSON {\"name\":...}, or @file.json; \"none\" disables the attack")
-
-	serve := core.ServeSpec{}
-	if def.Serve != nil {
-		serve = *def.Serve
+	f.apply["attack"] = func(sp *core.Spec) (err error) {
+		sp.Attack, err = ParseAttack(f.attackF)
+		return err
 	}
-	fs.IntVar(&f.buckets, "buckets", serve.Buckets, "fixed per-group histogram resolution d′ (0 = derive from -expected-users)")
-	fs.IntVar(&f.expUsers, "expected-users", serve.ExpectedUsers, "expected user population for deriving d′ (0 = engine default)")
-	fs.IntVar(&f.shards, "shards", serve.Shards, "lock stripes per group histogram (0 = engine default)")
-	fs.StringVar(&f.window, "window", serve.Window, "epoch window mode (tumbling, sliding)")
-	fs.IntVar(&f.span, "span", serve.Span, "sliding window span in epochs")
-	fs.DurationVar(&f.epoch, "epoch", time.Duration(serve.EpochMs)*time.Millisecond,
-		"epoch length for automatic rotation (0 = manual)")
+
+	sv := core.ServeSpec{}
+	if def.Serve != nil {
+		sv = *def.Serve
+	}
+	bind(f, "buckets", fs.Int("buckets", sv.Buckets, "fixed per-group histogram resolution d′ (0 = derive from -expected-users)"),
+		func(sp *core.Spec, v int) { serve(sp).Buckets = v })
+	bind(f, "expected-users", fs.Int("expected-users", sv.ExpectedUsers, "expected user population for deriving d′ (0 = engine default)"),
+		func(sp *core.Spec, v int) { serve(sp).ExpectedUsers = v })
+	bind(f, "shards", fs.Int("shards", sv.Shards, "lock stripes per group histogram (0 = engine default)"),
+		func(sp *core.Spec, v int) { serve(sp).Shards = v })
+	bind(f, "window", fs.String("window", sv.Window, "epoch window mode (tumbling, sliding)"),
+		func(sp *core.Spec, v string) { serve(sp).Window = v })
+	bind(f, "span", fs.Int("span", sv.Span, "sliding window span in epochs"),
+		func(sp *core.Spec, v int) { serve(sp).Span = v })
+	bind(f, "epoch", fs.Duration("epoch", time.Duration(sv.EpochMs)*time.Millisecond, "epoch length for automatic rotation (0 = manual)"),
+		func(sp *core.Spec, v time.Duration) { serve(sp).EpochMs = v.Milliseconds() })
 	return f
 }
 
@@ -137,124 +174,31 @@ func decodeAttack(data []byte) (*attack.Spec, error) {
 // task spec, e.g. daploadgen against an external collector.
 func (f *Flags) Attack() (*attack.Spec, error) { return ParseAttack(f.attackF) }
 
-// Resolve returns the effective spec: the flag values when no -spec file
-// was given, otherwise the file's spec with every explicitly-set flag
-// applied on top. The result is validated.
+// Resolve returns the effective spec: the default spec New was given —
+// or, with -spec, the file's spec — with every explicitly-set flag applied
+// on top. The result is validated.
 func (f *Flags) Resolve() (core.Spec, error) {
-	attackSet := false
-	f.fs.Visit(func(fl *flag.Flag) {
-		if fl.Name == "attack" {
-			attackSet = true
-		}
-	})
-	if f.path == "" {
-		sp := f.flagSpec()
-		if attackSet {
-			a, err := ParseAttack(f.attackF)
-			if err != nil {
-				return core.Spec{}, err
-			}
-			sp.Attack = a
-		} else {
-			// Flag untouched: keep the default spec's full attack section
-			// (the flag default string alone cannot carry its parameters).
-			sp.Attack = f.defAttack
-		}
-		if err := sp.Validate(); err != nil {
+	sp := f.def
+	if f.path != "" {
+		var err error
+		if sp, err = core.LoadSpec(f.path); err != nil {
 			return core.Spec{}, err
 		}
-		return sp.Normalize(), nil
+	} else if sp.Serve != nil {
+		sv := *sp.Serve // flags write through the pointer; keep def intact
+		sp.Serve = &sv
 	}
-	sp, err := core.LoadSpec(f.path)
+	var err error
+	f.fs.Visit(func(fl *flag.Flag) {
+		if set := f.apply[fl.Name]; set != nil && err == nil {
+			err = set(&sp)
+		}
+	})
 	if err != nil {
 		return core.Spec{}, err
-	}
-	f.fs.Visit(func(fl *flag.Flag) {
-		if fl.Name != "attack" {
-			f.override(&sp, fl.Name)
-		}
-	})
-	if attackSet {
-		a, err := ParseAttack(f.attackF)
-		if err != nil {
-			return core.Spec{}, err
-		}
-		sp.Attack = a
 	}
 	if err := sp.Validate(); err != nil {
 		return core.Spec{}, err
 	}
 	return sp.Normalize(), nil
-}
-
-// flagSpec assembles a spec purely from the bound flag values.
-func (f *Flags) flagSpec() core.Spec {
-	task, err := core.ParseTask(f.task)
-	if err != nil {
-		task = core.TaskKind(f.task) // leave it for Validate to reject
-	}
-	sp := core.Spec{
-		Task: task, Eps: f.eps, Eps0: f.eps0, Scheme: f.scheme, Weights: f.weights,
-		K: f.k, OPrime: f.oPrime, AutoOPrime: f.autoOPrime, GammaSup: f.gammaSup,
-		SuppressFactor: f.suppress, EMFMaxIter: f.maxIter, TrimFrac: f.trimFrac,
-	}
-	if f.buckets != 0 || f.expUsers != 0 || f.shards != 0 || f.window != "" || f.span != 0 || f.epoch != 0 {
-		sp.Serve = &core.ServeSpec{
-			Buckets: f.buckets, ExpectedUsers: f.expUsers, Shards: f.shards,
-			Window: f.window, Span: f.span, EpochMs: f.epoch.Milliseconds(),
-		}
-	}
-	return sp
-}
-
-// override applies one explicitly-set flag onto sp.
-func (f *Flags) override(sp *core.Spec, name string) {
-	serve := func() *core.ServeSpec {
-		if sp.Serve == nil {
-			sp.Serve = &core.ServeSpec{}
-		}
-		return sp.Serve
-	}
-	switch name {
-	case "task", "kind":
-		if task, err := core.ParseTask(f.task); err == nil {
-			sp.Task = task
-		} else {
-			sp.Task = core.TaskKind(f.task)
-		}
-	case "eps":
-		sp.Eps = f.eps
-	case "eps0":
-		sp.Eps0 = f.eps0
-	case "scheme":
-		sp.Scheme = f.scheme
-	case "weights":
-		sp.Weights = f.weights
-	case "k":
-		sp.K = f.k
-	case "oprime":
-		sp.OPrime = f.oPrime
-	case "auto-oprime":
-		sp.AutoOPrime = f.autoOPrime
-	case "gamma-sup":
-		sp.GammaSup = f.gammaSup
-	case "suppress":
-		sp.SuppressFactor = f.suppress
-	case "emf-maxiter":
-		sp.EMFMaxIter = f.maxIter
-	case "trim-frac":
-		sp.TrimFrac = f.trimFrac
-	case "buckets":
-		serve().Buckets = f.buckets
-	case "expected-users":
-		serve().ExpectedUsers = f.expUsers
-	case "shards":
-		serve().Shards = f.shards
-	case "window":
-		serve().Window = f.window
-	case "span":
-		serve().Span = f.span
-	case "epoch":
-		serve().EpochMs = f.epoch.Milliseconds()
-	}
 }

@@ -151,7 +151,7 @@ func ConfigFromSpec(sp core.Spec) (Config, error) {
 // returns for a tenant, sufficient to recreate it.
 func (cfg Config) SpecWithServe() core.Spec {
 	sp := cfg.Spec
-	sp.Serve = &core.ServeSpec{
+	serve := core.ServeSpec{
 		Buckets:       cfg.Buckets,
 		ExpectedUsers: cfg.ExpectedUsers,
 		Shards:        cfg.Shards,
@@ -160,6 +160,11 @@ func (cfg Config) SpecWithServe() core.Spec {
 		EpochMs:       cfg.Window.Epoch.Milliseconds(),
 		Warm:          cfg.Warm,
 	}
+	// The advisory routing fields have no engine counterpart.
+	if s := cfg.Spec.Serve; s != nil {
+		serve.Wire, serve.UDPAddr = s.Wire, s.UDPAddr
+	}
+	sp.Serve = &serve
 	return sp
 }
 

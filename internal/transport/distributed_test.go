@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ldp/pm"
+	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/internal/stream"
@@ -263,6 +264,103 @@ func TestDistributedEquivalence(t *testing.T) {
 		rotateNode(n)
 	}
 	checkRound(2, co2, coordClient2)
+
+	// At scale: a second tenant whose per-group bucket counts derive from
+	// expected_users instead of being pinned, 2 400 users in one round
+	// over 16 stripes. Each node ingests its share in batches on one
+	// ordered connection, so per-stripe arrival order — and with it the
+	// float-sum order the merged estimate depends on — matches the
+	// reference.
+	const (
+		scaleTenant = "scale"
+		scaleUsers  = 2400
+	)
+	scaleSpec := distSpec()
+	scaleSpec.Serve = &core.ServeSpec{ExpectedUsers: scaleUsers, Shards: 16}
+	scaleRef, err := refSrv.Registry().CreateSpec(scaleTenant, scaleSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := co2.AddTenantSpec(scaleTenant, scaleSpec); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range cluster {
+		if _, err := n.client.CreateTenantSpec(ctx, scaleTenant, scaleSpec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parts := make([][]ReportRequest, nodes)
+	for i := 0; i < scaleUsers; i++ {
+		g := i % groups
+		user := "s" + strconv.Itoa(i)
+		vals := make([]float64, refGroups[g].Reports)
+		for k := range vals {
+			vals[k] = mechs[g].Perturb(r, rng.Uniform(r, -0.5, 0.1))
+		}
+		if err := scaleRef.Ingest(user, g, vals); err != nil {
+			t.Fatal(err)
+		}
+		owner := stream.StripeOf(user, scaleRef.Shards()) % nodes
+		parts[owner] = append(parts[owner], ReportRequest{User: user, Group: g, Values: vals})
+	}
+	for i, n := range cluster {
+		for lo := 0; lo < len(parts[i]); lo += 200 {
+			res, err := n.client.Tenant(scaleTenant).Ingest(ctx, parts[i][lo:min(lo+200, len(parts[i]))])
+			if err != nil || res.Rejected > 0 {
+				t.Fatalf("scale: node %d ingest: %v, %+v", i, err, res)
+			}
+		}
+		if _, err := n.client.Tenant(scaleTenant).Rotate(ctx); err != nil {
+			t.Fatalf("scale: node %d rotate: %v", i, err)
+		}
+	}
+	scaleSnap, err := scaleRef.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := coordClient2.MergeEstimate(ctx, scaleTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := estimateResponse(scaleSnap); !reflect.DeepEqual(*got, want) {
+		t.Fatalf("scale: merged estimate differs from single-collector reference\n got: %+v\nwant: %+v", *got, want)
+	}
+	ledger, err := co2.Ledger(scaleTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := scaleRef.Accountant().Export(); !reflect.DeepEqual(ledger, want) {
+		t.Fatalf("scale: merged ledger (%d users) differs from reference (%d users)", len(ledger), len(want))
+	}
+
+	// The publishes above moved the coordinator's merge families: every
+	// node's delta counted, the node gauge at N, a publish-lag sample for
+	// the tenant.
+	resp, err := coordClient2.hc.Get(coordClient2.base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc, err := metrics.Parse(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deltas float64
+	for _, s := range sc.Samples {
+		if s.Name == "dap_merge_deltas_total" {
+			deltas += s.Value
+		}
+	}
+	if deltas < nodes {
+		t.Errorf("dap_merge_deltas_total = %g, want >= %d", deltas, nodes)
+	}
+	if v := sc.Value("dap_merge_nodes", nil); v != nodes {
+		t.Errorf("dap_merge_nodes = %g, want %d", v, nodes)
+	}
+	lag, ok := sc.Get("dap_merge_epoch_lag_seconds", map[string]string{"tenant": scaleTenant})
+	if !ok || lag.Value < 0 {
+		t.Errorf("dap_merge_epoch_lag_seconds{tenant=%q} = %+v (present %v), want a published epoch", scaleTenant, lag, ok)
+	}
 }
 
 // openReopened reopens a store directory the previous owner never

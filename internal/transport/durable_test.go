@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -127,6 +128,63 @@ func TestDurableServerCrashRestart(t *testing.T) {
 	}
 	if admin.Recovery.SpendAfter <= 0 {
 		t.Fatalf("no spend recovered: %+v", admin.Recovery)
+	}
+}
+
+// TestServeWireRoundTrips pins that the advisory serve fields, which have
+// no engine counterpart, survive the engine: the config route advertises
+// the spec's wire, the status spec re-creates an identical tenant, and
+// both still hold after a crash and stream.Recover.
+func TestServeWireRoundTrips(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	sp := durableServerSpec()
+	sp.Serve.Wire, sp.Serve.UDPAddr = "bin", "127.0.0.1:9200"
+
+	statusSpec := func(c *Client, name string) core.Spec {
+		t.Helper()
+		cfg, err := c.Tenant(name).Config(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Wire != "bin" {
+			t.Fatalf("tenant %s advertises wire %q, want bin", name, cfg.Wire)
+		}
+		ls, err := c.Tenants(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ts := range ls.Tenants {
+			if ts.Name == name {
+				return ts.Spec
+			}
+		}
+		t.Fatalf("tenant %s not listed", name)
+		return core.Spec{}
+	}
+
+	_, _, c := newDurableServer(t, dir, nil, ServerOptions{})
+	if _, err := c.CreateTenantSpec(ctx, "a", sp); err != nil {
+		t.Fatal(err)
+	}
+	served := statusSpec(c, "a")
+	if served.Serve.Wire != "bin" || served.Serve.UDPAddr != "127.0.0.1:9200" {
+		t.Fatalf("status spec dropped serve routing: %+v", served.Serve)
+	}
+	if _, err := c.CreateTenantSpec(ctx, "b", served); err != nil {
+		t.Fatal(err)
+	}
+	if again := statusSpec(c, "b"); !reflect.DeepEqual(again, served) {
+		t.Fatalf("status spec does not round-trip\n got: %+v\nwant: %+v", again.Serve, served.Serve)
+	}
+
+	// Kill (no Close) and recover from the WAL's tenant-create records.
+	srv2, _, c2 := newDurableServer(t, dir, nil, ServerOptions{})
+	defer srv2.Close()
+	for _, name := range []string{"a", "b"} {
+		if got := statusSpec(c2, name); !reflect.DeepEqual(got, served) {
+			t.Fatalf("tenant %s spec changed across recovery\n got: %+v\nwant: %+v", name, got.Serve, served.Serve)
+		}
 	}
 }
 
