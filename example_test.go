@@ -82,7 +82,7 @@ func Example_runUnderAttack() {
 	// attack:        BBA(right, [0.5,1]·C, Uniform)
 	// probed side:   right=true
 	// probed gamma:  0.27
-	// mean error:    0.06
+	// mean error:    0.07
 }
 
 // Example_defenseComparison pits DAP against the trimming comparator on
@@ -120,7 +120,7 @@ func Example_defenseComparison() {
 	fmt.Printf("dap error:      %.2f\n", res.Mean-truth)
 	fmt.Printf("trimming error: %.2f\n", trim.Mean-truth)
 	// Output:
-	// dap error:      0.09
+	// dap error:      0.07
 	// trimming error: -0.80
 }
 

@@ -90,6 +90,39 @@ func TestSQUAREMMatchesPlainFixedPoint(t *testing.T) {
 	}
 }
 
+// The adaptive steplength bound exists to stop paying for rejected jumps:
+// over the five groups of the paper's default cell (ε = 1, ε₀ = 1/16,
+// 40 000 users a group, γ = 0.25 on [C/2, C]) fewer than a quarter of the
+// extrapolations may be rejected — with the bound fixed at maxAlpha more
+// than nine in ten were — and every fit converges inside MaxIter.
+func TestSQUAREMRejectsFewJumps(t *testing.T) {
+	var cycles, rejected int
+	for g, eps := range []float64{1, 0.5, 0.25, 0.125, 0.0625} {
+		sc := makeScenario(t, rng.New(uint64(90+g)), eps, 40000<<g, 0.25, -0.6, 0.2, 0.5, 1)
+		poison := sc.matrix.PoisonRight(0)
+		cfg := Config{Tol: PaperTol(eps), Accelerate: true}
+		for name, run := range map[string]func() (*Result, error){
+			"emf":  func() (*Result, error) { return Run(sc.matrix, sc.counts, poison, cfg) },
+			"emf*": func() (*Result, error) { return RunConstrained(sc.matrix, sc.counts, poison, 0.25, cfg) },
+		} {
+			res, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Errorf("%s eps=%v: no convergence in %d E-steps", name, eps, res.Iters)
+			}
+			cycles += res.Iters / 3
+			rejected += res.Restarts
+		}
+	}
+	if share := float64(rejected) / float64(cycles); share >= 0.25 {
+		t.Fatalf("%d of %d extrapolations rejected (%.0f%%), want under 25%%", rejected, cycles, 100*share)
+	} else {
+		t.Logf("%d of %d extrapolations rejected (%.0f%%)", rejected, cycles, 100*share)
+	}
+}
+
 // SQUAREM must also compose with EMS smoothing (the SW pipeline): the
 // smoothed map's fixed point is reached with no worse log-likelihood.
 func TestSQUAREMWithSmoothing(t *testing.T) {

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -10,12 +11,13 @@ import (
 // internal/stream's ingest paths:
 //
 //   - Histogram mutation (shard.addLocked) must be
-//     lexically dominated by an Accountant charge (Spend, SpendN or
-//     ForceSpend) in the same function — state never moves before the
-//     privacy budget pays for it.
-//   - After a Spend/SpendN, a failed store append must refund: an error
-//     return inside the append's error branch that skips Accountant.Refund
-//     leaks budget the tenant never got durability for.
+//     lexically dominated by a charge — Accountant.Spend, SpendN or Charge
+//     (the charge through a user's table record), or Record.Force on
+//     replay — in the same function: state never moves before the privacy
+//     budget pays for it.
+//   - After a Spend/SpendN/Charge, a failed store append must refund: an
+//     error return inside the append's error branch that skips
+//     Record.Refund leaks budget the tenant never got durability for.
 //
 // The shard/shardSet methods themselves are the mutation primitives and
 // are exempt; the rule binds their callers.
@@ -61,18 +63,15 @@ func recvName(fd *ast.FuncDecl) string {
 
 func checkBudgetFn(p *Package, r *Reporter, fd *ast.FuncDecl) {
 	name := p.funcName(fd)
-	isAcct := func(call *ast.CallExpr, names ...string) bool {
+	// isCall matches a method call by "Receiver.Method".
+	isCall := func(call *ast.CallExpr, methods ...string) bool {
 		fn := p.callee(call)
-		if fn == nil || recvNamed(fn) != "Accountant" {
-			return false
-		}
-		for _, n := range names {
-			if fn.Name() == n {
-				return true
-			}
-		}
-		return false
+		return fn != nil && slices.Contains(methods, recvNamed(fn)+"."+fn.Name())
 	}
+	isSpend := func(call *ast.CallExpr) bool {
+		return isCall(call, "Accountant.Spend", "Accountant.SpendN", "Accountant.Charge")
+	}
+	isRefund := func(call *ast.CallExpr) bool { return isCall(call, "Record.Refund") }
 	isMutate := func(call *ast.CallExpr) bool {
 		fn := p.callee(call)
 		if fn == nil {
@@ -98,20 +97,14 @@ func checkBudgetFn(p *Package, r *Reporter, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		if isAcct(call, "Spend", "SpendN", "ForceSpend") {
+		if isSpend(call) || isCall(call, "Record.Force") {
 			if !firstCharge.IsValid() {
 				firstCharge = call.Pos()
 			}
-			if isAcct(call, "Spend", "SpendN") {
-				hasSpend = true
-			}
+			hasSpend = hasSpend || isSpend(call)
 		}
-		if isAppend(call) {
-			hasAppend = true
-		}
-		if isAcct(call, "Refund") {
-			hasRefund = true
-		}
+		hasAppend = hasAppend || isAppend(call)
+		hasRefund = hasRefund || isRefund(call)
 		return true
 	})
 
@@ -155,7 +148,7 @@ func checkBudgetFn(p *Package, r *Reporter, fd *ast.FuncDecl) {
 		if !returns {
 			return true
 		}
-		if p.containsCall(ifs.Body, func(c *ast.CallExpr) bool { return isAcct(c, "Refund") }) == nil {
+		if p.containsCall(ifs.Body, isRefund) == nil {
 			r.Reportf(ifs.Pos(), "%s returns from a failed store append after charging the budget without refunding; the charge must be rolled back", name)
 		}
 		return true

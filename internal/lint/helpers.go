@@ -107,7 +107,7 @@ func (p *Package) closure(entries []*ast.FuncDecl) map[*ast.FuncDecl]bool {
 }
 
 // funcName renders a declaration's name including its receiver type, for
-// messages ("(*Store).Health", "hashUser").
+// messages ("(*Store).Health", "readUvarint").
 func (p *Package) funcName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return fd.Name.Name

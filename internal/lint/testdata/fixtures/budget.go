@@ -7,9 +7,14 @@ import "errors"
 
 type Accountant struct{}
 
+type Record struct{}
+
 func (a *Accountant) SpendN(user string, eps float64, n int) error { return nil }
-func (a *Accountant) ForceSpend(user string, eps float64, n int)   {}
-func (a *Accountant) Refund(user string, eps float64, n int)       {}
+func (a *Accountant) Charge(r *Record, user string, eps float64, n int) error {
+	return nil
+}
+func (r *Record) Force(eps float64, n int)  {}
+func (r *Record) Refund(eps float64, n int) {}
 
 type shard struct{ n float64 }
 
@@ -39,12 +44,12 @@ func chargeNoRefund(a *Accountant, st *Store, sh *shard) error { // want budget 
 }
 
 // skipsRefundOnError has a refund elsewhere but not in the error branch.
-func skipsRefundOnError(a *Accountant, st *Store, sh *shard, undo bool) error {
+func skipsRefundOnError(a *Accountant, r *Record, st *Store, sh *shard, undo bool) error {
 	if err := a.SpendN("u", 1, 1); err != nil {
 		return err
 	}
 	if undo {
-		a.Refund("u", 1, 1)
+		r.Refund(1, 1)
 	}
 	if _, err := st.AppendIngest("t", "u"); err != nil { // want budget "without refunding"
 		return errDown
@@ -53,22 +58,30 @@ func skipsRefundOnError(a *Accountant, st *Store, sh *shard, undo bool) error {
 	return nil
 }
 
-// chargeThenRefund is the contract: failed append rolls the charge back.
-func chargeThenRefund(a *Accountant, st *Store, sh *shard) error {
-	if err := a.SpendN("u", 1, 1); err != nil {
+// chargeThenRefund is the contract: the charge goes through the user's
+// table record, and a failed append rolls it back through the same handle.
+func chargeThenRefund(a *Accountant, r *Record, st *Store, sh *shard) error {
+	if err := a.Charge(r, "u", 1, 1); err != nil {
 		return err
 	}
 	if _, err := st.AppendIngest("t", "u"); err != nil {
-		a.Refund("u", 1, 1)
+		r.Refund(1, 1)
 		return errDown
 	}
 	sh.addLocked(nil, nil)
 	return nil
 }
 
-// replayForced is the recovery path: ForceSpend dominates the mutation
-// and there is no store append to refund.
-func replayForced(a *Accountant, sh *shard) {
-	a.ForceSpend("u", 1, 1)
+// handleWithoutCharge holds a record handle but never charges through it:
+// having looked the user up pays for nothing.
+func handleWithoutCharge(r *Record, sh *shard) {
+	r.Refund(1, 1)
+	sh.addLocked(nil, nil) // want budget "without a preceding Accountant charge"
+}
+
+// replayForced is the recovery path: Force dominates the mutation and
+// there is no store append to refund.
+func replayForced(r *Record, sh *shard) {
+	r.Force(1, 1)
 	sh.addLocked(nil, nil)
 }

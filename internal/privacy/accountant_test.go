@@ -167,3 +167,58 @@ func TestCap(t *testing.T) {
 		t.Fatal("Cap broken")
 	}
 }
+
+// The table's handle API, as the streaming collector drives it: one Bind
+// per report, charge and refund through the record.
+func TestBindChargeRefund(t *testing.T) {
+	a, _ := NewAccountant(1)
+	a.Reserve(1 << 30) // bounded, and nothing allocated before the first user
+	r, hash, bound := a.Bind("u", 2)
+	if hash != Hash("u") || bound != 2 {
+		t.Fatalf("Bind = hash %x group %d, want %x and 2", hash, bound, Hash("u"))
+	}
+	// A later report for another group finds the same record, still bound
+	// to the first group; only Rebind moves it.
+	if r2, _, bound := a.Bind("u", 0); r2 != r || bound != 2 {
+		t.Fatalf("second Bind = %p group %d, want the same record %p bound to 2", r2, bound, r)
+	}
+	a.Rebind("u", 0)
+	if _, _, bound := a.Bind("u", 2); bound != 0 {
+		t.Fatalf("after Rebind the user is bound to %d, want 0", bound)
+	}
+	// A bound user who never spent is in the bindings, not in the ledger.
+	if got := a.Bindings(); len(got) != 1 || got["u"] != 0 {
+		t.Fatalf("bindings %v, want u→0", got)
+	}
+	if a.Users() != 0 || len(a.Export()) != 0 {
+		t.Fatalf("unspent record counted: users %d ledger %v", a.Users(), a.Export())
+	}
+	if err := a.Charge(r, "u", 0.5, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Charge(r, "u", 0.5, 1); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("charge past the cap: %v", err)
+	}
+	if a.Spent("u") != 1 || a.Users() != 1 {
+		t.Fatalf("spent %v users %d after a full charge", a.Spent("u"), a.Users())
+	}
+	// SpendN by id reaches the same record, and does not bind it.
+	if err := a.SpendN("u", 0.5, 1); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("SpendN on the exhausted record: %v", err)
+	}
+	r.Refund(0.5, 2)
+	r.Refund(0.5, 2) // clamps at zero
+	if a.Spent("u") != 0 || a.Users() != 0 || len(a.Export()) != 0 {
+		t.Fatalf("refunded record still in the ledger: %v", a.Export())
+	}
+	r.Force(0.75, 2) // replay does not ask the cap
+	if got := a.Export(); got["u"] != 1.5 {
+		t.Fatalf("forced spend: ledger %v", got)
+	}
+	// Import restores spends without touching bindings.
+	b, _ := NewAccountant(1)
+	b.Import(a.Export())
+	if b.Spent("u") != 1.5 || len(b.Bindings()) != 0 {
+		t.Fatalf("import: spent %v bindings %v", b.Spent("u"), b.Bindings())
+	}
+}

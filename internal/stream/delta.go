@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"repro/internal/privacy"
 	"repro/internal/wirebin"
 )
 
@@ -26,7 +27,7 @@ type EpochDelta = wirebin.Delta
 // the condition under which merged sums are bit-identical to
 // single-node ingestion (counts merge exactly regardless).
 func StripeOf(user string, shards int) int {
-	return int(hashUser(user) % uint64(shards))
+	return int(privacy.Hash(user) % uint64(shards))
 }
 
 // SetSealHook registers fn to receive an EpochDelta after every live

@@ -21,29 +21,15 @@ import (
 // ingest records at or beyond it rebuild the live histograms — the live
 // epoch is never snapshotted, it is always reproduced by replay, which is
 // what makes recovered estimates bit-identical to an uninterrupted run
-// (stripe assignment is the deterministic hashUser, and ingest holds the
+// (stripe assignment is the deterministic privacy.Hash, and ingest holds the
 // stripe lock across WAL append + apply, so per-stripe float accumulation
 // order equals LSN order and reproduces exactly). acctFrom is where the
 // snapshot's accountant ledger and join counter stop being authoritative:
 // charges and joins at or beyond it replay into the accountant — with
-// ForceSpend, not SpendN, because every logged record was already
+// Record.Force, not Charge, because every logged record was already
 // admitted under the cap. Records between walStart and acctFrom therefore
 // rebuild histograms without re-charging: the snapshot cut happened
 // mid-epoch and its ledger already reflects them.
-
-// export copies the user→group binding map out of the stripes.
-func (u *userGroups) export() map[string]int {
-	out := make(map[string]int)
-	for i := range u.shards {
-		s := &u.shards[i]
-		s.mu.RLock()
-		for user, g := range s.m {
-			out[user] = g
-		}
-		s.mu.RUnlock()
-	}
-	return out
-}
 
 // snapshotCut builds the tenant's durable image at a consistent cut: the
 // exclusive tenant lock quiesces ingest (whose charge→append→apply runs
@@ -70,7 +56,7 @@ func (t *Tenant) snapshotCut() (store.TenantSnap, error) {
 		AcctLSN:  acctLSN,
 		Joined:   joined,
 		Spend:    t.acct.Export(),
-		Users:    t.userGrp.export(),
+		Users:    t.acct.Bindings(),
 	}
 	for i := range t.sealed {
 		eh := &t.sealed[i]
@@ -99,7 +85,7 @@ func restoreTenant(ts *store.TenantSnap) (*Tenant, error) {
 	}
 	t.acct.Import(ts.Spend)
 	for user, g := range ts.Users {
-		t.userGrp.store(hashUser(user), user, g)
+		t.acct.Rebind(user, g)
 	}
 	t.joined = ts.Joined
 	t.walStart = ts.StartLSN

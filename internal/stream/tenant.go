@@ -30,28 +30,6 @@ var ErrStoreDown = errors.New("stream: durable store unavailable")
 // flight; the caller should retry shortly.
 var ErrRotating = errors.New("stream: rotation in progress")
 
-// hashUser maps a user id to a histogram/binding stripe with FNV-1a. The
-// hash must be stable across process restarts — WAL replay re-runs every
-// accepted report through the ingest path, and bit-identical recovered
-// sums need two ingredients: a deterministic user→stripe assignment
-// (this hash) and same-stripe ingests serializing their WAL append with
-// their apply (the stripe lock held across both in Ingest/IngestBatch),
-// so per-stripe float accumulation order equals LSN order.
-//
-//dapvet:hotpath
-func hashUser(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
-
 // Snapshot is one materialized estimate of a tenant's window.
 type Snapshot struct {
 	// Tenant is the owning tenant's name.
@@ -87,9 +65,11 @@ type Tenant struct {
 	cfg    Config
 	est    core.Streamable
 	groups []core.Group
-	acct   *privacy.Accountant
-	disc   []ldp.Discretizer // per group; unused for frequency tasks
-	bkt    []int             // per-group histogram resolution d′
+	// acct is the one per-user table: each user's record holds the group
+	// binding (set at join or first report) and the cumulative spend.
+	acct *privacy.Accountant
+	disc []ldp.Discretizer // per group; unused for frequency tasks
+	bkt  []int             // per-group histogram resolution d′
 
 	// st is the durability layer, nil for an ephemeral tenant. When set,
 	// every accepted ingest, join and rotation is WAL-appended before it
@@ -103,8 +83,6 @@ type Tenant struct {
 
 	joinMu sync.Mutex
 	joined int
-
-	userGrp userGroups // user id → group index (set at join or first report)
 
 	// mu orders ingestion against rotation: ingesters hold it shared while
 	// touching a live stripe, Rotate holds it exclusively while swapping
@@ -192,6 +170,7 @@ func NewTenant(name string, cfg Config) (*Tenant, error) {
 	if err != nil {
 		return nil, err
 	}
+	t.acct.Reserve(cfg.ExpectedUsers)
 	t.live = t.freshLive()
 	return t, nil
 }
@@ -253,7 +232,7 @@ func (t *Tenant) Join() (string, core.Group) {
 		_, _ = t.st.AppendJoin(t.name, id, grp)
 	}
 	t.joined++
-	t.userGrp.store(hashUser(id), id, grp)
+	t.acct.Rebind(id, grp)
 	t.joinMu.Unlock()
 	return id, t.groups[grp]
 }
@@ -263,7 +242,7 @@ func (t *Tenant) Join() (string, core.Group) {
 func (t *Tenant) restoreJoin(user string, group int) {
 	t.joinMu.Lock()
 	t.joined++
-	t.userGrp.store(hashUser(user), user, group)
+	t.acct.Rebind(user, group)
 	t.joinMu.Unlock()
 }
 
@@ -272,54 +251,6 @@ func (t *Tenant) Joined() int {
 	t.joinMu.Lock()
 	defer t.joinMu.Unlock()
 	return t.joined
-}
-
-// userGroups is a striped, typed user→group binding map. The bind-check
-// on the ingest hot path is one RLock plus one map[string]int lookup —
-// unlike sync.Map, whose any-typed keys box the user string (one 16-byte
-// allocation) on every call.
-type userGroups struct {
-	shards [64]userGroupShard
-}
-
-type userGroupShard struct {
-	mu sync.RWMutex
-	m  map[string]int
-	_  [32]byte // keep adjacent stripes off one cache line
-}
-
-// loadOrStore returns the existing binding for user, or records group as
-// its binding. hash selects the stripe (any stable hash of user works;
-// Ingest reuses the histogram stripe hash).
-func (u *userGroups) loadOrStore(hash uint64, user string, group int) (prev int, loaded bool) {
-	s := &u.shards[hash&63]
-	s.mu.RLock()
-	prev, ok := s.m[user]
-	s.mu.RUnlock()
-	if ok {
-		return prev, true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prev, ok := s.m[user]; ok {
-		return prev, true
-	}
-	if s.m == nil {
-		s.m = make(map[string]int)
-	}
-	s.m[user] = group
-	return group, false
-}
-
-// store records a binding unconditionally (user join).
-func (u *userGroups) store(hash uint64, user string, group int) {
-	s := &u.shards[hash&63]
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[string]int)
-	}
-	s.m[user] = group
-	s.mu.Unlock()
 }
 
 // BatchEntry is one report in a batched ingest. It aliases the store's
@@ -376,13 +307,15 @@ const (
 
 // stagedEntry is one validated, bound entry of a batch awaiting its charge.
 type stagedEntry struct {
-	i      int    // position in the caller's entries
-	stripe uint64 // hashUser of the entry's user
-	lo, hi int    // its bucket indices are arena[lo:hi]
+	i      int             // position in the caller's entries
+	rec    *privacy.Record // the user's table record: charge and refund go through it
+	stripe uint64          // privacy.Hash of the entry's user
+	lo, hi int             // its bucket indices are arena[lo:hi]
 }
 
-// ingestScratch is the working memory of one ingestStaged call. It holds
-// no pointers into the caller's batch, so pooling it retains nothing.
+// ingestScratch is the working memory of one ingestStaged call. It is
+// pooled holding no pointers — not into the caller's batch, and not to
+// table records, which would pin a deleted tenant's table.
 type ingestScratch struct {
 	staged []stagedEntry
 	arena  []int // bucket indices of every staged entry, back to back
@@ -405,11 +338,13 @@ var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 // receives one error per rejected entry. The stages run in a fixed order
 // and a rejected entry leaves no trace:
 //
-//  1. validate and discretize every value, then bind the user to the group;
+//  1. validate and discretize every value, then look the user up in the
+//     per-user table — the entry's only lookup, inserting and binding a new
+//     user to the group — and keep the record handle;
 //  2. lock every stripe the batch touches, in one global (group, stripe)
 //     order so concurrent batches cannot deadlock;
-//  3. charge each entry's budget atomically — each report in group g costs
-//     ε_g; a failed charge rejects that entry alone;
+//  3. charge each entry's budget atomically through its handle — each
+//     report in group g costs ε_g; a failed charge rejects that entry alone;
 //  4. WAL-append the charged entries with one write; on failure refund all
 //     of them and report ErrStoreDown;
 //  5. apply to the live histograms.
@@ -449,15 +384,15 @@ func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMod
 		if arena, errs[i] = t.appendIndices(arena, e.Group, e.Values); errs[i] != nil {
 			continue
 		}
-		stripe := hashUser(e.User)
+		rec, stripe, bound := t.acct.Bind(e.User, e.Group)
 		// A replayed record was admitted when it was logged; a Join issued
 		// since may have rebound its user, which must not un-admit it.
-		if prev, loaded := t.userGrp.loadOrStore(stripe, e.User, e.Group); loaded && prev != e.Group && mode == ingestLive {
+		if bound != e.Group && mode == ingestLive {
 			arena = arena[:lo]
-			errs[i] = fmt.Errorf("%w: user %s is bound to group %d", ErrWrongGroup, e.User, prev)
+			errs[i] = fmt.Errorf("%w: user %s is bound to group %d", ErrWrongGroup, e.User, bound)
 			continue
 		}
-		staged = append(staged, stagedEntry{i: i, stripe: stripe, lo: lo, hi: len(arena)})
+		staged = append(staged, stagedEntry{i: i, rec: rec, stripe: stripe, lo: lo, hi: len(arena)})
 		keys = append(keys, e.Group*nsh+int(stripe%uint64(nsh)))
 	}
 	if len(keys) > 1 {
@@ -467,16 +402,17 @@ func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMod
 	for _, k := range keys {
 		t.live[k/nsh].shards[k%nsh].mu.Lock()
 	}
+	handles := staged // every record handle taken, cleared before the scratch is pooled
 	charged := staged[:0]
 	for _, sg := range staged {
 		e := &entries[sg.i]
 		switch mode {
 		case ingestLive:
-			if errs[sg.i] = t.acct.SpendN(e.User, t.groups[e.Group].Eps, len(e.Values)); errs[sg.i] != nil {
+			if errs[sg.i] = t.acct.Charge(sg.rec, e.User, t.groups[e.Group].Eps, len(e.Values)); errs[sg.i] != nil {
 				continue
 			}
 		case replayCharge:
-			t.acct.ForceSpend(e.User, t.groups[e.Group].Eps, len(e.Values))
+			sg.rec.Force(t.groups[e.Group].Eps, len(e.Values))
 		}
 		charged = append(charged, sg)
 	}
@@ -495,7 +431,7 @@ func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMod
 			// store-down error per entry.
 			for _, sg := range staged {
 				e := &entries[sg.i]
-				t.acct.Refund(e.User, t.groups[e.Group].Eps, len(e.Values))
+				sg.rec.Refund(t.groups[e.Group].Eps, len(e.Values))
 				errs[sg.i] = fmt.Errorf("%w: %v", ErrStoreDown, err)
 			}
 			staged = staged[:0]
@@ -518,6 +454,7 @@ func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMod
 		}
 	}
 	if cap(staged) <= maxScratchEntries && cap(arena) <= maxScratchValues {
+		clear(handles)
 		sc.staged, sc.arena, sc.keys = staged, arena, keys
 		scratchPool.Put(sc)
 	}

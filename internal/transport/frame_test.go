@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"maps"
 	"net/http"
@@ -183,6 +184,78 @@ func TestWireEquivalence(t *testing.T) {
 		if got := tenants[name].Accountant().Export(); !maps.Equal(ledger, got) {
 			t.Fatalf("%s budget ledger differs from JSON's:\n json %v\n %s %v",
 				name, ledger, name, got)
+		}
+	}
+}
+
+// TestWireIDsOutliveTheirBuffers: decoded user ids are only valid until
+// the decoder's next frame, so the engine must have copied what it keeps.
+// Each wire carries two batches through the same decoder, the second with
+// ids of the first's length — it overwrites the id arena in place — and
+// the ledger and bindings must still be under both batches' own ids.
+func TestWireIDsOutliveTheirBuffers(t *testing.T) {
+	srv, c := newTestServer(t)
+	lis, err := srv.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	sp := core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.25, Scheme: "EMF*"}
+	ctx := context.Background()
+	batchOf := func(prefix string) []wirebin.Entry {
+		entries := make([]wirebin.Entry, 40)
+		for i := range entries {
+			entries[i] = wirebin.Entry{User: fmt.Sprintf("%s%03d", prefix, i), Group: 2, Values: []float64{0.1}}
+		}
+		return entries
+	}
+	sends := map[string]func(tn *stream.Tenant, entries []wirebin.Entry) error{
+		"json": func(tn *stream.Tenant, entries []wirebin.Entry) error {
+			reports := make([]ReportRequest, len(entries))
+			for i, e := range entries {
+				reports[i] = ReportRequest{User: e.User, Group: e.Group, Values: e.Values}
+			}
+			_, err := c.Tenant(tn.Name()).Ingest(ctx, reports)
+			return err
+		},
+		"bin": func(tn *stream.Tenant, entries []wirebin.Entry) error {
+			_, err := c.Tenant(tn.Name()).IngestFrame(ctx, 0, entries)
+			return err
+		},
+		"udp": func(tn *stream.Tenant, entries []wirebin.Entry) error {
+			uc, err := DialUDP(lis.Addr().String(), tn.Name())
+			if err != nil {
+				return err
+			}
+			defer uc.Close()
+			before := tn.Status().GroupReports[2]
+			if _, err := uc.Send(entries); err != nil {
+				return err
+			}
+			waitReports(t, tn, int(before)+len(entries))
+			return nil
+		},
+	}
+	for wire, send := range sends {
+		tn, err := srv.Registry().CreateSpec("ids-"+wire, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[string]float64)
+		for _, prefix := range []string{"first-", "later-"} {
+			entries := batchOf(prefix)
+			if err := send(tn, entries); err != nil {
+				t.Fatalf("%s: %v", wire, err)
+			}
+			for _, e := range entries {
+				want[e.User] = 0.25
+			}
+		}
+		if got := tn.Accountant().Export(); !maps.Equal(got, want) {
+			t.Errorf("%s: ledger keys were not copied out of the wire's buffers:\n got %v", wire, got)
+		}
+		if err := tn.Ingest("first-007", 1, []float64{0.1}); !errors.Is(err, stream.ErrWrongGroup) {
+			t.Errorf("%s: first batch's binding lost: reporting first-007 to group 1 gave %v", wire, err)
 		}
 	}
 }

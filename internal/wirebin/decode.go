@@ -3,18 +3,20 @@ package wirebin
 import (
 	"hash/crc32"
 	"math"
+	"unsafe"
 )
 
-// maxInterned caps the decoder's string intern tables; past it the table
-// is reset rather than growing without bound under an adversarial id
-// stream. A reset costs the next appearance of each live user one
+// maxInterned caps the decoder's tenant-name intern table; past it the
+// table is reset rather than growing without bound under an adversarial
+// name stream. A reset costs the next frame of each live tenant one
 // allocation, nothing more.
-const maxInterned = 1 << 20
+const maxInterned = 1 << 10
 
-// A Frame is one decoded ingest batch. Entries (and their Values) alias
-// the decoder's reused arenas: a frame is valid until the next Decode
-// call on the same decoder. User and Tenant strings are interned copies
-// and safe to retain — the engine stores them in binding maps.
+// A Frame is one decoded ingest batch. Entries, their Values and their
+// User strings alias the decoder's reused arenas: a frame is valid until
+// the next Decode call on the same decoder, and whoever keeps a user id
+// longer copies it (the engine's per-user table does, once, on first
+// insert). Tenant is an interned copy and safe to retain.
 type Frame struct {
 	// Tenant is the frame's tenant name ("" = transport-scoped).
 	Tenant string
@@ -24,19 +26,20 @@ type Frame struct {
 	Entries []Entry
 }
 
-// entrySpan is one parsed entry before materialization: values live at
-// arena[lo:hi]. Spans are materialized only after the whole frame parsed,
-// because the values arena may move while it grows.
+// entrySpan is one parsed entry before materialization: the user id is
+// ubuf[ulo:uhi], values live at arena[lo:hi]. Spans are materialized only
+// after the whole frame parsed, because both arenas may move while they
+// grow.
 type entrySpan struct {
-	user   string
-	group  int
-	lo, hi int
+	ulo, uhi int
+	group    int
+	lo, hi   int
 }
 
 // A Decoder decodes frames into reused arenas — zero allocations per
-// frame in the steady state (returning users and stable tenant names hit
-// the intern tables). A Decoder is not safe for concurrent use; pool
-// decoders, one per in-flight frame.
+// frame in the steady state (user ids are not copied out of the id arena,
+// stable tenant names hit the intern table). A Decoder is not safe for
+// concurrent use; pool decoders, one per in-flight frame.
 type Decoder struct {
 	frame  Frame
 	spans  []entrySpan
@@ -119,7 +122,6 @@ func (d *Decoder) Decode(buf []byte) (*Frame, error) {
 		ubuf = append(ubuf, ubuf[prevLo:prevLo+int(prefix)]...)
 		ubuf = append(ubuf, rest[:suffix]...)
 		prevLo, prevHi = lo, len(ubuf)
-		user := d.internBytes(ubuf[lo:])
 		rest = rest[suffix:]
 		group, rest, ok := readUvarint(rest)
 		if !ok || group > math.MaxInt32 {
@@ -155,19 +157,20 @@ func (d *Decoder) Decode(buf []byte) (*Frame, error) {
 		default:
 			return nil, ErrCorrupt
 		}
-		spans = append(spans, entrySpan{user: user, group: int(group), lo: vlo, hi: len(values)})
+		spans = append(spans, entrySpan{ulo: prevLo, uhi: prevHi, group: int(group), lo: vlo, hi: len(values)})
 		p = rest
 	}
 	if len(p) != 0 {
 		return nil, ErrCorrupt // trailing garbage inside the CRC'd body
 	}
-	// Materialize only now: the values arena has stopped moving, so the
-	// sub-slices stay valid for the frame's lifetime.
+	// Materialize only now: the arenas have stopped moving, so the
+	// sub-slices and the id strings laid over ubuf stay valid for the
+	// frame's lifetime (prefix+suffix > 0 above: no id is empty).
 	entries := d.frame.Entries[:0]
 	for i := range spans {
 		sp := &spans[i]
 		entries = append(entries, Entry{
-			User:   sp.user,
+			User:   unsafe.String(&ubuf[sp.ulo], sp.uhi-sp.ulo),
 			Group:  sp.group,
 			Values: values[sp.lo:sp.hi:sp.hi],
 		})
@@ -177,8 +180,8 @@ func (d *Decoder) Decode(buf []byte) (*Frame, error) {
 	return &d.frame, nil
 }
 
-// internBytes returns the canonical string for b, allocating only the
-// first time a given id is seen. The compiler elides the []byte→string
+// internBytes returns the canonical string for tenant name b, allocating
+// only the first time a given name is seen. The compiler elides the []byte→string
 // conversion in the map lookup, so the hit path allocates nothing.
 //
 //dapvet:hotpath

@@ -24,8 +24,9 @@
 //
 // Encoding and decoding are allocation-free in the steady state: the
 // Encoder appends into one reused buffer, and the Decoder materializes
-// entries into reused arenas, interning user-id and tenant strings so a
-// returning user costs a map lookup, not an allocation.
+// entries into reused arenas — user ids included, as strings laid over
+// the id arena that live as long as the frame — interning only the tenant
+// name.
 package wirebin
 
 import (

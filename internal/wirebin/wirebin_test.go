@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -64,9 +65,10 @@ func TestEmptyTenantAndReuse(t *testing.T) {
 	var enc Encoder
 	var dec Decoder
 	// Two decodes on one decoder: the second frame must fully replace the
-	// first (entries/arena reuse), and interned strings from the first
-	// must stay valid.
-	first, err := enc.Encode("", 1, []Entry{{User: "alice", Group: 0, Values: []float64{1.5}}})
+	// first (entries/arena reuse). A user string belongs to its frame — a
+	// copy taken before the next Decode is what a keeper holds on to — while
+	// the tenant name is interned and stays valid.
+	first, err := enc.Encode("t", 1, []Entry{{User: "alice", Group: 0, Values: []float64{1.5}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +76,11 @@ func TestEmptyTenantAndReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f1.Tenant != "" || f1.Entries[0].User != "alice" {
+	if f1.Tenant != "t" || f1.Entries[0].User != "alice" {
 		t.Fatalf("first decode: %+v", f1)
 	}
-	alice := f1.Entries[0].User
-	second, err := enc.Encode("t", 2, sampleEntries())
+	tenant, alice := f1.Tenant, strings.Clone(f1.Entries[0].User)
+	second, err := enc.Encode("", 2, sampleEntries())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +88,11 @@ func TestEmptyTenantAndReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !entriesEqual(sampleEntries(), f2.Entries) {
-		t.Fatalf("second decode reused state incorrectly: %+v", f2.Entries)
+	if f2.Tenant != "" || !entriesEqual(sampleEntries(), f2.Entries) {
+		t.Fatalf("second decode reused state incorrectly: %+v", f2)
 	}
-	if alice != "alice" {
-		t.Fatalf("interned string corrupted by later decode: %q", alice)
+	if tenant != "t" || alice != "alice" {
+		t.Fatalf("retained strings corrupted by later decode: tenant %q, user copy %q", tenant, alice)
 	}
 }
 
@@ -193,8 +195,8 @@ func TestFrontCodingDenseIDs(t *testing.T) {
 }
 
 // TestDecodeSteadyStateAllocFree pins the zero-allocation decode
-// contract: after the first frame warmed the arenas and intern table,
-// decoding frames of known users allocates nothing.
+// contract: after the first frame warmed the arenas and interned the
+// tenant name, decoding allocates nothing — user ids are never copied.
 func TestDecodeSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; production builds stay alloc-free")
