@@ -29,12 +29,13 @@ fmt-check:
 		echo "gofmt needed:"; echo "$$unformatted"; exit 1; \
 	fi
 
-# API-surface snapshots: the go doc output of the public package and of
-# the serving stack (internal/stream, internal/transport) is committed
-# under api/; apicheck fails when a surface drifts from its golden file,
-# making every API change — and every growth of the serving surface — a
-# reviewed diff. Regenerate deliberately with make apigen.
-API_SNAPSHOTS := .:dap ./internal/stream:stream ./internal/transport:transport
+# API-surface snapshots: the go doc output of the public package, of the
+# estimator (internal/core) and of the serving stack (internal/stream,
+# internal/transport) is committed under api/; apicheck fails when a
+# surface drifts from its golden file, making every API change — and every
+# growth of the estimator or serving surface — a reviewed diff. Regenerate
+# deliberately with make apigen.
+API_SNAPSHOTS := .:dap ./internal/core:core ./internal/stream:stream ./internal/transport:transport
 
 apicheck:
 	@for s in $(API_SNAPSHOTS); do \

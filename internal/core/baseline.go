@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"repro/internal/attack"
@@ -73,14 +71,11 @@ func (b *Baseline) GamedCollect(r *rand.Rand, values []float64, adv attack.Adver
 }
 
 func (b *Baseline) collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64, gamed bool) (*BaselineCollection, error) {
-	if gamma < 0 || gamma >= 1 {
-		return nil, fmt.Errorf("%w: gamma must lie in [0,1)", ErrDomain)
-	}
-	if adv == nil {
-		adv = attack.None{}
-	}
 	n := len(values)
-	nByz := int(math.Round(gamma * float64(n)))
+	adv, nByz, err := simulated(n, 0, adv, gamma)
+	if err != nil {
+		return nil, err
+	}
 	perm := r.Perm(n)
 	col := &BaselineCollection{
 		Alpha: make([]float64, 0, n),
@@ -108,31 +103,29 @@ func (b *Baseline) collect(r *rand.Rand, values []float64, adv attack.Adversary,
 // V′(β) per §IV-D: since the α and β poison sets form a unified attack,
 // their deviation from O is equal, so M_α estimated from ŷ(α) — rescaled
 // between the two output domains — substitutes for M_β in Eq. 12.
-func (b *Baseline) Estimate(col *BaselineCollection) (*Estimate, error) {
+func (b *Baseline) Estimate(col *BaselineCollection) (*Result, error) {
 	if col == nil || len(col.Alpha) == 0 || len(col.Beta) == 0 {
 		return nil, badCollection("baseline collection is empty")
 	}
-	din, dprime := emf.BucketCounts(len(col.Alpha), b.mechAlpha.C())
-	m, err := emf.BuildNumericCached(b.mechAlpha, din, dprime)
+	m, err := numericMatrix(b.mechAlpha, emf.OutputBuckets(len(col.Alpha)))
 	if err != nil {
 		return nil, err
 	}
-	return b.estimateFromCounts(m, m.Counts(col.Alpha), float64(len(col.Beta)), stats.Sum(col.Beta))
+	return b.estimate(m, m.Counts(col.Alpha), float64(len(col.Beta)), stats.Sum(col.Beta))
 }
 
 // EstimateHist runs the baseline collector from the histogram sufficient
 // statistic: Counts[0] is the ε_α report histogram (EMF probing reads only
 // bucket counts), Counts[1]/Sums[1] carry the ε_β report count and exact
 // sum that Eq. 12 needs.
-func (b *Baseline) EstimateHist(hc *HistCollection) (*Estimate, error) {
+func (b *Baseline) EstimateHist(hc *HistCollection) (*Result, error) {
 	if hc == nil || len(hc.Counts) != 2 || hc.Sums == nil || len(hc.Sums) != 2 {
 		return nil, badCollection("baseline estimation expects alpha and beta histograms with sums")
 	}
-	dprime := len(hc.Counts[0])
-	if dprime < 1 {
+	if len(hc.Counts[0]) < 1 {
 		return nil, badCollection("baseline alpha histogram is empty")
 	}
-	m, err := emf.BuildNumericCached(b.mechAlpha, emf.InputBuckets(dprime, b.mechAlpha.C()), dprime)
+	m, err := numericMatrix(b.mechAlpha, len(hc.Counts[0]))
 	if err != nil {
 		return nil, err
 	}
@@ -140,52 +133,35 @@ func (b *Baseline) EstimateHist(hc *HistCollection) (*Estimate, error) {
 	if nBeta <= 0 {
 		return nil, badCollection("baseline beta histogram holds no reports")
 	}
-	return b.estimateFromCounts(m, hc.Counts[0], nBeta, hc.Sums[1])
+	return b.estimate(m, hc.Counts[0], nBeta, hc.Sums[1])
 }
 
-// estimateFromCounts is the shared collector core: probe on the ε_α
-// histogram, remove the rescaled poison mass from the ε_β mean.
-func (b *Baseline) estimateFromCounts(m *emf.Matrix, counts []float64, nBeta, sumBeta float64) (*Estimate, error) {
-	cfg := emf.Config{Tol: emf.PaperTol(b.EpsAlpha), MaxIter: b.EMFMaxIter, Accelerate: true}
-	probe, err := emf.ProbeSide(m, counts, b.OPrime, cfg)
+// estimate is the shared collector core: probe on the ε_α histogram,
+// remove the rescaled poison mass from the ε_β mean.
+func (b *Baseline) estimate(m *emf.Matrix, counts []float64, nBeta, sumBeta float64) (*Result, error) {
+	sv := solver{scheme: b.Scheme, suppress: b.SuppressFactor, maxIter: b.EMFMaxIter}
+	probe, err := emf.ProbeSide(m, counts, b.OPrime, sv.cfg(b.EpsAlpha))
 	if err != nil {
 		return nil, err
 	}
 	var diag emfDiag
 	diag.observe(probe.Left, probe.Right)
-	side := probe.Side
-	var poison []int
-	if side == emf.Right {
-		poison = m.PoisonRight(b.OPrime)
-	} else {
-		poison = m.PoisonLeft(b.OPrime)
-	}
-	res := probe.Chosen()
-	switch b.Scheme {
-	case SchemeEMFStar:
-		// The probe's chosen fit solved the same poison layout; seed the
-		// constrained re-run from it.
-		cfg.Init = res
-		res, err = emf.RunConstrained(m, counts, poison, res.Gamma(), cfg)
-	case SchemeCEMFStar:
-		factor := b.SuppressFactor
-		if factor <= 0 {
-			factor = 0.5
-		}
-		res, err = emf.RunConcentrated(m, counts, res, res.Gamma(), factor, cfg)
-	}
+	// The probe's chosen fit solved the same poison layout: it is the
+	// scheme's base fit and the seed of a constrained re-run.
+	base := probe.Chosen()
+	fit, _, _, err := sv.fit(m, counts, sidePoison(probe.Side, b.OPrime)(m), base.Gamma(), b.EpsAlpha, base, nil, base)
 	if err != nil {
 		return nil, err
 	}
-	if res != probe.Chosen() {
-		diag.observe(res)
+	if fit != base {
+		diag.observe(fit)
 	}
-	gamma := res.Gamma()
+	gamma := fit.Gamma()
 	// M_α lives on the ε_α output domain [−C_α, C_α]; the unified-attack
 	// assumption equates the *deviation impact*, so rescale the poison mean
 	// into the ε_β domain before subtracting (M_α = M_β in the paper's
 	// shared-domain formulation).
-	poisonMeanAlpha := emf.PoisonMean(m, res)
+	poisonMeanAlpha := emf.PoisonMean(m, fit)
 	scale := b.mechBeta.C() / b.mechAlpha.C()
 	poisonMeanBeta := stats.Clamp(poisonMeanAlpha*scale, -b.mechBeta.C(), b.mechBeta.C())
 
@@ -193,22 +169,23 @@ func (b *Baseline) estimateFromCounts(m *emf.Matrix, counts []float64, nBeta, su
 	if mHat > 0.95*nBeta {
 		mHat = 0.95 * nBeta
 	}
-	mean := (sumBeta - mHat*poisonMeanBeta) / (nBeta - mHat)
-	est := &Estimate{
-		Mean:          stats.Clamp(mean, -1, 1),
-		PoisonedRight: side == emf.Right,
+	mean := stats.Clamp((sumBeta-mHat*poisonMeanBeta)/(nBeta-mHat), -1, 1)
+	res := &Result{
+		Task:          TaskBaseline,
+		Mean:          mean,
+		PoisonedRight: probe.Side == emf.Right,
 		Gamma:         gamma,
-		GroupMeans:    []float64{stats.Clamp(mean, -1, 1)},
+		GroupMeans:    []float64{mean},
 		GroupGammas:   []float64{gamma},
 		Weights:       []float64{1},
 		NHat:          []float64{nBeta - mHat},
 	}
-	diag.apply(est)
-	return est, nil
+	diag.apply(res)
+	return res, nil
 }
 
 // Run is Collect followed by Estimate.
-func (b *Baseline) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Estimate, error) {
+func (b *Baseline) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
 	col, err := b.Collect(r, values, adv, gamma)
 	if err != nil {
 		return nil, err

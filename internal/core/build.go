@@ -16,9 +16,9 @@ import (
 // Result is the unified collector output of every task kind. The fields a
 // task does not produce stay at their zero value: mean/variance tasks fill
 // Mean (and Variance/SecondMoment), distribution tasks add XHat, frequency
-// tasks fill Freqs/PoisonCats instead of Mean. The per-group diagnostics
-// (GroupMeans, GroupGammas, Weights, NHat) and the probed threat features
-// (Gamma, PoisonedRight) are common to all protocol tasks.
+// tasks fill Freqs/PoisonCats/GroupFreqs instead of Mean/GroupMeans. The
+// per-group diagnostics (GroupGammas, Weights, NHat, VarMin) and the probed
+// Byzantine proportion Gamma are common to all protocol tasks.
 type Result struct {
 	// Task is the producing spec's task kind.
 	Task TaskKind `json:"task"`
@@ -143,7 +143,8 @@ func Build(sp Spec) (Estimator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &meanEstimator{sp: sp, d: d}, nil
+		return &numericEstimator{sp: sp, d: d,
+			domain: func(t int) ldp.Domain { return d.Mechanism(t).OutputDomain() }}, nil
 	case sp.Task == TaskDistribution:
 		d, err := NewSWDAP(SWParams{
 			Eps: sp.Eps, Eps0: sp.Eps0, Scheme: scheme, TrimFrac: sp.TrimFrac,
@@ -153,7 +154,8 @@ func Build(sp Spec) (Estimator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &distEstimator{sp: sp, d: d}, nil
+		return &numericEstimator{sp: sp, d: d,
+			domain: func(t int) ldp.Domain { return d.Mechanism(t).OutputDomain() }}, nil
 	case sp.Task == TaskFrequency:
 		d, err := NewFreqDAP(FreqParams{
 			Eps: sp.Eps, Eps0: sp.Eps0, K: sp.K, Scheme: scheme,
@@ -202,121 +204,50 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// --- mean over PM ---
+// --- mean over PM, distribution over SW ---
 
-type meanEstimator struct {
-	sp Spec
-	d  *DAP
+// numericProtocol is what the PM and SW instantiations share.
+type numericProtocol interface {
+	Groups() []Group
+	Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error)
+	EstimateWarm(col *Collection, warm *WarmState) (*Result, error)
+	EstimateHistWarm(hc *HistCollection, warm *WarmState) (*Result, error)
 }
 
-func (e *meanEstimator) Spec() Spec                    { return e.sp }
-func (e *meanEstimator) Groups() []Group               { return e.d.Groups() }
-func (e *meanEstimator) OutputDomain(t int) ldp.Domain { return e.d.Mechanism(t).OutputDomain() }
+type numericEstimator struct {
+	sp     Spec
+	d      numericProtocol
+	domain func(t int) ldp.Domain
+}
 
-func (e *meanEstimator) Estimate(ctx context.Context, col *Collection) (*Result, error) {
+func (e *numericEstimator) Spec() Spec                    { return e.sp }
+func (e *numericEstimator) Groups() []Group               { return e.d.Groups() }
+func (e *numericEstimator) OutputDomain(t int) ldp.Domain { return e.domain(t) }
+
+func (e *numericEstimator) Estimate(ctx context.Context, col *Collection) (*Result, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	est, err := e.d.EstimateWarm(col, WarmFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return resultOfEstimate(TaskMean, est), nil
+	return e.d.EstimateWarm(col, WarmFromContext(ctx))
 }
 
-func (e *meanEstimator) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
+func (e *numericEstimator) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	est, err := e.d.EstimateHistWarm(hc, WarmFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return resultOfEstimate(TaskMean, est), nil
+	return e.d.EstimateHistWarm(hc, WarmFromContext(ctx))
 }
 
-func (e *meanEstimator) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
+func (e *numericEstimator) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
 	return e.d.Collect(r, values, adv, gamma)
 }
 
-func (e *meanEstimator) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	est, err := e.d.Run(r, values, adv, gamma)
+func (e *numericEstimator) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
+	col, err := e.d.Collect(r, values, adv, gamma)
 	if err != nil {
 		return nil, err
 	}
-	return resultOfEstimate(TaskMean, est), nil
-}
-
-func resultOfEstimate(task TaskKind, est *Estimate) *Result {
-	return &Result{
-		Task:          task,
-		Mean:          est.Mean,
-		Gamma:         est.Gamma,
-		PoisonedRight: est.PoisonedRight,
-		OPrime:        est.OPrime,
-		GroupMeans:    est.GroupMeans,
-		GroupGammas:   est.GroupGammas,
-		Weights:       est.Weights,
-		NHat:          est.NHat,
-		VarMin:        est.VarMin,
-		EMFIters:      est.EMFIters,
-		EMFRestarts:   est.EMFRestarts,
-		WarmHits:      est.WarmHits,
-		Converged:     est.Converged,
-		Warm:          est.Warm,
-	}
-}
-
-// --- distribution over SW ---
-
-type distEstimator struct {
-	sp Spec
-	d  *SWDAP
-}
-
-func (e *distEstimator) Spec() Spec                    { return e.sp }
-func (e *distEstimator) Groups() []Group               { return e.d.Groups() }
-func (e *distEstimator) OutputDomain(t int) ldp.Domain { return e.d.Mechanism(t).OutputDomain() }
-
-func (e *distEstimator) Estimate(ctx context.Context, col *Collection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	est, err := e.d.EstimateWarm(col, WarmFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return resultOfSW(est), nil
-}
-
-func (e *distEstimator) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	est, err := e.d.EstimateHistWarm(hc, WarmFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return resultOfSW(est), nil
-}
-
-func (e *distEstimator) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
-	return e.d.Collect(r, values, adv, gamma)
-}
-
-func (e *distEstimator) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	est, err := e.d.Run(r, values, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return resultOfSW(est), nil
-}
-
-func resultOfSW(est *SWEstimate) *Result {
-	res := resultOfEstimate(TaskDistribution, &est.Estimate)
-	res.OPrime = est.OPrime
-	res.XHat = est.XHat
-	return res
+	return e.d.EstimateWarm(col, nil)
 }
 
 // --- frequency over k-RR ---
@@ -353,11 +284,7 @@ func (e *freqEstimator) Estimate(ctx context.Context, col *Collection) (*Result,
 			counts[t][c]++
 		}
 	}
-	est, err := e.d.EstimateFreqWarm(&FreqCollection{Counts: counts, ByzCount: col.ByzCount}, WarmFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return resultOfFreq(est), nil
+	return e.d.EstimateFreqWarm(&FreqCollection{Counts: counts, ByzCount: col.ByzCount}, WarmFromContext(ctx))
 }
 
 func (e *freqEstimator) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
@@ -367,43 +294,15 @@ func (e *freqEstimator) EstimateHist(ctx context.Context, hc *HistCollection) (*
 	if hc == nil {
 		return nil, badCollection("histogram collection does not match group layout")
 	}
-	est, err := e.d.EstimateFreqWarm(&FreqCollection{Counts: hc.Counts}, WarmFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return resultOfFreq(est), nil
+	return e.d.EstimateFreqWarm(&FreqCollection{Counts: hc.Counts}, WarmFromContext(ctx))
 }
 
 func (e *freqEstimator) RunCats(r *rand.Rand, cats []int, poisonCats []int, gamma float64) (*Result, error) {
-	est, err := e.d.Run(r, cats, poisonCats, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return resultOfFreq(est), nil
+	return e.d.Run(r, cats, poisonCats, gamma)
 }
 
 func (e *freqEstimator) RunCatsAdv(r *rand.Rand, cats []int, adv attack.Adversary, gamma float64) (*Result, error) {
-	est, err := e.d.RunAdv(r, cats, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return resultOfFreq(est), nil
-}
-
-func resultOfFreq(est *FreqEstimate) *Result {
-	return &Result{
-		Task:        TaskFrequency,
-		Freqs:       est.Freqs,
-		Gamma:       est.Gamma,
-		PoisonCats:  est.PoisonCats,
-		GroupFreqs:  est.GroupFreqs,
-		Weights:     est.Weights,
-		EMFIters:    est.EMFIters,
-		EMFRestarts: est.EMFRestarts,
-		WarmHits:    est.WarmHits,
-		Converged:   est.Converged,
-		Warm:        est.Warm,
-	}
+	return e.d.RunAdv(r, cats, adv, gamma)
 }
 
 // --- variance via split populations ---
@@ -426,20 +325,9 @@ func (e *varianceEstimator) Groups() []Group {
 // one statistic and spends exactly ε), collects the mean half on v and
 // the moment half on 2v²−1, and concatenates the group reports.
 func (e *varianceEstimator) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
-	if len(values) < 4 {
-		return nil, badCollection("variance estimation needs at least four users")
-	}
-	perm := rng.SampleWithoutReplacement(r, len(values), len(values))
-	half := len(values) / 2
-	meanVals := make([]float64, 0, half)
-	momentVals := make([]float64, 0, len(values)-half)
-	for i, u := range perm {
-		if i < half {
-			meanVals = append(meanVals, values[u])
-		} else {
-			v := values[u]
-			momentVals = append(momentVals, 2*v*v-1)
-		}
+	meanVals, momentVals, err := splitMoments(r, values)
+	if err != nil {
+		return nil, err
 	}
 	c1, err := e.mean.Collect(r, meanVals, adv, gamma)
 	if err != nil {
@@ -504,23 +392,24 @@ func (e *varianceEstimator) Run(r *rand.Rand, values []float64, adv attack.Adver
 }
 
 // varianceResult combines the two half estimates: Var = E[v²] − E[v]²
-// with E[v²] = (E[2v²−1]+1)/2. Group diagnostics concatenate the halves;
-// solver telemetry sums and the warm states compose.
-func varianceResult(m1, m2 *Estimate) *Result {
-	res := resultOfEstimate(TaskVariance, m1)
-	m2sq := stats.Clamp((m2.Mean+1)/2, 0, 1)
-	res.SecondMoment = m2sq
-	res.Variance = math.Max(0, m2sq-m1.Mean*m1.Mean)
+// with E[v²] = (E[2v²−1]+1)/2. Mean, the probed threat features and VarMin
+// are the mean half's; group diagnostics concatenate the halves, solver
+// telemetry sums and the warm states compose.
+func varianceResult(m1, m2 *Result) *Result {
+	res := *m1
+	res.Task = TaskVariance
+	res.SecondMoment = stats.Clamp((m2.Mean+1)/2, 0, 1)
+	res.Variance = math.Max(0, res.SecondMoment-m1.Mean*m1.Mean)
 	res.GroupMeans = append(append([]float64(nil), m1.GroupMeans...), m2.GroupMeans...)
 	res.GroupGammas = append(append([]float64(nil), m1.GroupGammas...), m2.GroupGammas...)
 	res.Weights = append(append([]float64(nil), m1.Weights...), m2.Weights...)
 	res.NHat = append(append([]float64(nil), m1.NHat...), m2.NHat...)
-	res.EMFIters = m1.EMFIters + m2.EMFIters
-	res.EMFRestarts = m1.EMFRestarts + m2.EMFRestarts
-	res.WarmHits = m1.WarmHits + m2.WarmHits
+	res.EMFIters += m2.EMFIters
+	res.EMFRestarts += m2.EMFRestarts
+	res.WarmHits += m2.WarmHits
 	res.Converged = m1.Converged && m2.Converged
 	res.Warm = &WarmState{sub: []*WarmState{m1.Warm, m2.Warm}}
-	return res
+	return &res
 }
 
 // --- the §IV two-budget baseline ---
@@ -556,30 +445,18 @@ func (e *baselineEstimator) Estimate(ctx context.Context, col *Collection) (*Res
 	if col == nil || len(col.Groups) != 2 {
 		return nil, badCollection("baseline estimation expects two groups (alpha, beta)")
 	}
-	est, err := e.b.Estimate(&BaselineCollection{Alpha: col.Groups[0], Beta: col.Groups[1]})
-	if err != nil {
-		return nil, err
-	}
-	return resultOfEstimate(TaskBaseline, est), nil
+	return e.b.Estimate(&BaselineCollection{Alpha: col.Groups[0], Beta: col.Groups[1]})
 }
 
 func (e *baselineEstimator) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	est, err := e.b.EstimateHist(hc)
-	if err != nil {
-		return nil, err
-	}
-	return resultOfEstimate(TaskBaseline, est), nil
+	return e.b.EstimateHist(hc)
 }
 
 func (e *baselineEstimator) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	est, err := e.b.Run(r, values, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return resultOfEstimate(TaskBaseline, est), nil
+	return e.b.Run(r, values, adv, gamma)
 }
 
 // --- comparator defenses ---

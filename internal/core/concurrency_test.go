@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand/v2"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/attack"
@@ -20,29 +21,56 @@ func testValues(n int) []float64 {
 
 // TestEstimateDeterministicUnderConcurrency: the collector side fans the
 // per-group EM fits out on goroutines; repeated Estimate calls over the
-// same collection must be bit-identical.
+// same collection — one after another and several at once — must be
+// bit-identical. The SW read-out additionally accumulates x̂ across groups,
+// which must happen in group order whatever order the fits finish in.
 func TestEstimateDeterministicUnderConcurrency(t *testing.T) {
+	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
 	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeCEMFStar})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
 	col, err := d.Collect(rng.New(5), testValues(6000), adv, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := d.Estimate(col)
+	swd, err := NewSWDAP(SWParams{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeCEMFStar})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for rep := 0; rep < 5; rep++ {
-		again, err := d.Estimate(col)
+	swValues, _ := values01(5, 6000)
+	swCol, err := swd.Collect(rng.New(5), swValues, adv, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, estimate := range map[string]func() (*Result, error){
+		"pm": func() (*Result, error) { return d.Estimate(col) },
+		"sw": func() (*Result, error) { return swd.Estimate(swCol) },
+	} {
+		first, err := estimate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(first, again) {
-			t.Fatalf("Estimate diverged on repeat %d:\n%+v\nvs\n%+v", rep, first, again)
+		for rep := 0; rep < 5; rep++ {
+			again, err := estimate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(first, again) {
+				t.Fatalf("%s: Estimate diverged on repeat %d:\n%+v\nvs\n%+v", name, rep, first, again)
+			}
 		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if again, err := estimate(); err != nil || !reflect.DeepEqual(first, again) {
+					t.Errorf("%s: parallel Estimate diverged (err %v)", name, err)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 
@@ -38,13 +37,6 @@ type Params struct {
 	WeightMode WeightMode
 }
 
-func (p *Params) suppressFactor() float64 {
-	if p.SuppressFactor > 0 {
-		return p.SuppressFactor
-	}
-	return 0.5
-}
-
 // Group describes one DAP group (§V-A).
 type Group struct {
 	// Index is the group position t−1 (0-based); budgets halve as it grows.
@@ -59,35 +51,23 @@ type Group struct {
 // DAP is a Differential Aggregation Protocol instance for mean estimation
 // over the Piecewise Mechanism.
 type DAP struct {
-	p      Params
-	groups []Group
-	mechs  []*pm.Mechanism
+	solver
+	p     Params
+	mechs []*pm.Mechanism
 }
 
 // NewDAP validates parameters and precomputes the group layout.
 func NewDAP(p Params) (*DAP, error) {
-	if err := validateBudgets(p.Eps, p.Eps0); err != nil {
+	s, mechs, err := newSolver(solver{
+		eps: p.Eps, scheme: p.Scheme, suppress: p.SuppressFactor,
+		maxIter: p.EMFMaxIter, weights: p.WeightMode,
+	}, p.Eps0, pm.New)
+	if err != nil {
 		return nil, err
 	}
-	h := groupCount(p.Eps, p.Eps0)
-	d := &DAP{p: p, groups: make([]Group, h), mechs: make([]*pm.Mechanism, h)}
-	for t := 0; t < h; t++ {
-		eps := p.Eps / math.Pow(2, float64(t))
-		mech, err := pm.New(eps)
-		if err != nil {
-			return nil, fmt.Errorf("core: group %d: %w", t, err)
-		}
-		d.groups[t] = Group{Index: t, Eps: eps, Reports: 1 << t}
-		d.mechs[t] = mech
-	}
-	return d, nil
+	s.matrix = func(t, dprime int) (*emf.Matrix, error) { return numericMatrix(mechs[t], dprime) }
+	return &DAP{solver: s, p: p, mechs: mechs}, nil
 }
-
-// Groups returns the group layout.
-func (d *DAP) Groups() []Group { return append([]Group(nil), d.groups...) }
-
-// H returns the number of groups h = ⌈log₂(ε/ε₀)⌉+1.
-func (d *DAP) H() int { return len(d.groups) }
 
 // Params returns the protocol parameters.
 func (d *DAP) Params() Params { return d.p }
@@ -111,17 +91,11 @@ type Collection struct {
 // report slot. Byzantine users know each group's mechanism and output
 // domain (the protocol is public) but not other users' data.
 func (d *DAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
-	n := len(values)
-	if n < d.H() {
-		return nil, badCollection("fewer users than groups")
+	n, h := len(values), d.H()
+	adv, nByz, err := simulated(n, h, adv, gamma)
+	if err != nil {
+		return nil, err
 	}
-	if gamma < 0 || gamma >= 1 {
-		return nil, fmt.Errorf("%w: gamma must lie in [0,1)", ErrDomain)
-	}
-	if adv == nil {
-		adv = attack.None{}
-	}
-	nByz := int(math.Round(gamma * float64(n)))
 	// A single shuffle provides both the Byzantine subset and the group
 	// assignment: group t holds users perm[t·n/h : (t+1)·n/h], and the
 	// Byzantine users are the fixed ids {0..nByz−1}, met wherever the
@@ -130,8 +104,7 @@ func (d *DAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamm
 	// while each group's Byzantine count stays multivariate hypergeometric
 	// exactly as with the second O(N) permutation the seed version drew.
 	perm := r.Perm(n)
-	col := &Collection{Groups: make([][]float64, d.H()), ByzCount: nByz}
-	h := d.H()
+	col := &Collection{Groups: make([][]float64, h), ByzCount: nByz}
 	for t := 0; t < h; t++ {
 		lo, hi := t*n/h, (t+1)*n/h
 		g := d.groups[t]
@@ -159,62 +132,36 @@ func (d *DAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamm
 // scheme (Eq. 13), and variance-optimal inter-group aggregation
 // (Algorithm 5). The poisoned side and γ̂ fed to EMF*/CEMF* come from the
 // group with the smallest budget, where Theorem 3 makes EMF sharpest.
-func (d *DAP) Estimate(col *Collection) (*Estimate, error) {
+func (d *DAP) Estimate(col *Collection) (*Result, error) {
 	return d.EstimateWarm(col, nil)
 }
 
 // EstimateWarm is Estimate with the solver runs seeded from a previous
 // estimate's fits (tolerance-equivalent to the cold run; see WarmState).
-func (d *DAP) EstimateWarm(col *Collection, warm *WarmState) (*Estimate, error) {
-	h := d.H()
-	if col == nil || len(col.Groups) != h {
-		return nil, badCollection("collection does not match group layout")
-	}
-	matrices := make([]*emf.Matrix, h)
-	counts := make([][]float64, h)
-	sums := make([]float64, h)
-	ns := make([]float64, h)
-	for t := 0; t < h; t++ {
-		if len(col.Groups[t]) == 0 {
-			return nil, badCollection("group %d holds no reports", t)
-		}
-	}
-	if err := forEachGroup(h, func(t int) error {
-		din, dprime := emf.BucketCounts(len(col.Groups[t]), d.mechs[t].C())
-		m, err := emf.BuildNumericCached(d.mechs[t], din, dprime)
-		if err != nil {
-			return err
-		}
-		matrices[t] = m
-		counts[t] = m.Counts(col.Groups[t])
-		sums[t] = stats.Sum(col.Groups[t])
-		ns[t] = float64(len(col.Groups[t]))
-		return nil
-	}); err != nil {
+func (d *DAP) EstimateWarm(col *Collection, warm *WarmState) (*Result, error) {
+	hc, matrices, err := d.reduce(col)
+	if err != nil {
 		return nil, err
 	}
-	return d.estimateFromCounts(matrices, counts, sums, ns, col.Groups[h-1], warm)
+	return d.estimate(matrices, hc, col.Groups[d.H()-1], warm)
 }
 
-// estimateFromCounts runs stages 3–5 over the per-group sufficient
-// statistic (transform matrices, output histograms, report sums and
-// counts). probeRaw carries the smallest-budget group's raw reports for
-// Theorem 2's AutoOPrime trimmed mean; the histogram entry point passes
-// nil and the trimmed mean falls back to bucket centers. warm optionally
-// seeds every solver run from a previous estimate's fits.
-func (d *DAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, sums, ns []float64, probeRaw []float64, warm *WarmState) (*Estimate, error) {
+// estimate runs stages 3–5 over the per-group sufficient statistic.
+// probeRaw carries the smallest-budget group's raw reports for Theorem 2's
+// AutoOPrime trimmed mean; the histogram entry point passes nil and the
+// trimmed mean falls back to bucket centers. warm optionally seeds every
+// solver run from a previous estimate's fits.
+func (d *DAP) estimate(matrices []*emf.Matrix, hc *HistCollection, probeRaw []float64, warm *WarmState) (*Result, error) {
 	h := d.H()
 	var diag emfDiag
 	// Stage 3: probe side and γ̂ at the smallest budget (group h−1).
-	probeCfg := d.cfg(h - 1)
+	m, counts, probeCfg := matrices[h-1], hc.Counts[h-1], d.cfg(d.groups[h-1].Eps)
 	oPrime := d.p.OPrime
-	probe, err := emf.ProbeSideInit(matrices[h-1], counts[h-1], oPrime, probeCfg,
-		warm.probeLeft(), warm.probeRight())
+	probe, err := emf.ProbeSideInit(m, counts, oPrime, probeCfg, warm.probeLeft(), warm.probeRight())
 	if err != nil {
 		return nil, err
 	}
 	diag.observe(probe.Left, probe.Right)
-	side := probe.Side
 	if d.p.AutoOPrime {
 		// Theorem 2: trim the suspected-poisoned tail of the smallest-budget
 		// reports (PM reports are unbiased, so their trimmed mean lives on
@@ -222,140 +169,45 @@ func (d *DAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, sum
 		// re-probe solves the same counts with shifted poison sets, so the
 		// first probe's fits are its natural seeds.
 		if probeRaw != nil {
-			oPrime = PessimisticO(probeRaw, d.p.GammaSup, side == emf.Right)
+			oPrime = PessimisticO(probeRaw, d.p.GammaSup, probe.Side == emf.Right)
 		} else {
-			oPrime = PessimisticOHist(counts[h-1], outCenters(matrices[h-1]),
-				d.p.GammaSup, side == emf.Right)
+			oPrime = PessimisticOHist(counts, outCenters(m), d.p.GammaSup, probe.Side == emf.Right)
 		}
 		oPrime = stats.Clamp(oPrime, -1, 1)
-		if probe, err = emf.ProbeSideInit(matrices[h-1], counts[h-1], oPrime, probeCfg,
-			probe.Left, probe.Right); err != nil {
+		if probe, err = emf.ProbeSideInit(m, counts, oPrime, probeCfg, probe.Left, probe.Right); err != nil {
 			return nil, err
 		}
 		diag.observe(probe.Left, probe.Right)
-		side = probe.Side
 	}
-	gammaGlobal := probe.Chosen().Gamma()
+	gamma := probe.Chosen().Gamma()
 
-	est := &Estimate{
-		PoisonedRight: side == emf.Right,
-		Gamma:         gammaGlobal,
-		GroupMeans:    make([]float64, h),
-		GroupGammas:   make([]float64, h),
-		Weights:       make([]float64, h),
-		NHat:          make([]float64, h),
-	}
-	est.OPrime = oPrime
-	b := make([]float64, h)
-	bases := make([]*emf.Result, h)
-	finals := make([]*emf.Result, h)
-	diags := make([]emfDiag, h)
-	// Stage 4: intra-group estimation. The h EM fits are independent (each
-	// reads shared immutable inputs and writes only its own index), so they
-	// run concurrently; the estimate is bit-identical to the sequential one.
-	if err := forEachGroup(h, func(t int) error {
-		wBase, wFinal := warm.base(t), warm.final(t)
-		if t == h-1 {
-			// The probe just solved group h−1's deconvolution on the chosen
-			// side; its fit is a near-converged seed, fresher than any
-			// previous estimate's.
-			wBase = probe.Chosen()
-			if wFinal == nil {
-				wFinal = probe.Chosen()
-			}
-		}
-		res, base, gammaT, err := d.groupResult(matrices[t], counts[t], side, gammaGlobal, oPrime, t, wBase, wFinal)
-		if err != nil {
-			return err
-		}
-		bases[t], finals[t] = base, res
-		diags[t].observe(res)
-		if base != nil && base != res {
-			diags[t].observe(base)
-		}
-		nt := ns[t]
-		mHat := gammaT * nt
-		if mHat > 0.95*nt {
-			mHat = 0.95 * nt
-		}
-		poisonMean := emf.PoisonMean(matrices[t], res)
-		mt := (sums[t] - mHat*poisonMean) / (nt - mHat)
-		est.GroupMeans[t] = stats.Clamp(mt, -1, 1)
-		est.GroupGammas[t] = gammaT
-		// n̂_t = (N_t − m̂_t)·ε_t/ε converts report counts to user counts.
-		est.NHat[t] = (nt - mHat) * d.groups[t].Eps / d.p.Eps
-		b[t] = est.NHat[t] * d.mechs[t].WorstCaseVar()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for t := range diags {
-		diag.merge(diags[t])
-	}
-	diag.apply(est)
-	est.Warm = &WarmState{probeL: probe.Left, probeR: probe.Right, bases: bases, finals: finals}
-
-	// Stage 5: inter-group aggregation (Algorithm 5).
-	w, err := OptimalWeights(b, est.NHat, d.p.WeightMode)
+	// Stages 4–5: intra-group fits and Algorithm 5's weights.
+	fits, err := d.fitGroups(matrices, hc.Counts, sidePoison(probe.Side, oPrime), gamma, probe.Chosen(), warm, diag)
 	if err != nil {
 		return nil, err
 	}
-	est.Weights = w
-	est.VarMin = MinVariance(b, est.NHat)
-	est.Mean = Aggregate(est.GroupMeans, w)
-	return est, nil
+	res := fits.result(TaskMean, gamma)
+	res.Warm.probeL, res.Warm.probeR = probe.Left, probe.Right
+	res.PoisonedRight, res.OPrime = probe.Side == emf.Right, oPrime
+	// Read-out (Eq. 13): remove the poison mass m̂_t·mean(ŷ_t) from each
+	// group's report sum and average over the remaining reports.
+	res.GroupMeans = make([]float64, h)
+	for t := range res.GroupMeans {
+		poisonMean := emf.PoisonMean(matrices[t], fits.finals[t])
+		mt := (hc.Sums[t] - fits.mHat[t]*poisonMean) / (fits.n[t] - fits.mHat[t])
+		res.GroupMeans[t] = stats.Clamp(mt, -1, 1)
+	}
+	res.Mean = Aggregate(res.GroupMeans, res.Weights)
+	return res, nil
 }
 
 // Run is Collect followed by Estimate.
-func (d *DAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Estimate, error) {
+func (d *DAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
 	col, err := d.Collect(r, values, adv, gamma)
 	if err != nil {
 		return nil, err
 	}
 	return d.Estimate(col)
-}
-
-// groupResult applies the configured scheme to one group, seeding the
-// solver from warmBase (the plain-EMF base fit) and warmFinal (the
-// scheme's final fit) when available. It returns the final fit, the base
-// fit it derives from (nil under EMF*, which needs none: its γ comes from
-// the smallest-budget probe, so the unconstrained base run the seed
-// version always performed was pure waste) and the group's γ̂.
-func (d *DAP) groupResult(m *emf.Matrix, counts []float64, side emf.Side, gammaGlobal, oPrime float64, t int, warmBase, warmFinal *emf.Result) (res, base *emf.Result, gammaT float64, err error) {
-	var poison []int
-	if side == emf.Right {
-		poison = m.PoisonRight(oPrime)
-	} else {
-		poison = m.PoisonLeft(oPrime)
-	}
-	cfg := d.cfg(t)
-	if d.p.Scheme == SchemeEMFStar {
-		cfg.Init = warmFinal
-		res, err = emf.RunConstrained(m, counts, poison, gammaGlobal, cfg)
-		return res, nil, gammaGlobal, err
-	}
-	cfg.Init = warmBase
-	base, err = emf.Run(m, counts, poison, cfg)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if d.p.Scheme == SchemeCEMFStar {
-		// RunConcentrated seeds its constrained re-run from base (the fit
-		// on the current counts beats any previous estimate's).
-		res, err = emf.RunConcentrated(m, counts, base, gammaGlobal, d.p.suppressFactor(), d.cfg(t))
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return res, base, res.Gamma(), nil
-	}
-	return base, base, base.Gamma(), nil
-}
-
-// cfg builds the EM iteration controls for group t, using the paper's
-// termination threshold τ = 0.01·e^{ε_t} and the SQUAREM-accelerated
-// solver (tolerance-equivalent to the plain loop, ~2–5× fewer E-steps).
-func (d *DAP) cfg(t int) emf.Config {
-	return emf.Config{Tol: emf.PaperTol(d.groups[t].Eps), MaxIter: d.p.EMFMaxIter, Accelerate: true}
 }
 
 // CollectPM gathers a plain single-group PM collection at budget eps with

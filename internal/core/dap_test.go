@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -29,6 +30,14 @@ func TestNewDAPValidation(t *testing.T) {
 	}
 	if _, err := NewDAP(Params{Eps: 1, Eps0: 2}); err == nil {
 		t.Fatal("eps0 > eps accepted")
+	}
+	// The group count is bounded: ε/ε₀ = 2¹⁵ lays out MaxGroups groups,
+	// anything beyond is a bad spec (group t reports 2^t times).
+	if d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / (1 << (MaxGroups - 1))}); err != nil || d.H() != MaxGroups {
+		t.Fatalf("eps/eps0 = 2^%d: %v", MaxGroups-1, err)
+	}
+	if _, err := NewDAP(Params{Eps: 1, Eps0: 1e-12}); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("eps0 = 1e-12: err = %v, want ErrBadSpec", err)
 	}
 }
 

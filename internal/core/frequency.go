@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"repro/internal/attack"
@@ -33,38 +32,31 @@ type FreqParams struct {
 
 // FreqDAP is the categorical instantiation of the protocol.
 type FreqDAP struct {
-	p      FreqParams
-	groups []Group
-	mechs  []*krr.Mechanism
+	solver
+	p     FreqParams
+	mechs []*krr.Mechanism
 }
 
 // NewFreqDAP validates parameters and precomputes the group layout.
 func NewFreqDAP(p FreqParams) (*FreqDAP, error) {
-	if err := validateBudgets(p.Eps, p.Eps0); err != nil {
-		return nil, err
-	}
 	if p.K < 2 {
 		return nil, badSpec("categorical protocol needs K >= 2")
 	}
-	h := groupCount(p.Eps, p.Eps0)
-	d := &FreqDAP{p: p, groups: make([]Group, h), mechs: make([]*krr.Mechanism, h)}
-	for t := 0; t < h; t++ {
-		eps := p.Eps / math.Pow(2, float64(t))
-		mech, err := krr.New(eps, p.K)
-		if err != nil {
-			return nil, fmt.Errorf("core: krr group %d: %w", t, err)
-		}
-		d.groups[t] = Group{Index: t, Eps: eps, Reports: 1 << t}
-		d.mechs[t] = mech
+	s, mechs, err := newSolver(solver{
+		eps: p.Eps, scheme: p.Scheme, suppress: p.SuppressFactor,
+		maxIter: p.EMFMaxIter, weights: p.WeightMode,
+	}, p.Eps0, func(eps float64) (*krr.Mechanism, error) { return krr.New(eps, p.K) })
+	if err != nil {
+		return nil, err
 	}
-	return d, nil
+	s.matrix = func(t, dprime int) (*emf.Matrix, error) {
+		if dprime != p.K {
+			return nil, badCollection("group %d counts have wrong arity", t)
+		}
+		return emf.BuildCategoricalCached(mechs[t]), nil
+	}
+	return &FreqDAP{solver: s, p: p, mechs: mechs}, nil
 }
-
-// H returns the group count.
-func (d *FreqDAP) H() int { return len(d.groups) }
-
-// Groups returns the group layout.
-func (d *FreqDAP) Groups() []Group { return append([]Group(nil), d.groups...) }
 
 // Mechanism returns the k-RR instance of group t.
 func (d *FreqDAP) Mechanism(t int) *krr.Mechanism { return d.mechs[t] }
@@ -105,23 +97,16 @@ func (d *FreqDAP) CollectFreq(r *rand.Rand, cats []int, poisonCats []int, gamma 
 // over the domain [0, K)) directly, no perturbation. Reports outside
 // [0, K) or non-integral are rejected with ErrDomain.
 func (d *FreqDAP) CollectFreqAdv(r *rand.Rand, cats []int, adv attack.Adversary, gamma float64) (*FreqCollection, error) {
-	n := len(cats)
-	if n < d.H() {
-		return nil, badCollection("fewer users than groups")
+	n, h := len(cats), d.H()
+	adv, nByz, err := simulated(n, h, adv, gamma)
+	if err != nil {
+		return nil, err
 	}
-	if gamma < 0 || gamma >= 1 {
-		return nil, fmt.Errorf("%w: gamma must lie in [0,1)", ErrDomain)
-	}
-	if adv == nil {
-		adv = attack.None{}
-	}
-	nByz := int(math.Round(gamma * float64(n)))
 	// One shuffle provides both the Byzantine subset (the fixed ids
 	// {0..nByz−1}, scattered by the shuffle; their categories are never
 	// reported) and the group assignment (contiguous chunks), mirroring
 	// DAP.Collect — per-group Byzantine counts stay hypergeometric.
 	perm := r.Perm(n)
-	h := d.H()
 	col := &FreqCollection{Counts: make([][]float64, h), ByzCount: nByz}
 	for t := 0; t < h; t++ {
 		lo, hi := t*n/h, (t+1)*n/h
@@ -150,154 +135,64 @@ func (d *FreqDAP) CollectFreqAdv(r *rand.Rand, cats []int, adv attack.Adversary,
 	return col, nil
 }
 
-// FreqEstimate is the collector's categorical output.
-type FreqEstimate struct {
-	// Freqs is the final normal-user frequency estimate (sums to one).
-	Freqs []float64
-	// Gamma is the Byzantine proportion probed at the smallest budget.
-	Gamma float64
-	// PoisonCats is the probed poisoned category set.
-	PoisonCats []int
-	// GroupFreqs are the per-group frequency estimates.
-	GroupFreqs [][]float64
-	// Weights are the aggregation weights.
-	Weights []float64
-	// Solver telemetry: total EM-map evaluations, rejected SQUAREM
-	// extrapolations and warm-started runs (category probing excluded from
-	// WarmHits — the recursive probe always starts cold).
-	EMFIters, EMFRestarts, WarmHits int
-	// Converged reports whether every solver run met its tolerance.
-	Converged bool
-	// Warm carries the per-group fits for seeding the next estimate.
-	Warm *WarmState
-}
-
 // EstimateFreq runs the collector side.
-func (d *FreqDAP) EstimateFreq(col *FreqCollection) (*FreqEstimate, error) {
+func (d *FreqDAP) EstimateFreq(col *FreqCollection) (*Result, error) {
 	return d.EstimateFreqWarm(col, nil)
 }
 
 // EstimateFreqWarm is EstimateFreq with the per-group solver runs seeded
 // from a previous estimate's fits (tolerance-equivalent; see WarmState).
 // The recursive category probe always runs cold: its poison sets shrink
-// as the recursion descends, so no previous fit matches them reliably.
-func (d *FreqDAP) EstimateFreqWarm(col *FreqCollection, warm *WarmState) (*FreqEstimate, error) {
-	h := d.H()
-	if col == nil || len(col.Counts) != h {
+// as the recursion descends, so no previous fit matches them reliably
+// (and it is excluded from WarmHits).
+func (d *FreqDAP) EstimateFreqWarm(col *FreqCollection, warm *WarmState) (*Result, error) {
+	if col == nil {
 		return nil, badCollection("collection does not match group layout")
 	}
-	matrices := make([]*emf.Matrix, h)
-	for t := 0; t < h; t++ {
-		if len(col.Counts[t]) != d.p.K {
-			return nil, badCollection("group %d counts have wrong arity", t)
-		}
-		matrices[t] = emf.BuildCategoricalCached(d.mechs[t])
-	}
-	// Probe poisoned categories and γ̂ at the smallest budget.
-	probeSet, probeRes, err := emf.ProbeCategories(matrices[h-1], col.Counts[h-1], d.cfg(h-1))
+	matrices, err := d.matrices(&HistCollection{Counts: col.Counts})
 	if err != nil {
 		return nil, err
 	}
-	gammaGlobal := probeRes.Gamma()
-
-	est := &FreqEstimate{
-		Gamma:      gammaGlobal,
-		PoisonCats: probeSet,
-		GroupFreqs: make([][]float64, h),
+	h := d.H()
+	// Stage 3: probe poisoned categories and γ̂ at the smallest budget.
+	poisonCats, probe, err := emf.ProbeCategories(matrices[h-1], col.Counts[h-1], d.cfg(d.groups[h-1].Eps))
+	if err != nil {
+		return nil, err
 	}
 	var diag emfDiag
-	diag.observe(probeRes)
-	b := make([]float64, h)
-	nHat := make([]float64, h)
-	bases := make([]*emf.Result, h)
-	finals := make([]*emf.Result, h)
-	diags := make([]emfDiag, h)
-	// The per-group EM fits are independent; run them concurrently (each
-	// writes only its own index, so the output is order-independent).
-	if err := forEachGroup(h, func(t int) (err error) {
-		m := matrices[t]
-		cfg := d.cfg(t)
-		wBase, wFinal := warm.base(t), warm.final(t)
-		if t == h-1 {
-			// The category probe just fitted this group with the chosen
-			// poison set — the freshest possible seed.
-			wBase = probeRes
-			if wFinal == nil {
-				wFinal = probeRes
-			}
-		}
-		var res, base *emf.Result
-		var gammaT float64
-		switch d.p.Scheme {
-		case SchemeEMFStar:
-			// The unconstrained base fit is unused under EMF*; skip it.
-			cfg.Init = wFinal
-			if res, err = emf.RunConstrained(m, col.Counts[t], probeSet, gammaGlobal, cfg); err != nil {
-				return err
-			}
-			gammaT = gammaGlobal
-		case SchemeCEMFStar:
-			factor := d.p.SuppressFactor
-			if factor <= 0 {
-				factor = 0.5
-			}
-			cfg.Init = wBase
-			if base, err = emf.Run(m, col.Counts[t], probeSet, cfg); err != nil {
-				return err
-			}
-			if res, err = emf.RunConcentrated(m, col.Counts[t], base, gammaGlobal, factor, d.cfg(t)); err != nil {
-				return err
-			}
-			gammaT = res.Gamma()
-		default:
-			cfg.Init = wBase
-			if base, err = emf.Run(m, col.Counts[t], probeSet, cfg); err != nil {
-				return err
-			}
-			res = base
-			gammaT = base.Gamma()
-		}
-		bases[t], finals[t] = base, res
-		diags[t].observe(res)
-		if base != nil && base != res {
-			diags[t].observe(base)
-		}
-		est.GroupFreqs[t] = stats.Normalize(res.X)
-		nt := stats.Sum(col.Counts[t])
-		mHat := gammaT * nt
-		if mHat > 0.95*nt {
-			mHat = 0.95 * nt
-		}
-		nHat[t] = (nt - mHat) * d.groups[t].Eps / d.p.Eps
-		b[t] = nHat[t] * d.mechs[t].WorstCaseVar()
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for t := range diags {
-		diag.merge(diags[t])
-	}
-	est.EMFIters, est.EMFRestarts, est.WarmHits = diag.iters, diag.restarts, diag.warmHits
-	est.Converged = !diag.diverged
-	est.Warm = &WarmState{bases: bases, finals: finals}
-	w, err := OptimalWeights(b, nHat, d.p.WeightMode)
+	diag.observe(probe)
+	gamma := probe.Gamma()
+
+	fits, err := d.fitGroups(matrices, col.Counts, func(*emf.Matrix) []int { return poisonCats }, gamma, probe, warm, diag)
 	if err != nil {
 		return nil, err
 	}
-	est.Weights = w
-	freqs := make([]float64, d.p.K)
-	for t := 0; t < h; t++ {
+	res := fits.result(TaskFrequency, gamma)
+	res.PoisonCats = poisonCats
+	// Read-out: each group's fit is its normal-user frequency vector.
+	res.GroupFreqs = make([][]float64, h)
+	for t, fit := range fits.finals {
+		res.GroupFreqs[t] = stats.Normalize(fit.X)
+	}
+	res.Freqs = mixFreqs(res.Weights, res.GroupFreqs)
+	return res, nil
+}
+
+// mixFreqs aggregates per-group frequency vectors with the given weights
+// and renormalizes.
+func mixFreqs(w []float64, groups [][]float64) []float64 {
+	freqs := make([]float64, len(groups[0]))
+	for t, g := range groups {
 		for j := range freqs {
-			freqs[j] += w[t] * est.GroupFreqs[t][j]
+			freqs[j] += w[t] * g[j]
 		}
 	}
-	est.Freqs = stats.Normalize(freqs)
-	return est, nil
+	return stats.Normalize(freqs)
 }
 
 // Run is CollectFreq followed by EstimateFreq — the simulation entry
 // point, named identically across all protocol variants.
-func (d *FreqDAP) Run(r *rand.Rand, cats []int, poisonCats []int, gamma float64) (*FreqEstimate, error) {
+func (d *FreqDAP) Run(r *rand.Rand, cats []int, poisonCats []int, gamma float64) (*Result, error) {
 	col, err := d.CollectFreq(r, cats, poisonCats, gamma)
 	if err != nil {
 		return nil, err
@@ -307,7 +202,7 @@ func (d *FreqDAP) Run(r *rand.Rand, cats []int, poisonCats []int, gamma float64)
 
 // RunAdv is CollectFreqAdv followed by EstimateFreq — the simulation
 // entry point for registry-selected categorical adversaries.
-func (d *FreqDAP) RunAdv(r *rand.Rand, cats []int, adv attack.Adversary, gamma float64) (*FreqEstimate, error) {
+func (d *FreqDAP) RunAdv(r *rand.Rand, cats []int, adv attack.Adversary, gamma float64) (*Result, error) {
 	col, err := d.CollectFreqAdv(r, cats, adv, gamma)
 	if err != nil {
 		return nil, err
@@ -316,38 +211,27 @@ func (d *FreqDAP) RunAdv(r *rand.Rand, cats []int, adv attack.Adversary, gamma f
 }
 
 // OstrichFreq estimates frequencies ignoring Byzantine users: per-group
-// unbiased k-RR estimation aggregated with the same weights.
+// unbiased k-RR estimation (negative estimates floored at zero) aggregated
+// with the same weights at m̂_t = 0.
 func (d *FreqDAP) OstrichFreq(col *FreqCollection) ([]float64, error) {
 	h := d.H()
 	if col == nil || len(col.Counts) != h {
 		return nil, badCollection("collection does not match group layout")
 	}
-	b := make([]float64, h)
-	nHat := make([]float64, h)
+	n := make([]float64, h)
 	ests := make([][]float64, h)
-	for t := 0; t < h; t++ {
-		ests[t] = d.mechs[t].EstimateFreq(col.Counts[t])
-		nt := stats.Sum(col.Counts[t])
-		nHat[t] = nt * d.groups[t].Eps / d.p.Eps
-		b[t] = nHat[t] * d.mechs[t].WorstCaseVar()
+	for t, counts := range col.Counts {
+		n[t] = stats.Sum(counts)
+		ests[t] = d.mechs[t].EstimateFreq(counts)
+		for j, f := range ests[t] {
+			if f < 0 {
+				ests[t][j] = 0
+			}
+		}
 	}
-	w, err := OptimalWeights(b, nHat, d.p.WeightMode)
+	_, w, _, err := d.weigh(n, make([]float64, h))
 	if err != nil {
 		return nil, err
 	}
-	freqs := make([]float64, d.p.K)
-	for t := 0; t < h; t++ {
-		for j := range freqs {
-			f := ests[t][j]
-			if f < 0 {
-				f = 0
-			}
-			freqs[j] += w[t] * f
-		}
-	}
-	return stats.Normalize(freqs), nil
-}
-
-func (d *FreqDAP) cfg(t int) emf.Config {
-	return emf.Config{Tol: emf.PaperTol(d.groups[t].Eps), MaxIter: d.p.EMFMaxIter, Accelerate: true}
+	return mixFreqs(w, ests), nil
 }

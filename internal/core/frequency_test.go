@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -15,6 +16,9 @@ func TestNewFreqDAPValidation(t *testing.T) {
 	}
 	if _, err := NewFreqDAP(FreqParams{Eps: 0, Eps0: 0.25, K: 5}); err == nil {
 		t.Fatal("bad budgets accepted")
+	}
+	if _, err := NewFreqDAP(FreqParams{Eps: 1, Eps0: 1e-12, K: 5}); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("eps0 = 1e-12: err = %v, want ErrBadSpec", err)
 	}
 }
 
@@ -61,6 +65,11 @@ func TestFreqDAPDefendsSingleCategory(t *testing.T) {
 		}
 		if math.Abs(stats.Sum(est.Freqs)-1) > 1e-9 {
 			t.Fatalf("%v: frequencies sum to %v", scheme, stats.Sum(est.Freqs))
+		}
+		// The per-group diagnostics are common to every task kind.
+		if h := d.H(); len(est.GroupGammas) != h || len(est.NHat) != h || est.NHat[0] <= 0 || est.VarMin <= 0 {
+			t.Fatalf("%v: per-group diagnostics not filled: γ̂_t=%v n̂_t=%v VarMin=%v",
+				scheme, est.GroupGammas, est.NHat, est.VarMin)
 		}
 	}
 }

@@ -25,25 +25,6 @@ type HistCollection struct {
 	Sums []float64
 }
 
-// validate checks the collection shape against a group count.
-func (hc *HistCollection) validate(h int) error {
-	if hc == nil || len(hc.Counts) != h {
-		return badCollection("histogram collection does not match group layout")
-	}
-	if hc.Sums != nil && len(hc.Sums) != h {
-		return badCollection("histogram sums do not match group layout")
-	}
-	return nil
-}
-
-// sum returns Sums[t], or 0 when sums were not provided.
-func (hc *HistCollection) sum(t int) float64 {
-	if hc.Sums == nil {
-		return 0
-	}
-	return hc.Sums[t]
-}
-
 // EstimateHist runs the collector pipeline (stages 3–5) directly from
 // per-group histograms — the streaming entry point. The transform matrix
 // resolution is derived from each histogram's length via emf.InputBuckets,
@@ -52,16 +33,16 @@ func (hc *HistCollection) sum(t int) float64 {
 // Theorem 2 trimmed mean is computed from the smallest-budget histogram
 // (bucket centers stand in for the sorted raw reports), the only place the
 // two paths can differ — by at most one bucket width.
-func (d *DAP) EstimateHist(hc *HistCollection) (*Estimate, error) {
+func (d *DAP) EstimateHist(hc *HistCollection) (*Result, error) {
 	return d.EstimateHistWarm(hc, nil)
 }
 
 // EstimateHistWarm is EstimateHist with the solver runs seeded from a
 // previous estimate's fits — the streaming engine's epoch re-estimation
 // path (tolerance-equivalent to the cold run; see WarmState).
-func (d *DAP) EstimateHistWarm(hc *HistCollection, warm *WarmState) (*Estimate, error) {
-	h := d.H()
-	if err := hc.validate(h); err != nil {
+func (d *DAP) EstimateHistWarm(hc *HistCollection, warm *WarmState) (*Result, error) {
+	matrices, err := d.matrices(hc)
+	if err != nil {
 		return nil, err
 	}
 	// The mean pipeline needs the report sums (Eq. 13); without them every
@@ -70,26 +51,7 @@ func (d *DAP) EstimateHistWarm(hc *HistCollection, warm *WarmState) (*Estimate, 
 	if hc.Sums == nil {
 		return nil, badCollection("mean estimation requires report sums")
 	}
-	matrices := make([]*emf.Matrix, h)
-	ns := make([]float64, h)
-	sums := make([]float64, h)
-	for t := 0; t < h; t++ {
-		dprime := len(hc.Counts[t])
-		if dprime < 1 {
-			return nil, badCollection("group %d histogram is empty", t)
-		}
-		m, err := emf.BuildNumericCached(d.mechs[t], emf.InputBuckets(dprime, d.mechs[t].C()), dprime)
-		if err != nil {
-			return nil, err
-		}
-		matrices[t] = m
-		ns[t] = stats.Sum(hc.Counts[t])
-		if ns[t] <= 0 {
-			return nil, badCollection("group %d holds no reports", t)
-		}
-		sums[t] = hc.sum(t)
-	}
-	return d.estimateFromCounts(matrices, hc.Counts, sums, ns, nil, warm)
+	return d.estimate(matrices, hc, nil, warm)
 }
 
 // outCenters returns the output-bucket midpoints of a transform matrix —
@@ -164,55 +126,16 @@ func trimHistTop(counts []float64, frac float64) []float64 {
 // trims histogram mass instead of sorted raw reports; everything else is
 // the batch path fed by the same sufficient statistic. Sums are not used —
 // SW means come from the reconstructed input histogram.
-func (d *SWDAP) EstimateHist(hc *HistCollection) (*SWEstimate, error) {
+func (d *SWDAP) EstimateHist(hc *HistCollection) (*Result, error) {
 	return d.EstimateHistWarm(hc, nil)
 }
 
 // EstimateHistWarm is EstimateHist with the solver runs seeded from a
 // previous estimate's fits (tolerance-equivalent; see WarmState).
-func (d *SWDAP) EstimateHistWarm(hc *HistCollection, warm *WarmState) (*SWEstimate, error) {
-	h := d.H()
-	if err := hc.validate(h); err != nil {
-		return nil, err
-	}
-	matrices := make([]*emf.Matrix, h)
-	ns := make([]float64, h)
-	for t := 0; t < h; t++ {
-		dprime := len(hc.Counts[t])
-		if dprime < 1 {
-			return nil, badCollection("group %d histogram is empty", t)
-		}
-		c := d.mechs[t].OutputDomain().Width()
-		m, err := emf.BuildNumericCached(d.mechs[t], emf.InputBuckets(dprime, c), dprime)
-		if err != nil {
-			return nil, err
-		}
-		matrices[t] = m
-		ns[t] = stats.Sum(hc.Counts[t])
-		if ns[t] <= 0 {
-			return nil, badCollection("group %d holds no reports", t)
-		}
-	}
-	oPrime, oFit, err := d.pessimisticOHist(matrices[h-1], hc.Counts[h-1], warm.oSeed())
+func (d *SWDAP) EstimateHistWarm(hc *HistCollection, warm *WarmState) (*Result, error) {
+	matrices, err := d.matrices(hc)
 	if err != nil {
 		return nil, err
 	}
-	return d.estimateFromCounts(matrices, hc.Counts, ns, oPrime, oFit, warm)
-}
-
-// pessimisticOHist estimates O′ for SW from a histogram by removing the
-// top TrimFrac of the mass and running plain EMS on the rest. init
-// optionally seeds the EMS fit, which is returned for the warm state.
-func (d *SWDAP) pessimisticOHist(m *emf.Matrix, counts []float64, init *emf.Result) (float64, *emf.Result, error) {
-	frac := d.p.TrimFrac
-	if frac <= 0 {
-		frac = 0.5
-	}
-	trimmed := trimHistTop(counts, frac)
-	res, err := emf.RunConstrained(m, trimmed, nil, 0,
-		emf.Config{Smooth: true, MaxIter: d.p.EMFMaxIter, Accelerate: true, Init: init})
-	if err != nil {
-		return 0, nil, err
-	}
-	return stats.Clamp(stats.HistMean(res.X, m.InCenters()), 0, 1), res, nil
+	return d.estimate(matrices, hc, trimHistTop(hc.Counts[d.H()-1], d.trimFrac()), warm)
 }

@@ -6,8 +6,8 @@ import "sync"
 // first (lowest-index) error. Per-group work writes only to index-t slots,
 // so the fan-out is deterministic: the collector side produces bit-identical
 // estimates whether groups run sequentially or in parallel. h is the group
-// count (≤ ⌈log₂(ε/ε₀)⌉+1, i.e. single digits), so goroutine overhead is
-// negligible next to one EM fit.
+// count (⌈log₂(ε/ε₀)⌉+1 ≤ MaxGroups), so goroutine overhead is negligible
+// next to one EM fit.
 func forEachGroup(h int, f func(t int) error) error {
 	if h == 1 {
 		return f(0)

@@ -56,55 +56,16 @@ func ParseScheme(s string) (Scheme, error) {
 	return 0, badSpec("unknown scheme %q", s)
 }
 
-// Estimate is the collector's output for one protocol run.
-type Estimate struct {
-	// Mean is the final aggregated mean estimate (the paper's M̃).
-	Mean float64
-	// PoisonedRight reports the probed poisoned side.
-	PoisonedRight bool
-	// Gamma is the Byzantine proportion γ̂ probed at the smallest budget.
-	Gamma float64
-	// GroupMeans are the intra-group estimates M_t (Eq. 13).
-	GroupMeans []float64
-	// GroupGammas are the per-group γ̂ used for poison removal.
-	GroupGammas []float64
-	// Weights are the aggregation weights w_t of Algorithm 5.
-	Weights []float64
-	// NHat are the estimated normal-user counts n̂_t per group.
-	NHat []float64
-	// VarMin is Theorem 6's minimal worst-case variance [Σ n̂²/B]⁻¹.
-	VarMin float64
-	// OPrime is the pessimistic mean initialization used for the poison
-	// sets (fixed, or Theorem 2-derived under AutoOPrime).
-	OPrime float64
-	// EMFIters is the total number of EM-map evaluations across every
-	// solver run of this estimate (side probes included) — the cost unit
-	// MaxIter bounds.
-	EMFIters int
-	// EMFRestarts counts SQUAREM extrapolations rejected by the
-	// monotonicity safeguard across those runs.
-	EMFRestarts int
-	// WarmHits counts solver runs seeded from a previous fit.
-	WarmHits int
-	// Converged reports whether every solver run met its tolerance before
-	// MaxIter; false means at least one group returned the MaxIter iterate.
-	Converged bool
-	// Warm carries this estimate's EM fits for seeding the next estimate
-	// over the same layout (see WarmState).
-	Warm *WarmState
-}
-
 // ConfidenceInterval returns a two-sided normal-approximation interval
 // around the aggregated mean using Theorem 6's worst-case variance bound.
 // level is the coverage (e.g. 0.95). Because VarMin is a worst-case
 // bound, the interval is conservative.
-func (e *Estimate) ConfidenceInterval(level float64) (lo, hi float64) {
-	if level <= 0 || level >= 1 || e.VarMin <= 0 {
-		return e.Mean, e.Mean
+func (r *Result) ConfidenceInterval(level float64) (lo, hi float64) {
+	if level <= 0 || level >= 1 || r.VarMin <= 0 {
+		return r.Mean, r.Mean
 	}
-	z := zScore(level)
-	half := z * math.Sqrt(e.VarMin)
-	return e.Mean - half, e.Mean + half
+	half := zScore(level) * math.Sqrt(r.VarMin)
+	return r.Mean - half, r.Mean + half
 }
 
 // zScore inverts the standard normal CDF for two-sided coverage via
@@ -123,13 +84,17 @@ func zScore(level float64) float64 {
 	return (lo + hi) / 2
 }
 
-// validateBudgets sanity-checks a (ε, ε0) pair.
+// validateBudgets sanity-checks a (ε, ε0) pair and bounds the group count
+// it implies by MaxGroups.
 func validateBudgets(eps, eps0 float64) error {
 	if eps <= 0 || math.IsNaN(eps) || math.IsInf(eps, 0) {
 		return badSpec("eps must be positive and finite")
 	}
 	if eps0 <= 0 || eps0 > eps {
 		return badSpec("eps0 must lie in (0, eps]")
+	}
+	if eps/eps0 > 1<<(MaxGroups-1) {
+		return badSpec("eps/eps0 must not exceed 2^%d (at most %d groups)", MaxGroups-1, MaxGroups)
 	}
 	return nil
 }

@@ -21,7 +21,7 @@ func TestZScoreKnownValues(t *testing.T) {
 }
 
 func TestConfidenceInterval(t *testing.T) {
-	e := &Estimate{Mean: 0.2, VarMin: 0.0004} // sd = 0.02
+	e := &Result{Mean: 0.2, VarMin: 0.0004} // sd = 0.02
 	lo, hi := e.ConfidenceInterval(0.9545)
 	if math.Abs(lo-(0.2-0.04)) > 1e-3 || math.Abs(hi-(0.2+0.04)) > 1e-3 {
 		t.Fatalf("CI = [%v, %v], want [0.16, 0.24]", lo, hi)
@@ -30,14 +30,14 @@ func TestConfidenceInterval(t *testing.T) {
 	if lo, hi := e.ConfidenceInterval(0); lo != 0.2 || hi != 0.2 {
 		t.Fatalf("level=0 CI = [%v, %v]", lo, hi)
 	}
-	zeroVar := &Estimate{Mean: 0.1}
+	zeroVar := &Result{Mean: 0.1}
 	if lo, hi := zeroVar.ConfidenceInterval(0.95); lo != 0.1 || hi != 0.1 {
 		t.Fatalf("VarMin=0 CI = [%v, %v]", lo, hi)
 	}
 }
 
 func TestConfidenceIntervalWidensWithLevel(t *testing.T) {
-	e := &Estimate{Mean: 0, VarMin: 1}
+	e := &Result{Mean: 0, VarMin: 1}
 	lo90, hi90 := e.ConfidenceInterval(0.90)
 	lo99, hi99 := e.ConfidenceInterval(0.99)
 	if hi99-lo99 <= hi90-lo90 {

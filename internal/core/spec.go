@@ -112,6 +112,16 @@ const (
 	MaxServeExpectedUsers = 1 << 22
 )
 
+// MaxGroups bounds the group count h = ⌈log₂(ε/ε₀)⌉+1, i.e. ε/ε₀ ≤ 2¹⁵ (the
+// largest ratio any committed spec, test or figure uses is 2¹⁰). Group t
+// reports 2^t times, so h drives both the report volume a tenant sizes its
+// histograms for (d′ = ⌊√(users·2^t)⌋ per group) and the shift in
+// Group.Reports. With every serve bound at its maximum, 16 groups admit
+// Σ_t ⌊√(2¹⁸·2^t)⌋ ≈ 3.2·10⁵ buckets per stripe — about 620 MiB of live
+// histograms across 256 stripes; at the serve defaults (4096 users, 8
+// stripes) about 0.6 MiB.
+const MaxGroups = 16
+
 // ServeSpec carries the serving-layer parameters of a task — how a stream
 // tenant hosting this spec shards, buckets and windows its histograms.
 // Batch estimation ignores it. Zero values select the engine defaults.

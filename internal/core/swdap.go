@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"repro/internal/attack"
@@ -34,60 +32,41 @@ type SWParams struct {
 
 // SWDAP is the Square Wave instantiation of the protocol.
 type SWDAP struct {
-	p      SWParams
-	groups []Group
-	mechs  []*sw.Mechanism
+	solver
+	p     SWParams
+	mechs []*sw.Mechanism
 }
 
 // NewSWDAP validates parameters and precomputes the group layout.
 func NewSWDAP(p SWParams) (*SWDAP, error) {
-	if err := validateBudgets(p.Eps, p.Eps0); err != nil {
+	s, mechs, err := newSolver(solver{
+		eps: p.Eps, scheme: p.Scheme, suppress: p.SuppressFactor,
+		maxIter: p.EMFMaxIter, smooth: true, weights: p.WeightMode,
+	}, p.Eps0, sw.New)
+	if err != nil {
 		return nil, err
 	}
-	h := groupCount(p.Eps, p.Eps0)
-	d := &SWDAP{p: p, groups: make([]Group, h), mechs: make([]*sw.Mechanism, h)}
-	for t := 0; t < h; t++ {
-		eps := p.Eps / math.Pow(2, float64(t))
-		mech, err := sw.New(eps)
-		if err != nil {
-			return nil, fmt.Errorf("core: sw group %d: %w", t, err)
-		}
-		d.groups[t] = Group{Index: t, Eps: eps, Reports: 1 << t}
-		d.mechs[t] = mech
-	}
-	return d, nil
+	s.matrix = func(t, dprime int) (*emf.Matrix, error) { return numericMatrix(mechs[t], dprime) }
+	return &SWDAP{solver: s, p: p, mechs: mechs}, nil
 }
-
-// H returns the group count.
-func (d *SWDAP) H() int { return len(d.groups) }
-
-// Groups returns the group layout.
-func (d *SWDAP) Groups() []Group { return append([]Group(nil), d.groups...) }
 
 // Mechanism returns group t's SW instance.
 func (d *SWDAP) Mechanism(t int) *sw.Mechanism { return d.mechs[t] }
 
 // Collect simulates the user side over values in [0,1].
 func (d *SWDAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
-	n := len(values)
-	if n < d.H() {
-		return nil, badCollection("fewer users than groups")
+	n, h := len(values), d.H()
+	adv, nByz, err := simulated(n, h, adv, gamma)
+	if err != nil {
+		return nil, err
 	}
-	if gamma < 0 || gamma >= 1 {
-		return nil, fmt.Errorf("%w: gamma must lie in [0,1)", ErrDomain)
-	}
-	if adv == nil {
-		adv = attack.None{}
-	}
-	nByz := int(math.Round(gamma * float64(n)))
 	perm := r.Perm(n)
 	isByz := make([]bool, n)
 	for _, u := range perm[:nByz] {
 		isByz[u] = true
 	}
 	assign := r.Perm(n)
-	col := &Collection{Groups: make([][]float64, d.H()), ByzCount: nByz}
-	h := d.H()
+	col := &Collection{Groups: make([][]float64, h), ByzCount: nByz}
 	for t := 0; t < h; t++ {
 		lo, hi := t*n/h, (t+1)*n/h
 		g := d.groups[t]
@@ -109,176 +88,96 @@ func (d *SWDAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, ga
 	return col, nil
 }
 
-// SWEstimate extends Estimate with the reconstructed input distribution.
-type SWEstimate struct {
-	Estimate
-	// OPrime is the trimmed-EMS pessimistic mean used for side probing.
-	OPrime float64
-	// XHat is the aggregated normal-user input histogram (normalized),
-	// used for the distribution-estimation experiments (Fig. 8(a)).
-	XHat []float64
-}
-
 // Estimate runs the collector side over an SW collection.
-func (d *SWDAP) Estimate(col *Collection) (*SWEstimate, error) {
+func (d *SWDAP) Estimate(col *Collection) (*Result, error) {
 	return d.EstimateWarm(col, nil)
 }
 
 // EstimateWarm is Estimate with the solver runs seeded from a previous
 // estimate's fits (tolerance-equivalent to the cold run; see WarmState).
-func (d *SWDAP) EstimateWarm(col *Collection, warm *WarmState) (*SWEstimate, error) {
-	h := d.H()
-	if col == nil || len(col.Groups) != h {
-		return nil, badCollection("collection does not match group layout")
-	}
-	matrices := make([]*emf.Matrix, h)
-	counts := make([][]float64, h)
-	ns := make([]float64, h)
-	for t := 0; t < h; t++ {
-		if len(col.Groups[t]) == 0 {
-			return nil, badCollection("group %d holds no reports", t)
-		}
-		c := d.mechs[t].OutputDomain().Width() // SW analogue of 2C/2
-		din, dprime := emf.BucketCounts(len(col.Groups[t]), c)
-		m, err := emf.BuildNumericCached(d.mechs[t], din, dprime)
-		if err != nil {
-			return nil, err
-		}
-		matrices[t] = m
-		counts[t] = m.Counts(col.Groups[t])
-		ns[t] = float64(len(col.Groups[t]))
-	}
-
-	// Pessimistic O′ via trimmed EMS on the smallest-budget group (§V-D).
-	oPrime, oFit, err := d.pessimisticO(matrices[h-1], col.Groups[h-1], warm.oSeed())
+func (d *SWDAP) EstimateWarm(col *Collection, warm *WarmState) (*Result, error) {
+	hc, matrices, err := d.reduce(col)
 	if err != nil {
 		return nil, err
 	}
-	return d.estimateFromCounts(matrices, counts, ns, oPrime, oFit, warm)
+	h := d.H()
+	trimmed := matrices[h-1].Counts(trimTop(col.Groups[h-1], d.trimFrac()))
+	return d.estimate(matrices, hc, trimmed, warm)
 }
 
-// estimateFromCounts runs the SW collector stages over the per-group
-// sufficient statistic with a precomputed pessimistic O′ (trimmed from raw
-// reports by Estimate, from histogram mass by EstimateHist). oFit is the
-// EMS fit that produced O′ (carried into the warm state and telemetry);
-// warm optionally seeds every solver run.
-func (d *SWDAP) estimateFromCounts(matrices []*emf.Matrix, counts [][]float64, ns []float64, oPrime float64, oFit *emf.Result, warm *WarmState) (*SWEstimate, error) {
+// trimTop removes the largest frac of the reports (pessimistic against a
+// right-side attack, mirroring Theorem 2's default orientation); a trim
+// that would leave nothing returns them all.
+func trimTop(reports []float64, frac float64) []float64 {
+	cut := stats.Quantile(reports, 1-frac)
+	kept := make([]float64, 0, len(reports))
+	for _, v := range reports {
+		if v <= cut {
+			kept = append(kept, v)
+		}
+	}
+	if len(kept) == 0 {
+		return reports
+	}
+	return kept
+}
+
+// estimate runs the SW collector stages over the per-group sufficient
+// statistic. trimmed is the smallest-budget histogram with its top TrimFrac
+// removed (from raw reports by Estimate, from histogram mass by
+// EstimateHist); warm optionally seeds every solver run.
+func (d *SWDAP) estimate(matrices []*emf.Matrix, hc *HistCollection, trimmed []float64, warm *WarmState) (*Result, error) {
 	h := d.H()
-	var diag emfDiag
-	diag.observe(oFit)
-	probe, err := emf.ProbeSideInit(matrices[h-1], counts[h-1], oPrime, d.cfg(h-1),
+	m := matrices[h-1]
+	// Stage 3: the pessimistic O′ is the mean of a plain EMS fit of the
+	// trimmed histogram (§V-D's analogue of Theorem 2); then probe side and
+	// γ̂ around it at the smallest budget.
+	oFit, err := emf.RunConstrained(m, trimmed, nil, 0,
+		emf.Config{Smooth: true, MaxIter: d.maxIter, Accelerate: true, Init: warm.oSeed()})
+	if err != nil {
+		return nil, err
+	}
+	oPrime := stats.Clamp(stats.HistMean(oFit.X, m.InCenters()), 0, 1)
+	probe, err := emf.ProbeSideInit(m, hc.Counts[h-1], oPrime, d.cfg(d.groups[h-1].Eps),
 		warm.probeLeft(), warm.probeRight())
 	if err != nil {
 		return nil, err
 	}
-	diag.observe(probe.Left, probe.Right)
-	side := probe.Side
-	gammaGlobal := probe.Chosen().Gamma()
+	var diag emfDiag
+	diag.observe(oFit, probe.Left, probe.Right)
+	gamma := probe.Chosen().Gamma()
 
-	est := &SWEstimate{
-		Estimate: Estimate{
-			PoisonedRight: side == emf.Right,
-			Gamma:         gammaGlobal,
-			GroupMeans:    make([]float64, h),
-			GroupGammas:   make([]float64, h),
-			NHat:          make([]float64, h),
-		},
-		OPrime: oPrime,
+	fits, err := d.fitGroups(matrices, hc.Counts, sidePoison(probe.Side, oPrime), gamma, probe.Chosen(), warm, diag)
+	if err != nil {
+		return nil, err
 	}
-	b := make([]float64, h)
-	bases := make([]*emf.Result, h)
-	finals := make([]*emf.Result, h)
+	res := fits.result(TaskDistribution, gamma)
+	res.Warm.probeL, res.Warm.probeR, res.Warm.oFit = probe.Left, probe.Right, oFit
+	res.PoisonedRight, res.OPrime = probe.Side == emf.Right, oPrime
+	// Read-out: the SW mean comes from each group's reconstructed input
+	// histogram, and the distribution estimate accumulates the normalized
+	// x̂_t weighted by n̂_t, in group order at group 0's resolution.
+	res.GroupMeans = make([]float64, h)
 	var xAgg []float64
-	for t := 0; t < h; t++ {
-		m := matrices[t]
-		var poison []int
-		if side == emf.Right {
-			poison = m.PoisonRight(oPrime)
-		} else {
-			poison = m.PoisonLeft(oPrime)
-		}
-		cfg := d.cfg(t)
-		wBase, wFinal := warm.base(t), warm.final(t)
-		if t == h-1 {
-			wBase = probe.Chosen()
-			if wFinal == nil {
-				wFinal = probe.Chosen()
-			}
-		}
-		var res, base *emf.Result
-		var gammaT float64
-		switch d.p.Scheme {
-		case SchemeEMFStar:
-			// The unconstrained base fit is unused under EMF*; skip it.
-			cfg.Init = wFinal
-			if res, err = emf.RunConstrained(m, counts[t], poison, gammaGlobal, cfg); err != nil {
-				return nil, err
-			}
-			gammaT = gammaGlobal
-		case SchemeCEMFStar:
-			factor := d.p.SuppressFactor
-			if factor <= 0 {
-				factor = 0.5
-			}
-			cfg.Init = wBase
-			if base, err = emf.Run(m, counts[t], poison, cfg); err != nil {
-				return nil, err
-			}
-			if res, err = emf.RunConcentrated(m, counts[t], base, gammaGlobal, factor, d.cfg(t)); err != nil {
-				return nil, err
-			}
-			gammaT = res.Gamma()
-		default:
-			cfg.Init = wBase
-			if base, err = emf.Run(m, counts[t], poison, cfg); err != nil {
-				return nil, err
-			}
-			res = base
-			gammaT = base.Gamma()
-		}
-		bases[t], finals[t] = base, res
-		diag.observe(res)
-		if base != nil && base != res {
-			diag.observe(base)
-		}
-		// SW mean comes from the reconstructed input histogram.
-		mean := stats.HistMean(res.X, m.InCenters())
-		est.GroupMeans[t] = stats.Clamp(mean, 0, 1)
-		est.GroupGammas[t] = gammaT
-		nt := ns[t]
-		mHat := gammaT * nt
-		if mHat > 0.95*nt {
-			mHat = 0.95 * nt
-		}
-		est.NHat[t] = (nt - mHat) * d.groups[t].Eps / d.p.Eps
-		b[t] = est.NHat[t] * d.mechs[t].WorstCaseVar()
-		// Aggregate the distribution estimate from the largest-budget group
-		// histogram resolution by accumulating normalized x̂ weighted by n̂.
-		xn := stats.Normalize(res.X)
+	for t, fit := range fits.finals {
+		res.GroupMeans[t] = stats.Clamp(stats.HistMean(fit.X, matrices[t].InCenters()), 0, 1)
+		xn := stats.Normalize(fit.X)
 		if xAgg == nil {
 			xAgg = make([]float64, len(xn))
 		}
 		if len(xn) == len(xAgg) {
 			for k := range xn {
-				xAgg[k] += est.NHat[t] * xn[k]
+				xAgg[k] += res.NHat[t] * xn[k]
 			}
 		}
 	}
-	w, err := OptimalWeights(b, est.NHat, d.p.WeightMode)
-	if err != nil {
-		return nil, err
-	}
-	est.Weights = w
-	est.VarMin = MinVariance(b, est.NHat)
-	est.Mean = Aggregate(est.GroupMeans, w)
-	est.XHat = stats.Normalize(xAgg)
-	diag.apply(&est.Estimate)
-	est.Warm = &WarmState{probeL: probe.Left, probeR: probe.Right, oFit: oFit, bases: bases, finals: finals}
-	return est, nil
+	res.Mean = Aggregate(res.GroupMeans, res.Weights)
+	res.XHat = stats.Normalize(xAgg)
+	return res, nil
 }
 
 // Run is Collect followed by Estimate.
-func (d *SWDAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*SWEstimate, error) {
+func (d *SWDAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
 	col, err := d.Collect(r, values, adv, gamma)
 	if err != nil {
 		return nil, err
@@ -286,40 +185,13 @@ func (d *SWDAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma 
 	return d.Estimate(col)
 }
 
-// pessimisticO estimates O′ for SW by removing the top TrimFrac of the
-// reports and running plain EMS on the rest (§V-D's analogue of
-// Theorem 2). init optionally seeds the EMS fit; the fit is returned for
-// the next estimate's warm state.
-func (d *SWDAP) pessimisticO(m *emf.Matrix, reports []float64, init *emf.Result) (float64, *emf.Result, error) {
-	frac := d.p.TrimFrac
-	if frac <= 0 {
-		frac = 0.5
+// trimFrac is the fraction removed from the top before the pessimistic O′
+// fit (§V-D prescribes 50%).
+func (d *SWDAP) trimFrac() float64 {
+	if d.p.TrimFrac > 0 {
+		return d.p.TrimFrac
 	}
-	trimmed := make([]float64, len(reports))
-	copy(trimmed, reports)
-	// Remove the largest frac of reports (pessimistic against a right-side
-	// attack, mirroring Theorem 2's default orientation).
-	mean := stats.Quantile(trimmed, 1-frac)
-	kept := trimmed[:0]
-	for _, v := range trimmed {
-		if v <= mean {
-			kept = append(kept, v)
-		}
-	}
-	if len(kept) == 0 {
-		kept = trimmed
-	}
-	counts := m.Counts(kept)
-	res, err := emf.RunConstrained(m, counts, nil, 0,
-		emf.Config{Smooth: true, MaxIter: d.p.EMFMaxIter, Accelerate: true, Init: init})
-	if err != nil {
-		return 0, nil, err
-	}
-	return stats.Clamp(stats.HistMean(res.X, m.InCenters()), 0, 1), res, nil
-}
-
-func (d *SWDAP) cfg(t int) emf.Config {
-	return emf.Config{Tol: emf.PaperTol(d.groups[t].Eps), MaxIter: d.p.EMFMaxIter, Smooth: true, Accelerate: true}
+	return 0.5
 }
 
 // SWSingle reconstructs the input distribution from one single-budget SW
@@ -344,38 +216,24 @@ func (s *SWSingle) Reconstruct(reports []float64) (xhat, centers []float64, err 
 	if err != nil {
 		return nil, nil, err
 	}
-	din, dprime := emf.BucketCounts(len(reports), mech.OutputDomain().Width())
-	m, err := emf.BuildNumericCached(mech, din, dprime)
+	m, err := numericMatrix(mech, emf.OutputBuckets(len(reports)))
 	if err != nil {
 		return nil, nil, err
 	}
 	counts := m.Counts(reports)
-	cfg := emf.Config{Tol: emf.PaperTol(s.Eps), MaxIter: s.EMFMaxIter, Smooth: true, Accelerate: true}
+	sv := solver{scheme: s.Scheme, maxIter: s.EMFMaxIter, smooth: true}
+	var res *emf.Result
 	if s.IgnorePoison {
-		res, err := emf.RunConstrained(m, counts, nil, 0, cfg)
-		if err != nil {
+		res, err = emf.RunConstrained(m, counts, nil, 0, sv.cfg(s.Eps))
+	} else {
+		// O anchored mid-domain; the probe's chosen fit is the plain fit the
+		// scheme starts from.
+		var probe *emf.SideProbe
+		if probe, err = emf.ProbeSide(m, counts, 0.5, sv.cfg(s.Eps)); err != nil {
 			return nil, nil, err
 		}
-		return stats.Normalize(res.X), m.InCenters(), nil
-	}
-	probe, err := emf.ProbeSide(m, counts, 0.5, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	side := probe.Side
-	var poison []int
-	if side == emf.Right {
-		poison = m.PoisonRight(0.5)
-	} else {
-		poison = m.PoisonLeft(0.5)
-	}
-	res := probe.Chosen()
-	switch s.Scheme {
-	case SchemeEMFStar:
-		cfg.Init = res
-		res, err = emf.RunConstrained(m, counts, poison, res.Gamma(), cfg)
-	case SchemeCEMFStar:
-		res, err = emf.RunConcentrated(m, counts, res, res.Gamma(), 0.5, cfg)
+		base := probe.Chosen()
+		res, _, _, err = sv.fit(m, counts, sidePoison(probe.Side, 0.5)(m), base.Gamma(), s.Eps, base, nil, base)
 	}
 	if err != nil {
 		return nil, nil, err

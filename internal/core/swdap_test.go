@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -24,6 +25,9 @@ func values01(seed uint64, n int) ([]float64, float64) {
 func TestNewSWDAPValidation(t *testing.T) {
 	if _, err := NewSWDAP(SWParams{Eps: 0, Eps0: 1}); err == nil {
 		t.Fatal("bad budgets accepted")
+	}
+	if _, err := NewSWDAP(SWParams{Eps: 1, Eps0: 1e-12}); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("eps0 = 1e-12: err = %v, want ErrBadSpec", err)
 	}
 }
 

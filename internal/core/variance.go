@@ -30,14 +30,15 @@ type VarianceEstimate struct {
 	// Variance is max(0, SecondMoment − Mean²).
 	Variance float64
 	// MeanEst and MomentEst expose the two underlying DAP estimates.
-	MeanEst, MomentEst *Estimate
+	MeanEst, MomentEst *Result
 }
 
 // Run executes one variance-estimation round against adv with Byzantine
 // proportion gamma.
 func (ve *VarianceEstimator) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*VarianceEstimate, error) {
-	if len(values) < 4 {
-		return nil, badCollection("variance estimation needs at least four users")
+	meanVals, momentVals, err := splitMoments(r, values)
+	if err != nil {
+		return nil, err
 	}
 	d1, err := NewDAP(ve.Params)
 	if err != nil {
@@ -46,19 +47,6 @@ func (ve *VarianceEstimator) Run(r *rand.Rand, values []float64, adv attack.Adve
 	d2, err := NewDAP(ve.Params)
 	if err != nil {
 		return nil, err
-	}
-	// Random disjoint halves: each user contributes one statistic only.
-	perm := rng.SampleWithoutReplacement(r, len(values), len(values))
-	half := len(values) / 2
-	meanVals := make([]float64, 0, half)
-	momentVals := make([]float64, 0, len(values)-half)
-	for i, u := range perm {
-		if i < half {
-			meanVals = append(meanVals, values[u])
-		} else {
-			v := values[u]
-			momentVals = append(momentVals, 2*v*v-1)
-		}
 	}
 	meanEst, err := d1.Run(r, meanVals, adv, gamma)
 	if err != nil {
@@ -80,4 +68,26 @@ func (ve *VarianceEstimator) Run(r *rand.Rand, values []float64, adv attack.Adve
 		MeanEst:      meanEst,
 		MomentEst:    momentEst,
 	}, nil
+}
+
+// splitMoments splits the users into random disjoint halves — each user
+// contributes one statistic only and spends exactly ε: the first half keeps
+// v for the mean pipeline, the second reports t = 2v²−1 for the moment
+// pipeline.
+func splitMoments(r *rand.Rand, values []float64) (meanVals, momentVals []float64, err error) {
+	if len(values) < 4 {
+		return nil, nil, badCollection("variance estimation needs at least four users")
+	}
+	perm := rng.SampleWithoutReplacement(r, len(values), len(values))
+	half := len(values) / 2
+	meanVals = make([]float64, 0, half)
+	momentVals = make([]float64, 0, len(values)-half)
+	for i, u := range perm {
+		if v := values[u]; i < half {
+			meanVals = append(meanVals, v)
+		} else {
+			momentVals = append(momentVals, 2*v*v-1)
+		}
+	}
+	return meanVals, momentVals, nil
 }

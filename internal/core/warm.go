@@ -140,7 +140,7 @@ func (d *emfDiag) merge(o emfDiag) {
 }
 
 // apply writes the accumulated telemetry into an estimate.
-func (d *emfDiag) apply(e *Estimate) {
+func (d *emfDiag) apply(e *Result) {
 	e.EMFIters = d.iters
 	e.EMFRestarts = d.restarts
 	e.WarmHits = d.warmHits

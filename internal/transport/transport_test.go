@@ -353,7 +353,8 @@ func TestBatchIngestAndRotate(t *testing.T) {
 // TestAddressingAndCreateRejections pins the two edges of the wire
 // surface: a tenant is addressed by the {tenant} path segment and nothing
 // else (the tenant-less mirror routes answer 404), and tenant creation
-// takes a bounded body holding a spec whose serve section is bounded.
+// takes a bounded body holding a spec whose serve section and group count
+// are bounded (the server keeps answering after each rejection).
 func TestAddressingAndCreateRejections(t *testing.T) {
 	srv, err := NewServerOpts(mustConfig(t), ServerOptions{MaxIngestBytes: 512})
 	if err != nil {
@@ -379,6 +380,8 @@ func TestAddressingAndCreateRejections(t *testing.T) {
 			`{"name":"big","spec":{"task":"mean","eps":1},"pad":"` + strings.Repeat("x", 600) + `"}`, 413},
 		{"create over the shard bound", "POST", "/v1/tenants",
 			`{"name":"wide","spec":{"task":"mean","eps":1,"serve":{"shards":100000000,"buckets":100000000}}}`, 400},
+		{"create over the group bound", "POST", "/v1/tenants",
+			`{"name":"deep","spec":{"task":"mean","eps":1,"eps0":1e-12}}`, 400},
 		{"create", "POST", "/v1/tenants", `{"name":"ok","spec":{"task":"mean","eps":1}}`, 201},
 	} {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))

@@ -252,6 +252,7 @@ func TestSpecValidation(t *testing.T) {
 		{Task: "nope", Eps: 1},
 		{Task: core.TaskMean, Eps: -1},
 		{Task: core.TaskMean, Eps: 1, Eps0: 2},
+		{Task: core.TaskMean, Eps: 1, Eps0: 1e-12}, // 41 groups > MaxGroups
 		{Task: core.TaskMean, Eps: 1, Scheme: "quantum"},
 		{Task: core.TaskMean, Eps: 1, Weights: "vibes"},
 		{Task: core.TaskMean, Eps: 1, Mechanism: "sw"},
