@@ -158,17 +158,15 @@ func TestAttackSpecRejectedAtWire(t *testing.T) {
 // reproduces the historical CollectFreq collection bit for bit — the
 // regression gate for rebuilding the frequency simulator on the registry.
 func TestFreqRegistryPathPinnedSeed(t *testing.T) {
-	d, err := core.NewFreqDAP(core.FreqParams{Eps: 1, Eps0: 0.25, K: 12, Scheme: core.SchemeCEMFStar, EMFMaxIter: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[catCollector](t, core.NewSpec(core.FrequencyTask(12), core.WithBudget(1, 0.25),
+		core.WithScheme(core.SchemeCEMFStar), core.WithEMFMaxIter(80)))
 	cats := make([]int, 2000)
 	r := rng.New(55)
 	for i := range cats {
 		cats[i] = r.IntN(12)
 	}
 	poison := []int{3, 11}
-	legacy, err := d.CollectFreq(rng.New(56), cats, poison, 0.3)
+	legacy, err := d.CollectFreq(rng.New(56), cats, &attack.Targeted{Cats: poison}, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,15 +174,27 @@ func TestFreqRegistryPathPinnedSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := d.CollectFreqAdv(rng.New(56), cats, viaRegistry, 0.3)
+	reg, err := d.CollectFreq(rng.New(56), cats, viaRegistry, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(legacy.Counts, reg.Counts) || legacy.ByzCount != reg.ByzCount {
+	if !reflect.DeepEqual(legacy.Counts, reg.Counts) {
 		t.Fatal("registry-built targeted attack diverges from the legacy CollectFreq path")
 	}
+	// The poison-category entry point (CatRunner) is the same round.
+	legacyRun, err := d.(core.CatRunner).RunCats(rng.New(56), cats, poison, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regRun, err := d.(core.CatAdvRunner).RunCatsAdv(rng.New(56), cats, viaRegistry, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(legacyRun, regRun) {
+		t.Fatal("registry-built targeted round diverges from the RunCats path")
+	}
 	// Out-of-range categories from a numeric adversary fail with ErrDomain.
-	if _, err := d.CollectFreqAdv(rng.New(57), cats, attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), 0.3); !errors.Is(err, core.ErrDomain) {
+	if _, err := d.CollectFreq(rng.New(57), cats, attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), 0.3); !errors.Is(err, core.ErrDomain) {
 		t.Fatalf("numeric poison through the categorical path: %v, want ErrDomain", err)
 	}
 }
@@ -201,10 +211,8 @@ func TestRegistrySimBehaviour(t *testing.T) {
 		{attack.Spec{Name: "evasion", A: 0.3}, &attack.Evasion{A: 0.3}},
 		{attack.Spec{Name: "opportunistic"}, &attack.Opportunistic{TrimFrac: 0.5}},
 	}
-	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 0.25, Scheme: core.SchemeEMFStar, EMFMaxIter: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[core.Runner](t, core.NewSpec(core.MeanTask(), core.WithBudget(1, 0.25),
+		core.WithScheme(core.SchemeEMFStar), core.WithEMFMaxIter(80)))
 	vals := testValues(61, 2000)
 	for _, tc := range cases {
 		adv, err := attack.New(tc.spec)

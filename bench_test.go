@@ -6,6 +6,7 @@ package dap
 // matrix construction, EMF iterations and the full DAP pipeline.
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
@@ -137,10 +138,8 @@ func BenchmarkEstimate(b *testing.B) {
 		values[i] = rng.Uniform(r, -0.8, 0)
 	}
 	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
-	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 1.0 / 16, Scheme: core.SchemeCEMFStar, EMFMaxIter: 100})
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := buildAs[collectEstimator](b, core.NewSpec(core.MeanTask(), core.WithBudget(1, 1.0/16),
+		core.WithScheme(core.SchemeCEMFStar), core.WithEMFMaxIter(100)))
 	col, err := d.Collect(rng.Split(8, 1), values, adv, 0.25)
 	if err != nil {
 		b.Fatal(err)
@@ -148,7 +147,7 @@ func BenchmarkEstimate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.Estimate(col); err != nil {
+		if _, err := d.Estimate(context.Background(), col); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,10 +206,8 @@ func BenchmarkDAPEndToEnd(b *testing.B) {
 		values[i] = rng.Uniform(r, -0.8, 0)
 	}
 	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
-	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 1.0 / 16, Scheme: core.SchemeCEMFStar, EMFMaxIter: 60})
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := buildAs[core.Runner](b, core.NewSpec(core.MeanTask(), core.WithBudget(1, 1.0/16),
+		core.WithScheme(core.SchemeCEMFStar), core.WithEMFMaxIter(60)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -235,14 +232,12 @@ func BenchmarkKRRCollect(b *testing.B) {
 	cov := COVID19()
 	r := rng.New(1)
 	cats := cov.Sample(r, 5000)
-	f, err := core.NewFreqDAP(core.FreqParams{Eps: 1, Eps0: 0.25, K: cov.K(), Scheme: core.SchemeEMFStar, EMFMaxIter: 60})
-	if err != nil {
-		b.Fatal(err)
-	}
+	f := buildAs[core.CatRunner](b, core.NewSpec(core.FrequencyTask(cov.K()), core.WithBudget(1, 0.25),
+		core.WithScheme(core.SchemeEMFStar), core.WithEMFMaxIter(60)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Run(rng.Split(3, uint64(i)), cats, []int{10}, 0.25); err != nil {
+		if _, err := f.RunCats(rng.Split(3, uint64(i)), cats, []int{10}, 0.25); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -271,10 +266,8 @@ func BenchmarkTheorem1Reduction(b *testing.B) {
 
 func BenchmarkAccountlessPerturbRound(b *testing.B) {
 	// Full user-side round: assignment, repeated perturbation.
-	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 1.0 / 16})
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := buildAs[core.Collector](b, core.NewSpec(core.MeanTask(), core.WithBudget(1, 1.0/16),
+		core.WithScheme(core.SchemeEMF)))
 	r := rng.New(1)
 	values := make([]float64, 2000)
 	for i := range values {
@@ -299,10 +292,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		sum += values[i]
 	}
 	trueMean := sum / float64(len(values))
-	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 0.25, Scheme: SchemeCEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[Runner](t, NewSpec(Mean(), WithBudget(1, 0.25), WithScheme(SchemeCEMFStar)))
 	est, err := d.Run(r, values, NewBBA(RangeHighHalf, DistUniform), 0.2)
 	if err != nil {
 		t.Fatal(err)

@@ -75,8 +75,8 @@ var (
 	// Tasks lists the task kinds.
 	Tasks = core.Tasks
 
-	// Task selectors for NewSpec. BaselineTask keeps the long name because
-	// Baseline already names the §IV protocol type below.
+	// Task selectors for NewSpec; BaselineTask selects the §IV two-budget
+	// protocol.
 	Mean         = core.MeanTask
 	Distribution = core.DistributionTask
 	Frequency    = core.FrequencyTask
@@ -122,26 +122,18 @@ var NewDefense = defense.New
 type Defense = defense.Defense
 
 // ---------------------------------------------------------------------------
-// Protocol-level API: the protocol types Build wraps and the collection
-// helpers. Tasks are described with a Spec and built by Build.
+// Protocol-level API: the types protocol estimators share and the
+// collection helpers. Tasks are described with a Spec and built by Build.
 // ---------------------------------------------------------------------------
 
-// Core protocol types (see internal/core for full documentation).
+// Protocol types shared by every estimator (see internal/core).
 type (
-	// DAP is the multi-group Differential Aggregation Protocol (§V).
-	DAP = core.DAP
-	// Baseline is the two-budget protocol of §IV.
-	Baseline = core.Baseline
 	// Collection holds per-group reports.
 	Collection = core.Collection
 	// Scheme selects EMF, EMF* or CEMF* estimation.
 	Scheme = core.Scheme
 	// WeightMode selects the inter-group aggregation weights.
 	WeightMode = core.WeightMode
-	// SWDAP is the Square Wave instantiation of the protocol.
-	SWDAP = core.SWDAP
-	// FreqDAP is the categorical instantiation of the protocol.
-	FreqDAP = core.FreqDAP
 	// Group describes one protocol group.
 	Group = core.Group
 )

@@ -6,11 +6,11 @@ package dap
 // argument, the §V-D extensions).
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/ldp/pm"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -44,10 +44,7 @@ func TestDAPAgainstAllThreatModels(t *testing.T) {
 	}
 	for _, th := range threats {
 		t.Run(th.name, func(t *testing.T) {
-			d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar})
-			if err != nil {
-				t.Fatal(err)
-			}
+			d := buildAs[Runner](t, NewSpec(Mean(), WithBudget(1, 1.0/16), WithScheme(SchemeEMFStar)))
 			est, err := d.Run(rng.New(2), vals, th.adv, th.gamma)
 			if err != nil {
 				t.Fatal(err)
@@ -79,10 +76,7 @@ func TestOpportunisticDefeatsTrimmingNotDAP(t *testing.T) {
 	}
 	trimmed := Trimming(reports, 0.5, true)
 
-	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[Runner](t, NewSpec(Mean(), WithBudget(1, 1.0/16), WithScheme(SchemeEMFStar)))
 	est, err := d.Run(rng.New(21), vals, adv, gamma)
 	if err != nil {
 		t.Fatal(err)
@@ -97,10 +91,7 @@ func TestOpportunisticDefeatsTrimmingNotDAP(t *testing.T) {
 // the clean case (the bound is worst-case, so coverage is conservative).
 func TestConfidenceIntervalCoversCleanTruth(t *testing.T) {
 	vals, trueMean := integrationValues(22, 12000)
-	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 0.25, Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[Runner](t, NewSpec(Mean(), WithBudget(1, 0.25), WithScheme(SchemeEMFStar)))
 	covered := 0
 	for trial := 0; trial < 5; trial++ {
 		est, err := d.Run(rng.Split(23, uint64(trial)), vals, NoAttack{}, 0)
@@ -157,23 +148,17 @@ func TestGamedBaselineVsDAP(t *testing.T) {
 	vals, trueMean := integrationValues(4, 20000)
 	adv := NewBBA(RangeHighHalf, DistUniform)
 
-	bl, err := core.NewBaseline(1.0/8, 7.0/8, SchemeEMFStar)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bl := buildAs[gamedCollector](t, NewSpec(BaselineTask(1.0/8, 7.0/8), WithScheme(SchemeEMFStar)))
 	col, err := bl.GamedCollect(rng.New(5), vals, adv, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gamed, err := bl.Estimate(col)
+	gamed, err := bl.Estimate(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[Runner](t, NewSpec(Mean(), WithBudget(1, 1.0/16), WithScheme(SchemeEMFStar)))
 	dapEst, err := d.Run(rng.New(5), vals, adv, 0.25)
 	if err != nil {
 		t.Fatal(err)
@@ -195,10 +180,7 @@ func TestSWFacade(t *testing.T) {
 		sum += vals[i]
 	}
 	trueMean := sum / float64(len(vals))
-	d, err := core.NewSWDAP(core.SWParams{Eps: 1, Eps0: 0.25, Scheme: SchemeCEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[Runner](t, NewSpec(Distribution(), WithBudget(1, 0.25), WithScheme(SchemeCEMFStar)))
 	est, err := d.Run(rng.New(7), vals, attack.SWTop{}, 0.25)
 	if err != nil {
 		t.Fatal(err)
@@ -216,11 +198,8 @@ func TestFreqFacade(t *testing.T) {
 	r := rng.New(8)
 	cov := COVID19()
 	cats := cov.Sample(r, 20000)
-	f, err := core.NewFreqDAP(core.FreqParams{Eps: 1, Eps0: 0.25, K: cov.K(), Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := f.Run(rng.New(9), cats, []int{10}, 0.25)
+	f := buildAs[CatRunner](t, NewSpec(Frequency(cov.K()), WithBudget(1, 0.25), WithScheme(SchemeEMFStar)))
+	est, err := f.RunCats(rng.New(9), cats, []int{10}, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +214,11 @@ func TestFreqFacade(t *testing.T) {
 	}
 }
 
-// Variance extension through core (not yet on the facade).
+// Variance extension end-to-end through the facade.
 func TestVarianceExtensionIntegration(t *testing.T) {
 	vals, _ := integrationValues(10, 24000)
 	trueVar := stats.Variance(vals)
-	ve := &core.VarianceEstimator{Params: core.Params{Eps: 1, Eps0: 1.0 / 16, Scheme: core.SchemeEMFStar}}
+	ve := buildAs[Runner](t, NewSpec(Variance(), WithBudget(1, 1.0/16), WithScheme(SchemeEMFStar)))
 	est, err := ve.Run(rng.New(11), vals, NewBBA(RangeHighHalf, DistUniform), 0.2)
 	if err != nil {
 		t.Fatal(err)
@@ -254,10 +233,7 @@ func TestFullPipelineDeterminism(t *testing.T) {
 	vals, _ := integrationValues(12, 6000)
 	adv := NewBBA(RangeHighHalf, DistUniform)
 	run := func() float64 {
-		d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 0.25, Scheme: SchemeCEMFStar})
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := buildAs[Runner](t, NewSpec(Mean(), WithBudget(1, 0.25), WithScheme(SchemeCEMFStar)))
 		est, err := d.Run(rng.New(13), vals, adv, 0.25)
 		if err != nil {
 			t.Fatal(err)

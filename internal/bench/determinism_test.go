@@ -9,7 +9,7 @@ import (
 // byte-identical tables for any worker count and on repeated runs — the
 // acceptance property of the parallel Monte-Carlo harness.
 func TestWorkersDeterminism(t *testing.T) {
-	for _, exp := range []string{"table1", "fig5"} {
+	for _, exp := range []string{"table1", "fig5", "ablation", "fig8", "fig9", "matrix"} {
 		base := Config{N: 1500, Trials: 2, Seed: 11, EMFMaxIter: 40, Workers: 1}
 		seq, err := Run(exp, base)
 		if err != nil {

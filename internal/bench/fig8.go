@@ -131,7 +131,8 @@ func Fig8(cfg Config) ([]*Table, error) {
 			schemes = append(schemes, sch{
 				name: "SW_" + sc.String(),
 				trial: func(eps float64) sim.Trial {
-					d, err := core.NewSWDAP(core.SWParams{Eps: eps, Eps0: 1.0 / 16, Scheme: sc, EMFMaxIter: cfg.EMFMaxIter})
+					d, err := build[core.Runner](core.NewSpec(core.DistributionTask(), core.WithBudget(eps, 1.0/16),
+						core.WithScheme(sc), core.WithEMFMaxIter(cfg.EMFMaxIter)))
 					if err != nil {
 						panic(err)
 					}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -153,9 +154,9 @@ func Fig9(cfg Config) ([]*Table, error) {
 		// The scheme rows of each ε column share one categorical collection
 		// per trial, warm-chained like the numeric panels.
 		for ei, eps := range epsList {
-			fs := make([]*core.FreqDAP, len(schemes))
+			fs := make([]catCollector, len(schemes))
 			for si, sc := range schemes {
-				f, err := core.NewFreqDAP(core.FreqParams{Eps: eps, Eps0: 1.0 / 16, K: cov.K(), Scheme: sc, EMFMaxIter: cfg.EMFMaxIter})
+				f, err := build[catCollector](freqSpec(sc, eps, cov.K(), cfg.EMFMaxIter))
 				if err != nil {
 					return nil, err
 				}
@@ -165,14 +166,14 @@ func Fig9(cfg Config) ([]*Table, error) {
 			cell := splitFuture(p, len(schemes), func() ([]float64, error) {
 				return sim.MSEVecPer(cfg.Seed+uint64(0x9E00+pi*1000+ei), cfg.Trials, trueFreqs,
 					func(r *rand.Rand) ([][]float64, error) {
-						col, err := fs[0].CollectFreq(r, cats, pc, 0.25)
+						col, err := fs[0].CollectFreq(r, cats, &attack.Targeted{Cats: pc}, 0.25)
 						if err != nil {
 							return nil, err
 						}
 						out := make([][]float64, len(fs))
 						var warm *core.WarmState
 						for i, f := range fs {
-							est, err := f.EstimateFreqWarm(col, warm)
+							est, err := f.EstimateHist(core.WithWarm(context.Background(), warm), col)
 							if err != nil {
 								return nil, err
 							}
@@ -190,14 +191,14 @@ func Fig9(cfg Config) ([]*Table, error) {
 		}
 		futsOst[pi] = make([]*future[float64], len(epsList))
 		for ei, eps := range epsList {
-			f, err := core.NewFreqDAP(core.FreqParams{Eps: eps, Eps0: 1.0 / 16, K: cov.K(), EMFMaxIter: cfg.EMFMaxIter})
+			f, err := build[catCollector](freqSpec(core.SchemeEMF, eps, cov.K(), cfg.EMFMaxIter))
 			if err != nil {
 				return nil, err
 			}
 			pc := poisonCats
 			futsOst[pi][ei] = p.mseVec(cfg.Seed+uint64(0x9F00+pi*1000+ei), cfg.Trials, trueFreqs,
 				func(r *rand.Rand) ([]float64, error) {
-					col, err := f.CollectFreq(r, cats, pc, 0.25)
+					col, err := f.CollectFreq(r, cats, &attack.Targeted{Cats: pc}, 0.25)
 					if err != nil {
 						return nil, err
 					}

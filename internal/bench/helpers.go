@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
@@ -49,18 +50,60 @@ func loadDataset(cfg Config, name string) (*dataset.Numeric, error) {
 	return dataset.ByName(rng.Split(cfg.Seed, 0xDA7A), name, cfg.N)
 }
 
-// dapParams assembles the paper's default protocol parameters.
-func dapParams(scheme core.Scheme, eps float64, maxIter int) core.Params {
-	return core.Params{
-		Eps:        eps,
-		Eps0:       1.0 / 16,
-		Scheme:     scheme,
-		EMFMaxIter: maxIter,
-	}
+// dapSpec is the paper's default mean-task cell: ε₀ = 1/16 at every ε.
+func dapSpec(scheme core.Scheme, eps float64, maxIter int, opts ...core.Option) core.Spec {
+	return core.NewSpec(core.MeanTask(), append([]core.Option{
+		core.WithBudget(eps, 1.0/16), core.WithScheme(scheme), core.WithEMFMaxIter(maxIter),
+	}, opts...)...)
 }
 
-// dapTrial returns a sim.Trial running one full DAP round.
-func dapTrial(d *core.DAP, values []float64, adv attack.Adversary, gamma float64) sim.Trial {
+// freqSpec is the k-RR frequency cell at ε₀ = 1/16.
+func freqSpec(scheme core.Scheme, eps float64, k, maxIter int) core.Spec {
+	return core.NewSpec(core.FrequencyTask(k), core.WithBudget(eps, 1.0/16),
+		core.WithScheme(scheme), core.WithEMFMaxIter(maxIter))
+}
+
+// build constructs sp's estimator and asserts the face an experiment
+// drives: a core face (core.Runner, …) or one of the bench-local hook
+// interfaces below.
+func build[T any](sp core.Spec) (T, error) {
+	var face T
+	est, err := core.Build(sp)
+	if err != nil {
+		return face, err
+	}
+	face, ok := est.(T)
+	if !ok {
+		return face, fmt.Errorf("bench: the %s estimator lacks %T", sp.Task, &face)
+	}
+	return face, nil
+}
+
+// collectEstimator is a numeric estimator whose user side the bench
+// simulates once and estimates several times.
+type collectEstimator interface {
+	core.Estimator
+	core.Collector
+}
+
+// gamedCollector is the baseline estimator's probing-aware collection
+// (Byzantine users honest on ε_α, poisoning ε_β) — Ablation 4.
+type gamedCollector interface {
+	collectEstimator
+	GamedCollect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*core.Collection, error)
+}
+
+// catCollector is the frequency estimator's categorical collection, which
+// the scheme rows of a cell share, and the Ostrich baseline over it
+// (Fig. 9(c)(d), the red-team matrix).
+type catCollector interface {
+	core.Estimator
+	CollectFreq(r *rand.Rand, cats []int, adv attack.Adversary, gamma float64) (*core.HistCollection, error)
+	OstrichFreq(hc *core.HistCollection) ([]float64, error)
+}
+
+// dapTrial returns a sim.Trial running one full protocol round.
+func dapTrial(d core.Runner, values []float64, adv attack.Adversary, gamma float64) sim.Trial {
 	return func(r *rand.Rand) (float64, error) {
 		est, err := d.Run(r, values, adv, gamma)
 		if err != nil {
@@ -136,14 +179,14 @@ func splitFuture(p *pool, n int, fn func() ([]float64, error)) []*future[float64
 	return out
 }
 
-// dapsForSchemes builds one DAP per estimation scheme at the same budget;
-// their group layouts and mechanisms are identical, so one collection
-// serves all of them.
-func dapsForSchemes(eps float64, maxIter int) ([]*core.DAP, error) {
+// dapsForSchemes builds one mean estimator per estimation scheme at the
+// same budget; their group layouts and mechanisms are identical, so one
+// collection serves all of them.
+func dapsForSchemes(eps float64, maxIter int) ([]collectEstimator, error) {
 	schemes := core.Schemes()
-	daps := make([]*core.DAP, len(schemes))
+	daps := make([]collectEstimator, len(schemes))
 	for i, sc := range schemes {
-		d, err := core.NewDAP(dapParams(sc, eps, maxIter))
+		d, err := build[collectEstimator](dapSpec(sc, eps, maxIter))
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +202,7 @@ func dapsForSchemes(eps float64, maxIter int) ([]*core.DAP, error) {
 // handful of EM steps). Sharing the collection both removes the dominant
 // perturbation cost of per-scheme collections and turns the scheme rows
 // into a paired comparison on identical data.
-func dapSchemesTrial(daps []*core.DAP, values []float64, adv attack.Adversary, gamma float64) sim.VecTrial {
+func dapSchemesTrial(daps []collectEstimator, values []float64, adv attack.Adversary, gamma float64) sim.VecTrial {
 	return func(r *rand.Rand) ([]float64, error) {
 		col, err := daps[0].Collect(r, values, adv, gamma)
 		if err != nil {
@@ -168,7 +211,7 @@ func dapSchemesTrial(daps []*core.DAP, values []float64, adv attack.Adversary, g
 		out := make([]float64, len(daps))
 		var warm *core.WarmState
 		for i, d := range daps {
-			est, err := d.EstimateWarm(col, warm)
+			est, err := d.Estimate(core.WithWarm(context.Background(), warm), col)
 			if err != nil {
 				return nil, err
 			}

@@ -10,6 +10,7 @@ package bench
 // tables.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -176,7 +177,7 @@ func matrixNumeric(cfg Config, p *pool, gamma float64, battery []NamedAttack) ([
 				}
 				var warm *core.WarmState
 				for i, d := range daps {
-					est, err := d.EstimateWarm(col, warm)
+					est, err := d.Estimate(core.WithWarm(context.Background(), warm), col)
 					if err != nil {
 						return nil, err
 					}
@@ -207,11 +208,9 @@ func matrixFreq(cfg Config, p *pool, gamma float64) ([]*future[[]MatrixRow], err
 	const k = 16
 	cats, truth := zipfCats(cfg.N, k)
 	schemes := core.Schemes()
-	freqs := make([]*core.FreqDAP, len(schemes))
+	freqs := make([]catCollector, len(schemes))
 	for i, sc := range schemes {
-		d, err := core.NewFreqDAP(core.FreqParams{
-			Eps: 1, Eps0: 1.0 / 16, K: k, Scheme: sc, EMFMaxIter: cfg.EMFMaxIter,
-		})
+		d, err := build[catCollector](freqSpec(sc, 1, k, cfg.EMFMaxIter))
 		if err != nil {
 			return nil, err
 		}
@@ -234,13 +233,13 @@ func matrixFreq(cfg Config, p *pool, gamma float64) ([]*future[[]MatrixRow], err
 			ge := make([]float64, len(freqs))
 			for j := 0; j < cfg.Trials; j++ {
 				r := rng.Split(seed, uint64(j))
-				col, err := freqs[0].CollectFreqAdv(r, cats, adv, g)
+				col, err := freqs[0].CollectFreq(r, cats, adv, g)
 				if err != nil {
 					return nil, err
 				}
 				var warm *core.WarmState
 				for i, d := range freqs {
-					est, err := d.EstimateFreqWarm(col, warm)
+					est, err := d.EstimateHist(core.WithWarm(context.Background(), warm), col)
 					if err != nil {
 						return nil, err
 					}

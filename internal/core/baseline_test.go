@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,40 +10,40 @@ import (
 	"repro/internal/stats"
 )
 
+// baselineSpec is the §IV protocol over the split (alpha, beta) under
+// scheme.
+func baselineSpec(alpha, beta float64, scheme Scheme) Spec {
+	return NewSpec(BaselineTask(alpha, beta), WithScheme(scheme))
+}
+
 func TestNewBaselineValidation(t *testing.T) {
-	if _, err := NewBaseline(0, 1, SchemeEMF); err == nil {
+	if _, err := Build(baselineSpec(0, 1, SchemeEMF)); err == nil {
 		t.Fatal("zero alpha accepted")
 	}
-	if _, err := NewBaseline(0.5, 0.5, SchemeEMF); err == nil {
+	if _, err := Build(baselineSpec(0.5, 0.5, SchemeEMF)); err == nil {
 		t.Fatal("alpha >= beta accepted")
 	}
-	if _, err := NewBaseline(0.9, 0.1, SchemeEMF); err == nil {
+	if _, err := Build(baselineSpec(0.9, 0.1, SchemeEMF)); err == nil {
 		t.Fatal("alpha > beta accepted")
 	}
 }
 
 func TestBaselineCollectShape(t *testing.T) {
-	b, err := NewBaseline(0.125, 0.875, SchemeEMF)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := build[*baseline](t, baselineSpec(0.125, 0.875, SchemeEMF))
 	vals, _ := uniformValues(1, 4000, -1, 1)
 	col, err := b.Collect(rng.New(2), vals, attack.None{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(col.Alpha) != 4000 || len(col.Beta) != 4000 {
-		t.Fatalf("collection sizes %d/%d", len(col.Alpha), len(col.Beta))
+	if len(col.Groups[0]) != 4000 || len(col.Groups[1]) != 4000 {
+		t.Fatalf("collection sizes %d/%d", len(col.Groups[0]), len(col.Groups[1]))
 	}
 }
 
 func TestBaselineDefends(t *testing.T) {
 	vals, trueMean := uniformValues(3, 30000, -0.8, 0)
 	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
-	b, err := NewBaseline(0.125, 0.875, SchemeEMFStar)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := build[*baseline](t, baselineSpec(0.125, 0.875, SchemeEMFStar))
 	est, err := b.Run(rng.New(4), vals, adv, 0.25)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +53,7 @@ func TestBaselineDefends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ostrich := stats.Mean(col.Beta)
+	ostrich := stats.Mean(col.Groups[1])
 	if math.Abs(est.Mean-trueMean) >= math.Abs(ostrich-trueMean) {
 		t.Fatalf("baseline (%v) should beat Ostrich (%v) vs truth %v", est.Mean, ostrich, trueMean)
 	}
@@ -67,10 +68,7 @@ func TestBaselineDefends(t *testing.T) {
 func TestBaselineGamedProbeDegrades(t *testing.T) {
 	vals, _ := uniformValues(5, 30000, -0.8, 0)
 	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
-	b, err := NewBaseline(0.125, 0.875, SchemeEMF)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := build[*baseline](t, baselineSpec(0.125, 0.875, SchemeEMF))
 	honest, err := b.Collect(rng.New(6), vals, adv, 0.25)
 	if err != nil {
 		t.Fatal(err)
@@ -79,11 +77,11 @@ func TestBaselineGamedProbeDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	estHonest, err := b.Estimate(honest)
+	estHonest, err := b.Estimate(context.Background(), honest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	estGamed, err := b.Estimate(gamed)
+	estGamed, err := b.Estimate(context.Background(), gamed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +94,11 @@ func TestBaselineGamedProbeDegrades(t *testing.T) {
 }
 
 func TestBaselineEstimateValidation(t *testing.T) {
-	b, _ := NewBaseline(0.125, 0.875, SchemeEMF)
-	if _, err := b.Estimate(nil); err == nil {
+	b := build[*baseline](t, baselineSpec(0.125, 0.875, SchemeEMF))
+	if _, err := b.Estimate(context.Background(), nil); err == nil {
 		t.Fatal("nil collection accepted")
 	}
-	if _, err := b.Estimate(&BaselineCollection{Alpha: []float64{1}}); err == nil {
+	if _, err := b.Estimate(context.Background(), &Collection{Groups: [][]float64{{1}, nil}}); err == nil {
 		t.Fatal("empty beta accepted")
 	}
 }
@@ -108,10 +106,7 @@ func TestBaselineEstimateValidation(t *testing.T) {
 func TestBaselineCEMFScheme(t *testing.T) {
 	vals, trueMean := uniformValues(7, 20000, -0.8, 0)
 	adv := attack.NewBBA(attack.RangeHighQuarter, attack.DistUniform)
-	b, err := NewBaseline(0.125, 0.875, SchemeCEMFStar)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := build[*baseline](t, baselineSpec(0.125, 0.875, SchemeCEMFStar))
 	est, err := b.Run(rng.New(8), vals, adv, 0.25)
 	if err != nil {
 		t.Fatal(err)

@@ -122,80 +122,39 @@ type Collector interface {
 // Build validates sp and returns its estimator. This is the single
 // construction path behind batch estimation, stream tenants, the wire API
 // and the CLIs; adding a mechanism or task kind plugs in here once and
-// appears everywhere.
+// appears everywhere. Each task's protocol type is its own Estimator;
+// the optional faces (Streamable, Collector, Runner, CatRunner,
+// CatAdvRunner) are found by type assertion.
 func Build(sp Spec) (Estimator, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
 	sp = sp.Normalize()
-	scheme, _ := ParseScheme(sp.Scheme)
-	weights, _ := ParseWeightMode(sp.Weights)
+	var est Estimator
+	var err error
 	switch {
 	case sp.Defense != nil:
-		return newDefenseEstimator(sp)
+		est, err = newDefenseEstimator(sp)
 	case sp.Task == TaskMean:
-		d, err := NewDAP(Params{
-			Eps: sp.Eps, Eps0: sp.Eps0, Scheme: scheme,
-			OPrime: sp.OPrime, AutoOPrime: sp.AutoOPrime, GammaSup: sp.GammaSup,
-			SuppressFactor: sp.SuppressFactor, EMFMaxIter: sp.EMFMaxIter,
-			WeightMode: weights,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &numericEstimator{sp: sp, d: d,
-			domain: func(t int) ldp.Domain { return d.Mechanism(t).OutputDomain() }}, nil
+		est, err = newMeanDAP(sp)
 	case sp.Task == TaskDistribution:
-		d, err := NewSWDAP(SWParams{
-			Eps: sp.Eps, Eps0: sp.Eps0, Scheme: scheme, TrimFrac: sp.TrimFrac,
-			SuppressFactor: sp.SuppressFactor, EMFMaxIter: sp.EMFMaxIter,
-			WeightMode: weights,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &numericEstimator{sp: sp, d: d,
-			domain: func(t int) ldp.Domain { return d.Mechanism(t).OutputDomain() }}, nil
+		est, err = newSWDAP(sp)
 	case sp.Task == TaskFrequency:
-		d, err := NewFreqDAP(FreqParams{
-			Eps: sp.Eps, Eps0: sp.Eps0, K: sp.K, Scheme: scheme,
-			SuppressFactor: sp.SuppressFactor, EMFMaxIter: sp.EMFMaxIter,
-			WeightMode: weights,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &freqEstimator{sp: sp, d: d}, nil
+		est, err = newFreqDAP(sp)
 	case sp.Task == TaskVariance:
-		p := Params{
-			Eps: sp.Eps, Eps0: sp.Eps0, Scheme: scheme,
-			OPrime: sp.OPrime, AutoOPrime: sp.AutoOPrime, GammaSup: sp.GammaSup,
-			SuppressFactor: sp.SuppressFactor, EMFMaxIter: sp.EMFMaxIter,
-			WeightMode: weights,
-		}
-		d1, err := NewDAP(p)
-		if err != nil {
-			return nil, err
-		}
-		d2, err := NewDAP(p)
-		if err != nil {
-			return nil, err
-		}
-		return &varianceEstimator{sp: sp, mean: d1, moment: d2}, nil
+		est, err = newVarianceDAP(sp)
 	case sp.Task == TaskBaseline:
-		b, err := NewBaseline(sp.EpsAlpha, sp.EpsBeta, scheme)
-		if err != nil {
-			return nil, err
-		}
-		b.OPrime = sp.OPrime
-		b.SuppressFactor = sp.SuppressFactor
-		b.EMFMaxIter = sp.EMFMaxIter
-		return &baselineEstimator{sp: sp, b: b}, nil
+		est, err = newBaseline(sp)
+	default:
+		err = badSpec("unknown task %q", sp.Task)
 	}
-	return nil, badSpec("unknown task %q", sp.Task)
+	if err != nil {
+		return nil, err
+	}
+	return est, nil
 }
 
-// ctxErr reports a done context. Adapters check it once at entry; the
+// ctxErr reports a done context. Estimators check it once at entry; the
 // per-group EM fits below are too short-lived to interrupt mid-flight.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
@@ -204,259 +163,17 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// --- mean over PM, distribution over SW ---
-
-// numericProtocol is what the PM and SW instantiations share.
-type numericProtocol interface {
-	Groups() []Group
-	Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error)
-	EstimateWarm(col *Collection, warm *WarmState) (*Result, error)
-	EstimateHistWarm(hc *HistCollection, warm *WarmState) (*Result, error)
-}
-
-type numericEstimator struct {
-	sp     Spec
-	d      numericProtocol
-	domain func(t int) ldp.Domain
-}
-
-func (e *numericEstimator) Spec() Spec                    { return e.sp }
-func (e *numericEstimator) Groups() []Group               { return e.d.Groups() }
-func (e *numericEstimator) OutputDomain(t int) ldp.Domain { return e.domain(t) }
-
-func (e *numericEstimator) Estimate(ctx context.Context, col *Collection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	return e.d.EstimateWarm(col, WarmFromContext(ctx))
-}
-
-func (e *numericEstimator) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	return e.d.EstimateHistWarm(hc, WarmFromContext(ctx))
-}
-
-func (e *numericEstimator) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
-	return e.d.Collect(r, values, adv, gamma)
-}
-
-func (e *numericEstimator) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	col, err := e.d.Collect(r, values, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return e.d.EstimateWarm(col, nil)
-}
-
-// --- frequency over k-RR ---
-
-type freqEstimator struct {
-	sp Spec
-	d  *FreqDAP
-}
-
-func (e *freqEstimator) Spec() Spec      { return e.sp }
-func (e *freqEstimator) Groups() []Group { return e.d.Groups() }
-func (e *freqEstimator) OutputDomain(int) ldp.Domain {
-	return ldp.Domain{Lo: 0, Hi: float64(e.sp.K)}
-}
-
-// Estimate accepts raw per-group category reports encoded as float64
-// (the Collection currency shared with the numeric tasks); non-integral
-// or out-of-range values are rejected with ErrDomain.
-func (e *freqEstimator) Estimate(ctx context.Context, col *Collection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	if col == nil || len(col.Groups) != e.d.H() {
-		return nil, badCollection("collection does not match group layout")
-	}
-	counts := make([][]float64, len(col.Groups))
-	for t, reports := range col.Groups {
-		counts[t] = make([]float64, e.sp.K)
-		for _, v := range reports {
-			c := int(v)
-			if v != float64(c) || c < 0 || c >= e.sp.K {
-				return nil, fmt.Errorf("%w: %g is not a category in [0,%d)", ErrDomain, v, e.sp.K)
-			}
-			counts[t][c]++
-		}
-	}
-	return e.d.EstimateFreqWarm(&FreqCollection{Counts: counts, ByzCount: col.ByzCount}, WarmFromContext(ctx))
-}
-
-func (e *freqEstimator) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	if hc == nil {
-		return nil, badCollection("histogram collection does not match group layout")
-	}
-	return e.d.EstimateFreqWarm(&FreqCollection{Counts: hc.Counts}, WarmFromContext(ctx))
-}
-
-func (e *freqEstimator) RunCats(r *rand.Rand, cats []int, poisonCats []int, gamma float64) (*Result, error) {
-	return e.d.Run(r, cats, poisonCats, gamma)
-}
-
-func (e *freqEstimator) RunCatsAdv(r *rand.Rand, cats []int, adv attack.Adversary, gamma float64) (*Result, error) {
-	return e.d.RunAdv(r, cats, adv, gamma)
-}
-
-// --- variance via split populations ---
-
-type varianceEstimator struct {
-	sp     Spec
-	mean   *DAP // first h groups: E[v]
-	moment *DAP // last h groups: E[2v²−1]
-}
-
-func (e *varianceEstimator) Spec() Spec { return e.sp }
-
-// Groups returns the 2h-group layout: the mean half followed by the
-// moment half.
-func (e *varianceEstimator) Groups() []Group {
-	return append(e.mean.Groups(), e.moment.Groups()...)
-}
-
-// Collect splits the users into random disjoint halves (each contributes
-// one statistic and spends exactly ε), collects the mean half on v and
-// the moment half on 2v²−1, and concatenates the group reports.
-func (e *varianceEstimator) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
-	meanVals, momentVals, err := splitMoments(r, values)
-	if err != nil {
-		return nil, err
-	}
-	c1, err := e.mean.Collect(r, meanVals, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	c2, err := e.moment.Collect(r, momentVals, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return &Collection{
-		Groups:   append(c1.Groups, c2.Groups...),
-		ByzCount: c1.ByzCount + c2.ByzCount,
-	}, nil
-}
-
-func (e *varianceEstimator) Estimate(ctx context.Context, col *Collection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	h := e.mean.H()
-	if col == nil || len(col.Groups) != 2*h {
-		return nil, badCollection("variance estimation expects %d groups (mean half then moment half)", 2*h)
-	}
-	warm := WarmFromContext(ctx)
-	m1, err := e.mean.EstimateWarm(&Collection{Groups: col.Groups[:h]}, warm.subState(0))
-	if err != nil {
-		return nil, err
-	}
-	m2, err := e.moment.EstimateWarm(&Collection{Groups: col.Groups[h:]}, warm.subState(1))
-	if err != nil {
-		return nil, err
-	}
-	return varianceResult(m1, m2), nil
-}
-
-func (e *varianceEstimator) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	h := e.mean.H()
-	if hc == nil || len(hc.Counts) != 2*h || hc.Sums == nil || len(hc.Sums) != 2*h {
-		return nil, badCollection("variance estimation expects %d group histograms with sums", 2*h)
-	}
-	warm := WarmFromContext(ctx)
-	m1, err := e.mean.EstimateHistWarm(&HistCollection{Counts: hc.Counts[:h], Sums: hc.Sums[:h]}, warm.subState(0))
-	if err != nil {
-		return nil, err
-	}
-	m2, err := e.moment.EstimateHistWarm(&HistCollection{Counts: hc.Counts[h:], Sums: hc.Sums[h:]}, warm.subState(1))
-	if err != nil {
-		return nil, err
-	}
-	return varianceResult(m1, m2), nil
-}
-
-func (e *varianceEstimator) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
+// run is Collect followed by a cold Estimate: the Runner face of every
+// numeric estimator.
+func run(e interface {
+	Estimator
+	Collector
+}, r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
 	col, err := e.Collect(r, values, adv, gamma)
 	if err != nil {
 		return nil, err
 	}
 	return e.Estimate(context.Background(), col)
-}
-
-// varianceResult combines the two half estimates: Var = E[v²] − E[v]²
-// with E[v²] = (E[2v²−1]+1)/2. Mean, the probed threat features and VarMin
-// are the mean half's; group diagnostics concatenate the halves, solver
-// telemetry sums and the warm states compose.
-func varianceResult(m1, m2 *Result) *Result {
-	res := *m1
-	res.Task = TaskVariance
-	res.SecondMoment = stats.Clamp((m2.Mean+1)/2, 0, 1)
-	res.Variance = math.Max(0, res.SecondMoment-m1.Mean*m1.Mean)
-	res.GroupMeans = append(append([]float64(nil), m1.GroupMeans...), m2.GroupMeans...)
-	res.GroupGammas = append(append([]float64(nil), m1.GroupGammas...), m2.GroupGammas...)
-	res.Weights = append(append([]float64(nil), m1.Weights...), m2.Weights...)
-	res.NHat = append(append([]float64(nil), m1.NHat...), m2.NHat...)
-	res.EMFIters += m2.EMFIters
-	res.EMFRestarts += m2.EMFRestarts
-	res.WarmHits += m2.WarmHits
-	res.Converged = m1.Converged && m2.Converged
-	res.Warm = &WarmState{sub: []*WarmState{m1.Warm, m2.Warm}}
-	return &res
-}
-
-// --- the §IV two-budget baseline ---
-
-type baselineEstimator struct {
-	sp Spec
-	b  *Baseline
-}
-
-func (e *baselineEstimator) Spec() Spec { return e.sp }
-
-// Groups returns the two-budget layout: the probing budget ε_α and the
-// estimation budget ε_β, one report each.
-func (e *baselineEstimator) Groups() []Group {
-	return []Group{
-		{Index: 0, Eps: e.b.EpsAlpha, Reports: 1},
-		{Index: 1, Eps: e.b.EpsBeta, Reports: 1},
-	}
-}
-
-func (e *baselineEstimator) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
-	col, err := e.b.Collect(r, values, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return &Collection{Groups: [][]float64{col.Alpha, col.Beta}}, nil
-}
-
-func (e *baselineEstimator) Estimate(ctx context.Context, col *Collection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	if col == nil || len(col.Groups) != 2 {
-		return nil, badCollection("baseline estimation expects two groups (alpha, beta)")
-	}
-	return e.b.Estimate(&BaselineCollection{Alpha: col.Groups[0], Beta: col.Groups[1]})
-}
-
-func (e *baselineEstimator) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	return e.b.EstimateHist(hc)
-}
-
-func (e *baselineEstimator) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	return e.b.Run(r, values, adv, gamma)
 }
 
 // --- comparator defenses ---
@@ -534,14 +251,12 @@ func (e *defenseEstimator) EstimateHist(context.Context, *HistCollection) (*Resu
 		ErrBadSpec, e.def.Name())
 }
 
+// Run is Collect followed by Estimate.
 func (e *defenseEstimator) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	reports, err := CollectPM(r, values, e.sp.Eps, adv, gamma, e.sp.OPrime)
-	if err != nil {
-		return nil, err
-	}
-	return e.Estimate(context.Background(), &Collection{Groups: [][]float64{reports}})
+	return run(e, r, values, adv, gamma)
 }
 
+// Collect gathers one single-group PM collection at the full budget.
 func (e *defenseEstimator) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
 	reports, err := CollectPM(r, values, e.sp.Eps, adv, gamma, e.sp.OPrime)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
 	"reflect"
 	"sync"
@@ -26,26 +27,20 @@ func testValues(n int) []float64 {
 // which must happen in group order whatever order the fits finish in.
 func TestEstimateDeterministicUnderConcurrency(t *testing.T) {
 	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeCEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := build[*meanDAP](t, meanSpec(1, 1.0/16, SchemeCEMFStar))
 	col, err := d.Collect(rng.New(5), testValues(6000), adv, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	swd, err := NewSWDAP(SWParams{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeCEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	swd := build[*swDAP](t, swSpec(1, 1.0/16, SchemeCEMFStar))
 	swValues, _ := values01(5, 6000)
 	swCol, err := swd.Collect(rng.New(5), swValues, adv, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, estimate := range map[string]func() (*Result, error){
-		"pm": func() (*Result, error) { return d.Estimate(col) },
-		"sw": func() (*Result, error) { return swd.Estimate(swCol) },
+		"pm": func() (*Result, error) { return d.Estimate(context.Background(), col) },
+		"sw": func() (*Result, error) { return swd.Estimate(context.Background(), swCol) },
 	} {
 		first, err := estimate()
 		if err != nil {
@@ -76,30 +71,27 @@ func TestEstimateDeterministicUnderConcurrency(t *testing.T) {
 
 // TestEstimateFreqDeterministicUnderConcurrency is the categorical analog.
 func TestEstimateFreqDeterministicUnderConcurrency(t *testing.T) {
-	d, err := NewFreqDAP(FreqParams{Eps: 1, Eps0: 0.25, K: 12, Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := build[*freqDAP](t, freqSpec(1, 0.25, 12, SchemeEMFStar))
 	r := rng.New(6)
 	cats := make([]int, 5000)
 	for i := range cats {
 		cats[i] = r.IntN(12)
 	}
-	col, err := d.CollectFreq(rng.New(7), cats, []int{3}, 0.2)
+	col, err := d.CollectFreq(rng.New(7), cats, &attack.Targeted{Cats: []int{3}}, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := d.EstimateFreq(col)
+	first, err := d.EstimateHist(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 5; rep++ {
-		again, err := d.EstimateFreq(col)
+		again, err := d.EstimateHist(context.Background(), col)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(first, again) {
-			t.Fatalf("EstimateFreq diverged on repeat %d", rep)
+			t.Fatalf("EstimateHist diverged on repeat %d", rep)
 		}
 	}
 }
@@ -121,10 +113,7 @@ func (s sentinelAdv) Poison(_ *rand.Rand, _ attack.Env, k int) []float64 {
 // Collect: the strided Byzantine slots must land ~γ in every group (the
 // naive prefix split would concentrate them all in the first groups).
 func TestCollectSpreadsByzantineAcrossGroups(t *testing.T) {
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := build[*meanDAP](t, meanSpec(1, 1.0/16, SchemeEMF))
 	const gamma = 0.25
 	col, err := d.Collect(rng.New(9), testValues(20000), sentinelAdv{v: 99}, gamma)
 	if err != nil {

@@ -1,41 +1,15 @@
 package core
 
 import (
-	"math"
+	"context"
 	"math/rand/v2"
 
 	"repro/internal/attack"
 	"repro/internal/emf"
+	"repro/internal/ldp"
 	"repro/internal/ldp/pm"
 	"repro/internal/stats"
 )
-
-// Params configures a DAP instance (§V).
-type Params struct {
-	// Eps is the total per-user privacy budget ε.
-	Eps float64
-	// Eps0 is the minimal acceptable group budget ε₀ (the paper uses 1/16).
-	Eps0 float64
-	// Scheme selects EMF, EMF* or CEMF* intra-group estimation.
-	Scheme Scheme
-	// OPrime is the pessimistic mean initialization O′ (§IV-A; default 0).
-	OPrime float64
-	// AutoOPrime derives O′ from the collected reports per Theorem 2
-	// (trimmed pessimistic mean at the smallest budget) instead of using
-	// the fixed OPrime.
-	AutoOPrime bool
-	// GammaSup is the Byzantine-proportion upper bound used by the
-	// Theorem 2 initialization (0 selects the threat model's 1/2).
-	GammaSup float64
-	// SuppressFactor is CEMF*'s concentration threshold factor; the
-	// threshold is SuppressFactor·γ̂/|P| (the paper uses 0.5; 0 selects it).
-	SuppressFactor float64
-	// EMFMaxIter caps EM iterations per group (0 selects the emf default).
-	EMFMaxIter int
-	// WeightMode selects Algorithm 5's literal weights (default) or the
-	// general minimum-variance weights.
-	WeightMode WeightMode
-}
 
 // Group describes one DAP group (§V-A).
 type Group struct {
@@ -48,32 +22,24 @@ type Group struct {
 	Reports int
 }
 
-// DAP is a Differential Aggregation Protocol instance for mean estimation
-// over the Piecewise Mechanism.
-type DAP struct {
+// meanDAP is the Differential Aggregation Protocol for mean estimation
+// over the Piecewise Mechanism (§V): TaskMean's estimator.
+type meanDAP struct {
 	solver
-	p     Params
 	mechs []*pm.Mechanism
 }
 
-// NewDAP validates parameters and precomputes the group layout.
-func NewDAP(p Params) (*DAP, error) {
-	s, mechs, err := newSolver(solver{
-		eps: p.Eps, scheme: p.Scheme, suppress: p.SuppressFactor,
-		maxIter: p.EMFMaxIter, weights: p.WeightMode,
-	}, p.Eps0, pm.New)
+func newMeanDAP(sp Spec) (*meanDAP, error) {
+	s, mechs, err := newSolver(sp, false, pm.New)
 	if err != nil {
 		return nil, err
 	}
 	s.matrix = func(t, dprime int) (*emf.Matrix, error) { return numericMatrix(mechs[t], dprime) }
-	return &DAP{solver: s, p: p, mechs: mechs}, nil
+	return &meanDAP{solver: s, mechs: mechs}, nil
 }
 
-// Params returns the protocol parameters.
-func (d *DAP) Params() Params { return d.p }
-
-// Mechanism returns the PM instance of group t.
-func (d *DAP) Mechanism(t int) *pm.Mechanism { return d.mechs[t] }
+// OutputDomain returns group t's PM output interval.
+func (d *meanDAP) OutputDomain(t int) ldp.Domain { return d.mechs[t].OutputDomain() }
 
 // Collection holds the per-group reports received by the collector.
 type Collection struct {
@@ -90,7 +56,7 @@ type Collection struct {
 // γ·N colluding Byzantine users send poison values from adv for every
 // report slot. Byzantine users know each group's mechanism and output
 // domain (the protocol is public) but not other users' data.
-func (d *DAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
+func (d *meanDAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
 	n, h := len(values), d.H()
 	adv, nByz, err := simulated(n, h, adv, gamma)
 	if err != nil {
@@ -109,7 +75,7 @@ func (d *DAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamm
 		lo, hi := t*n/h, (t+1)*n/h
 		g := d.groups[t]
 		mech := d.mechs[t]
-		env := attack.EnvFor(mech, d.p.OPrime)
+		env := attack.EnvFor(mech, d.sp.OPrime)
 		env.Group = t
 		reports := make([]float64, 0, (hi-lo)*g.Reports)
 		for _, u := range perm[lo:hi] {
@@ -131,19 +97,43 @@ func (d *DAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamm
 // group EMF probing, intra-group mean estimation with the configured
 // scheme (Eq. 13), and variance-optimal inter-group aggregation
 // (Algorithm 5). The poisoned side and γ̂ fed to EMF*/CEMF* come from the
-// group with the smallest budget, where Theorem 3 makes EMF sharpest.
-func (d *DAP) Estimate(col *Collection) (*Result, error) {
-	return d.EstimateWarm(col, nil)
-}
-
-// EstimateWarm is Estimate with the solver runs seeded from a previous
-// estimate's fits (tolerance-equivalent to the cold run; see WarmState).
-func (d *DAP) EstimateWarm(col *Collection, warm *WarmState) (*Result, error) {
+// group with the smallest budget, where Theorem 3 makes EMF sharpest. A
+// warm state attached to ctx seeds the solver runs (tolerance-equivalent
+// to the cold run; see WarmState).
+func (d *meanDAP) Estimate(ctx context.Context, col *Collection) (*Result, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
 	hc, matrices, err := d.reduce(col)
 	if err != nil {
 		return nil, err
 	}
-	return d.estimate(matrices, hc, col.Groups[d.H()-1], warm)
+	return d.estimate(matrices, hc, col.Groups[d.H()-1], WarmFromContext(ctx))
+}
+
+// EstimateHist runs the collector pipeline (stages 3–5) directly from
+// per-group histograms — the streaming entry point. The transform matrix
+// resolution is derived from each histogram's length via emf.InputBuckets,
+// so a histogram accumulated at the d′ that BucketCounts would have picked
+// reproduces Estimate on the same reports exactly. Under AutoOPrime the
+// Theorem 2 trimmed mean is computed from the smallest-budget histogram
+// (bucket centers stand in for the sorted raw reports), the only place the
+// two paths can differ — by at most one bucket width.
+func (d *meanDAP) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	matrices, err := d.matrices(hc)
+	if err != nil {
+		return nil, err
+	}
+	// The mean pipeline needs the report sums (Eq. 13); without them every
+	// group mean would silently collapse toward 0. Only the SW path, which
+	// reads means off the reconstructed histogram, may omit them.
+	if hc.Sums == nil {
+		return nil, badCollection("mean estimation requires report sums")
+	}
+	return d.estimate(matrices, hc, nil, WarmFromContext(ctx))
 }
 
 // estimate runs stages 3–5 over the per-group sufficient statistic.
@@ -151,27 +141,27 @@ func (d *DAP) EstimateWarm(col *Collection, warm *WarmState) (*Result, error) {
 // AutoOPrime trimmed mean; the histogram entry point passes nil and the
 // trimmed mean falls back to bucket centers. warm optionally seeds every
 // solver run from a previous estimate's fits.
-func (d *DAP) estimate(matrices []*emf.Matrix, hc *HistCollection, probeRaw []float64, warm *WarmState) (*Result, error) {
+func (d *meanDAP) estimate(matrices []*emf.Matrix, hc *HistCollection, probeRaw []float64, warm *WarmState) (*Result, error) {
 	h := d.H()
 	var diag emfDiag
 	// Stage 3: probe side and γ̂ at the smallest budget (group h−1).
 	m, counts, probeCfg := matrices[h-1], hc.Counts[h-1], d.cfg(d.groups[h-1].Eps)
-	oPrime := d.p.OPrime
+	oPrime := d.sp.OPrime
 	probe, err := emf.ProbeSideInit(m, counts, oPrime, probeCfg, warm.probeLeft(), warm.probeRight())
 	if err != nil {
 		return nil, err
 	}
 	diag.observe(probe.Left, probe.Right)
-	if d.p.AutoOPrime {
+	if d.sp.AutoOPrime {
 		// Theorem 2: trim the suspected-poisoned tail of the smallest-budget
 		// reports (PM reports are unbiased, so their trimmed mean lives on
 		// the input scale) and re-probe around the pessimistic O′. The
 		// re-probe solves the same counts with shifted poison sets, so the
 		// first probe's fits are its natural seeds.
 		if probeRaw != nil {
-			oPrime = PessimisticO(probeRaw, d.p.GammaSup, probe.Side == emf.Right)
+			oPrime = PessimisticO(probeRaw, d.sp.GammaSup, probe.Side == emf.Right)
 		} else {
-			oPrime = PessimisticOHist(counts, outCenters(m), d.p.GammaSup, probe.Side == emf.Right)
+			oPrime = PessimisticOHist(counts, outCenters(m), d.sp.GammaSup, probe.Side == emf.Right)
 		}
 		oPrime = stats.Clamp(oPrime, -1, 1)
 		if probe, err = emf.ProbeSideInit(m, counts, oPrime, probeCfg, probe.Left, probe.Right); err != nil {
@@ -201,13 +191,9 @@ func (d *DAP) estimate(matrices []*emf.Matrix, hc *HistCollection, probeRaw []fl
 	return res, nil
 }
 
-// Run is Collect followed by Estimate.
-func (d *DAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	col, err := d.Collect(r, values, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return d.Estimate(col)
+// Run is Collect followed by a cold Estimate.
+func (d *meanDAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
+	return run(d, r, values, adv, gamma)
 }
 
 // CollectPM gathers a plain single-group PM collection at budget eps with
@@ -218,11 +204,11 @@ func CollectPM(r *rand.Rand, values []float64, eps float64, adv attack.Adversary
 	if err != nil {
 		return nil, err
 	}
-	if adv == nil {
-		adv = attack.None{}
-	}
 	n := len(values)
-	nByz := int(math.Round(gamma * float64(n)))
+	adv, nByz, err := simulated(n, 0, adv, gamma)
+	if err != nil {
+		return nil, err
+	}
 	env := attack.EnvFor(mech, oPrime)
 	reports := make([]float64, 0, n)
 	reports = append(reports, adv.Poison(r, env, nByz)...)

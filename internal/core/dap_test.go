@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/defense"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -21,31 +23,46 @@ func uniformValues(seed uint64, n int, lo, hi float64) ([]float64, float64) {
 	return vals, sum / float64(n)
 }
 
+// build is Build for tests: it fails t on error and returns the concrete
+// protocol type behind the Estimator.
+func build[T any](t testing.TB, sp Spec) T {
+	t.Helper()
+	est, err := Build(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est.(T)
+}
+
+// meanSpec is the mean task at budget (eps, eps0) under scheme.
+func meanSpec(eps, eps0 float64, scheme Scheme, opts ...Option) Spec {
+	return NewSpec(MeanTask(), append([]Option{WithBudget(eps, eps0), WithScheme(scheme)}, opts...)...)
+}
+
 func TestNewDAPValidation(t *testing.T) {
-	if _, err := NewDAP(Params{Eps: 0, Eps0: 1}); err == nil {
+	// An explicit zero ε₀ selects ε/16 in a Spec, so ε₀ = 0 is checked
+	// through validateBudgets itself.
+	if _, err := Build(meanSpec(0, 1, SchemeEMF)); err == nil {
 		t.Fatal("eps=0 accepted")
 	}
-	if _, err := NewDAP(Params{Eps: 1, Eps0: 0}); err == nil {
+	if err := validateBudgets(1, 0); err == nil {
 		t.Fatal("eps0=0 accepted")
 	}
-	if _, err := NewDAP(Params{Eps: 1, Eps0: 2}); err == nil {
+	if _, err := Build(meanSpec(1, 2, SchemeEMF)); err == nil {
 		t.Fatal("eps0 > eps accepted")
 	}
 	// The group count is bounded: ε/ε₀ = 2¹⁵ lays out MaxGroups groups,
 	// anything beyond is a bad spec (group t reports 2^t times).
-	if d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / (1 << (MaxGroups - 1))}); err != nil || d.H() != MaxGroups {
+	if d, err := Build(meanSpec(1, 1.0/(1<<(MaxGroups-1)), SchemeEMF)); err != nil || len(d.Groups()) != MaxGroups {
 		t.Fatalf("eps/eps0 = 2^%d: %v", MaxGroups-1, err)
 	}
-	if _, err := NewDAP(Params{Eps: 1, Eps0: 1e-12}); !errors.Is(err, ErrBadSpec) {
+	if _, err := Build(meanSpec(1, 1e-12, SchemeEMF)); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("eps0 = 1e-12: err = %v, want ErrBadSpec", err)
 	}
 }
 
 func TestDAPGroupLayout(t *testing.T) {
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := build[*meanDAP](t, meanSpec(1, 1.0/16, SchemeEMF))
 	if d.H() != 5 {
 		t.Fatalf("h = %d, want 5", d.H())
 	}
@@ -66,10 +83,7 @@ func TestDAPGroupLayout(t *testing.T) {
 }
 
 func TestDAPCollectShape(t *testing.T) {
-	d, err := NewDAP(Params{Eps: 1, Eps0: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := build[*meanDAP](t, meanSpec(1, 0.25, SchemeEMF))
 	vals, _ := uniformValues(1, 9000, -1, 1)
 	col, err := d.Collect(rng.New(2), vals, attack.None{}, 0)
 	if err != nil {
@@ -90,7 +104,7 @@ func TestDAPCollectShape(t *testing.T) {
 }
 
 func TestDAPCollectValidation(t *testing.T) {
-	d, _ := NewDAP(Params{Eps: 1, Eps0: 0.25})
+	d := build[*meanDAP](t, meanSpec(1, 0.25, SchemeEMF))
 	if _, err := d.Collect(rng.New(1), []float64{1}, nil, 0); err == nil {
 		t.Fatal("too few users accepted")
 	}
@@ -101,14 +115,15 @@ func TestDAPCollectValidation(t *testing.T) {
 }
 
 func TestDAPEstimateValidation(t *testing.T) {
-	d, _ := NewDAP(Params{Eps: 1, Eps0: 0.25})
-	if _, err := d.Estimate(nil); err == nil {
+	d := build[*meanDAP](t, meanSpec(1, 0.25, SchemeEMF))
+	ctx := context.Background()
+	if _, err := d.Estimate(ctx, nil); err == nil {
 		t.Fatal("nil collection accepted")
 	}
-	if _, err := d.Estimate(&Collection{Groups: make([][]float64, 2)}); err == nil {
+	if _, err := d.Estimate(ctx, &Collection{Groups: make([][]float64, 2)}); err == nil {
 		t.Fatal("wrong group count accepted")
 	}
-	if _, err := d.Estimate(&Collection{Groups: make([][]float64, 3)}); err == nil {
+	if _, err := d.Estimate(ctx, &Collection{Groups: make([][]float64, 3)}); err == nil {
 		t.Fatal("empty group accepted")
 	}
 }
@@ -116,10 +131,7 @@ func TestDAPEstimateValidation(t *testing.T) {
 func TestDAPNoAttackUnbiased(t *testing.T) {
 	// The paper's ε₀ = 1/16: Fig. 5(c) shows the EMF false-positive rate
 	// stays at 2–4% there, which bounds the clean-case bias.
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := build[*meanDAP](t, meanSpec(1, 1.0/16, SchemeEMFStar))
 	vals, trueMean := uniformValues(3, 20000, -0.6, 0.2)
 	est, err := d.Run(rng.New(4), vals, attack.None{}, 0)
 	if err != nil {
@@ -139,10 +151,7 @@ func TestDAPDefendsAgainstBBA(t *testing.T) {
 	const gamma = 0.25
 
 	for _, scheme := range Schemes() {
-		d, err := NewDAP(Params{Eps: 1, Eps0: 0.25, Scheme: scheme})
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := build[*meanDAP](t, meanSpec(1, 0.25, scheme))
 		est, err := d.Run(rng.New(6), vals, adv, gamma)
 		if err != nil {
 			t.Fatal(err)
@@ -169,7 +178,7 @@ func TestDAPDefendsAgainstBBA(t *testing.T) {
 func TestDAPEstimateInternals(t *testing.T) {
 	vals, _ := uniformValues(7, 12000, -0.8, 0)
 	adv := attack.NewBBA(attack.RangeHighQuarter, attack.DistUniform)
-	d, _ := NewDAP(Params{Eps: 1, Eps0: 0.25, Scheme: SchemeCEMFStar})
+	d := build[*meanDAP](t, meanSpec(1, 0.25, SchemeCEMFStar))
 	est, err := d.Run(rng.New(8), vals, adv, 0.2)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +211,7 @@ func TestDAPEstimateInternals(t *testing.T) {
 func TestDAPDeterministicAtFixedSeed(t *testing.T) {
 	vals, _ := uniformValues(9, 6000, -0.5, 0.5)
 	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
-	d, _ := NewDAP(Params{Eps: 1, Eps0: 0.5})
+	d := build[*meanDAP](t, meanSpec(1, 0.5, SchemeEMF))
 	a, err := d.Run(rng.New(10), vals, adv, 0.2)
 	if err != nil {
 		t.Fatal(err)
@@ -228,11 +237,23 @@ func TestCollectPM(t *testing.T) {
 	if _, err := CollectPM(rng.New(1), vals, -1, nil, 0, 0); err == nil {
 		t.Fatal("bad eps accepted")
 	}
+	// γ outside [0,1) is a domain error, as in every other simulation,
+	// directly and through a defense spec's Runner (γ ≥ 1 once spun in
+	// SampleSubset drawing more distinct ids than users; γ < 0 panicked).
+	def := build[Runner](t, NewSpec(MeanTask(), WithDefense(defense.Spec{Name: "trimming"})))
+	for _, g := range []float64{-0.2, 1, 1.5} {
+		if _, err := CollectPM(rng.New(1), vals, 1, nil, g, 0); !errors.Is(err, ErrDomain) {
+			t.Fatalf("CollectPM gamma %g: err = %v, want ErrDomain", g, err)
+		}
+		if _, err := def.Run(rng.New(1), vals, nil, g); !errors.Is(err, ErrDomain) {
+			t.Fatalf("defense Run gamma %g: err = %v, want ErrDomain", g, err)
+		}
+	}
 }
 
 func TestDAPWeightModeGeneral(t *testing.T) {
 	vals, trueMean := uniformValues(13, 9000, -0.5, 0)
-	d, _ := NewDAP(Params{Eps: 1, Eps0: 0.25, Scheme: SchemeEMFStar, WeightMode: WeightsGeneral})
+	d := build[*meanDAP](t, meanSpec(1, 0.25, SchemeEMFStar, WithWeights(WeightsGeneral)))
 	est, err := d.Run(rng.New(14), vals, attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), 0.2)
 	if err != nil {
 		t.Fatal(err)

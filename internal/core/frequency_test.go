@@ -1,38 +1,46 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/attack"
 	"repro/internal/dataset"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
+// freqSpec is the frequency task over k categories at budget (eps, eps0)
+// under scheme.
+func freqSpec(eps, eps0 float64, k int, scheme Scheme, opts ...Option) Spec {
+	return NewSpec(FrequencyTask(k), append([]Option{WithBudget(eps, eps0), WithScheme(scheme)}, opts...)...)
+}
+
 func TestNewFreqDAPValidation(t *testing.T) {
-	if _, err := NewFreqDAP(FreqParams{Eps: 1, Eps0: 0.25, K: 1}); err == nil {
+	if _, err := Build(freqSpec(1, 0.25, 1, SchemeEMF)); err == nil {
 		t.Fatal("K=1 accepted")
 	}
-	if _, err := NewFreqDAP(FreqParams{Eps: 0, Eps0: 0.25, K: 5}); err == nil {
+	if _, err := Build(freqSpec(0, 0.25, 5, SchemeEMF)); err == nil {
 		t.Fatal("bad budgets accepted")
 	}
-	if _, err := NewFreqDAP(FreqParams{Eps: 1, Eps0: 1e-12, K: 5}); !errors.Is(err, ErrBadSpec) {
+	if _, err := Build(freqSpec(1, 1e-12, 5, SchemeEMF)); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("eps0 = 1e-12: err = %v, want ErrBadSpec", err)
 	}
 }
 
 func TestFreqCollectValidation(t *testing.T) {
-	d, _ := NewFreqDAP(FreqParams{Eps: 1, Eps0: 0.5, K: 15})
+	d := build[*freqDAP](t, freqSpec(1, 0.5, 15, SchemeEMF))
 	cov := dataset.COVID19()
 	cats := cov.Sample(rng.New(1), 1000)
-	if _, err := d.CollectFreq(rng.New(2), cats, nil, 0.25); err == nil {
+	if _, err := d.RunCats(rng.New(2), cats, nil, 0.25); err == nil {
 		t.Fatal("gamma>0 without poison categories accepted")
 	}
-	if _, err := d.CollectFreq(rng.New(2), cats, []int{99}, 0.25); err == nil {
+	if _, err := d.RunCats(rng.New(2), cats, []int{99}, 0.25); err == nil {
 		t.Fatal("out-of-range category accepted")
 	}
-	if _, err := d.CollectFreq(rng.New(2), []int{1}, []int{2}, 0); err == nil {
+	if _, err := d.CollectFreq(rng.New(2), []int{1}, &attack.Targeted{Cats: []int{2}}, 0); err == nil {
 		t.Fatal("too few users accepted")
 	}
 }
@@ -42,15 +50,12 @@ func TestFreqDAPDefendsSingleCategory(t *testing.T) {
 	cats := cov.Sample(rng.New(3), 30000)
 	trueFreqs := cov.Freqs()
 	for _, scheme := range Schemes() {
-		d, err := NewFreqDAP(FreqParams{Eps: 1, Eps0: 0.25, K: 15, Scheme: scheme})
+		d := build[*freqDAP](t, freqSpec(1, 0.25, 15, scheme))
+		col, err := d.CollectFreq(rng.New(4), cats, &attack.Targeted{Cats: []int{10}}, 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}
-		col, err := d.CollectFreq(rng.New(4), cats, []int{10}, 0.25)
-		if err != nil {
-			t.Fatal(err)
-		}
-		est, err := d.EstimateFreq(col)
+		est, err := d.EstimateHist(context.Background(), col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,15 +83,12 @@ func TestFreqDAPMultiCategory(t *testing.T) {
 	cov := dataset.COVID19()
 	cats := cov.Sample(rng.New(5), 30000)
 	trueFreqs := cov.Freqs()
-	d, err := NewFreqDAP(FreqParams{Eps: 1, Eps0: 0.25, K: 15, Scheme: SchemeCEMFStar})
+	d := build[*freqDAP](t, freqSpec(1, 0.25, 15, SchemeCEMFStar))
+	col, err := d.CollectFreq(rng.New(6), cats, &attack.Targeted{Cats: []int{10, 11, 12}}, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := d.CollectFreq(rng.New(6), cats, []int{10, 11, 12}, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := d.EstimateFreq(col)
+	est, err := d.EstimateHist(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +105,8 @@ func TestFreqDAPNoAttack(t *testing.T) {
 	cov := dataset.COVID19()
 	cats := cov.Sample(rng.New(7), 20000)
 	trueFreqs := cov.Freqs()
-	d, err := NewFreqDAP(FreqParams{Eps: 1, Eps0: 0.25, K: 15, Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := d.Run(rng.New(8), cats, nil, 0)
+	d := build[*freqDAP](t, freqSpec(1, 0.25, 15, SchemeEMFStar))
+	est, err := d.RunCats(rng.New(8), cats, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +116,11 @@ func TestFreqDAPNoAttack(t *testing.T) {
 }
 
 func TestFreqEstimateValidation(t *testing.T) {
-	d, _ := NewFreqDAP(FreqParams{Eps: 1, Eps0: 0.5, K: 5})
-	if _, err := d.EstimateFreq(nil); err == nil {
+	d := build[*freqDAP](t, freqSpec(1, 0.5, 5, SchemeEMF))
+	if _, err := d.EstimateHist(context.Background(), nil); err == nil {
 		t.Fatal("nil accepted")
 	}
-	if _, err := d.EstimateFreq(&FreqCollection{Counts: [][]float64{{1, 2}}}); err == nil {
+	if _, err := d.EstimateHist(context.Background(), &HistCollection{Counts: [][]float64{{1, 2}}}); err == nil {
 		t.Fatal("wrong shape accepted")
 	}
 }

@@ -25,35 +25,6 @@ type HistCollection struct {
 	Sums []float64
 }
 
-// EstimateHist runs the collector pipeline (stages 3–5) directly from
-// per-group histograms — the streaming entry point. The transform matrix
-// resolution is derived from each histogram's length via emf.InputBuckets,
-// so a histogram accumulated at the d′ that BucketCounts would have picked
-// reproduces Estimate on the same reports exactly. Under AutoOPrime the
-// Theorem 2 trimmed mean is computed from the smallest-budget histogram
-// (bucket centers stand in for the sorted raw reports), the only place the
-// two paths can differ — by at most one bucket width.
-func (d *DAP) EstimateHist(hc *HistCollection) (*Result, error) {
-	return d.EstimateHistWarm(hc, nil)
-}
-
-// EstimateHistWarm is EstimateHist with the solver runs seeded from a
-// previous estimate's fits — the streaming engine's epoch re-estimation
-// path (tolerance-equivalent to the cold run; see WarmState).
-func (d *DAP) EstimateHistWarm(hc *HistCollection, warm *WarmState) (*Result, error) {
-	matrices, err := d.matrices(hc)
-	if err != nil {
-		return nil, err
-	}
-	// The mean pipeline needs the report sums (Eq. 13); without them every
-	// group mean would silently collapse toward 0. Only the SW path, which
-	// reads means off the reconstructed histogram, may omit them.
-	if hc.Sums == nil {
-		return nil, badCollection("mean estimation requires report sums")
-	}
-	return d.estimate(matrices, hc, nil, warm)
-}
-
 // outCenters returns the output-bucket midpoints of a transform matrix —
 // the value each histogram count stands in for.
 func outCenters(m *emf.Matrix) []float64 {
@@ -119,23 +90,4 @@ func trimHistTop(counts []float64, frac float64) []float64 {
 		drop -= c
 	}
 	return trimmed
-}
-
-// EstimateHist runs the SW collector pipeline directly from per-group
-// histograms. The §V-D pessimistic O′ (trimmed EMS at the smallest budget)
-// trims histogram mass instead of sorted raw reports; everything else is
-// the batch path fed by the same sufficient statistic. Sums are not used —
-// SW means come from the reconstructed input histogram.
-func (d *SWDAP) EstimateHist(hc *HistCollection) (*Result, error) {
-	return d.EstimateHistWarm(hc, nil)
-}
-
-// EstimateHistWarm is EstimateHist with the solver runs seeded from a
-// previous estimate's fits (tolerance-equivalent; see WarmState).
-func (d *SWDAP) EstimateHistWarm(hc *HistCollection, warm *WarmState) (*Result, error) {
-	matrices, err := d.matrices(hc)
-	if err != nil {
-		return nil, err
-	}
-	return d.estimate(matrices, hc, trimHistTop(hc.Counts[d.H()-1], d.trimFrac()), warm)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,13 +13,13 @@ import (
 
 // histFromCollection reduces a collection to the histogram sufficient
 // statistic exactly as Estimate does internally.
-func histFromCollection(t *testing.T, d *DAP, col *Collection) *HistCollection {
+func histFromCollection(t *testing.T, d *meanDAP, col *Collection) *HistCollection {
 	t.Helper()
 	h := d.H()
 	hc := &HistCollection{Counts: make([][]float64, h), Sums: make([]float64, h)}
 	for g := 0; g < h; g++ {
-		din, dprime := emf.BucketCounts(len(col.Groups[g]), d.Mechanism(g).C())
-		m, err := emf.BuildNumericCached(d.Mechanism(g), din, dprime)
+		din, dprime := emf.BucketCounts(len(col.Groups[g]), d.mechs[g].C())
+		m, err := emf.BuildNumericCached(d.mechs[g], din, dprime)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,10 +45,11 @@ func TestEstimateHistEquivalence(t *testing.T) {
 		{"cemfstar-auto-oprime", SchemeCEMFStar, 0.2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := NewDAP(Params{Eps: 1, Eps0: 0.25, Scheme: tc.scheme, AutoOPrime: tc.auto})
-			if err != nil {
-				t.Fatal(err)
+			sp := meanSpec(1, 0.25, tc.scheme)
+			if tc.auto {
+				sp = meanSpec(1, 0.25, tc.scheme, WithAutoOPrime(0))
 			}
+			d := build[*meanDAP](t, sp)
 			r := rng.New(11)
 			values := make([]float64, 1500)
 			for i := range values {
@@ -57,11 +59,11 @@ func TestEstimateHistEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			batch, err := d.Estimate(col)
+			batch, err := d.Estimate(context.Background(), col)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hist, err := d.EstimateHist(histFromCollection(t, d, col))
+			hist, err := d.EstimateHist(context.Background(), histFromCollection(t, d, col))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,18 +96,19 @@ func TestEstimateHistEquivalence(t *testing.T) {
 }
 
 func TestEstimateHistValidation(t *testing.T) {
-	d, _ := NewDAP(Params{Eps: 1, Eps0: 0.25, Scheme: SchemeEMF})
-	if _, err := d.EstimateHist(nil); err == nil {
+	d := build[*meanDAP](t, meanSpec(1, 0.25, SchemeEMF))
+	ctx := context.Background()
+	if _, err := d.EstimateHist(ctx, nil); err == nil {
 		t.Fatal("nil collection accepted")
 	}
-	if _, err := d.EstimateHist(&HistCollection{Counts: make([][]float64, 1)}); err == nil {
+	if _, err := d.EstimateHist(ctx, &HistCollection{Counts: make([][]float64, 1)}); err == nil {
 		t.Fatal("wrong group arity accepted")
 	}
 	hc := &HistCollection{Counts: make([][]float64, d.H()), Sums: make([]float64, d.H())}
 	for i := range hc.Counts {
 		hc.Counts[i] = make([]float64, 16)
 	}
-	if _, err := d.EstimateHist(hc); err == nil {
+	if _, err := d.EstimateHist(ctx, hc); err == nil {
 		t.Fatal("empty histograms accepted")
 	}
 }
@@ -143,10 +146,7 @@ func TestPessimisticOHistMatchesRaw(t *testing.T) {
 // SW: the histogram entry point must agree closely with the batch path
 // (the trimmed-EMS O′ is the only approximate stage).
 func TestSWEstimateHistCloseToBatch(t *testing.T) {
-	d, err := NewSWDAP(SWParams{Eps: 1, Eps0: 0.25, Scheme: SchemeCEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := build[*swDAP](t, swSpec(1, 0.25, SchemeCEMFStar))
 	r := rng.New(5)
 	values := make([]float64, 1500)
 	for i := range values {
@@ -156,22 +156,22 @@ func TestSWEstimateHistCloseToBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := d.Estimate(col)
+	batch, err := d.Estimate(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := d.H()
 	hc := &HistCollection{Counts: make([][]float64, h)}
 	for g := 0; g < h; g++ {
-		c := d.Mechanism(g).OutputDomain().Width()
+		c := d.mechs[g].OutputDomain().Width()
 		din, dprime := emf.BucketCounts(len(col.Groups[g]), c)
-		m, err := emf.BuildNumericCached(d.Mechanism(g), din, dprime)
+		m, err := emf.BuildNumericCached(d.mechs[g], din, dprime)
 		if err != nil {
 			t.Fatal(err)
 		}
 		hc.Counts[g] = m.Counts(col.Groups[g])
 	}
-	hist, err := d.EstimateHist(hc)
+	hist, err := d.EstimateHist(context.Background(), hc)
 	if err != nil {
 		t.Fatal(err)
 	}

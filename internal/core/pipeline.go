@@ -11,14 +11,17 @@ import (
 )
 
 // solver owns what every instantiation of the protocol shares (§V, Fig. 3):
-// the group layout of §V-A, the estimation scheme with its controls, the
-// per-group fit (Algorithms 2/4, Theorem 5) and the inter-group weights
-// (Algorithm 5, Theorem 6). DAP, SWDAP and FreqDAP embed it and supply only
-// what the paper says differs: how the threat features are probed (a
-// poison-set function, γ̂ and a seed fit) and how a group's fit is read out.
+// the normalized spec it was built from, the group layout of §V-A, the
+// estimation scheme, the per-group fit (Algorithms 2/4, Theorem 5) and the
+// inter-group weights (Algorithm 5, Theorem 6). The PM, SW and k-RR
+// protocols embed it and supply only what the paper says differs: how the
+// threat features are probed (a poison-set function, γ̂ and a seed fit)
+// and how a group's fit is read out. The baseline embeds it for the fit.
 type solver struct {
-	// eps is the total per-user budget ε.
-	eps    float64
+	// sp is the normalized spec; its Eps, SuppressFactor (CEMF*'s
+	// threshold factor, 0 selects 0.5) and EMFMaxIter (0 selects the emf
+	// default) are read where they are used.
+	sp     Spec
 	groups []Group
 	// worstVar[t] is Var_worst(ε_t) of group t's mechanism (Theorem 6).
 	worstVar []float64
@@ -26,27 +29,30 @@ type solver struct {
 	matrix func(t, dprime int) (*emf.Matrix, error)
 
 	scheme Scheme
-	// suppress is CEMF*'s concentration threshold factor (0 selects 0.5).
-	suppress float64
-	// maxIter caps EM iterations per fit (0 selects the emf default).
-	maxIter int
 	// smooth runs every fit EMS-style (the Square Wave instantiation).
 	smooth  bool
 	weights WeightMode
 }
 
-// newSolver lays out the §V-A groups over the controls in s: h =
+// specSolver reads the scheme and weight controls of a normalized (hence
+// valid) spec.
+func specSolver(sp Spec, smooth bool) solver {
+	s := solver{sp: sp, smooth: smooth}
+	s.scheme, _ = ParseScheme(sp.Scheme)
+	s.weights, _ = ParseWeightMode(sp.Weights)
+	return s
+}
+
+// newSolver lays out the §V-A groups of a built spec: h =
 // ⌈log₂(ε/ε₀)⌉+1 groups, group t holding budget ε_t = ε/2^t, reporting 2^t
 // times and perturbing with newMech(ε_t).
-func newSolver[M interface{ WorstCaseVar() float64 }](s solver, eps0 float64, newMech func(eps float64) (M, error)) (solver, []M, error) {
-	if err := validateBudgets(s.eps, eps0); err != nil {
-		return s, nil, err
-	}
-	h := groupCount(s.eps, eps0)
+func newSolver[M interface{ WorstCaseVar() float64 }](sp Spec, smooth bool, newMech func(eps float64) (M, error)) (solver, []M, error) {
+	s := specSolver(sp, smooth)
+	h := groupCount(sp.Eps, sp.Eps0)
 	s.groups, s.worstVar = make([]Group, h), make([]float64, h)
 	mechs := make([]M, h)
 	for t := range mechs {
-		eps := s.eps / math.Pow(2, float64(t))
+		eps := sp.Eps / math.Pow(2, float64(t))
 		mech, err := newMech(eps)
 		if err != nil {
 			return s, nil, fmt.Errorf("core: group %d: %w", t, err)
@@ -57,6 +63,9 @@ func newSolver[M interface{ WorstCaseVar() float64 }](s solver, eps0 float64, ne
 	}
 	return s, mechs, nil
 }
+
+// Spec returns the normalized spec the protocol was built from.
+func (s *solver) Spec() Spec { return s.sp }
 
 // H returns the number of groups h = ⌈log₂(ε/ε₀)⌉+1.
 func (s *solver) H() int { return len(s.groups) }
@@ -130,7 +139,7 @@ func (s *solver) matrices(hc *HistCollection) ([]*emf.Matrix, error) {
 // termination threshold τ = 0.01·e^{ε_t} and the SQUAREM-accelerated
 // solver (tolerance-equivalent to the plain loop, ~2–5× fewer E-steps).
 func (s *solver) cfg(eps float64) emf.Config {
-	return emf.Config{Tol: emf.PaperTol(eps), MaxIter: s.maxIter, Smooth: s.smooth, Accelerate: true}
+	return emf.Config{Tol: emf.PaperTol(eps), MaxIter: s.sp.EMFMaxIter, Smooth: s.smooth, Accelerate: true}
 }
 
 // sidePoison returns the poison-set function of a probed side: the output
@@ -167,7 +176,7 @@ func (s *solver) fit(m *emf.Matrix, counts []float64, poison []int, gamma, eps f
 	if s.scheme != SchemeCEMFStar {
 		return base, base, base.Gamma(), nil
 	}
-	factor := s.suppress
+	factor := s.sp.SuppressFactor
 	if factor <= 0 {
 		factor = 0.5
 	}
@@ -257,7 +266,7 @@ func (s *solver) weigh(n, mHat []float64) (nHat, w []float64, varMin float64, er
 	nHat = make([]float64, len(n))
 	b := make([]float64, len(n))
 	for t := range n {
-		nHat[t] = (n[t] - mHat[t]) * s.groups[t].Eps / s.eps
+		nHat[t] = (n[t] - mHat[t]) * s.groups[t].Eps / s.sp.Eps
 		b[t] = nHat[t] * s.worstVar[t]
 	}
 	if w, err = OptimalWeights(b, nHat, s.weights); err != nil {

@@ -1,60 +1,39 @@
 package core
 
 import (
+	"context"
 	"math/rand/v2"
 
 	"repro/internal/attack"
 	"repro/internal/emf"
+	"repro/internal/ldp"
 	"repro/internal/ldp/sw"
 	"repro/internal/stats"
 )
 
-// SWParams configures the Square Wave variant of DAP (§V-D): inputs live
-// in [0,1], perturbation uses SW, reconstruction uses EMS (EM with
-// smoothing), and the mean is read off the reconstructed input histogram
-// rather than the report sum.
-type SWParams struct {
-	Eps  float64
-	Eps0 float64
-	// Scheme selects EMF, EMF* or CEMF* (each running EMS-style with the
-	// smoothing step).
-	Scheme Scheme
-	// TrimFrac is the fraction removed from the poisoned side before the
-	// pessimistic O′ estimation (§V-D prescribes 50%; 0 selects it).
-	TrimFrac float64
-	// SuppressFactor is CEMF*'s threshold factor (0 selects 0.5).
-	SuppressFactor float64
-	// EMFMaxIter caps EM iterations (0 selects the emf default).
-	EMFMaxIter int
-	// WeightMode selects the aggregation weights.
-	WeightMode WeightMode
-}
-
-// SWDAP is the Square Wave instantiation of the protocol.
-type SWDAP struct {
+// swDAP is the Square Wave instantiation of the protocol (§V-D):
+// TaskDistribution's estimator. Inputs live in [0,1], perturbation uses
+// SW, reconstruction uses EMS (EM with smoothing), and the mean is read
+// off the reconstructed input histogram rather than the report sum.
+type swDAP struct {
 	solver
-	p     SWParams
 	mechs []*sw.Mechanism
 }
 
-// NewSWDAP validates parameters and precomputes the group layout.
-func NewSWDAP(p SWParams) (*SWDAP, error) {
-	s, mechs, err := newSolver(solver{
-		eps: p.Eps, scheme: p.Scheme, suppress: p.SuppressFactor,
-		maxIter: p.EMFMaxIter, smooth: true, weights: p.WeightMode,
-	}, p.Eps0, sw.New)
+func newSWDAP(sp Spec) (*swDAP, error) {
+	s, mechs, err := newSolver(sp, true, sw.New)
 	if err != nil {
 		return nil, err
 	}
 	s.matrix = func(t, dprime int) (*emf.Matrix, error) { return numericMatrix(mechs[t], dprime) }
-	return &SWDAP{solver: s, p: p, mechs: mechs}, nil
+	return &swDAP{solver: s, mechs: mechs}, nil
 }
 
-// Mechanism returns group t's SW instance.
-func (d *SWDAP) Mechanism(t int) *sw.Mechanism { return d.mechs[t] }
+// OutputDomain returns group t's SW output interval.
+func (d *swDAP) OutputDomain(t int) ldp.Domain { return d.mechs[t].OutputDomain() }
 
 // Collect simulates the user side over values in [0,1].
-func (d *SWDAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
+func (d *swDAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Collection, error) {
 	n, h := len(values), d.H()
 	adv, nByz, err := simulated(n, h, adv, gamma)
 	if err != nil {
@@ -88,21 +67,35 @@ func (d *SWDAP) Collect(r *rand.Rand, values []float64, adv attack.Adversary, ga
 	return col, nil
 }
 
-// Estimate runs the collector side over an SW collection.
-func (d *SWDAP) Estimate(col *Collection) (*Result, error) {
-	return d.EstimateWarm(col, nil)
-}
-
-// EstimateWarm is Estimate with the solver runs seeded from a previous
-// estimate's fits (tolerance-equivalent to the cold run; see WarmState).
-func (d *SWDAP) EstimateWarm(col *Collection, warm *WarmState) (*Result, error) {
+// Estimate runs the collector side over an SW collection; a warm state
+// attached to ctx seeds the solver runs (see WarmState).
+func (d *swDAP) Estimate(ctx context.Context, col *Collection) (*Result, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
 	hc, matrices, err := d.reduce(col)
 	if err != nil {
 		return nil, err
 	}
 	h := d.H()
 	trimmed := matrices[h-1].Counts(trimTop(col.Groups[h-1], d.trimFrac()))
-	return d.estimate(matrices, hc, trimmed, warm)
+	return d.estimate(matrices, hc, trimmed, WarmFromContext(ctx))
+}
+
+// EstimateHist runs the SW collector pipeline directly from per-group
+// histograms. The §V-D pessimistic O′ (trimmed EMS at the smallest budget)
+// trims histogram mass instead of sorted raw reports; everything else is
+// the batch path fed by the same sufficient statistic. Sums are not used —
+// SW means come from the reconstructed input histogram.
+func (d *swDAP) EstimateHist(ctx context.Context, hc *HistCollection) (*Result, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
+	matrices, err := d.matrices(hc)
+	if err != nil {
+		return nil, err
+	}
+	return d.estimate(matrices, hc, trimHistTop(hc.Counts[d.H()-1], d.trimFrac()), WarmFromContext(ctx))
 }
 
 // trimTop removes the largest frac of the reports (pessimistic against a
@@ -126,14 +119,14 @@ func trimTop(reports []float64, frac float64) []float64 {
 // statistic. trimmed is the smallest-budget histogram with its top TrimFrac
 // removed (from raw reports by Estimate, from histogram mass by
 // EstimateHist); warm optionally seeds every solver run.
-func (d *SWDAP) estimate(matrices []*emf.Matrix, hc *HistCollection, trimmed []float64, warm *WarmState) (*Result, error) {
+func (d *swDAP) estimate(matrices []*emf.Matrix, hc *HistCollection, trimmed []float64, warm *WarmState) (*Result, error) {
 	h := d.H()
 	m := matrices[h-1]
 	// Stage 3: the pessimistic O′ is the mean of a plain EMS fit of the
 	// trimmed histogram (§V-D's analogue of Theorem 2); then probe side and
 	// γ̂ around it at the smallest budget.
 	oFit, err := emf.RunConstrained(m, trimmed, nil, 0,
-		emf.Config{Smooth: true, MaxIter: d.maxIter, Accelerate: true, Init: warm.oSeed()})
+		emf.Config{Smooth: true, MaxIter: d.sp.EMFMaxIter, Accelerate: true, Init: warm.oSeed()})
 	if err != nil {
 		return nil, err
 	}
@@ -176,20 +169,16 @@ func (d *SWDAP) estimate(matrices []*emf.Matrix, hc *HistCollection, trimmed []f
 	return res, nil
 }
 
-// Run is Collect followed by Estimate.
-func (d *SWDAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
-	col, err := d.Collect(r, values, adv, gamma)
-	if err != nil {
-		return nil, err
-	}
-	return d.Estimate(col)
+// Run is Collect followed by a cold Estimate.
+func (d *swDAP) Run(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*Result, error) {
+	return run(d, r, values, adv, gamma)
 }
 
 // trimFrac is the fraction removed from the top before the pessimistic O′
 // fit (§V-D prescribes 50%).
-func (d *SWDAP) trimFrac() float64 {
-	if d.p.TrimFrac > 0 {
-		return d.p.TrimFrac
+func (d *swDAP) trimFrac() float64 {
+	if d.sp.TrimFrac > 0 {
+		return d.sp.TrimFrac
 	}
 	return 0.5
 }
@@ -221,7 +210,7 @@ func (s *SWSingle) Reconstruct(reports []float64) (xhat, centers []float64, err 
 		return nil, nil, err
 	}
 	counts := m.Counts(reports)
-	sv := solver{scheme: s.Scheme, maxIter: s.EMFMaxIter, smooth: true}
+	sv := solver{sp: Spec{EMFMaxIter: s.EMFMaxIter}, scheme: s.Scheme, smooth: true}
 	var res *emf.Result
 	if s.IgnorePoison {
 		res, err = emf.RunConstrained(m, counts, nil, 0, sv.cfg(s.Eps))

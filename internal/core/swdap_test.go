@@ -22,20 +22,22 @@ func values01(seed uint64, n int) ([]float64, float64) {
 	return vals, sum / float64(n)
 }
 
+// swSpec is the distribution task at budget (eps, eps0) under scheme.
+func swSpec(eps, eps0 float64, scheme Scheme, opts ...Option) Spec {
+	return NewSpec(DistributionTask(), append([]Option{WithBudget(eps, eps0), WithScheme(scheme)}, opts...)...)
+}
+
 func TestNewSWDAPValidation(t *testing.T) {
-	if _, err := NewSWDAP(SWParams{Eps: 0, Eps0: 1}); err == nil {
+	if _, err := Build(swSpec(0, 1, SchemeEMF)); err == nil {
 		t.Fatal("bad budgets accepted")
 	}
-	if _, err := NewSWDAP(SWParams{Eps: 1, Eps0: 1e-12}); !errors.Is(err, ErrBadSpec) {
+	if _, err := Build(swSpec(1, 1e-12, SchemeEMF)); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("eps0 = 1e-12: err = %v, want ErrBadSpec", err)
 	}
 }
 
 func TestSWDAPNoAttack(t *testing.T) {
-	d, err := NewSWDAP(SWParams{Eps: 1, Eps0: 0.25, Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := build[*swDAP](t, swSpec(1, 0.25, SchemeEMFStar))
 	vals, trueMean := values01(1, 15000)
 	est, err := d.Run(rng.New(2), vals, attack.None{}, 0)
 	if err != nil {
@@ -55,10 +57,7 @@ func TestSWDAPNoAttack(t *testing.T) {
 func TestSWDAPDefends(t *testing.T) {
 	vals, trueMean := values01(3, 15000)
 	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
-	d, err := NewSWDAP(SWParams{Eps: 1, Eps0: 0.25, Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := build[*swDAP](t, swSpec(1, 0.25, SchemeEMFStar))
 	est, err := d.Run(rng.New(4), vals, adv, 0.25)
 	if err != nil {
 		t.Fatal(err)

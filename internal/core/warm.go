@@ -73,14 +73,6 @@ func (w *WarmState) oSeed() *emf.Result {
 	return w.oFit
 }
 
-// subState returns the i-th composite sub-state, nil-safe.
-func (w *WarmState) subState(i int) *WarmState {
-	if w == nil || i >= len(w.sub) {
-		return nil
-	}
-	return w.sub[i]
-}
-
 // warmCtxKey keys the warm state in a context.
 type warmCtxKey struct{}
 
@@ -104,6 +96,20 @@ func WarmFromContext(ctx context.Context) *WarmState {
 	}
 	ws, _ := ctx.Value(warmCtxKey{}).(*WarmState)
 	return ws
+}
+
+// withSubState hands the i-th half of a composite estimator (variance) its
+// own warm state: the i-th sub-state of ctx's, nil when absent — never the
+// composite state itself.
+func withSubState(ctx context.Context, i int) context.Context {
+	var sub *WarmState
+	if ws := WarmFromContext(ctx); ws != nil && i < len(ws.sub) {
+		sub = ws.sub[i]
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return context.WithValue(ctx, warmCtxKey{}, sub)
 }
 
 // emfDiag accumulates solver telemetry across the EM fits of one

@@ -11,12 +11,9 @@ import (
 )
 
 // warmMeanFixture builds a mean-task DAP and one attacked collection.
-func warmMeanFixture(t *testing.T, scheme Scheme) (*DAP, *Collection) {
+func warmMeanFixture(t *testing.T, scheme Scheme) (*meanDAP, *Collection) {
 	t.Helper()
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: scheme})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := build[*meanDAP](t, meanSpec(1, 1.0/16, scheme))
 	r := rng.New(21)
 	values := make([]float64, 6000)
 	for i := range values {
@@ -33,14 +30,15 @@ func warmMeanFixture(t *testing.T, scheme Scheme) (*DAP, *Collection) {
 // within tolerance while cutting solver iterations — for every mechanism
 // (PM mean, SW distribution, k-RR frequency).
 func TestWarmStartToleranceEquivalence(t *testing.T) {
+	ctx := context.Background()
 	t.Run("pm", func(t *testing.T) {
 		for _, scheme := range Schemes() {
 			d, col := warmMeanFixture(t, scheme)
-			cold, err := d.Estimate(col)
+			cold, err := d.Estimate(ctx, col)
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := d.EstimateWarm(col, cold.Warm)
+			warm, err := d.Estimate(WithWarm(ctx, cold.Warm), col)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,10 +59,7 @@ func TestWarmStartToleranceEquivalence(t *testing.T) {
 		}
 	})
 	t.Run("sw", func(t *testing.T) {
-		d, err := NewSWDAP(SWParams{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar})
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := build[*swDAP](t, swSpec(1, 1.0/16, SchemeEMFStar))
 		r := rng.New(22)
 		values := make([]float64, 6000)
 		for i := range values {
@@ -74,11 +69,11 @@ func TestWarmStartToleranceEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := d.Estimate(col)
+		cold, err := d.Estimate(ctx, col)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := d.EstimateWarm(col, cold.Warm)
+		warm, err := d.Estimate(WithWarm(ctx, cold.Warm), col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,24 +93,21 @@ func TestWarmStartToleranceEquivalence(t *testing.T) {
 		}
 	})
 	t.Run("krr", func(t *testing.T) {
-		f, err := NewFreqDAP(FreqParams{Eps: 1, Eps0: 1.0 / 16, K: 12, Scheme: SchemeEMFStar})
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := build[*freqDAP](t, freqSpec(1, 1.0/16, 12, SchemeEMFStar))
 		r := rng.New(23)
 		cats := make([]int, 8000)
 		for i := range cats {
 			cats[i] = r.IntN(12) % 7
 		}
-		col, err := f.CollectFreq(r, cats, []int{11}, 0.2)
+		col, err := f.CollectFreq(r, cats, &attack.Targeted{Cats: []int{11}}, 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := f.EstimateFreq(col)
+		cold, err := f.EstimateHist(ctx, col)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := f.EstimateFreqWarm(col, cold.Warm)
+		warm, err := f.EstimateHist(WithWarm(ctx, cold.Warm), col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,10 +129,8 @@ func TestWarmStartToleranceEquivalence(t *testing.T) {
 // collection's fits (neighbouring γ) must agree with the cold estimate of
 // the same collection within tolerance.
 func TestWarmStartAcrossCollections(t *testing.T) {
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeCEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := build[*meanDAP](t, meanSpec(1, 1.0/16, SchemeCEMFStar))
+	ctx := context.Background()
 	r := rng.New(31)
 	values := make([]float64, 6000)
 	for i := range values {
@@ -155,15 +145,15 @@ func TestWarmStartAcrossCollections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := d.Estimate(colA)
+	first, err := d.Estimate(ctx, colA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldB, err := d.Estimate(colB)
+	coldB, err := d.Estimate(ctx, colB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmB, err := d.EstimateWarm(colB, first.Warm)
+	warmB, err := d.Estimate(WithWarm(ctx, first.Warm), colB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +218,12 @@ func TestWarmStateViaContext(t *testing.T) {
 // cold start, not crash or corrupt the estimate.
 func TestWarmStateLayoutMismatch(t *testing.T) {
 	d, col := warmMeanFixture(t, SchemeEMFStar)
-	cold, err := d.Estimate(col)
+	ctx := context.Background()
+	cold, err := d.Estimate(ctx, col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := NewDAP(Params{Eps: 2, Eps0: 1.0 / 16, Scheme: SchemeEMFStar})
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := build[*meanDAP](t, meanSpec(2, 1.0/16, SchemeEMFStar))
 	r := rng.New(51)
 	values := make([]float64, 6000)
 	for i := range values {
@@ -245,13 +233,13 @@ func TestWarmStateLayoutMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	estOther, err := other.Estimate(colOther)
+	estOther, err := other.Estimate(ctx, colOther)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 6-group warm state fed to a 5-group protocol with different bucket
 	// resolutions: every seed is shape-checked away.
-	res, err := d.EstimateWarm(col, estOther.Warm)
+	res, err := d.Estimate(WithWarm(ctx, estOther.Warm), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,23 +254,20 @@ func TestEstimateHistIterationAllocsStable(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; guard applies to production builds")
 	}
-	build := func(maxIter int) *DAP {
-		d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar, EMFMaxIter: maxIter})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
+	mk := func(maxIter int) *meanDAP {
+		return build[*meanDAP](t, meanSpec(1, 1.0/16, SchemeEMFStar, WithEMFMaxIter(maxIter)))
 	}
-	dShort, dLong := build(6), build(120)
+	dShort, dLong := mk(6), mk(120)
 	_, col := warmMeanFixture(t, SchemeEMFStar)
 	hc := histFromCollection(t, dShort, col)
-	measure := func(d *DAP) float64 {
+	ctx := context.Background()
+	measure := func(d *meanDAP) float64 {
 		// Warm the matrix cache and state pool off the measurement.
-		if _, err := d.EstimateHist(hc); err != nil {
+		if _, err := d.EstimateHist(ctx, hc); err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(10, func() {
-			if _, err := d.EstimateHist(hc); err != nil {
+			if _, err := d.EstimateHist(ctx, hc); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -296,10 +281,7 @@ func TestEstimateHistIterationAllocsStable(t *testing.T) {
 }
 
 func BenchmarkEstimateHist(b *testing.B) {
-	d, err := NewDAP(Params{Eps: 1, Eps0: 1.0 / 16, Scheme: SchemeEMFStar, EMFMaxIter: 60})
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := build[*meanDAP](b, meanSpec(1, 1.0/16, SchemeEMFStar, WithEMFMaxIter(60)))
 	r := rng.New(61)
 	values := make([]float64, 6000)
 	for i := range values {
@@ -311,8 +293,8 @@ func BenchmarkEstimateHist(b *testing.B) {
 	}
 	hc := &HistCollection{Counts: make([][]float64, d.H()), Sums: make([]float64, d.H())}
 	for g, reports := range col.Groups {
-		din, dprime := emf.BucketCounts(len(reports), d.Mechanism(g).C())
-		m, err := emf.BuildNumericCached(d.Mechanism(g), din, dprime)
+		din, dprime := emf.BucketCounts(len(reports), d.mechs[g].C())
+		m, err := emf.BuildNumericCached(d.mechs[g], din, dprime)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -324,7 +306,7 @@ func BenchmarkEstimateHist(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.EstimateHist(hc); err != nil {
+		if _, err := d.EstimateHist(context.Background(), hc); err != nil {
 			b.Fatal(err)
 		}
 	}

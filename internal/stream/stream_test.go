@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ldp/krr"
 	"repro/internal/ldp/pm"
 	"repro/internal/privacy"
 	"repro/internal/rng"
@@ -515,12 +516,8 @@ func TestFreqTenantEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freq, err := core.NewFreqDAP(core.FreqParams{Eps: 2, Eps0: 1, K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for g, grp := range tn.Groups() {
-		mech := freq.Mechanism(g)
+		mech := krr.MustNew(grp.Eps, 4)
 		for i := 0; i < 400; i++ {
 			cat := 0 // heavily skewed truth
 			if i%4 == 3 {

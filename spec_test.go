@@ -1,8 +1,8 @@
 package dap
 
 // Task-spec API tests: JSON round-trip fidelity (marshal → unmarshal →
-// Build estimates bit-identically to the directly-constructed protocols,
-// for every task kind), validation error taxonomy, and the end-to-end
+// Build estimates bit-identically to the estimator built from the spec
+// before the round trip, for every task kind), validation error taxonomy, and the end-to-end
 // acceptance invariant — one JSON spec powering batch estimation, a
 // stream tenant and the wire API with equal results.
 
@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"net/http/httptest"
 	"strconv"
 	"testing"
@@ -38,6 +39,40 @@ func roundTrip(t *testing.T, sp core.Spec) core.Spec {
 	return got
 }
 
+// buildAs is Build for tests: it fails t on error and asserts the face
+// the test drives.
+func buildAs[T any](t testing.TB, sp core.Spec) T {
+	t.Helper()
+	est, err := core.Build(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	face, ok := est.(T)
+	if !ok {
+		t.Fatalf("the %s estimator lacks %T", sp.Task, &face)
+	}
+	return face
+}
+
+// collectEstimator is a numeric estimator whose user side a test
+// simulates before estimating.
+type collectEstimator interface {
+	core.Estimator
+	core.Collector
+}
+
+// catCollector and gamedCollector reach the simulation hooks of the
+// frequency and baseline estimators, which no core face carries.
+type catCollector interface {
+	core.Estimator
+	CollectFreq(r *rand.Rand, cats []int, adv attack.Adversary, gamma float64) (*core.HistCollection, error)
+}
+
+type gamedCollector interface {
+	core.Estimator
+	GamedCollect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*core.Collection, error)
+}
+
 func testValues(seed uint64, n int) []float64 {
 	r := rng.New(seed)
 	vals := make([]float64, n)
@@ -48,25 +83,23 @@ func testValues(seed uint64, n int) []float64 {
 }
 
 // TestSpecRoundTripMean: a JSON-round-tripped mean spec estimates the
-// exact same Collection bit-identically to a directly-constructed DAP.
+// exact same Collection bit-identically to the estimator built from the
+// spec before the round trip.
 func TestSpecRoundTripMean(t *testing.T) {
-	sp := roundTrip(t, core.NewSpec(core.MeanTask(),
+	orig := core.NewSpec(core.MeanTask(),
 		core.WithBudget(1, 0.25), core.WithScheme(core.SchemeCEMFStar),
-		core.WithEMFMaxIter(80)))
-	est, err := core.Build(sp)
+		core.WithEMFMaxIter(80))
+	est, err := core.Build(roundTrip(t, orig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := core.NewDAP(core.Params{Eps: 1, Eps0: 0.25, Scheme: core.SchemeCEMFStar, EMFMaxIter: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[collectEstimator](t, orig)
 	col, err := d.Collect(rng.New(5), testValues(4, 1500),
 		attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := d.Estimate(col)
+	want, err := d.Estimate(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,17 +119,14 @@ func TestSpecRoundTripMean(t *testing.T) {
 
 // TestSpecRoundTripDistribution: same invariant for the SW variant.
 func TestSpecRoundTripDistribution(t *testing.T) {
-	sp := roundTrip(t, core.NewSpec(core.DistributionTask(),
+	orig := core.NewSpec(core.DistributionTask(),
 		core.WithBudget(1, 0.25), core.WithScheme(core.SchemeEMFStar),
-		core.WithEMFMaxIter(80)))
-	est, err := core.Build(sp)
+		core.WithEMFMaxIter(80))
+	est, err := core.Build(roundTrip(t, orig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := core.NewSWDAP(core.SWParams{Eps: 1, Eps0: 0.25, Scheme: core.SchemeEMFStar, EMFMaxIter: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[collectEstimator](t, orig)
 	vals := testValues(6, 1200)
 	for i, v := range vals {
 		vals[i] = (v + 1) / 2
@@ -105,7 +135,7 @@ func TestSpecRoundTripDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := d.Estimate(col)
+	want, err := d.Estimate(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,27 +156,24 @@ func TestSpecRoundTripDistribution(t *testing.T) {
 // TestSpecRoundTripFrequency: same invariant for the k-RR variant, via
 // both the histogram and the raw-report faces.
 func TestSpecRoundTripFrequency(t *testing.T) {
-	sp := roundTrip(t, core.NewSpec(core.FrequencyTask(6),
+	orig := core.NewSpec(core.FrequencyTask(6),
 		core.WithBudget(2, 1), core.WithScheme(core.SchemeEMFStar),
-		core.WithEMFMaxIter(80)))
-	est, err := core.Build(sp)
+		core.WithEMFMaxIter(80))
+	est, err := core.Build(roundTrip(t, orig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := core.NewFreqDAP(core.FreqParams{Eps: 2, Eps0: 1, K: 6, Scheme: core.SchemeEMFStar, EMFMaxIter: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := buildAs[catCollector](t, orig)
 	r := rng.New(8)
 	cats := make([]int, 2000)
 	for i := range cats {
 		cats[i] = r.IntN(3) // skewed to low categories
 	}
-	col, err := d.CollectFreq(rng.New(9), cats, []int{5}, 0.2)
+	col, err := d.CollectFreq(rng.New(9), cats, &attack.Targeted{Cats: []int{5}}, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := d.EstimateFreq(col)
+	want, err := d.EstimateHist(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,20 +191,19 @@ func TestSpecRoundTripFrequency(t *testing.T) {
 	}
 }
 
-// TestSpecRoundTripVariance: the variance adapter consumes the rng in the
-// same order as the §V-D VarianceEstimator, so equal seeds give equal
-// results through the round-tripped spec.
+// TestSpecRoundTripVariance: equal seeds give equal variance rounds
+// through the round-tripped spec (the split into halves consumes the rng
+// identically).
 func TestSpecRoundTripVariance(t *testing.T) {
-	sp := roundTrip(t, core.NewSpec(core.VarianceTask(),
+	orig := core.NewSpec(core.VarianceTask(),
 		core.WithBudget(1, 0.25), core.WithScheme(core.SchemeEMFStar),
-		core.WithEMFMaxIter(80)))
-	est, err := core.Build(sp)
+		core.WithEMFMaxIter(80))
+	est, err := core.Build(roundTrip(t, orig))
 	if err != nil {
 		t.Fatal(err)
 	}
 	vals := testValues(11, 1600)
-	direct := &core.VarianceEstimator{Params: core.Params{
-		Eps: 1, Eps0: 0.25, Scheme: core.SchemeEMFStar, EMFMaxIter: 80}}
+	direct := buildAs[core.Runner](t, orig)
 	want, err := direct.Run(rng.New(12), vals, attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), 0.1)
 	if err != nil {
 		t.Fatal(err)
@@ -193,17 +219,13 @@ func TestSpecRoundTripVariance(t *testing.T) {
 
 // TestSpecRoundTripBaseline: same invariant for the §IV protocol.
 func TestSpecRoundTripBaseline(t *testing.T) {
-	sp := roundTrip(t, core.NewSpec(core.BaselineTask(0.125, 0.875),
-		core.WithScheme(core.SchemeEMFStar), core.WithEMFMaxIter(80)))
-	est, err := core.Build(sp)
+	orig := core.NewSpec(core.BaselineTask(0.125, 0.875),
+		core.WithScheme(core.SchemeEMFStar), core.WithEMFMaxIter(80))
+	est, err := core.Build(roundTrip(t, orig))
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := core.NewBaseline(0.125, 0.875, core.SchemeEMFStar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct.EMFMaxIter = 80
+	direct := buildAs[core.Runner](t, orig)
 	vals := testValues(13, 1500)
 	want, err := direct.Run(rng.New(14), vals, attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), 0.2)
 	if err != nil {
