@@ -241,30 +241,55 @@ func TestSpecRoundTripBaseline(t *testing.T) {
 }
 
 // TestSpecDefense: a defense spec selects the comparator by name and
-// matches the direct function call.
+// matches the direct function call — both through Estimate on a given
+// collection and through Run, whose draws must equal CollectPM's at the
+// same seed bit for bit. The experiment harness declares its Ostrich,
+// Trimming and Boxplot rows as defense specs on that equivalence.
 func TestSpecDefense(t *testing.T) {
-	sp := roundTrip(t, core.NewSpec(core.MeanTask(),
-		core.WithDefense(defense.Spec{Name: "trimming", Frac: 0.5, Side: "right"})))
-	est, err := core.Build(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, err := core.CollectPM(rng.New(15), testValues(16, 4000), 1,
-		attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), 0.2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := est.Estimate(context.Background(), &core.Collection{Groups: [][]float64{reports}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := stats.Clamp(defense.Trimming(reports, 0.5, true), -1, 1)
-	if got.Mean != want {
-		t.Fatalf("defense spec %v != direct %v", got.Mean, want)
-	}
-	// Defenses need raw reports; the histogram face is a typed rejection.
-	if _, err := est.EstimateHist(context.Background(), nil); !errors.Is(err, core.ErrBadSpec) {
-		t.Fatalf("EstimateHist on defense spec: %v", err)
+	vals := testValues(16, 4000)
+	for _, tc := range []struct {
+		def    defense.Spec
+		direct func(reports []float64) float64
+	}{
+		{defense.Spec{Name: "ostrich"}, defense.Ostrich},
+		{defense.Spec{Name: "trimming", Frac: 0.5, Side: "right"}, func(reports []float64) float64 {
+			return defense.Trimming(reports, 0.5, true)
+		}},
+		{defense.Spec{Name: "boxplot"}, func(reports []float64) float64 { return defense.Boxplot(reports, 1.5) }},
+	} {
+		for _, eps := range []float64{0.25, 1, 2} {
+			est, err := core.Build(roundTrip(t, core.NewSpec(core.MeanTask(),
+				core.WithBudget(eps, 1.0/16), core.WithDefense(tc.def))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ai, adv := range []attack.Adversary{
+				attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), &attack.IMA{G: 1}, attack.None{},
+			} {
+				seed := uint64(15 + ai)
+				reports, err := core.CollectPM(rng.New(seed), vals, eps, adv, 0.2, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := stats.Clamp(tc.direct(reports), -1, 1)
+				got, err := est.Estimate(context.Background(), &core.Collection{Groups: [][]float64{reports}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				run, err := est.(core.Runner).Run(rng.New(seed), vals, adv, 0.2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got.Mean) != math.Float64bits(want) || math.Float64bits(run.Mean) != math.Float64bits(want) {
+					t.Fatalf("%s ε=%g %s: Estimate %v, Run %v, direct %v", tc.def.Name, eps, adv.Name(), got.Mean, run.Mean, want)
+				}
+			}
+			// Defenses need raw reports; the histogram face is a typed
+			// rejection.
+			if _, err := est.EstimateHist(context.Background(), nil); !errors.Is(err, core.ErrBadSpec) {
+				t.Fatalf("EstimateHist on defense spec: %v", err)
+			}
+		}
 	}
 }
 
