@@ -71,15 +71,11 @@ func main() {
 
 	cfg := bench.Config{N: *n, Trials: *trials, Seed: *seed, EMFMaxIter: *maxIter, Workers: *workers}
 	start := time.Now()
-	rep, err := bench.RunMatrixExtra(cfg, *gamma, extra)
+	rep, err := bench.RunMatrix(cfg, *gamma, extra)
 	fatal(err)
 
 	if *jsonOut != "" {
-		record := struct {
-			Date string `json:"date"`
-			*bench.MatrixReport
-		}{time.Now().UTC().Format(time.RFC3339), rep}
-		data, err := json.MarshalIndent(record, "", "  ")
+		data, err := json.MarshalIndent(rep, "", "  ")
 		fatal(err)
 		fatal(os.WriteFile(*jsonOut, append(data, '\n'), 0o644))
 		fmt.Fprintf(os.Stderr, "dapredteam: matrix record written to %s\n", *jsonOut)

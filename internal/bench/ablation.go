@@ -9,7 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/defense"
-	"repro/internal/sim"
+	"repro/internal/rng"
 )
 
 // Ablation benchmarks the design choices DESIGN.md calls out, all on the
@@ -20,235 +20,134 @@ import (
 //  3. Algorithm 5's literal weights vs the general optimum;
 //  4. the §IV baseline protocol against honest and probing-aware
 //     (gamed) adversaries vs DAP — the motivation for the multi-group
-//     design.
+//     design;
+//  5. standalone outlier filters vs DAP;
+//  6. accuracy vs population size N.
+//
+// Each table's rows are the ablated settings over one MSE column.
 func Ablation(cfg Config) ([]*Table, error) {
 	ds, err := loadDataset(cfg, "Taxi")
 	if err != nil {
 		return nil, err
 	}
-	trueMean := ds.TrueMean()
-	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
-	const eps, gamma = 1.0, 0.25
-	p := cfg.newPool()
+	truth := ds.TrueMean()
+	w := load{values: ds.Values, adv: attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), gamma: 0.25}
+	const eps = 1.0
+	emfStar := cfg.spec(core.MeanTask(), eps, core.WithScheme(core.SchemeEMFStar))
+	// specRow is the row of one spec on its own collections of w at seed
+	// cfg.Seed+stream; the first build error is kept in err.
+	specRow := func(label []string, sp core.Spec, stream uint64) row {
+		ests, e := build(sp)
+		if e != nil {
+			err = e
+			return row{label: label}
+		}
+		return line(label, 0, cfg.specs(cfg.Seed+stream, ests, w, meanErr(truth)))
+	}
 
 	// 1. ε₀ sweep.
-	t1 := &Table{
-		Title:  "Ablation 1: MSE vs ε₀ (group count) — DAP_EMF*, Taxi, Poi[C/2,C], ε=1",
-		Header: []string{"ε₀", "h", "MSE"},
+	t1 := panel{
+		title:  "Ablation 1: MSE vs ε₀ (group count) — DAP_EMF*, Taxi, Poi[C/2,C], ε=1",
+		header: []string{"ε₀", "h", "MSE"},
 	}
-	eps0List := []float64{0.25, 1.0 / 16, 1.0 / 64}
-	futs1 := make([]*future[float64], len(eps0List))
-	hs := make([]int, len(eps0List))
-	for i, eps0 := range eps0List {
-		sp := dapSpec(core.SchemeEMFStar, eps, cfg.EMFMaxIter, core.WithBudget(eps, eps0))
-		d, err := build[core.Runner](sp)
-		if err != nil {
-			return nil, err
+	for i, eps0 := range []float64{0.25, 1.0 / 16, 1.0 / 64} {
+		sp := emfStar
+		sp.Eps0 = eps0
+		h := 0
+		if ests, e := build(sp); e == nil {
+			h = len(ests[0].Groups())
 		}
-		hs[i] = len(d.(core.Estimator).Groups())
-		futs1[i] = p.mse(cfg.Seed+uint64(0xAB10+i), cfg.Trials, trueMean, dapTrial(d, ds.Values, adv, gamma))
+		t1.rows = append(t1.rows, specRow([]string{fmt.Sprintf("%g", eps0), fmt.Sprintf("%d", h)}, sp, uint64(0xAB10+i)))
 	}
 
 	// 2. Suppression factor sweep.
-	t2 := &Table{
-		Title:  "Ablation 2: MSE vs CEMF* suppression factor — Taxi, Poi[C/2,C], ε=1",
-		Header: []string{"factor", "MSE"},
+	t2 := panel{
+		title:  "Ablation 2: MSE vs CEMF* suppression factor — Taxi, Poi[C/2,C], ε=1",
+		header: []string{"factor", "MSE"},
 	}
-	factors := []float64{0.25, 0.5, 1.0}
-	futs2 := make([]*future[float64], len(factors))
-	for i, factor := range factors {
-		d, err := build[core.Runner](dapSpec(core.SchemeCEMFStar, eps, cfg.EMFMaxIter, core.WithSuppressFactor(factor)))
-		if err != nil {
-			return nil, err
-		}
-		futs2[i] = p.mse(cfg.Seed+uint64(0xAB20+i), cfg.Trials, trueMean, dapTrial(d, ds.Values, adv, gamma))
+	for i, factor := range []float64{0.25, 0.5, 1.0} {
+		t2.rows = append(t2.rows, specRow([]string{fmt.Sprintf("%.2f", factor)},
+			cfg.spec(core.MeanTask(), eps, core.WithScheme(core.SchemeCEMFStar), core.WithSuppressFactor(factor)), uint64(0xAB20+i)))
 	}
 
 	// 3. Weight mode.
-	t3 := &Table{
-		Title:  "Ablation 3: Algorithm 5 weights vs general optimum — DAP_EMF*, Taxi, ε=1",
-		Header: []string{"weights", "MSE"},
+	t3 := panel{
+		title:  "Ablation 3: Algorithm 5 weights vs general optimum — DAP_EMF*, Taxi, ε=1",
+		header: []string{"weights", "MSE"},
 	}
-	modes := []struct {
-		name string
-		mode core.WeightMode
-	}{{"paper (Alg. 5)", core.WeightsPaper}, {"general n̂²/B", core.WeightsGeneral}}
-	futs3 := make([]*future[float64], len(modes))
-	for i, it := range modes {
-		d, err := build[core.Runner](dapSpec(core.SchemeEMFStar, eps, cfg.EMFMaxIter, core.WithWeights(it.mode)))
-		if err != nil {
-			return nil, err
-		}
-		futs3[i] = p.mse(cfg.Seed+uint64(0xAB30+i), cfg.Trials, trueMean, dapTrial(d, ds.Values, adv, gamma))
+	for i, label := range []string{"paper (Alg. 5)", "general n̂²/B"} {
+		sp := emfStar
+		sp.Weights = []core.WeightMode{core.WeightsPaper, core.WeightsGeneral}[i].String()
+		t3.rows = append(t3.rows, specRow([]string{label}, sp, uint64(0xAB30+i)))
 	}
 
-	// 4. Baseline protocol vs DAP under probing-aware attackers.
-	t4 := &Table{
-		Title:  "Ablation 4: baseline (§IV) vs DAP (§V) under honest and gamed attackers — Taxi, ε=1",
-		Header: []string{"protocol", "threat", "MSE"},
+	// 4. Baseline protocol vs DAP under probing-aware attackers. The gamed
+	// threat (Byzantine users honest on ε_α, poisoning ε_β) is a
+	// collection only the baseline offers, so its row is code.
+	baseline := core.NewSpec(core.BaselineTask(1.0/8, 7.0/8), core.WithScheme(core.SchemeEMFStar), core.WithEMFMaxIter(cfg.EMFMaxIter))
+	bl, e := core.Build(baseline)
+	if e != nil {
+		return nil, e
 	}
-	bl, err := build[gamedCollector](core.NewSpec(core.BaselineTask(1.0/8, 7.0/8),
-		core.WithScheme(core.SchemeEMFStar), core.WithEMFMaxIter(cfg.EMFMaxIter)))
-	if err != nil {
-		return nil, err
+	gamed, ok := bl.(interface {
+		GamedCollect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*core.Collection, error)
+	})
+	if !ok {
+		return nil, fmt.Errorf("bench: the baseline estimator lacks GamedCollect")
 	}
-	blTrial := func(gamed bool) sim.Trial {
-		collect := bl.Collect
-		if gamed {
-			collect = bl.GamedCollect
-		}
-		return func(r *rand.Rand) (float64, error) {
-			col, err := collect(r, ds.Values, adv, gamma)
-			if err != nil {
-				return 0, err
-			}
-			est, err := bl.Estimate(context.Background(), col)
-			if err != nil {
-				return 0, err
-			}
-			return est.Mean, nil
-		}
+	t4 := panel{
+		title:  "Ablation 4: baseline (§IV) vs DAP (§V) under honest and gamed attackers — Taxi, ε=1",
+		header: []string{"protocol", "threat", "MSE"},
+		rows: []row{
+			specRow([]string{"baseline", "honest attack on both budgets"}, baseline, 0xAB40),
+			line([]string{"baseline", "gamed (honest ε_α, poison ε_β)"}, 0, cfg.code(cfg.Seed+0xAB41, func(r *rand.Rand) (float64, error) {
+				col, err := gamed.GamedCollect(r, w.values, w.adv, w.gamma)
+				if err != nil {
+					return 0, err
+				}
+				res, err := bl.Estimate(context.Background(), col)
+				if err != nil {
+					return 0, err
+				}
+				return sq(res.Mean, truth), nil
+			})),
+			specRow([]string{"DAP", "gamed strategy impossible (random ε)"}, emfStar, 0xAB42),
+		},
 	}
-	futHonest := p.mse(cfg.Seed+0xAB40, cfg.Trials, trueMean, blTrial(false))
-	futGamed := p.mse(cfg.Seed+0xAB41, cfg.Trials, trueMean, blTrial(true))
-	dDAP, err := build[core.Runner](dapSpec(core.SchemeEMFStar, eps, cfg.EMFMaxIter))
-	if err != nil {
-		return nil, err
-	}
-	futDAP := p.mse(cfg.Seed+0xAB42, cfg.Trials, trueMean, dapTrial(dDAP, ds.Values, adv, gamma))
 
 	// 5. Outlier-filter composability (§III-A): boxplot and isolation
 	// forest as standalone defenses on the same workload.
-	t5 := &Table{
-		Title:  "Ablation 5: standalone outlier filters vs DAP — Taxi, Poi[C/2,C], ε=1, γ=0.25",
-		Header: []string{"defense", "MSE"},
-	}
-	filterTrials := []struct {
-		name  string
-		trial sim.Trial
-	}{
-		{"Boxplot(1.5·IQR)", func(r *rand.Rand) (float64, error) {
-			reports, err := core.CollectPM(r, ds.Values, eps, adv, gamma, 0)
-			if err != nil {
-				return 0, err
-			}
-			return clamp1(defense.Boxplot(reports, 1.5)), nil
-		}},
-		{"IForest(10%)", func(r *rand.Rand) (float64, error) {
-			reports, err := core.CollectPM(r, ds.Values, eps, adv, gamma, 0)
-			if err != nil {
-				return 0, err
-			}
-			def := &defense.IForestDefense{Trees: 50, SampleSize: 256, Contamination: 0.1}
-			est, err := def.Estimate(r, reports)
-			if err != nil {
-				return 0, err
-			}
-			return clamp1(est), nil
-		}},
-		{"DAP_EMF*", func(r *rand.Rand) (float64, error) {
-			dd, err := build[core.Runner](dapSpec(core.SchemeEMFStar, eps, cfg.EMFMaxIter))
-			if err != nil {
-				return 0, err
-			}
-			est, err := dd.Run(r, ds.Values, adv, gamma)
-			if err != nil {
-				return 0, err
-			}
-			return est.Mean, nil
-		}},
-	}
-	futs5 := make([]*future[float64], len(filterTrials))
-	for i, ft := range filterTrials {
-		futs5[i] = p.mse(cfg.Seed+uint64(0xAB50+i), cfg.Trials, trueMean, ft.trial)
+	t5 := panel{
+		title:  "Ablation 5: standalone outlier filters vs DAP — Taxi, Poi[C/2,C], ε=1, γ=0.25",
+		header: []string{"defense", "MSE"},
+		rows: []row{
+			specRow([]string{"Boxplot(1.5·IQR)"}, cfg.spec(core.MeanTask(), eps, core.WithDefense(defense.Spec{Name: "boxplot"})), 0xAB50),
+			line([]string{"IForest(10%)"}, 0, cfg.defended(cfg.Seed+0xAB51, w, eps, truth,
+				&defense.IForestDefense{Trees: 50, SampleSize: 256, Contamination: 0.1})),
+			specRow([]string{"DAP_EMF*"}, emfStar, 0xAB52),
+		},
 	}
 
 	// 6. Accuracy vs population size N: sampling noise scaling.
-	t6 := &Table{
-		Title:  "Ablation 6: MSE vs N — DAP_EMF*, Taxi, Poi[C/2,C], ε=1",
-		Header: []string{"N", "MSE"},
+	t6 := panel{
+		title:  "Ablation 6: MSE vs N — DAP_EMF*, Taxi, Poi[C/2,C], ε=1",
+		header: []string{"N", "MSE"},
 	}
-	scales := []int{cfg.N / 4, cfg.N / 2, cfg.N}
-	futs6 := make([]*future[float64], len(scales))
-	for i := range scales {
-		if scales[i] < 100 {
-			scales[i] = 100
-		}
-		sub, err := dataset.ByName(rngSplit(cfg.Seed, 0xAB60+uint64(i)), "Taxi", scales[i])
-		if err != nil {
-			return nil, err
-		}
-		dd, err := build[core.Runner](dapSpec(core.SchemeEMFStar, eps, cfg.EMFMaxIter))
-		if err != nil {
-			return nil, err
-		}
-		futs6[i] = p.mse(cfg.Seed+uint64(0xAB70+i), cfg.Trials, sub.TrueMean(),
-			dapTrial(dd, sub.Values, adv, gamma))
+	ests, e := build(emfStar)
+	if e != nil {
+		return nil, e
 	}
-
-	// Collect in table order.
-	for i, eps0 := range eps0List {
-		v, err := futs1[i].get()
-		if err != nil {
-			return nil, err
+	for i, n := range []int{cfg.N / 4, cfg.N / 2, cfg.N} {
+		n = max(n, 100)
+		sub, e := dataset.ByName(rng.Split(cfg.Seed, 0xAB60+uint64(i)), "Taxi", n)
+		if e != nil {
+			return nil, e
 		}
-		t1.Rows = append(t1.Rows, []string{fmt.Sprintf("%g", eps0), fmt.Sprintf("%d", hs[i]), e2s(v)})
+		t6.rows = append(t6.rows, line([]string{fmt.Sprintf("%d", n)}, 0,
+			cfg.specs(cfg.Seed+uint64(0xAB70+i), ests, load{values: sub.Values, adv: w.adv, gamma: w.gamma}, meanErr(sub.TrueMean()))))
 	}
-	for i, factor := range factors {
-		v, err := futs2[i].get()
-		if err != nil {
-			return nil, err
-		}
-		t2.Rows = append(t2.Rows, []string{fmt.Sprintf("%.2f", factor), e2s(v)})
-	}
-	for i, it := range modes {
-		v, err := futs3[i].get()
-		if err != nil {
-			return nil, err
-		}
-		t3.Rows = append(t3.Rows, []string{it.name, e2s(v)})
-	}
-	mseHonest, err := futHonest.get()
 	if err != nil {
 		return nil, err
 	}
-	mseGamed, err := futGamed.get()
-	if err != nil {
-		return nil, err
-	}
-	mseDAP, err := futDAP.get()
-	if err != nil {
-		return nil, err
-	}
-	t4.Rows = append(t4.Rows,
-		[]string{"baseline", "honest attack on both budgets", e2s(mseHonest)},
-		[]string{"baseline", "gamed (honest ε_α, poison ε_β)", e2s(mseGamed)},
-		[]string{"DAP", "gamed strategy impossible (random ε)", e2s(mseDAP)},
-	)
-	for i, ft := range filterTrials {
-		v, err := futs5[i].get()
-		if err != nil {
-			return nil, err
-		}
-		t5.Rows = append(t5.Rows, []string{ft.name, e2s(v)})
-	}
-	for i := range scales {
-		v, err := futs6[i].get()
-		if err != nil {
-			return nil, err
-		}
-		t6.Rows = append(t6.Rows, []string{fmt.Sprintf("%d", scales[i]), e2s(v)})
-	}
-
-	return []*Table{t1, t2, t3, t4, t5, t6}, nil
-}
-
-func clamp1(v float64) float64 {
-	if v < -1 {
-		return -1
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
+	return run(cfg, t1, t2, t3, t4, t5, t6)
 }

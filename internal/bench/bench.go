@@ -1,7 +1,12 @@
-// Package bench is the experiment harness: one runner per table and
-// figure of the paper's evaluation (§VI), each regenerating the same rows
-// and series the paper reports. The cmd/dapbench CLI and the repository's
-// benchmark targets both drive this package.
+// Package bench is the experiment harness: it regenerates the rows and
+// series of every table and figure of the paper's evaluation (§VI). Each
+// experiment declares panels — labelled rows over one column axis (ε, γ,
+// attack, a, β, …) — whose cells are jobs: one (estimator spec, dataset,
+// attack, γ, metric, seed) Monte-Carlo evaluation each, with comparators
+// that exist only as code (k-means, isolation forest, the SW baselines,
+// the side probe) as the exception. One scheduler runs every job on a
+// bounded pool and fills the tables in row order. The cmd/dapbench and
+// cmd/dapredteam CLIs drive this package.
 //
 // Absolute values depend on N (the paper uses ~10⁶ users; the default
 // here is laptop-scale) and on the synthetic substitutes for the

@@ -131,17 +131,22 @@ func TestFig5Smoke(t *testing.T) {
 }
 
 func TestFig6SmokeSinglePanelShape(t *testing.T) {
-	// Full fig6 is 16 panels; the smoke test exercises one via mseTable.
+	// Full fig6 is 16 panels; the smoke test exercises one via mseRows.
 	cfg := tinyConfig()
 	ds, err := loadDataset(cfg, "Beta(2,5)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := mseTable(cfg, "smoke", ds.Values, ds.TrueMean(),
-		attack.NewBBA(mustRange("[C/2,C]"), attack.DistUniform), 0.25, []float64{0.5, 1}, 0x600)
+	w := load{values: ds.Values, adv: attack.NewBBA(mustRange("[C/2,C]"), attack.DistUniform), gamma: 0.25}
+	rows, err := cfg.mseRows(ds.TrueMean(), []column{{0.5, w}, {1, w}}, cfg.Seed+0x600, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tables, err := run(cfg, panel{title: "smoke", header: []string{"Scheme", "1/2", "1"}, rows: rows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := tables[0]
 	checkTableShape(t, tbl)
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("schemes = %d", len(tbl.Rows))

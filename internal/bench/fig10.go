@@ -2,15 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/rng"
 )
-
-func rngSplit(seed, stream uint64) *rand.Rand { return rng.Split(seed, stream) }
 
 // Fig10 reproduces Fig. 10: the evasion attack of §V-D. A fraction a of
 // the poison reports sit at −C/2 to mislead the side probe while the
@@ -22,47 +17,27 @@ func rngSplit(seed, stream uint64) *rand.Rand { return rng.Split(seed, stream) }
 // ~20–30% threshold where the side probe flips, then declines again as
 // the evasive mass starves the true attack (Eq. 20).
 func Fig10(cfg Config) ([]*Table, error) {
-	const eps = 0.5
 	as := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
 	header := append([]string{"Scheme"}, mapStrings(as, func(v float64) string { return fmt.Sprintf("a=%.1f", v) })...)
-	p := cfg.newPool()
-	var tables []*Table
-	schemes := core.Schemes()
+	var panels []panel
 	for di, name := range dataset.Names() {
 		ds, err := loadDataset(cfg, name)
 		if err != nil {
 			return nil, err
 		}
-		trueMean := ds.TrueMean()
-		t := &Table{
-			Title:  fmt.Sprintf("Fig. 10: MSE vs evasive fraction a — %s, ε=1/2, γ=0.25", name),
-			Header: header,
+		var cols []column
+		for _, a := range as {
+			cols = append(cols, column{0.5, load{values: ds.Values, adv: &attack.Evasion{A: a}, gamma: 0.25}})
 		}
-		daps, err := dapsForSchemes(eps, cfg.EMFMaxIter)
+		rows, err := cfg.mseRows(ds.TrueMean(), cols, cfg.Seed+uint64(0xA000+di*1000), 0)
 		if err != nil {
 			return nil, err
 		}
-		futs := make([][]*future[float64], len(schemes))
-		for si := range schemes {
-			futs[si] = make([]*future[float64], len(as))
-		}
-		// The scheme rows of each a column share one collection per trial.
-		for ai, a := range as {
-			adv := &attack.Evasion{A: a}
-			cell := p.mseSchemes(cfg.Seed+uint64(0xA000+di*1000+ai), cfg.Trials, trueMean,
-				dapSchemesTrial(daps, ds.Values, adv, 0.25), len(schemes))
-			for si := range cell {
-				futs[si][ai] = cell[si]
-			}
-		}
-		for si, sc := range schemes {
-			row, err := collectCells([]string{"DAP_" + sc.String()}, futs[si], e2s)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		tables = append(tables, t)
+		panels = append(panels, panel{
+			title:  fmt.Sprintf("Fig. 10: MSE vs evasive fraction a — %s, ε=1/2, γ=0.25", name),
+			header: header,
+			rows:   rows,
+		})
 	}
-	return tables, nil
+	return run(cfg, panels...)
 }

@@ -6,7 +6,8 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/dataset"
-	"repro/internal/sim"
+	"repro/internal/emf"
+	"repro/internal/ldp/pm"
 )
 
 // Fig5 reproduces Fig. 5: accuracy of the Byzantine proportion estimated
@@ -23,90 +24,60 @@ import (
 func Fig5(cfg Config) ([]*Table, error) {
 	epsList := []float64{0.0625, 0.125, 0.25, 0.5, 1, 2}
 	header := append([]string{"Series"}, mapStrings(epsList, epsLabel)...)
-	p := cfg.newPool()
-
 	taxi, err := loadDataset(cfg, "Taxi")
 	if err != nil {
 		return nil, err
 	}
-
-	gammaErr := func(values []float64, adv attack.Adversary, gamma float64, eps float64, stream uint64) *future[float64] {
-		return p.avg(cfg.Seed+stream, cfg.Trials, func(r *rand.Rand) (float64, error) {
-			gh, err := probeGamma(r, values, eps, adv, gamma, cfg.EMFMaxIter)
-			if err != nil {
-				return 0, err
-			}
-			return math.Abs(gh - gamma), nil
-		})
-	}
-
-	makePanel := func(title string, gamma float64) (*Table, func() error) {
-		t := &Table{Title: title, Header: header}
-		futs := make([][]*future[float64], len(rangeLabels))
-		for ri, label := range rangeLabels {
-			adv := attack.NewBBA(mustRange(label), attack.DistUniform)
-			futs[ri] = make([]*future[float64], len(epsList))
-			for ei, eps := range epsList {
-				futs[ri][ei] = gammaErr(taxi.Values, adv, gamma, eps, uint64(ri*100+ei))
-			}
+	// series is one row over ε: column ei probes w at seed cfg.Seed+stream+ei.
+	series := func(label string, w load, stream uint64, score func(float64) float64) row {
+		var jobs []*job
+		for ei, eps := range epsList {
+			jobs = append(jobs, cfg.probeJob(cfg.Seed+stream+uint64(ei), w, eps, score))
 		}
-		collect := func() error {
-			for ri, label := range rangeLabels {
-				row, err := collectCells([]string{"Poi" + label}, futs[ri], e2s)
-				if err != nil {
-					return err
-				}
-				t.Rows = append(t.Rows, row)
-			}
-			return nil
-		}
-		return t, collect
+		return line([]string{label}, 0, jobs...)
 	}
-
-	a, collectA := makePanel("Fig. 5(a): |γ̂−γ| vs ε, γ=0.1 (Taxi)", 0.1)
-	b, collectB := makePanel("Fig. 5(b): |γ̂−γ| vs ε, γ=0.4 (Taxi)", 0.4)
-
-	c := &Table{Title: "Fig. 5(c): false-positive γ̂ vs ε₀, no attack", Header: header}
-	d := &Table{Title: "Fig. 5(d): γ̂ under IMA(g=1), γ=0.25", Header: header}
-	names := dataset.Names()
-	futsC := make([][]*future[float64], len(names))
-	futsD := make([][]*future[float64], len(names))
-	for di, name := range names {
+	a := panel{title: "Fig. 5(a): |γ̂−γ| vs ε, γ=0.1 (Taxi)", header: header}
+	b := panel{title: "Fig. 5(b): |γ̂−γ| vs ε, γ=0.4 (Taxi)", header: header}
+	for ri, label := range rangeLabels {
+		adv := attack.NewBBA(mustRange(label), attack.DistUniform)
+		a.rows = append(a.rows, series("Poi"+label, load{values: taxi.Values, adv: adv, gamma: 0.1}, uint64(ri*100), absErr(0.1)))
+		b.rows = append(b.rows, series("Poi"+label, load{values: taxi.Values, adv: adv, gamma: 0.4}, uint64(ri*100), absErr(0.4)))
+	}
+	c := panel{title: "Fig. 5(c): false-positive γ̂ vs ε₀, no attack", header: header}
+	d := panel{title: "Fig. 5(d): γ̂ under IMA(g=1), γ=0.25", header: header}
+	for di, name := range dataset.Names() {
 		ds, err := loadDataset(cfg, name)
 		if err != nil {
 			return nil, err
 		}
-		futsC[di] = make([]*future[float64], len(epsList))
-		futsD[di] = make([]*future[float64], len(epsList))
-		for ei, eps := range epsList {
-			futsC[di][ei] = gammaErr(ds.Values, attack.None{}, 0, eps, uint64(0xC0+di*10+ei))
-			// Panel (d) reports γ̂ itself.
-			vals, e := ds.Values, eps
-			futsD[di][ei] = p.avg(cfg.Seed+uint64(0xD0+di*10+ei), cfg.Trials,
-				func(r *rand.Rand) (float64, error) {
-					return probeGamma(r, vals, e, &attack.IMA{G: 1}, 0.25, cfg.EMFMaxIter)
-				})
-		}
+		c.rows = append(c.rows, series(name, load{values: ds.Values, adv: attack.None{}}, uint64(0xC0+di*10), absErr(0)))
+		// Panel (d) reports γ̂ itself.
+		d.rows = append(d.rows, series(name, load{values: ds.Values, adv: &attack.IMA{G: 1}, gamma: 0.25}, uint64(0xD0+di*10),
+			func(gh float64) float64 { return gh }))
 	}
-	if err := collectA(); err != nil {
-		return nil, err
-	}
-	if err := collectB(); err != nil {
-		return nil, err
-	}
-	for di, name := range names {
-		rowC, err := collectCells([]string{name}, futsC[di], e2s)
+	return run(cfg, a, b, c, d)
+}
+
+// absErr scores γ̂ by |γ̂−γ|.
+func absErr(gamma float64) func(float64) float64 {
+	return func(gh float64) float64 { return math.Abs(gh - gamma) }
+}
+
+// probeJob is a Fig. 5 cell: each trial probes one single-group PM
+// collection of w at budget eps (with SQUAREM) and scores the chosen
+// side's γ̂.
+func (cfg Config) probeJob(seed uint64, w load, eps float64, score func(float64) float64) *job {
+	return cfg.code(seed, func(r *rand.Rand) (float64, error) {
+		reports, err := w.pm(r, eps)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		rowD, err := collectCells([]string{name}, futsD[di], e2s)
+		pr, err := probe(pm.MustNew(eps), reports, 0, emf.Config{Tol: emf.PaperTol(eps), MaxIter: cfg.EMFMaxIter, Accelerate: true})
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		c.Rows = append(c.Rows, rowC)
-		d.Rows = append(d.Rows, rowD)
-	}
-	return []*Table{a, b, c, d}, nil
+		return score(pr.Chosen().Gamma()), nil
+	})
 }
 
 // Fig5Cell evaluates one Fig. 5(a)-style cell — the Monte-Carlo average of
@@ -119,12 +90,10 @@ func Fig5Cell(cfg Config, eps, gamma float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	adv := attack.NewBBA(mustRange("[C/2,C]"), attack.DistUniform)
-	return sim.Average(cfg.Seed, cfg.Trials, func(r *rand.Rand) (float64, error) {
-		gh, err := probeGamma(r, taxi.Values, eps, adv, gamma, cfg.EMFMaxIter)
-		if err != nil {
-			return 0, err
-		}
-		return math.Abs(gh - gamma), nil
-	})
+	w := load{values: taxi.Values, adv: attack.NewBBA(mustRange("[C/2,C]"), attack.DistUniform), gamma: gamma}
+	v, err := cfg.probeJob(cfg.Seed, w, eps, absErr(gamma)).run()
+	if err != nil {
+		return 0, err
+	}
+	return v[0], nil
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/defense"
 )
 
 // fig6Eps is the paper's ε axis for the mean-estimation MSE figures.
@@ -22,65 +23,67 @@ var fig6Eps = []float64{0.25, 0.5, 1, 1.5, 2}
 // leads; EMF may lose to Ostrich at large ε when poison sits near O
 // (sub-figures j, k, n).
 func Fig6(cfg Config) ([]*Table, error) {
-	var tables []*Table
+	var panels []panel
 	for di, dsName := range dataset.Names() {
 		ds, err := loadDataset(cfg, dsName)
 		if err != nil {
 			return nil, err
 		}
-		trueMean := ds.TrueMean()
 		for ri, label := range rangeLabels {
 			adv := attack.NewBBA(mustRange(label), attack.DistUniform)
-			t, err := mseTable(cfg,
-				fmt.Sprintf("Fig. 6: MSE vs ε — %s, Poi%s (γ=0.25)", dsName, label),
-				ds.Values, trueMean, adv, 0.25, fig6Eps, uint64(di*1000+ri*100))
+			var cols []column
+			for _, eps := range fig6Eps {
+				cols = append(cols, column{eps, load{values: ds.Values, adv: adv, gamma: 0.25}})
+			}
+			rows, err := cfg.mseRows(ds.TrueMean(), cols, cfg.Seed+uint64(di*1000+ri*100), 10)
 			if err != nil {
 				return nil, err
 			}
-			tables = append(tables, t)
+			panels = append(panels, panel{
+				title:  fmt.Sprintf("Fig. 6: MSE vs ε — %s, Poi%s (γ=0.25)", dsName, label),
+				header: append([]string{"Scheme"}, mapStrings(fig6Eps, epsLabel)...),
+				rows:   rows,
+			})
 		}
 	}
-	return tables, nil
+	return run(cfg, panels...)
 }
 
-// mseTable builds one MSE-vs-ε panel with the five Fig. 6 schemes. The
-// three DAP scheme rows of each ε column share one collection per trial
-// (they estimate identical data, warm-chained — see dapSchemesTrial);
-// Ostrich and Trimming keep their own single-budget collections.
-func mseTable(cfg Config, title string, values []float64, trueMean float64, adv attack.Adversary, gamma float64, epsList []float64, stream uint64) (*Table, error) {
-	t := &Table{Title: title, Header: append([]string{"Scheme"}, mapStrings(epsList, epsLabel)...)}
-	p := cfg.newPool()
-	nSchemes := len(core.Schemes())
-	futs := make([][]*future[float64], nSchemes+2)
-	for si := range futs {
-		futs[si] = make([]*future[float64], len(epsList))
-	}
-	for ei, eps := range epsList {
-		daps, err := dapsForSchemes(eps, cfg.EMFMaxIter)
+// column is one column of a mean-task MSE panel: the budget and the load.
+type column struct {
+	eps float64
+	w   load
+}
+
+// mseRows returns the rows of a mean-task MSE panel over cols. The DAP
+// scheme rows share one collection per column, at seed base+ci. With
+// stride > 0 the Ostrich and Trimming defense rows follow, each on its own
+// collection at seed base+(s+k)·stride+ci, where s is the number of
+// schemes and k = 0 for Ostrich, 1 for Trimming.
+func (cfg Config) mseRows(truth float64, cols []column, base uint64, stride int) ([]row, error) {
+	var dap []*job
+	comparators := [][]*job{nil, nil}
+	s := len(core.Schemes())
+	for ci, c := range cols {
+		ests, err := perScheme(cfg.spec(core.MeanTask(), c.eps))
 		if err != nil {
 			return nil, err
 		}
-		cell := p.mseSchemes(cfg.Seed+stream+uint64(ei), cfg.Trials, trueMean,
-			dapSchemesTrial(daps, values, adv, gamma), nSchemes)
-		for si := range cell {
-			futs[si][ei] = cell[si]
+		dap = append(dap, cfg.specs(base+uint64(ci), ests, c.w, meanErr(truth)))
+		if stride == 0 {
+			continue
 		}
-		futs[nSchemes][ei] = p.mse(cfg.Seed+stream+uint64(nSchemes*10+ei), cfg.Trials, trueMean,
-			ostrichTrial(values, eps, adv, gamma))
-		futs[nSchemes+1][ei] = p.mse(cfg.Seed+stream+uint64((nSchemes+1)*10+ei), cfg.Trials, trueMean,
-			trimmingTrial(values, eps, adv, gamma, true))
-	}
-	names := []string{}
-	for _, sc := range core.Schemes() {
-		names = append(names, "DAP_"+sc.String())
-	}
-	names = append(names, "Ostrich", "Trimming")
-	for si, name := range names {
-		row, err := collectCells([]string{name}, futs[si], e2s)
-		if err != nil {
-			return nil, err
+		for k, name := range []string{"ostrich", "trimming"} {
+			def, err := build(cfg.spec(core.MeanTask(), c.eps, core.WithDefense(defense.Spec{Name: name})))
+			if err != nil {
+				return nil, err
+			}
+			comparators[k] = append(comparators[k], cfg.specs(base+uint64((s+k)*stride+ci), def, c.w, meanErr(truth)))
 		}
-		t.Rows = append(t.Rows, row)
 	}
-	return t, nil
+	rows := schemeRows("DAP_", dap)
+	if stride > 0 {
+		rows = append(rows, line([]string{"Ostrich"}, 0, comparators[0]...), line([]string{"Trimming"}, 0, comparators[1]...))
+	}
+	return rows, nil
 }

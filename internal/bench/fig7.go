@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/attack"
-	"repro/internal/core"
 )
 
 // Fig7 reproduces Fig. 7: robustness of the MSE on Taxi at ε = 1.
@@ -22,88 +21,38 @@ func Fig7(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	trueMean := ds.TrueMean()
-	const eps = 1.0
-	var tables []*Table
-
-	// Panels (a)(b): MSE vs γ.
-	gammas := []float64{0.05, 0.10, 0.30, 0.40}
-	for ri, label := range []string{"[O,C/2]", "[C/2,C]"} {
-		adv := attack.NewBBA(mustRange(label), attack.DistUniform)
-		t := &Table{
-			Title:  fmt.Sprintf("Fig. 7(%c): MSE vs γ — Taxi, Poi%s, ε=1", 'a'+ri, label),
-			Header: []string{"Scheme", "5%", "10%", "30%", "40%"},
-		}
-		if err := fillSchemeRows(cfg, t, ds.Values, trueMean, eps, uint64(0x7000+ri*100),
-			gammas, func(g float64) attack.Adversary { return adv }); err != nil {
-			return nil, err
-		}
-		tables = append(tables, t)
-	}
-
-	// Panels (c)(d): MSE vs poison distribution at γ = 0.25.
-	for ri, label := range []string{"[O,C/2]", "[C/2,C]"} {
-		dists := attack.Dists()
-		t := &Table{
-			Title:  fmt.Sprintf("Fig. 7(%c): MSE vs poison distribution — Taxi, Poi%s, ε=1, γ=0.25", 'c'+ri, label),
-			Header: []string{"Scheme", "Uniform", "Gaussian", "Beta(1,6)", "Beta(6,1)"},
-		}
-		gammasFixed := make([]float64, len(dists))
-		for i := range gammasFixed {
-			gammasFixed[i] = 0.25
-		}
-		di := 0
-		if err := fillSchemeRows(cfg, t, ds.Values, trueMean, eps, uint64(0x7C00+ri*100),
-			gammasFixed, func(float64) attack.Adversary {
-				adv := attack.NewBBA(mustRange(label), dists[di%len(dists)])
-				di++
-				return adv
-			}); err != nil {
-			return nil, err
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
-}
-
-// fillSchemeRows fills one row per scheme, one column per workload cell.
-// advFor is called once per column so it can vary the adversary. The DAP
-// scheme rows of each column share one collection per trial
-// (dapSchemesTrial); Ostrich and Trimming keep their own.
-func fillSchemeRows(cfg Config, t *Table, values []float64, trueMean, eps float64, stream uint64, gammas []float64, advFor func(float64) attack.Adversary) error {
-	daps, err := dapsForSchemes(eps, cfg.EMFMaxIter)
-	if err != nil {
+	ranges := []string{"[O,C/2]", "[C/2,C]"}
+	var panels []panel
+	add := func(title string, header []string, cols []column, base uint64) error {
+		rows, err := cfg.mseRows(ds.TrueMean(), cols, base, 16)
+		panels = append(panels, panel{title: title, header: append([]string{"Scheme"}, header...), rows: rows})
 		return err
 	}
-	p := cfg.newPool()
-	nSchemes := len(daps)
-	futs := make([][]*future[float64], nSchemes+2)
-	for si := range futs {
-		futs[si] = make([]*future[float64], len(gammas))
-	}
-	for gi, gamma := range gammas {
-		adv := advFor(gamma)
-		cell := p.mseSchemes(cfg.Seed+stream+uint64(gi), cfg.Trials, trueMean,
-			dapSchemesTrial(daps, values, adv, gamma), nSchemes)
-		for si := range cell {
-			futs[si][gi] = cell[si]
+
+	// Panels (a)(b): MSE vs γ.
+	for ri, label := range ranges {
+		adv := attack.NewBBA(mustRange(label), attack.DistUniform)
+		var cols []column
+		for _, gamma := range []float64{0.05, 0.10, 0.30, 0.40} {
+			cols = append(cols, column{1, load{values: ds.Values, adv: adv, gamma: gamma}})
 		}
-		futs[nSchemes][gi] = p.mse(cfg.Seed+stream+uint64(nSchemes*16+gi), cfg.Trials, trueMean,
-			ostrichTrial(values, eps, adv, gamma))
-		futs[nSchemes+1][gi] = p.mse(cfg.Seed+stream+uint64((nSchemes+1)*16+gi), cfg.Trials, trueMean,
-			trimmingTrial(values, eps, adv, gamma, true))
-	}
-	names := []string{}
-	for _, sc := range core.Schemes() {
-		names = append(names, "DAP_"+sc.String())
-	}
-	names = append(names, "Ostrich", "Trimming")
-	for si, name := range names {
-		row, err := collectCells([]string{name}, futs[si], e2s)
-		if err != nil {
-			return err
+		if err := add(fmt.Sprintf("Fig. 7(%c): MSE vs γ — Taxi, Poi%s, ε=1", 'a'+ri, label),
+			[]string{"5%", "10%", "30%", "40%"}, cols, cfg.Seed+uint64(0x7000+ri*100)); err != nil {
+			return nil, err
 		}
-		t.Rows = append(t.Rows, row)
 	}
-	return nil
+
+	// Panels (c)(d): MSE vs poison distribution at γ = 0.25; the
+	// adversary changes per column.
+	for ri, label := range ranges {
+		var cols []column
+		for _, dist := range attack.Dists() {
+			cols = append(cols, column{1, load{values: ds.Values, adv: attack.NewBBA(mustRange(label), dist), gamma: 0.25}})
+		}
+		if err := add(fmt.Sprintf("Fig. 7(%c): MSE vs poison distribution — Taxi, Poi%s, ε=1, γ=0.25", 'c'+ri, label),
+			[]string{"Uniform", "Gaussian", "Beta(1,6)", "Beta(6,1)"}, cols, cfg.Seed+uint64(0x7C00+ri*100)); err != nil {
+			return nil, err
+		}
+	}
+	return run(cfg, panels...)
 }

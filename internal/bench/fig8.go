@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"sort"
 
@@ -11,7 +10,6 @@ import (
 	"repro/internal/emf"
 	"repro/internal/ldp/sw"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -29,149 +27,103 @@ import (
 func Fig8(cfg Config) ([]*Table, error) {
 	epsListA := []float64{0.0625, 0.125, 0.25, 0.5, 1, 2}
 	// Raw Beta values on [0,1] — SW's native input domain.
-	beta25 := rawBeta(cfg, 2, 5)
-	beta52 := rawBeta(cfg, 5, 2)
-	p := cfg.newPool()
+	betas := []struct {
+		name string
+		w    load
+	}{
+		{"Beta(2,5)", load{values: rawBeta(cfg, 2, 5), adv: attack.SWTop{}, gamma: 0.25}},
+		{"Beta(5,2)", load{values: rawBeta(cfg, 5, 2), adv: attack.SWTop{}, gamma: 0.25}},
+	}
+	beta25 := betas[0].w
 
 	// Panel (a): distribution estimation quality.
-	a := &Table{
-		Title:  "Fig. 8(a): Wasserstein distance of distribution estimation — Beta(2,5), SW, γ=0.25",
-		Header: append([]string{"Scheme"}, mapStrings(epsListA, epsLabel)...),
+	a := panel{
+		title:  "Fig. 8(a): Wasserstein distance of distribution estimation — Beta(2,5), SW, γ=0.25",
+		header: append([]string{"Scheme"}, mapStrings(epsListA, epsLabel)...),
 	}
-	type recon struct {
-		name         string
-		scheme       core.Scheme
-		ignorePoison bool
+	recons := []core.SWSingle{
+		{Scheme: core.SchemeEMF}, {Scheme: core.SchemeEMFStar}, {Scheme: core.SchemeCEMFStar}, {IgnorePoison: true},
 	}
-	recons := []recon{
-		{"EMF", core.SchemeEMF, false},
-		{"EMF*", core.SchemeEMFStar, false},
-		{"CEMF*", core.SchemeCEMFStar, false},
-		{"Ostrich", 0, true},
-	}
-	futsA := make([][]*future[float64], len(recons))
-	for si, rc := range recons {
-		futsA[si] = make([]*future[float64], len(epsListA))
+	for si, name := range []string{"EMF", "EMF*", "CEMF*", "Ostrich"} {
+		var jobs []*job
 		for ei, eps := range epsListA {
-			rc, eps := rc, eps
-			futsA[si][ei] = p.avg(cfg.Seed+uint64(0x8A00+si*16+ei), cfg.Trials, func(r *rand.Rand) (float64, error) {
-				reports, err := swCollect(r, beta25, eps, attack.SWTop{}, 0.25)
+			s := recons[si]
+			s.Eps, s.EMFMaxIter = eps, cfg.EMFMaxIter
+			jobs = append(jobs, cfg.code(cfg.Seed+uint64(0x8A00+si*16+ei), func(r *rand.Rand) (float64, error) {
+				reports, err := beta25.sw(r, eps)
 				if err != nil {
 					return 0, err
 				}
-				s := &core.SWSingle{Eps: eps, Scheme: rc.scheme, IgnorePoison: rc.ignorePoison, EMFMaxIter: cfg.EMFMaxIter}
 				xhat, _, err := s.Reconstruct(reports)
 				if err != nil {
 					return 0, err
 				}
-				trueHist := stats.Histogram(beta25, 0, 1, len(xhat)).Normalized()
+				trueHist := stats.Histogram(beta25.values, 0, 1, len(xhat)).Normalized()
 				return stats.Wasserstein1(xhat, trueHist, 1/float64(len(xhat))), nil
-			})
+			}))
 		}
+		a.rows = append(a.rows, line([]string{name}, 0, jobs...))
 	}
 
 	// Panel (b): γ̂ accuracy for SW.
-	b := &Table{
-		Title:  "Fig. 8(b): |γ̂−γ| for SW vs ε, γ=0.25, Poi[1+b/2,1+b]",
-		Header: append([]string{"Dataset"}, mapStrings(epsListA, epsLabel)...),
+	b := panel{
+		title:  "Fig. 8(b): |γ̂−γ| for SW vs ε, γ=0.25, Poi[1+b/2,1+b]",
+		header: append([]string{"Dataset"}, mapStrings(epsListA, epsLabel)...),
 	}
-	betaSets := []struct {
-		name string
-		vals []float64
-	}{{"Beta(2,5)", beta25}, {"Beta(5,2)", beta52}}
-	futsB := make([][]*future[float64], len(betaSets))
-	for di, it := range betaSets {
-		futsB[di] = make([]*future[float64], len(epsListA))
+	for di, it := range betas {
+		var jobs []*job
 		for ei, eps := range epsListA {
-			vals, eps := it.vals, eps
-			futsB[di][ei] = p.avg(cfg.Seed+uint64(0x8B00+di*16+ei), cfg.Trials, func(r *rand.Rand) (float64, error) {
-				gh, err := probeGammaSW(r, vals, eps, attack.SWTop{}, 0.25, cfg.EMFMaxIter)
+			jobs = append(jobs, cfg.code(cfg.Seed+uint64(0x8B00+di*16+ei), func(r *rand.Rand) (float64, error) {
+				reports, err := it.w.sw(r, eps)
 				if err != nil {
 					return 0, err
 				}
-				return math.Abs(gh - 0.25), nil
-			})
+				pr, err := probe(sw.MustNew(eps), reports, 0.5, emf.Config{Tol: emf.PaperTol(eps), MaxIter: cfg.EMFMaxIter, Smooth: true})
+				if err != nil {
+					return 0, err
+				}
+				return absErr(0.25)(pr.Chosen().Gamma()), nil
+			}))
 		}
-	}
-	for si, rc := range recons {
-		row, err := collectCells([]string{rc.name}, futsA[si], e2s)
-		if err != nil {
-			return nil, err
-		}
-		a.Rows = append(a.Rows, row)
-	}
-	for di, it := range betaSets {
-		row, err := collectCells([]string{it.name}, futsB[di], e2s)
-		if err != nil {
-			return nil, err
-		}
-		b.Rows = append(b.Rows, row)
+		b.rows = append(b.rows, line([]string{it.name}, 0, jobs...))
 	}
 
-	// Panels (c)(d): SW DAP mean-estimation MSE.
+	// Panels (c)(d): SW DAP mean-estimation MSE; every row collects on its
+	// own.
 	epsListC := []float64{0.25, 0.5, 1, 1.5, 2}
-	var tables []*Table
-	tables = append(tables, a, b)
-	for pi, it := range []struct {
-		name string
-		vals []float64
-	}{{"Beta(2,5)", beta25}, {"Beta(5,2)", beta52}} {
-		trueMean := stats.Mean(it.vals)
-		t := &Table{
-			Title:  fmt.Sprintf("Fig. 8(%c): MSE vs ε — %s, SW, Poi[1+b/2,1+b], γ=0.25", 'c'+pi, it.name),
-			Header: append([]string{"Scheme"}, mapStrings(epsListC, epsLabel)...),
+	panels := []panel{a, b}
+	for pi, it := range betas {
+		truth := stats.Mean(it.w.values)
+		t := panel{
+			title:  fmt.Sprintf("Fig. 8(%c): MSE vs ε — %s, SW, Poi[1+b/2,1+b], γ=0.25", 'c'+pi, it.name),
+			header: append([]string{"Scheme"}, mapStrings(epsListC, epsLabel)...),
 		}
-		type sch struct {
-			name  string
-			trial func(eps float64) sim.Trial
-		}
-		schemes := []sch{}
-		for _, sc := range core.Schemes() {
-			sc := sc
-			schemes = append(schemes, sch{
-				name: "SW_" + sc.String(),
-				trial: func(eps float64) sim.Trial {
-					d, err := build[core.Runner](core.NewSpec(core.DistributionTask(), core.WithBudget(eps, 1.0/16),
-						core.WithScheme(sc), core.WithEMFMaxIter(cfg.EMFMaxIter)))
-					if err != nil {
-						panic(err)
-					}
-					vals := it.vals
-					return func(r *rand.Rand) (float64, error) {
-						est, err := d.Run(r, vals, attack.SWTop{}, 0.25)
-						if err != nil {
-							return 0, err
-						}
-						return est.Mean, nil
-					}
-				},
-			})
-		}
-		schemes = append(schemes,
-			sch{name: "Ostrich", trial: func(eps float64) sim.Trial {
-				return swOstrichTrial(it.vals, eps, attack.SWTop{}, 0.25, cfg.EMFMaxIter, false)
-			}},
-			sch{name: "Trimming", trial: func(eps float64) sim.Trial {
-				return swOstrichTrial(it.vals, eps, attack.SWTop{}, 0.25, cfg.EMFMaxIter, true)
-			}},
-		)
-		futs := make([][]*future[float64], len(schemes))
-		for si, sc := range schemes {
-			futs[si] = make([]*future[float64], len(epsListC))
+		seed := func(si, ei int) uint64 { return cfg.Seed + uint64(0x8C00+pi*1000+si*16+ei) }
+		for si, sc := range core.Schemes() {
+			var jobs []*job
 			for ei, eps := range epsListC {
-				futs[si][ei] = p.mse(cfg.Seed+uint64(0x8C00+pi*1000+si*16+ei), cfg.Trials, trueMean, sc.trial(eps))
+				est, err := build(cfg.spec(core.DistributionTask(), eps, core.WithScheme(sc)))
+				if err != nil {
+					return nil, err
+				}
+				jobs = append(jobs, cfg.specs(seed(si, ei), est, it.w, meanErr(truth)))
 			}
+			t.rows = append(t.rows, line([]string{"SW_" + sc.String()}, 0, jobs...))
 		}
-		for si, sc := range schemes {
-			row, err := collectCells([]string{sc.name}, futs[si], e2s)
-			if err != nil {
-				return nil, err
+		for k, name := range []string{"Ostrich", "Trimming"} {
+			si := len(core.Schemes()) + k
+			var jobs []*job
+			for ei, eps := range epsListC {
+				jobs = append(jobs, cfg.code(seed(si, ei), func(r *rand.Rand) (float64, error) {
+					est, err := swOstrich(it.w, r, eps, cfg.EMFMaxIter, name == "Trimming")
+					return sq(est, truth), err
+				}))
 			}
-			t.Rows = append(t.Rows, row)
+			t.rows = append(t.rows, line([]string{name}, 0, jobs...))
 		}
-		tables = append(tables, t)
+		panels = append(panels, t)
 	}
-	return tables, nil
+	return run(cfg, panels...)
 }
 
 // rawBeta draws cfg.N Beta(a,b) samples on [0,1].
@@ -184,66 +136,22 @@ func rawBeta(cfg Config, a, b float64) []float64 {
 	return out
 }
 
-// swCollect gathers one single-group SW collection under attack.
-func swCollect(r *rand.Rand, values []float64, eps float64, adv attack.Adversary, gamma float64) ([]float64, error) {
-	mech, err := sw.New(eps)
-	if err != nil {
-		return nil, err
-	}
-	n := len(values)
-	nByz := int(math.Round(gamma * float64(n)))
-	env := attack.EnvFor(mech, 0.5)
-	reports := make([]float64, 0, n)
-	reports = append(reports, adv.Poison(r, env, nByz)...)
-	// As in core.CollectPM: report order is irrelevant downstream, so a
-	// sampled Byzantine bitset replaces the full O(N) permutation.
-	byz := core.SampleSubset(r, n, nByz)
-	for u, v := range values {
-		if byz == nil || byz[u>>6]&(1<<(uint(u)&63)) == 0 {
-			reports = append(reports, mech.Perturb(r, v))
-		}
-	}
-	return reports, nil
-}
-
-// probeGammaSW estimates γ̂ from one SW collection via side probing.
-func probeGammaSW(r *rand.Rand, values []float64, eps float64, adv attack.Adversary, gamma float64, maxIter int) (float64, error) {
-	reports, err := swCollect(r, values, eps, adv, gamma)
-	if err != nil {
-		return 0, err
-	}
-	mech := sw.MustNew(eps)
-	d, dp := emf.BucketCounts(len(reports), mech.OutputDomain().Width())
-	m, err := emf.BuildNumericCached(mech, d, dp)
-	if err != nil {
-		return 0, err
-	}
-	cfg := emf.Config{Tol: emf.PaperTol(eps), MaxIter: maxIter, Smooth: true}
-	probe, err := emf.ProbeSide(m, m.Counts(reports), 0.5, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return probe.Chosen().Gamma(), nil
-}
-
-// swOstrichTrial estimates the mean with plain EMS on a single-group SW
+// swOstrich estimates the mean with plain EMS on a single-group SW
 // collection; with trim it first removes the top 50% of the reports (the
 // Fig. 8 Trimming baseline).
-func swOstrichTrial(values []float64, eps float64, adv attack.Adversary, gamma float64, maxIter int, trim bool) sim.Trial {
-	return func(r *rand.Rand) (float64, error) {
-		reports, err := swCollect(r, values, eps, adv, gamma)
-		if err != nil {
-			return 0, err
-		}
-		if trim {
-			sort.Float64s(reports)
-			reports = reports[:len(reports)/2]
-		}
-		s := &core.SWSingle{Eps: eps, IgnorePoison: true, EMFMaxIter: maxIter}
-		xhat, centers, err := s.Reconstruct(reports)
-		if err != nil {
-			return 0, err
-		}
-		return stats.Clamp(stats.HistMean(xhat, centers), 0, 1), nil
+func swOstrich(w load, r *rand.Rand, eps float64, maxIter int, trim bool) (float64, error) {
+	reports, err := w.sw(r, eps)
+	if err != nil {
+		return 0, err
 	}
+	if trim {
+		sort.Float64s(reports)
+		reports = reports[:len(reports)/2]
+	}
+	s := &core.SWSingle{Eps: eps, IgnorePoison: true, EMFMaxIter: maxIter}
+	xhat, centers, err := s.Reconstruct(reports)
+	if err != nil {
+		return 0, err
+	}
+	return stats.Clamp(stats.HistMean(xhat, centers), 0, 1), nil
 }

@@ -1,9 +1,9 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/attack"
 	"repro/internal/core"
@@ -11,7 +11,7 @@ import (
 	"repro/internal/defense"
 	"repro/internal/emf"
 	"repro/internal/ldp/pm"
-	"repro/internal/sim"
+	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -38,59 +38,38 @@ func Fig9(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	trueMean := taxi.TrueMean()
-	adv := attack.NewBBA(attack.RangeHighHalf, attack.DistUniform)
-	p := cfg.newPool()
+	truth := taxi.TrueMean()
+	bba := load{values: taxi.Values, adv: attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), gamma: 0.25}
 
 	// Panel (a): DAP vs k-means under BBA.
 	epsList := []float64{0.25, 0.5, 1, 1.5, 2}
-	a := &Table{
-		Title:  "Fig. 9(a): MSE vs ε — DAP vs k-means defense, Taxi, Poi[C/2,C], γ=0.25",
-		Header: append([]string{"Scheme"}, mapStrings(epsList, epsLabel)...),
+	var cols []column
+	for _, eps := range epsList {
+		cols = append(cols, column{eps, bba})
 	}
-	schemes := core.Schemes()
-	futsA := make([][]*future[float64], len(schemes))
-	for si := range schemes {
-		futsA[si] = make([]*future[float64], len(epsList))
+	rows, err := cfg.mseRows(truth, cols, cfg.Seed+0x9A00, 0)
+	if err != nil {
+		return nil, err
 	}
-	// The DAP scheme rows of each ε column share one collection per trial.
-	for ei, eps := range epsList {
-		daps, err := dapsForSchemes(eps, cfg.EMFMaxIter)
-		if err != nil {
-			return nil, err
-		}
-		cell := p.mseSchemes(cfg.Seed+uint64(0x9A00+ei), cfg.Trials, trueMean,
-			dapSchemesTrial(daps, taxi.Values, adv, 0.25), len(schemes))
-		for si := range cell {
-			futsA[si][ei] = cell[si]
-		}
+	a := panel{
+		title:  "Fig. 9(a): MSE vs ε — DAP vs k-means defense, Taxi, Poi[C/2,C], γ=0.25",
+		header: append([]string{"Scheme"}, mapStrings(epsList, epsLabel)...),
+		rows:   rows,
 	}
 	betas := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	futsKM := make([][]*future[float64], len(betas))
 	for bi, beta := range betas {
-		futsKM[bi] = make([]*future[float64], len(epsList))
+		var jobs []*job
 		for ei, eps := range epsList {
-			def := &defense.KMeansDefense{Subsets: kmSubsets, Rate: beta}
-			eps := eps
-			futsKM[bi][ei] = p.mse(cfg.Seed+uint64(0x9B00+bi*16+ei), cfg.Trials, trueMean,
-				func(r *rand.Rand) (float64, error) {
-					reports, err := core.CollectPM(r, taxi.Values, eps, adv, 0.25, 0)
-					if err != nil {
-						return 0, err
-					}
-					est, err := def.Estimate(r, reports)
-					if err != nil {
-						return 0, err
-					}
-					return stats.Clamp(est, -1, 1), nil
-				})
+			jobs = append(jobs, cfg.defended(cfg.Seed+uint64(0x9B00+bi*16+ei), bba, eps, truth,
+				&defense.KMeansDefense{Subsets: kmSubsets, Rate: beta}))
 		}
+		a.rows = append(a.rows, line([]string{fmt.Sprintf("K-means(β=%.1f)", beta)}, 0, jobs...))
 	}
 
 	// Panel (b): IMA — EMF-based integration vs plain k-means.
-	b := &Table{
-		Title:  "Fig. 9(b): MSE vs sampling rate β — IMA on Taxi, γ=0.25, ε=1",
-		Header: append([]string{"Scheme"}, mapStrings(betas, func(v float64) string { return fmt.Sprintf("%.1f", v) })...),
+	b := panel{
+		title:  "Fig. 9(b): MSE vs sampling rate β — IMA on Taxi, γ=0.25, ε=1",
+		header: append([]string{"Scheme"}, mapStrings(betas, func(v float64) string { return fmt.Sprintf("%.1f", v) })...),
 	}
 	const imaEps = 1.0
 	mech := pm.MustNew(imaEps)
@@ -100,169 +79,76 @@ func Fig9(cfg Config) ([]*Table, error) {
 		return nil, err
 	}
 	gs := []float64{-1, 1, 0}
-	futsEMF := make([]*future[float64], len(gs))
 	for gi, g := range gs {
-		ima := &attack.IMA{G: g}
-		// EMF-based: no β dependence; one MSE reused across columns.
-		futsEMF[gi] = p.mse(cfg.Seed+uint64(0x9C00+gi), cfg.Trials, trueMean,
-			func(r *rand.Rand) (float64, error) {
-				reports, err := core.CollectPM(r, taxi.Values, imaEps, ima, 0.25, 0)
-				if err != nil {
-					return 0, err
-				}
-				def := &defense.EMFKMeans{Matrix: matrix, Config: emf.Config{Tol: emf.PaperTol(imaEps), MaxIter: cfg.EMFMaxIter, Accelerate: true}}
-				est, err := def.Estimate(r, reports)
-				if err != nil {
-					return 0, err
-				}
-				return stats.Clamp(est, -1, 1), nil
-			})
+		def := &defense.EMFKMeans{Matrix: matrix, Config: emf.Config{Tol: emf.PaperTol(imaEps), MaxIter: cfg.EMFMaxIter, Accelerate: true}}
+		// EMF-based: no β dependence; one cell fills every column.
+		j := cfg.defended(cfg.Seed+uint64(0x9C00+gi), load{values: taxi.Values, adv: &attack.IMA{G: g}, gamma: 0.25}, imaEps, truth, def)
+		b.rows = append(b.rows, line([]string{fmt.Sprintf("EMF-based(g=%g)", g)}, 0, slices.Repeat([]*job{j}, len(betas))...))
 	}
-	futsIKM := make([][]*future[float64], len(gs))
 	for gi, g := range gs {
-		ima := &attack.IMA{G: g}
-		futsIKM[gi] = make([]*future[float64], len(betas))
+		var jobs []*job
 		for bi, beta := range betas {
-			def := &defense.KMeansDefense{Subsets: kmSubsets, Rate: beta}
-			futsIKM[gi][bi] = p.mse(cfg.Seed+uint64(0x9D00+gi*16+bi), cfg.Trials, trueMean,
-				func(r *rand.Rand) (float64, error) {
-					reports, err := core.CollectPM(r, taxi.Values, imaEps, ima, 0.25, 0)
-					if err != nil {
-						return 0, err
-					}
-					est, err := def.Estimate(r, reports)
-					if err != nil {
-						return 0, err
-					}
-					return stats.Clamp(est, -1, 1), nil
-				})
+			jobs = append(jobs, cfg.defended(cfg.Seed+uint64(0x9D00+gi*16+bi), load{values: taxi.Values, adv: &attack.IMA{G: g}, gamma: 0.25},
+				imaEps, truth, &defense.KMeansDefense{Subsets: kmSubsets, Rate: beta}))
 		}
+		b.rows = append(b.rows, line([]string{fmt.Sprintf("K-means(g=%g)", g)}, 0, jobs...))
 	}
 
-	// Panels (c)(d): categorical frequency estimation on COVID-19.
+	// Panels (c)(d): categorical frequency estimation on COVID-19; the
+	// scheme rows of each ε column share one categorical collection.
 	cov := dataset.COVID19()
-	cats := cov.Sample(rng9(cfg), cfg.N)
-	trueFreqs := cov.Freqs()
-	poisonSets := [][]int{{10}, {10, 11, 12}}
-	futsCD := make([][][]*future[float64], len(poisonSets))
-	futsOst := make([][]*future[float64], len(poisonSets))
-	for pi, poisonCats := range poisonSets {
-		futsCD[pi] = make([][]*future[float64], len(schemes))
-		for si := range schemes {
-			futsCD[pi][si] = make([]*future[float64], len(epsList))
-		}
-		// The scheme rows of each ε column share one categorical collection
-		// per trial, warm-chained like the numeric panels.
+	cats := cov.Sample(rng.Split(cfg.Seed, 0x9), cfg.N)
+	freqs := cov.Freqs()
+	panels := []panel{a, b}
+	for pi, poisonCats := range [][]int{{10}, {10, 11, 12}} {
+		w := load{cats: cats, adv: &attack.Targeted{Cats: poisonCats}, gamma: 0.25}
+		var dap, ostrich []*job
 		for ei, eps := range epsList {
-			fs := make([]catCollector, len(schemes))
-			for si, sc := range schemes {
-				f, err := build[catCollector](freqSpec(sc, eps, cov.K(), cfg.EMFMaxIter))
+			ests, err := perScheme(cfg.spec(core.FrequencyTask(cov.K()), eps))
+			if err != nil {
+				return nil, err
+			}
+			dap = append(dap, cfg.specs(cfg.Seed+uint64(0x9E00+pi*1000+ei), ests, w, freqErr(freqs)))
+			// Ostrich over the same layout (ests[0] is the EMF estimator).
+			f := ests[0].(catCollector)
+			ostrich = append(ostrich, cfg.code(cfg.Seed+uint64(0x9F00+pi*1000+ei), func(r *rand.Rand) (float64, error) {
+				col, err := f.CollectFreq(r, cats, w.adv, w.gamma)
 				if err != nil {
-					return nil, err
+					return 0, err
 				}
-				fs[si] = f
-			}
-			pc := poisonCats
-			cell := splitFuture(p, len(schemes), func() ([]float64, error) {
-				return sim.MSEVecPer(cfg.Seed+uint64(0x9E00+pi*1000+ei), cfg.Trials, trueFreqs,
-					func(r *rand.Rand) ([][]float64, error) {
-						col, err := fs[0].CollectFreq(r, cats, &attack.Targeted{Cats: pc}, 0.25)
-						if err != nil {
-							return nil, err
-						}
-						out := make([][]float64, len(fs))
-						var warm *core.WarmState
-						for i, f := range fs {
-							est, err := f.EstimateHist(core.WithWarm(context.Background(), warm), col)
-							if err != nil {
-								return nil, err
-							}
-							if warm == nil {
-								warm = est.Warm
-							}
-							out[i] = est.Freqs
-						}
-						return out, nil
-					})
-			})
-			for si := range cell {
-				futsCD[pi][si][ei] = cell[si]
-			}
+				est, err := f.OstrichFreq(col)
+				if err != nil {
+					return 0, err
+				}
+				return stats.MSEVec(est, freqs), nil
+			}))
 		}
-		futsOst[pi] = make([]*future[float64], len(epsList))
-		for ei, eps := range epsList {
-			f, err := build[catCollector](freqSpec(core.SchemeEMF, eps, cov.K(), cfg.EMFMaxIter))
-			if err != nil {
-				return nil, err
-			}
-			pc := poisonCats
-			futsOst[pi][ei] = p.mseVec(cfg.Seed+uint64(0x9F00+pi*1000+ei), cfg.Trials, trueFreqs,
-				func(r *rand.Rand) ([]float64, error) {
-					col, err := f.CollectFreq(r, cats, &attack.Targeted{Cats: pc}, 0.25)
-					if err != nil {
-						return nil, err
-					}
-					return f.OstrichFreq(col)
-				})
-		}
+		panels = append(panels, panel{
+			title:  fmt.Sprintf("Fig. 9(%c): frequency MSE vs ε — COVID-19, poison cats %v, γ=0.25", 'c'+pi, poisonCats),
+			header: append([]string{"Scheme"}, mapStrings(epsList, epsLabel)...),
+			rows:   append(schemeRows("DAP_", dap), line([]string{"Ostrich"}, 0, ostrich...)),
+		})
 	}
-
-	// Collect everything in table order.
-	for si, sc := range schemes {
-		row, err := collectCells([]string{"DAP_" + sc.String()}, futsA[si], e2s)
-		if err != nil {
-			return nil, err
-		}
-		a.Rows = append(a.Rows, row)
-	}
-	for bi, beta := range betas {
-		row, err := collectCells([]string{fmt.Sprintf("K-means(β=%.1f)", beta)}, futsKM[bi], e2s)
-		if err != nil {
-			return nil, err
-		}
-		a.Rows = append(a.Rows, row)
-	}
-	for gi, g := range gs {
-		emfBased, err := futsEMF[gi].get()
-		if err != nil {
-			return nil, err
-		}
-		row := []string{fmt.Sprintf("EMF-based(g=%g)", g)}
-		for range betas {
-			row = append(row, e2s(emfBased))
-		}
-		b.Rows = append(b.Rows, row)
-	}
-	for gi, g := range gs {
-		row, err := collectCells([]string{fmt.Sprintf("K-means(g=%g)", g)}, futsIKM[gi], e2s)
-		if err != nil {
-			return nil, err
-		}
-		b.Rows = append(b.Rows, row)
-	}
-	tables := []*Table{a, b}
-	for pi, poisonCats := range poisonSets {
-		t := &Table{
-			Title:  fmt.Sprintf("Fig. 9(%c): frequency MSE vs ε — COVID-19, poison cats %v, γ=0.25", 'c'+pi, poisonCats),
-			Header: append([]string{"Scheme"}, mapStrings(epsList, epsLabel)...),
-		}
-		for si, sc := range schemes {
-			row, err := collectCells([]string{"DAP_" + sc.String()}, futsCD[pi][si], e2s)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		row, err := collectCells([]string{"Ostrich"}, futsOst[pi], e2s)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, row)
-		tables = append(tables, t)
-	}
-	return tables, nil
+	return run(cfg, panels...)
 }
 
-func rng9(cfg Config) *rand.Rand {
-	return rngSplit(cfg.Seed, 0x9)
+// defended is the job of a comparator defense that exists only as code
+// (k-means, EMF-integrated k-means, isolation forest): each trial
+// collects single-group PM reports of w at budget eps and scores def's
+// estimate, clamped to [−1, 1]. def draws from the trial's rng, which a
+// defense spec row (seeded from the reports) cannot reproduce.
+func (cfg Config) defended(seed uint64, w load, eps, truth float64, def interface {
+	Estimate(r *rand.Rand, reports []float64) (float64, error)
+}) *job {
+	return cfg.code(seed, func(r *rand.Rand) (float64, error) {
+		reports, err := w.pm(r, eps)
+		if err != nil {
+			return 0, err
+		}
+		est, err := def.Estimate(r, reports)
+		if err != nil {
+			return 0, err
+		}
+		return sq(stats.Clamp(est, -1, 1), truth), nil
+	})
 }

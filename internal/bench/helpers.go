@@ -1,18 +1,17 @@
 package bench
 
 import (
-	"context"
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/defense"
 	"repro/internal/emf"
-	"repro/internal/ldp/pm"
+	"repro/internal/ldp"
+	"repro/internal/ldp/sw"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -33,6 +32,14 @@ func epsLabel(eps float64) string {
 	return fmt.Sprintf("%g", eps)
 }
 
+func mapStrings(eps []float64, f func(float64) string) []string {
+	out := make([]string, len(eps))
+	for i, e := range eps {
+		out[i] = f(e)
+	}
+	return out
+}
+
 // rangeLabels lists the paper's poison ranges in Table I / Fig. 6 order.
 var rangeLabels = []string{"[3C/4,C]", "[C/2,C]", "[O,C/2]", "[O,C]"}
 
@@ -50,182 +57,102 @@ func loadDataset(cfg Config, name string) (*dataset.Numeric, error) {
 	return dataset.ByName(rng.Split(cfg.Seed, 0xDA7A), name, cfg.N)
 }
 
-// dapSpec is the paper's default mean-task cell: ε₀ = 1/16 at every ε.
-func dapSpec(scheme core.Scheme, eps float64, maxIter int, opts ...core.Option) core.Spec {
-	return core.NewSpec(core.MeanTask(), append([]core.Option{
-		core.WithBudget(eps, 1.0/16), core.WithScheme(scheme), core.WithEMFMaxIter(maxIter),
+// spec is the paper's default cell of a task: budget ε at ε₀ = 1/16 under
+// the run's EM iteration cap.
+func (cfg Config) spec(task core.Option, eps float64, opts ...core.Option) core.Spec {
+	return core.NewSpec(task, append([]core.Option{
+		core.WithBudget(eps, 1.0/16), core.WithEMFMaxIter(cfg.EMFMaxIter),
 	}, opts...)...)
 }
 
-// freqSpec is the k-RR frequency cell at ε₀ = 1/16.
-func freqSpec(scheme core.Scheme, eps float64, k, maxIter int) core.Spec {
-	return core.NewSpec(core.FrequencyTask(k), core.WithBudget(eps, 1.0/16),
-		core.WithScheme(scheme), core.WithEMFMaxIter(maxIter))
-}
-
-// build constructs sp's estimator and asserts the face an experiment
-// drives: a core face (core.Runner, …) or one of the bench-local hook
-// interfaces below.
-func build[T any](sp core.Spec) (T, error) {
-	var face T
-	est, err := core.Build(sp)
-	if err != nil {
-		return face, err
+// build constructs one estimator per spec.
+func build(sps ...core.Spec) ([]core.Estimator, error) {
+	ests := make([]core.Estimator, len(sps))
+	for i, sp := range sps {
+		est, err := core.Build(sp)
+		if err != nil {
+			return nil, err
+		}
+		ests[i] = est
 	}
-	face, ok := est.(T)
-	if !ok {
-		return face, fmt.Errorf("bench: the %s estimator lacks %T", sp.Task, &face)
+	return ests, nil
+}
+
+// perScheme builds sp once per estimation scheme. The estimators share one
+// group layout, so one collection serves them all (load.shared).
+func perScheme(sp core.Spec) ([]core.Estimator, error) {
+	var sps []core.Spec
+	for _, sc := range core.Schemes() {
+		sp.Scheme = sc.String()
+		sps = append(sps, sp)
 	}
-	return face, nil
-}
-
-// collectEstimator is a numeric estimator whose user side the bench
-// simulates once and estimates several times.
-type collectEstimator interface {
-	core.Estimator
-	core.Collector
-}
-
-// gamedCollector is the baseline estimator's probing-aware collection
-// (Byzantine users honest on ε_α, poisoning ε_β) — Ablation 4.
-type gamedCollector interface {
-	collectEstimator
-	GamedCollect(r *rand.Rand, values []float64, adv attack.Adversary, gamma float64) (*core.Collection, error)
+	return build(sps...)
 }
 
 // catCollector is the frequency estimator's categorical collection, which
 // the scheme rows of a cell share, and the Ostrich baseline over it
-// (Fig. 9(c)(d), the red-team matrix).
+// (Fig. 9(c)(d)).
 type catCollector interface {
-	core.Estimator
 	CollectFreq(r *rand.Rand, cats []int, adv attack.Adversary, gamma float64) (*core.HistCollection, error)
 	OstrichFreq(hc *core.HistCollection) ([]float64, error)
 }
 
-// dapTrial returns a sim.Trial running one full protocol round.
-func dapTrial(d core.Runner, values []float64, adv attack.Adversary, gamma float64) sim.Trial {
-	return func(r *rand.Rand) (float64, error) {
-		est, err := d.Run(r, values, adv, gamma)
-		if err != nil {
-			return 0, err
-		}
-		return est.Mean, nil
-	}
+// sq is the squared error of v against truth.
+func sq(v, truth float64) float64 {
+	d := v - truth
+	return d * d
 }
 
-// ostrichTrial averages a plain single-group PM collection.
-func ostrichTrial(values []float64, eps float64, adv attack.Adversary, gamma float64) sim.Trial {
-	return func(r *rand.Rand) (float64, error) {
-		reports, err := core.CollectPM(r, values, eps, adv, gamma, 0)
-		if err != nil {
-			return 0, err
-		}
-		return stats.Clamp(defense.Ostrich(reports), -1, 1), nil
-	}
+// meanErr scores a result by the squared error of its mean.
+func meanErr(truth float64) func(*core.Result) float64 {
+	return func(res *core.Result) float64 { return sq(res.Mean, truth) }
 }
 
-// trimmingTrial trims 50% from the poisoned side of a single-group
-// collection.
-func trimmingTrial(values []float64, eps float64, adv attack.Adversary, gamma float64, poisonedRight bool) sim.Trial {
-	return func(r *rand.Rand) (float64, error) {
-		reports, err := core.CollectPM(r, values, eps, adv, gamma, 0)
-		if err != nil {
-			return 0, err
-		}
-		return stats.Clamp(defense.Trimming(reports, 0.5, poisonedRight), -1, 1), nil
-	}
+// freqErr scores a result by the component MSE of its frequencies.
+func freqErr(truth []float64) func(*core.Result) float64 {
+	return func(res *core.Result) float64 { return stats.MSEVec(res.Freqs, truth) }
 }
 
-// probeGamma runs one single-group collection and returns the EMF γ̂
-// estimate via side probing.
-func probeGamma(r *rand.Rand, values []float64, eps float64, adv attack.Adversary, gamma float64, maxIter int) (float64, error) {
-	reports, err := core.CollectPM(r, values, eps, adv, gamma, 0)
+// gammaErr scores a result by |γ̂−γ|.
+func gammaErr(gamma float64) func(*core.Result) float64 {
+	return func(res *core.Result) float64 { return math.Abs(res.Gamma - gamma) }
+}
+
+// pm collects one plain single-group PM collection of w at budget eps —
+// the input of the side probe and of the code comparators.
+func (w load) pm(r *rand.Rand, eps float64) ([]float64, error) {
+	return core.CollectPM(r, w.values, eps, w.adv, w.gamma, 0)
+}
+
+// sw gathers one single-group SW collection of w at budget eps.
+func (w load) sw(r *rand.Rand, eps float64) ([]float64, error) {
+	mech, err := sw.New(eps)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	mech := pm.MustNew(eps)
-	d, dp := emf.BucketCounts(len(reports), mech.C())
+	n := len(w.values)
+	nByz := int(math.Round(w.gamma * float64(n)))
+	env := attack.EnvFor(mech, 0.5)
+	reports := make([]float64, 0, n)
+	reports = append(reports, w.adv.Poison(r, env, nByz)...)
+	// As in core.CollectPM: report order is irrelevant downstream, so a
+	// sampled Byzantine bitset replaces the full O(N) permutation.
+	byz := core.SampleSubset(r, n, nByz)
+	for u, v := range w.values {
+		if byz == nil || byz[u>>6]&(1<<(uint(u)&63)) == 0 {
+			reports = append(reports, mech.Perturb(r, v))
+		}
+	}
+	return reports, nil
+}
+
+// probe runs Algorithm 3's side probe on one single-group collection
+// perturbed by mech, with the poison components placed around O′ = oPrime.
+func probe(mech ldp.IntervalProber, reports []float64, oPrime float64, cfg emf.Config) (*emf.SideProbe, error) {
+	d, dp := emf.BucketCounts(len(reports), mech.OutputDomain().Width()/mech.InputDomain().Width())
 	m, err := emf.BuildNumericCached(mech, d, dp)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	cfg := emf.Config{Tol: emf.PaperTol(eps), MaxIter: maxIter, Accelerate: true}
-	probe, err := emf.ProbeSide(m, m.Counts(reports), 0, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return probe.Chosen().Gamma(), nil
-}
-
-// splitFuture schedules one n-vector cell and fans it into n scalar
-// futures, so rows that share underlying work (scheme rows estimating the
-// same collections) still collect cell-by-cell in table order.
-func splitFuture(p *pool, n int, fn func() ([]float64, error)) []*future[float64] {
-	base := submit(p, fn)
-	out := make([]*future[float64], n)
-	for i := range out {
-		f := &future[float64]{done: make(chan struct{})}
-		out[i] = f
-		go func(i int) {
-			defer close(f.done)
-			vals, err := base.get()
-			if err != nil {
-				f.err = err
-				return
-			}
-			f.val = vals[i]
-		}(i)
-	}
-	return out
-}
-
-// dapsForSchemes builds one mean estimator per estimation scheme at the
-// same budget; their group layouts and mechanisms are identical, so one
-// collection serves all of them.
-func dapsForSchemes(eps float64, maxIter int) ([]collectEstimator, error) {
-	schemes := core.Schemes()
-	daps := make([]collectEstimator, len(schemes))
-	for i, sc := range schemes {
-		d, err := build[collectEstimator](dapSpec(sc, eps, maxIter))
-		if err != nil {
-			return nil, err
-		}
-		daps[i] = d
-	}
-	return daps, nil
-}
-
-// dapSchemesTrial returns a trial that collects ONE set of reports and
-// estimates it with every scheme, chaining the warm state from the first
-// estimate into the rest (the deconvolution is identical across schemes —
-// only the post-processing differs — so the later estimates converge in a
-// handful of EM steps). Sharing the collection both removes the dominant
-// perturbation cost of per-scheme collections and turns the scheme rows
-// into a paired comparison on identical data.
-func dapSchemesTrial(daps []collectEstimator, values []float64, adv attack.Adversary, gamma float64) sim.VecTrial {
-	return func(r *rand.Rand) ([]float64, error) {
-		col, err := daps[0].Collect(r, values, adv, gamma)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, len(daps))
-		var warm *core.WarmState
-		for i, d := range daps {
-			est, err := d.Estimate(core.WithWarm(context.Background(), warm), col)
-			if err != nil {
-				return nil, err
-			}
-			if warm == nil {
-				warm = est.Warm
-			}
-			out[i] = est.Mean
-		}
-		return out, nil
-	}
-}
-
-// mseSchemes schedules a shared-collection scheme cell: one future per
-// scheme, all backed by one sim.MSEPer evaluation.
-func (p *pool) mseSchemes(seed uint64, trials int, truth float64, fn sim.VecTrial, n int) []*future[float64] {
-	return splitFuture(p, n, func() ([]float64, error) { return sim.MSEPer(seed, trials, truth, fn) })
+	return emf.ProbeSide(m, m.Counts(reports), oPrime, cfg)
 }

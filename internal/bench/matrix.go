@@ -3,23 +3,20 @@ package bench
 // The red-team robustness matrix: every attack variant in the standard
 // battery against every estimation scheme, on the mean task (PM) and the
 // frequency task (k-RR). One collection per trial is shared across the
-// scheme rows (warm-chained, like the paper experiments since PR 4), so a
-// matrix row is a paired comparison on identical data and the whole
-// matrix stays cheap enough to run in CI. cmd/dapredteam drives RunMatrix
+// scheme rows (load.shared, like the paper experiments), so a matrix row
+// is a paired comparison on identical data and the whole matrix stays
+// cheap enough to run in CI. cmd/dapredteam drives RunMatrix
 // and renders the report; `dapbench -exp matrix` prints the same cells as
 // tables.
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"strings"
 
 	"repro/internal/attack"
 	"repro/internal/core"
-	"repro/internal/rng"
 )
 
 // NamedAttack couples a registry attack spec with its matrix row label.
@@ -86,17 +83,12 @@ type MatrixReport struct {
 	Rows   []MatrixRow `json:"rows"`
 }
 
-// RunMatrix evaluates the standard attack battery against every scheme at
-// the given Byzantine proportion. Deterministic for a fixed cfg.Seed,
-// independent of cfg.Workers: every (task, attack) cell owns a fixed rng
-// stream and rows are collected in battery order.
-func RunMatrix(cfg Config, gamma float64) (*MatrixReport, error) {
-	return RunMatrixExtra(cfg, gamma, nil)
-}
-
-// RunMatrixExtra is RunMatrix with extra numeric registry attacks
-// appended to the standard battery (cmd/dapredteam's -attacks).
-func RunMatrixExtra(cfg Config, gamma float64, extra []NamedAttack) (*MatrixReport, error) {
+// RunMatrix evaluates the standard attack battery, with extra numeric
+// registry attacks appended (cmd/dapredteam's -attacks), against every
+// scheme at the given Byzantine proportion. Deterministic for a fixed
+// cfg.Seed, independent of cfg.Workers: every (task, attack) cell owns a
+// fixed rng stream and rows are collected in battery order.
+func RunMatrix(cfg Config, gamma float64, extra []NamedAttack) (*MatrixReport, error) {
 	cfg = cfg.withDefaults()
 	if gamma <= 0 || gamma >= 1 {
 		return nil, fmt.Errorf("bench: matrix gamma %g outside (0,1)", gamma)
@@ -113,160 +105,61 @@ func RunMatrixExtra(cfg Config, gamma float64, extra []NamedAttack) (*MatrixRepo
 			return nil, fmt.Errorf("bench: extra attack %q is epoch-adaptive and the batch matrix has no epochs; drive it with daploadgen -attack-epochs", na.Label)
 		}
 	}
-	rep := &MatrixReport{Schema: 1, N: cfg.N, Trials: cfg.Trials, Seed: cfg.Seed, Gamma: gamma}
-	p := cfg.newPool()
-
-	numeric, err := matrixNumeric(cfg, p, gamma, append(MatrixAttacks(), extra...))
-	if err != nil {
-		return nil, err
-	}
-	freq, err := matrixFreq(cfg, p, gamma)
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range numeric {
-		rows, err := f.get()
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, rows...)
-	}
-	for _, f := range freq {
-		rows, err := f.get()
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, rows...)
-	}
-	return rep, nil
-}
-
-// matrixNumeric schedules the mean-task panel: one future per attack,
-// each running Trials shared collections estimated by all three schemes.
-func matrixNumeric(cfg Config, p *pool, gamma float64, battery []NamedAttack) ([]*future[[]MatrixRow], error) {
 	ds, err := loadDataset(cfg, "Beta(2,5)")
 	if err != nil {
 		return nil, err
 	}
-	truth := ds.TrueMean()
-	daps, err := dapsForSchemes(1, cfg.EMFMaxIter)
+	daps, err := perScheme(cfg.spec(core.MeanTask(), 1))
 	if err != nil {
 		return nil, err
 	}
-	schemes := core.Schemes()
-	futs := make([]*future[[]MatrixRow], 0, len(battery))
-	for ai, na := range battery {
-		na := na
-		adv, err := attack.New(na.Spec)
-		if err != nil {
-			return nil, err
-		}
-		g := gamma
-		if na.Spec.Name == "none" {
-			g = 0
-		}
-		seed := cfg.Seed + 0xA77AC0 + uint64(ai)*0x1000
-		futs = append(futs, submit(p, func() ([]MatrixRow, error) {
-			se := make([]float64, len(daps))
-			ge := make([]float64, len(daps))
-			for j := 0; j < cfg.Trials; j++ {
-				r := rng.Split(seed, uint64(j))
-				col, err := daps[0].Collect(r, ds.Values, adv, g)
-				if err != nil {
-					return nil, err
-				}
-				var warm *core.WarmState
-				for i, d := range daps {
-					est, err := d.Estimate(core.WithWarm(context.Background(), warm), col)
-					if err != nil {
-						return nil, err
-					}
-					if warm == nil {
-						warm = est.Warm
-					}
-					se[i] += (est.Mean - truth) * (est.Mean - truth)
-					ge[i] += math.Abs(est.Gamma - g)
-				}
-			}
-			rows := make([]MatrixRow, len(daps))
-			for i := range daps {
-				rows[i] = MatrixRow{
-					Task: string(core.TaskMean), Attack: na.Label, AttackName: adv.Name(),
-					Scheme: schemes[i].String(), Gamma: g,
-					MSE: se[i] / float64(cfg.Trials), GammaErr: ge[i] / float64(cfg.Trials),
-				}
-			}
-			return rows, nil
-		}))
-	}
-	return futs, nil
-}
-
-// matrixFreq schedules the frequency-task panel over the synthetic Zipf
-// population of the spec sweep (K=16).
-func matrixFreq(cfg Config, p *pool, gamma float64) ([]*future[[]MatrixRow], error) {
+	// The frequency panel runs over the synthetic Zipf population of the
+	// spec sweep (K=16).
 	const k = 16
-	cats, truth := zipfCats(cfg.N, k)
-	schemes := core.Schemes()
-	freqs := make([]catCollector, len(schemes))
-	for i, sc := range schemes {
-		d, err := build[catCollector](freqSpec(sc, 1, k, cfg.EMFMaxIter))
-		if err != nil {
-			return nil, err
-		}
-		freqs[i] = d
+	cats, freqs := zipfCats(cfg.N, k)
+	freqEsts, err := perScheme(cfg.spec(core.FrequencyTask(k), 1))
+	if err != nil {
+		return nil, err
 	}
-	futs := make([]*future[[]MatrixRow], 0, len(MatrixFreqAttacks()))
-	for ai, na := range MatrixFreqAttacks() {
-		na := na
-		adv, err := attack.New(na.Spec)
-		if err != nil {
-			return nil, err
-		}
-		g := gamma
-		if na.Spec.Name == "none" {
-			g = 0
-		}
-		seed := cfg.Seed + 0xF4EAC0 + uint64(ai)*0x1000
-		futs = append(futs, submit(p, func() ([]MatrixRow, error) {
-			se := make([]float64, len(freqs))
-			ge := make([]float64, len(freqs))
-			for j := 0; j < cfg.Trials; j++ {
-				r := rng.Split(seed, uint64(j))
-				col, err := freqs[0].CollectFreq(r, cats, adv, g)
-				if err != nil {
-					return nil, err
-				}
-				var warm *core.WarmState
-				for i, d := range freqs {
-					est, err := d.EstimateHist(core.WithWarm(context.Background(), warm), col)
-					if err != nil {
-						return nil, err
-					}
-					if warm == nil {
-						warm = est.Warm
-					}
-					var mse float64
-					for c := range truth {
-						diff := est.Freqs[c] - truth[c]
-						mse += diff * diff
-					}
-					se[i] += mse / float64(len(truth))
-					ge[i] += math.Abs(est.Gamma - g)
-				}
+
+	// Each (task, attack) cell is one job over Trials shared collections
+	// estimated by every scheme; row i of the cell reads scheme i's error
+	// and its |γ̂−γ|.
+	rep := &MatrixReport{Schema: 1, N: cfg.N, Trials: cfg.Trials, Seed: cfg.Seed, Gamma: gamma}
+	var rows []row
+	add := func(task core.TaskKind, battery []NamedAttack, base uint64, ests []core.Estimator, w load, score func(*core.Result) float64) error {
+		for ai, na := range battery {
+			adv, err := attack.New(na.Spec)
+			if err != nil {
+				return err
 			}
-			rows := make([]MatrixRow, len(freqs))
-			for i := range freqs {
-				rows[i] = MatrixRow{
-					Task: string(core.TaskFrequency), Attack: na.Label, AttackName: adv.Name(),
-					Scheme: schemes[i].String(), Gamma: g,
-					MSE: se[i] / float64(cfg.Trials), GammaErr: ge[i] / float64(cfg.Trials),
-				}
+			g := gamma
+			if na.Spec.Name == "none" {
+				g = 0
 			}
-			return rows, nil
-		}))
+			w.adv, w.gamma = adv, g
+			j := cfg.specs(cfg.Seed+base+uint64(ai)*0x1000, ests, w, score, gammaErr(g))
+			for i, sc := range core.Schemes() {
+				rows = append(rows, row{cells: []cell{{job: j, i: i}, {job: j, i: len(ests) + i}}})
+				rep.Rows = append(rep.Rows, MatrixRow{Task: string(task), Attack: na.Label, AttackName: adv.Name(), Scheme: sc.String(), Gamma: g})
+			}
+		}
+		return nil
 	}
-	return futs, nil
+	if err := add(core.TaskMean, append(MatrixAttacks(), extra...), 0xA77AC0, daps, load{values: ds.Values}, meanErr(ds.TrueMean())); err != nil {
+		return nil, err
+	}
+	if err := add(core.TaskFrequency, MatrixFreqAttacks(), 0xF4EAC0, freqEsts, load{cats: cats}, freqErr(freqs)); err != nil {
+		return nil, err
+	}
+	vals, err := resolve(cfg, []panel{{rows: rows}})
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range vals[0] {
+		rep.Rows[i].MSE, rep.Rows[i].GammaErr = v[0], v[1]
+	}
+	return rep, nil
 }
 
 // zipfCats builds the deterministic 1/(j+1)-weighted categorical
@@ -412,7 +305,7 @@ func (rep *MatrixReport) Tables() []*Table {
 // Matrix is the dapbench-registered experiment wrapper around RunMatrix
 // at the default red-team γ=0.25.
 func Matrix(cfg Config) ([]*Table, error) {
-	rep, err := RunMatrix(cfg, 0.25)
+	rep, err := RunMatrix(cfg, 0.25, nil)
 	if err != nil {
 		return nil, err
 	}

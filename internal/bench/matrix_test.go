@@ -19,7 +19,7 @@ func matrixTestConfig() Config {
 // TestMatrixCoverage pins the acceptance shape: at least 8 attack
 // variants, every scheme, both task panels, and the γ conventions.
 func TestMatrixCoverage(t *testing.T) {
-	rep, err := RunMatrix(matrixTestConfig(), 0.25)
+	rep, err := RunMatrix(matrixTestConfig(), 0.25, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestMatrixCoverage(t *testing.T) {
 func TestMatrixBBARowMatchesDirect(t *testing.T) {
 	cfg := matrixTestConfig()
 	const gamma = 0.25
-	rep, err := RunMatrix(cfg, gamma)
+	rep, err := RunMatrix(cfg, gamma, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMatrixBBARowMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	truth := ds.TrueMean()
-	daps, err := dapsForSchemes(1, cfg.EMFMaxIter)
+	daps, err := perScheme(cfg.spec(core.MeanTask(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestMatrixBBARowMatchesDirect(t *testing.T) {
 	want := make([]float64, len(daps))
 	for j := 0; j < cfg.Trials; j++ {
 		r := rng.Split(seed, uint64(j))
-		col, err := daps[0].Collect(r, ds.Values, adv, gamma)
+		col, err := daps[0].(core.Collector).Collect(r, ds.Values, adv, gamma)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,12 +143,12 @@ func TestMatrixMarkdownAndTables(t *testing.T) {
 // join the numeric batch panel.
 func TestMatrixExtraRejection(t *testing.T) {
 	cfg := matrixTestConfig()
-	if _, err := RunMatrixExtra(cfg, 0.25, []NamedAttack{
+	if _, err := RunMatrix(cfg, 0.25, []NamedAttack{
 		{Label: "targeted", Spec: attack.Spec{Name: "targeted", Cats: []int{3}}},
 	}); err == nil {
 		t.Fatal("categorical extra accepted into the numeric panel")
 	}
-	if _, err := RunMatrixExtra(cfg, 0.25, []NamedAttack{
+	if _, err := RunMatrix(cfg, 0.25, []NamedAttack{
 		{Label: "ramp", Spec: attack.Spec{Name: "ramp"}},
 	}); err == nil {
 		t.Fatal("epoch-adaptive extra accepted into the batch matrix")

@@ -1,17 +1,12 @@
 package bench
 
-import (
-	"runtime"
+import "runtime"
 
-	"repro/internal/sim"
-)
-
-// The experiment runners build their tables from many independent
-// Monte-Carlo cells (one per table entry). Cells are scheduled on a
-// bounded pool and awaited in table order, so any Workers setting produces
-// byte-identical tables: every cell's seed is fixed when it is scheduled
-// (per-trial streams come from rng.Split inside the sim package), and
-// collection order never depends on completion order.
+// Jobs (panel.go) are scheduled on a bounded pool and awaited in table
+// order, so any Workers setting produces byte-identical tables: every
+// job's seed is fixed when it is declared (per-trial streams come from
+// rng.Split inside the sim package), and collection order never depends
+// on completion order.
 
 // pool bounds the number of concurrently evaluated cells.
 type pool struct {
@@ -48,32 +43,4 @@ func submit[T any](p *pool, fn func() (T, error)) *future[T] {
 		f.val, f.err = fn()
 	}()
 	return f
-}
-
-// mse schedules a sim.MSE cell.
-func (p *pool) mse(seed uint64, trials int, truth float64, fn sim.Trial) *future[float64] {
-	return submit(p, func() (float64, error) { return sim.MSE(seed, trials, truth, fn) })
-}
-
-// avg schedules a sim.Average cell.
-func (p *pool) avg(seed uint64, trials int, fn sim.Trial) *future[float64] {
-	return submit(p, func() (float64, error) { return sim.Average(seed, trials, fn) })
-}
-
-// mseVec schedules a sim.MSEVec cell.
-func (p *pool) mseVec(seed uint64, trials int, truth []float64, fn sim.VecTrial) *future[float64] {
-	return submit(p, func() (float64, error) { return sim.MSEVec(seed, trials, truth, fn) })
-}
-
-// collectCells resolves a row of futures into formatted cells appended to
-// row, failing on the first cell error.
-func collectCells(row []string, futs []*future[float64], format func(float64) string) ([]string, error) {
-	for _, f := range futs {
-		v, err := f.get()
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, format(v))
-	}
-	return row, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -79,98 +78,61 @@ func SpecSweep(cfg Config) ([]*Table, error) {
 	// only comparable for mean-task specs; other tasks estimate a
 	// different quantity (or domain) and get the spec column alone.
 	withOstrich := sp.Task == core.TaskMean
-	p := cfg.newPool()
-	table := &Table{
-		Title: fmt.Sprintf("spec sweep: task=%s scheme=%s ε=%g attack=%s (MSE vs γ, %s)",
+	pn := panel{
+		title: fmt.Sprintf("spec sweep: task=%s scheme=%s ε=%g attack=%s (MSE vs γ, %s)",
 			sp.Task, sp.Scheme, sp.Eps, adv.Name(), ds.Name),
-		Header: []string{"gamma", "spec", "emf_iters", "converged"},
+		header: []string{"gamma", "spec", "emf_iters", "converged"},
 	}
 	if withOstrich {
-		table.Header = append(table.Header, "ostrich")
+		pn.header = append(pn.header, "ostrich")
 	}
-	// The spec column runs each trial as one sequential sweep of the γ
-	// grid, warm-starting every cell's solver from its grid neighbour's
-	// fits (core.WithWarm): the collections differ only in the Byzantine
-	// mix, so the previous cell's deconvolution is a near-converged seed.
-	// Trials are independent futures with fixed streams, so tables stay
-	// byte-identical for any -workers. The emf_iters and converged columns
-	// log the solver telemetry (mean EM-map evaluations per estimate;
-	// fraction of trials whose fits all met the Tol rule) so dapbench -csv
-	// records under-converged cells instead of silently tabulating the
-	// MaxIter iterate.
-	type sweepOut struct{ sqErr, iters, conv []float64 }
-	sweeps := make([]*future[sweepOut], cfg.Trials)
-	for j := 0; j < cfg.Trials; j++ {
-		j := j
-		sweeps[j] = submit(p, func() (sweepOut, error) {
-			r := rng.Split(cfg.Seed+0x57EE9, uint64(j))
-			out := sweepOut{
-				sqErr: make([]float64, len(gammas)),
-				iters: make([]float64, len(gammas)),
-				conv:  make([]float64, len(gammas)),
-			}
-			var warm *core.WarmState
-			for i, gamma := range gammas {
-				col, err := collector.Collect(r, values, adv, gamma)
-				if err != nil {
-					return out, err
-				}
-				res, err := est.Estimate(core.WithWarm(context.Background(), warm), col)
-				if err != nil {
-					return out, err
-				}
-				warm = res.Warm
-				d := read(res) - truth
-				out.sqErr[i] = d * d
-				out.iters[i] = float64(res.EMFIters)
-				if res.Converged {
-					out.conv[i] = 1
-				}
-			}
-			return out, nil
-		})
-	}
-	ostrich := make([]*future[float64], len(gammas))
-	if withOstrich {
-		for i, g := range gammas {
-			gamma := g
-			ostrich[i] = p.mse(cfg.Seed+uint64(i)*1000+500, cfg.Trials, truth, func(r *rand.Rand) (float64, error) {
-				reports, err := core.CollectPM(r, values, sp.Eps, adv, gamma, sp.OPrime)
-				if err != nil {
-					return 0, err
-				}
-				return stats.Mean(reports), nil
-			})
-		}
-	}
-	outs := make([]sweepOut, cfg.Trials)
-	for j, f := range sweeps {
-		out, err := f.get()
-		if err != nil {
-			return nil, err
-		}
-		outs[j] = out
-	}
-	for i, g := range gammas {
-		var mse, iters, conv float64
-		for j := range outs {
-			mse += outs[j].sqErr[i]
-			iters += outs[j].iters[i]
-			conv += outs[j].conv[i]
-		}
-		n := float64(len(outs))
-		row := []string{fmt.Sprintf("%.2f", g), e2s(mse / n),
-			fmt.Sprintf("%.0f", iters/n), fmt.Sprintf("%.2f", conv/n)}
-		if withOstrich {
-			v, err := ostrich[i].get()
+	// Each trial of the spec column is one sequential sweep of the γ grid,
+	// warm-starting every cell's solver from its grid neighbour's fits
+	// (core.WithWarm): the collections differ only in the Byzantine mix,
+	// so the previous cell's deconvolution is a near-converged seed. The
+	// emf_iters and converged columns log the solver telemetry (mean
+	// EM-map evaluations per estimate; fraction of trials whose fits all
+	// met the Tol rule) so dapbench -csv records under-converged cells
+	// instead of silently tabulating the MaxIter iterate. The trial
+	// returns the squared errors, then the iterations, then the
+	// convergence flags, one per γ.
+	n := len(gammas)
+	chain := cfg.mc(cfg.Seed+0x57EE9, func(r *rand.Rand) ([]float64, error) {
+		out := make([]float64, 3*n)
+		var warm *core.WarmState
+		for i, gamma := range gammas {
+			col, err := collector.Collect(r, values, adv, gamma)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, e2s(v))
+			res, err := est.Estimate(core.WithWarm(context.Background(), warm), col)
+			if err != nil {
+				return nil, err
+			}
+			warm = res.Warm
+			out[i] = sq(read(res), truth)
+			out[n+i] = float64(res.EMFIters)
+			if res.Converged {
+				out[2*n+i] = 1
+			}
 		}
-		table.Rows = append(table.Rows, row)
+		return out, nil
+	})
+	for i, g := range gammas {
+		rw := row{label: []string{fmt.Sprintf("%.2f", g)}, cells: []cell{
+			{job: chain, i: i},
+			{job: chain, i: n + i, f: func(v float64) string { return fmt.Sprintf("%.0f", v) }},
+			{job: chain, i: 2*n + i, f: func(v float64) string { return fmt.Sprintf("%.2f", v) }},
+		}}
+		if withOstrich {
+			rw.cells = append(rw.cells, cell{job: cfg.code(cfg.Seed+uint64(i)*1000+500, func(r *rand.Rand) (float64, error) {
+				reports, err := core.CollectPM(r, values, sp.Eps, adv, g, sp.OPrime)
+				return sq(stats.Mean(reports), truth), err
+			})})
+		}
+		pn.rows = append(pn.rows, rw)
 	}
-	return []*Table{table}, nil
+	return run(cfg, pn)
 }
 
 // specAdversary resolves a spec's attack section through the registry,
@@ -190,10 +152,6 @@ func specAdversary(sp core.Spec) (attack.Adversary, error) {
 // synthetic Zipf-ish categorical population: the spec's attack section
 // when present, the historical top-category direct injection otherwise.
 func specSweepFreq(cfg Config, sp core.Spec, est core.Estimator) ([]*Table, error) {
-	runner, ok := est.(core.CatAdvRunner)
-	if !ok {
-		return nil, fmt.Errorf("bench: task %q has no categorical simulation entry point", sp.Task)
-	}
 	// Deterministic skewed population over the spec's K categories (shared
 	// with the red-team matrix).
 	cats, truth := zipfCats(cfg.N, sp.K)
@@ -204,31 +162,14 @@ func specSweepFreq(cfg Config, sp core.Spec, est core.Estimator) ([]*Table, erro
 	if adv == nil {
 		adv = &attack.Targeted{Cats: []int{sp.K - 1}}
 	}
-
-	gammas := []float64{0, 0.1, 0.2, 0.3, 0.4}
-	p := cfg.newPool()
-	table := &Table{
-		Title: fmt.Sprintf("spec sweep: task=%s K=%d ε=%g attack=%s (frequency MSE vs γ)",
+	pn := panel{
+		title: fmt.Sprintf("spec sweep: task=%s K=%d ε=%g attack=%s (frequency MSE vs γ)",
 			sp.Task, sp.K, sp.Eps, adv.Name()),
-		Header: []string{"gamma", "spec"},
+		header: []string{"gamma", "spec"},
 	}
-	futs := make([]*future[float64], len(gammas))
-	for i, g := range gammas {
-		gamma := g
-		futs[i] = p.mseVec(cfg.Seed+uint64(i)*1000, cfg.Trials, truth, func(r *rand.Rand) ([]float64, error) {
-			res, err := runner.RunCatsAdv(r, cats, adv, gamma)
-			if err != nil {
-				return nil, err
-			}
-			return res.Freqs, nil
-		})
+	for i, gamma := range []float64{0, 0.1, 0.2, 0.3, 0.4} {
+		j := cfg.specs(cfg.Seed+uint64(i)*1000, []core.Estimator{est}, load{cats: cats, adv: adv, gamma: gamma}, freqErr(truth))
+		pn.rows = append(pn.rows, line([]string{fmt.Sprintf("%.2f", gamma)}, 0, j))
 	}
-	for i, g := range gammas {
-		row, err := collectCells([]string{fmt.Sprintf("%.2f", g)}, futs[i:i+1], e2s)
-		if err != nil {
-			return nil, err
-		}
-		table.Rows = append(table.Rows, row)
-	}
-	return []*Table{table}, nil
+	return run(cfg, pn)
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/emf"
 	"repro/internal/ldp/pm"
 	"repro/internal/rng"
@@ -16,67 +15,37 @@ import (
 // poisoned one) must yield the smaller variance everywhere, which is what
 // lets Algorithm 3 pick the side.
 //
-// Each (range, ε) cell owns a deterministic rng stream, so the cells run
-// concurrently on the experiment pool and the table is identical for any
-// Workers setting.
+// Each (range, ε) cell is one probe on its own rng stream, feeding both
+// the L and the R row.
 func Table1(cfg Config) ([]*Table, error) {
 	epsList := []float64{2, 0.5, 0.25, 0.125, 0.0625}
 	ds, err := loadDataset(cfg, "Taxi")
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		Title:  "Table I: Variance of reconstructed normal data (Taxi, γ=0.25)",
-		Header: append([]string{"Poi[l,r]", "Side"}, mapStrings(epsList, epsLabel)...),
+	pn := panel{
+		title:  "Table I: Variance of reconstructed normal data (Taxi, γ=0.25)",
+		header: append([]string{"Poi[l,r]", "Side"}, mapStrings(epsList, epsLabel)...),
 	}
-	p := cfg.newPool()
-	futs := make([][]*future[[2]float64], len(rangeLabels))
 	for ri, label := range rangeLabels {
-		adv := attack.NewBBA(mustRange(label), attack.DistUniform)
-		futs[ri] = make([]*future[[2]float64], len(epsList))
+		w := load{values: ds.Values, adv: attack.NewBBA(mustRange(label), attack.DistUniform), gamma: 0.25}
+		var jobs []*job
 		for ei, eps := range epsList {
 			stream := uint64(0x7AB1 + ri*16 + ei)
-			eps := eps
-			futs[ri][ei] = submit(p, func() ([2]float64, error) {
-				r := rng.Split(cfg.Seed, stream)
-				reports, err := core.CollectPM(r, ds.Values, eps, adv, 0.25, 0)
+			jobs = append(jobs, &job{func() ([]float64, error) {
+				reports, err := w.pm(rng.Split(cfg.Seed, stream), eps)
 				if err != nil {
-					return [2]float64{}, err
+					return nil, err
 				}
-				mech := pm.MustNew(eps)
-				d, dp := emf.BucketCounts(len(reports), mech.C())
-				m, err := emf.BuildNumericCached(mech, d, dp)
+				// Unlike Fig. 5's probes, Table I's run without SQUAREM.
+				pr, err := probe(pm.MustNew(eps), reports, 0, emf.Config{Tol: emf.PaperTol(eps), MaxIter: cfg.EMFMaxIter})
 				if err != nil {
-					return [2]float64{}, err
+					return nil, err
 				}
-				probe, err := emf.ProbeSide(m, m.Counts(reports), 0, emf.Config{Tol: emf.PaperTol(eps), MaxIter: cfg.EMFMaxIter})
-				if err != nil {
-					return [2]float64{}, err
-				}
-				return [2]float64{stats.Variance(probe.Left.X), stats.Variance(probe.Right.X)}, nil
-			})
+				return []float64{stats.Variance(pr.Left.X), stats.Variance(pr.Right.X)}, nil
+			}})
 		}
+		pn.rows = append(pn.rows, line([]string{label, "L"}, 0, jobs...), line([]string{label, "R"}, 1, jobs...))
 	}
-	for ri, label := range rangeLabels {
-		rowL := []string{label, "L"}
-		rowR := []string{label, "R"}
-		for _, f := range futs[ri] {
-			v, err := f.get()
-			if err != nil {
-				return nil, err
-			}
-			rowL = append(rowL, e2s(v[0]))
-			rowR = append(rowR, e2s(v[1]))
-		}
-		t.Rows = append(t.Rows, rowL, rowR)
-	}
-	return []*Table{t}, nil
-}
-
-func mapStrings(eps []float64, f func(float64) string) []string {
-	out := make([]string, len(eps))
-	for i, e := range eps {
-		out[i] = f(e)
-	}
-	return out
+	return run(cfg, pn)
 }

@@ -15,13 +15,12 @@ import (
 // Trial produces one estimate given a trial-private generator.
 type Trial func(r *rand.Rand) (float64, error)
 
-// repeatInto runs fn for the given number of trials, each with an
-// independent deterministic stream derived from seed (rng.Split by trial
-// index), spread over a GOMAXPROCS-bounded worker pool. Results are
-// ordered by trial index; the lowest-index error (if any) is returned
-// alongside whatever completed. Every public runner below is a thin
-// per-result-type wrapper over this one loop.
-func repeatInto[T any](seed uint64, trials int, fn func(r *rand.Rand) (T, error)) ([]T, error) {
+// Repeat runs fn for the given number of trials, each with an independent
+// deterministic stream derived from seed (rng.Split by trial index),
+// spread over a GOMAXPROCS-bounded worker pool. Results are ordered by
+// trial index; the lowest-index error (if any) is returned alongside
+// whatever completed.
+func Repeat[T any](seed uint64, trials int, fn func(r *rand.Rand) (T, error)) ([]T, error) {
 	if trials <= 0 {
 		return nil, nil
 	}
@@ -55,14 +54,6 @@ func repeatInto[T any](seed uint64, trials int, fn func(r *rand.Rand) (T, error)
 	return out, nil
 }
 
-// Repeat runs fn for the given number of trials, each with an independent
-// deterministic stream derived from seed, spread over a worker pool. The
-// returned estimates are ordered by trial index; the first error (if any)
-// is returned alongside the successful estimates.
-func Repeat(seed uint64, trials int, fn Trial) ([]float64, error) {
-	return repeatInto(seed, trials, fn)
-}
-
 // MSE runs trials of fn and returns the mean squared error of the
 // estimates against truth.
 func MSE(seed uint64, trials int, truth float64, fn Trial) (float64, error) {
@@ -92,7 +83,7 @@ func MSEVec(seed uint64, trials int, truth []float64, fn VecTrial) (float64, err
 	if trials <= 0 {
 		return 0, nil
 	}
-	mses, err := repeatInto(seed, trials, func(r *rand.Rand) (float64, error) {
+	mses, err := Repeat(seed, trials, func(r *rand.Rand) (float64, error) {
 		est, err := fn(r)
 		if err != nil {
 			return 0, err
@@ -103,64 +94,4 @@ func MSEVec(seed uint64, trials int, truth []float64, fn VecTrial) (float64, err
 		return 0, err
 	}
 	return stats.Mean(mses), nil
-}
-
-// MSEPer runs trials of a vector trial whose components each estimate the
-// same scalar truth (one component per estimator, evaluated on shared
-// trial data) and returns the per-component MSE across trials — the
-// engine behind experiment tables whose scheme rows share collections.
-func MSEPer(seed uint64, trials int, truth float64, fn VecTrial) ([]float64, error) {
-	if trials <= 0 {
-		return nil, nil
-	}
-	ests, err := repeatInto(seed, trials, fn)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(ests[0]))
-	for c := range out {
-		var s float64
-		for i := range ests {
-			d := ests[i][c] - truth
-			s += d * d
-		}
-		out[c] = s / float64(trials)
-	}
-	return out, nil
-}
-
-// MultiVecTrial produces one vector estimate per estimator (e.g. one
-// frequency histogram per scheme) from shared trial data.
-type MultiVecTrial func(r *rand.Rand) ([][]float64, error)
-
-// MSEVecPer runs trials of a multi-vector trial and returns, per
-// estimator, the average component MSE of its vector estimates against
-// truth — MSEVec for scheme rows sharing collections.
-func MSEVecPer(seed uint64, trials int, truth []float64, fn MultiVecTrial) ([]float64, error) {
-	if trials <= 0 {
-		return nil, nil
-	}
-	mses, err := repeatInto(seed, trials, func(r *rand.Rand) ([]float64, error) {
-		ests, err := fn(r)
-		if err != nil {
-			return nil, err
-		}
-		per := make([]float64, len(ests))
-		for c, est := range ests {
-			per[c] = stats.MSEVec(est, truth)
-		}
-		return per, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(mses[0]))
-	for c := range out {
-		var s float64
-		for i := range mses {
-			s += mses[i][c]
-		}
-		out[c] = s / float64(trials)
-	}
-	return out, nil
 }
