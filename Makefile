@@ -4,7 +4,7 @@ GO ?= go
 
 FUZZTIME ?= 30s
 
-.PHONY: all build vet dapvet fmt-check doccheck test race fuzz-smoke bench bench-smoke benchmark benchmark-smoke load-smoke load-smoke-bin merge-smoke apicheck apigen matrix crash-test metrics-check
+.PHONY: all build vet dapvet fmt-check doccheck test race fuzz-smoke bench bench-smoke benchmark benchmark-smoke load-smoke load-smoke-bin merge-smoke apicheck apigen matrix matrix-check crash-test metrics-check
 
 all: vet dapvet fmt-check doccheck build test apicheck
 
@@ -61,6 +61,19 @@ doccheck: vet
 # and JSON reports.
 matrix:
 	$(GO) run ./cmd/dapredteam -md MATRIX.md -json MATRIX.json
+
+# Matrix gate: regenerate both reports with make matrix's flags into a
+# temporary directory and diff them against the committed ones. The run
+# is deterministic for its seed and independent of the worker count, so
+# any diff is a change of the numbers — accept one by running make matrix
+# and committing the result. The committed reports come from linux/amd64;
+# another floating-point path (arm64's fused multiply-add, or an amd64
+# CPU without FMA under math.Exp) can move the last digits.
+matrix-check:
+	@tmp=$$(mktemp -d); \
+	$(GO) run ./cmd/dapredteam -md $$tmp/MATRIX.md -json $$tmp/MATRIX.json && \
+	diff -u MATRIX.md $$tmp/MATRIX.md && diff -u MATRIX.json $$tmp/MATRIX.json; \
+	status=$$?; rm -rf $$tmp; exit $$status
 
 test:
 	$(GO) test ./...
