@@ -84,7 +84,8 @@ func Ablation(cfg Config) ([]*Table, error) {
 	// 4. Baseline protocol vs DAP under probing-aware attackers. The gamed
 	// threat (Byzantine users honest on ε_α, poisoning ε_β) is a
 	// collection only the baseline offers, so its row is code.
-	baseline := core.NewSpec(core.BaselineTask(1.0/8, 7.0/8), core.WithScheme(core.SchemeEMFStar), core.WithEMFMaxIter(cfg.EMFMaxIter))
+	baseline := core.NewSpec(core.BaselineTask(1.0/8, 7.0/8),
+		core.WithScheme(core.SchemeEMFStar), core.WithEMFMaxIter(cfg.EMFMaxIter))
 	bl, e := core.Build(baseline)
 	if e != nil {
 		return nil, e
@@ -100,17 +101,18 @@ func Ablation(cfg Config) ([]*Table, error) {
 		header: []string{"protocol", "threat", "MSE"},
 		rows: []row{
 			specRow([]string{"baseline", "honest attack on both budgets"}, baseline, 0xAB40),
-			line([]string{"baseline", "gamed (honest ε_α, poison ε_β)"}, 0, cfg.code(cfg.Seed+0xAB41, func(r *rand.Rand) (float64, error) {
-				col, err := gamed.GamedCollect(r, w.values, w.adv, w.gamma)
-				if err != nil {
-					return 0, err
-				}
-				res, err := bl.Estimate(context.Background(), col)
-				if err != nil {
-					return 0, err
-				}
-				return sq(res.Mean, truth), nil
-			})),
+			line([]string{"baseline", "gamed (honest ε_α, poison ε_β)"}, 0,
+				cfg.code(cfg.Seed+0xAB41, func(r *rand.Rand) (float64, error) {
+					col, err := gamed.GamedCollect(r, w.values, w.adv, w.gamma)
+					if err != nil {
+						return 0, err
+					}
+					res, err := bl.Estimate(context.Background(), col)
+					if err != nil {
+						return 0, err
+					}
+					return sq(res.Mean, truth), nil
+				})),
 			specRow([]string{"DAP", "gamed strategy impossible (random ε)"}, emfStar, 0xAB42),
 		},
 	}
@@ -121,7 +123,8 @@ func Ablation(cfg Config) ([]*Table, error) {
 		title:  "Ablation 5: standalone outlier filters vs DAP — Taxi, Poi[C/2,C], ε=1, γ=0.25",
 		header: []string{"defense", "MSE"},
 		rows: []row{
-			specRow([]string{"Boxplot(1.5·IQR)"}, cfg.spec(core.MeanTask(), eps, core.WithDefense(defense.Spec{Name: "boxplot"})), 0xAB50),
+			specRow([]string{"Boxplot(1.5·IQR)"},
+				cfg.spec(core.MeanTask(), eps, core.WithDefense(defense.Spec{Name: "boxplot"})), 0xAB50),
 			line([]string{"IForest(10%)"}, 0, cfg.defended(cfg.Seed+0xAB51, w, eps, truth,
 				&defense.IForestDefense{Trees: 50, SampleSize: 256, Contamination: 0.1})),
 			specRow([]string{"DAP_EMF*"}, emfStar, 0xAB52),

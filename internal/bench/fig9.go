@@ -79,17 +79,18 @@ func Fig9(cfg Config) ([]*Table, error) {
 		return nil, err
 	}
 	gs := []float64{-1, 1, 0}
+	ima := func(g float64) load { return load{values: taxi.Values, adv: &attack.IMA{G: g}, gamma: 0.25} }
+	emfCfg := emf.Config{Tol: emf.PaperTol(imaEps), MaxIter: cfg.EMFMaxIter, Accelerate: true}
 	for gi, g := range gs {
-		def := &defense.EMFKMeans{Matrix: matrix, Config: emf.Config{Tol: emf.PaperTol(imaEps), MaxIter: cfg.EMFMaxIter, Accelerate: true}}
 		// EMF-based: no β dependence; one cell fills every column.
-		j := cfg.defended(cfg.Seed+uint64(0x9C00+gi), load{values: taxi.Values, adv: &attack.IMA{G: g}, gamma: 0.25}, imaEps, truth, def)
+		j := cfg.defended(cfg.Seed+uint64(0x9C00+gi), ima(g), imaEps, truth, &defense.EMFKMeans{Matrix: matrix, Config: emfCfg})
 		b.rows = append(b.rows, line([]string{fmt.Sprintf("EMF-based(g=%g)", g)}, 0, slices.Repeat([]*job{j}, len(betas))...))
 	}
 	for gi, g := range gs {
 		var jobs []*job
 		for bi, beta := range betas {
-			jobs = append(jobs, cfg.defended(cfg.Seed+uint64(0x9D00+gi*16+bi), load{values: taxi.Values, adv: &attack.IMA{G: g}, gamma: 0.25},
-				imaEps, truth, &defense.KMeansDefense{Subsets: kmSubsets, Rate: beta}))
+			jobs = append(jobs, cfg.defended(cfg.Seed+uint64(0x9D00+gi*16+bi), ima(g), imaEps, truth,
+				&defense.KMeansDefense{Subsets: kmSubsets, Rate: beta}))
 		}
 		b.rows = append(b.rows, line([]string{fmt.Sprintf("K-means(g=%g)", g)}, 0, jobs...))
 	}

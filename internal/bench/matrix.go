@@ -127,7 +127,8 @@ func RunMatrix(cfg Config, gamma float64, extra []NamedAttack) (*MatrixReport, e
 	// and its |γ̂−γ|.
 	rep := &MatrixReport{Schema: 1, N: cfg.N, Trials: cfg.Trials, Seed: cfg.Seed, Gamma: gamma}
 	var rows []row
-	add := func(task core.TaskKind, battery []NamedAttack, base uint64, ests []core.Estimator, w load, score func(*core.Result) float64) error {
+	add := func(task core.TaskKind, battery []NamedAttack, base uint64, ests []core.Estimator, w load,
+		score func(*core.Result) float64) error {
 		for ai, na := range battery {
 			adv, err := attack.New(na.Spec)
 			if err != nil {
@@ -141,15 +142,19 @@ func RunMatrix(cfg Config, gamma float64, extra []NamedAttack) (*MatrixReport, e
 			j := cfg.specs(cfg.Seed+base+uint64(ai)*0x1000, ests, w, score, gammaErr(g))
 			for i, sc := range core.Schemes() {
 				rows = append(rows, row{cells: []cell{{job: j, i: i}, {job: j, i: len(ests) + i}}})
-				rep.Rows = append(rep.Rows, MatrixRow{Task: string(task), Attack: na.Label, AttackName: adv.Name(), Scheme: sc.String(), Gamma: g})
+				rep.Rows = append(rep.Rows, MatrixRow{
+					Task: string(task), Attack: na.Label, AttackName: adv.Name(), Scheme: sc.String(), Gamma: g,
+				})
 			}
 		}
 		return nil
 	}
-	if err := add(core.TaskMean, append(MatrixAttacks(), extra...), 0xA77AC0, daps, load{values: ds.Values}, meanErr(ds.TrueMean())); err != nil {
+	if err := add(core.TaskMean, append(MatrixAttacks(), extra...), 0xA77AC0, daps,
+		load{values: ds.Values}, meanErr(ds.TrueMean())); err != nil {
 		return nil, err
 	}
-	if err := add(core.TaskFrequency, MatrixFreqAttacks(), 0xF4EAC0, freqEsts, load{cats: cats}, freqErr(freqs)); err != nil {
+	if err := add(core.TaskFrequency, MatrixFreqAttacks(), 0xF4EAC0, freqEsts,
+		load{cats: cats}, freqErr(freqs)); err != nil {
 		return nil, err
 	}
 	vals, err := resolve(cfg, []panel{{rows: rows}})

@@ -14,11 +14,11 @@ import (
 // Every Monte-Carlo table of the harness is declared the same way: a panel
 // is a list of labelled rows over one column axis (ε, γ, attack, a, β, …),
 // and each cell of a row is one value of a job — one scheduled
-// computation with a seed fixed when the panel is declared. A row is an
-// estimator spec built through core.Build wherever one exists, and code
-// only for the comparators that exist only as code. run schedules every
-// distinct job on one pool and fills the tables in row order, so any
-// Workers setting produces byte-identical tables.
+// computation with a seed fixed when the panel is declared. A row runs an
+// estimator spec built through core.Build, except for the comparators
+// that exist only as code. run schedules every distinct job on one pool
+// and fills the tables in row order, so any Workers setting produces
+// byte-identical tables.
 
 // job is one scheduled computation; its result holds one value per cell it
 // feeds. Cells that name the same job share one run.
