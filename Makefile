@@ -116,6 +116,7 @@ bench:
 # One-iteration benchmark smoke used by CI.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkEstimate|BenchmarkEStep|BenchmarkFig5Cell' -benchtime 1x .
+	$(GO) test -run xxx -bench BenchmarkIngestBatchNewUsers -benchtime 1x ./internal/stream
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): the only
 # instrument that times the system. benchmark-smoke checks the harness

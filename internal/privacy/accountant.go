@@ -1,21 +1,29 @@
 // Package privacy provides a per-user privacy-budget accountant enforcing
 // the composition rules that DAP's grouping relies on: sequential
 // composition (budgets of repeated reports on the same value add up) and
-// the per-user cap ε. The simulator uses it to assert that every user —
-// whichever group they land in — spends exactly the advertised budget; the
-// streaming collector keeps its whole per-user state here — one record per
-// user holding the group binding and the spend, found with one lookup per
-// report — so the table is striped by user hash to keep concurrent
-// ingesters from serializing on one lock.
+// the per-user cap ε. The streaming collector keeps its whole per-user
+// state here — one record per user holding the group binding and the
+// spend, found with one lookup per report — so the table is striped by
+// user hash to keep concurrent ingesters from serializing on one lock.
+//
+// The table is flat and pointer-free, because it is the collector's memory
+// floor: every user ever seen stays in it. A stripe holds 16-byte records
+// in fixed chunks that never move, the ids back to back in fixed byte
+// chunks, and an open-addressing index of record numbers. A user costs
+// 16 B of record, its id's bytes and 5–11 B of index (load between 3/8
+// and 3/4) — about 46 B for a 19-byte id — and nothing the collector has
+// to mark: the records and id bytes hold no pointers.
 package privacy
 
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // ErrBudgetExceeded is returned when a spend would push a user past cap.
@@ -30,19 +38,30 @@ const stripes = 64
 // to exactly ε.
 const spendTol = 1e-9
 
-// slabRecords is how many records a stripe allocates at once: one
-// pointer-free block instead of one small object per user for the
-// collector to mark.
-const slabRecords = 256
+// Table geometry. Records come 256 to a 4 KiB chunk; ids are packed into
+// 4 KiB byte chunks, addressed as chunk<<idShift | offset. An id longer
+// than maxPacked bytes — or one arriving after a stripe has used all
+// 2^(32−idShift) id chunks — is kept as its own string instead, its
+// record's length field set to longID; the length is then the string's.
+const (
+	recShift  = 8
+	recChunk  = 1 << recShift
+	idShift   = 12
+	idChunk   = 1 << idShift
+	maxPacked = idChunk / 16
+	maxChunks = 1 << (32 - idShift)
+	longID    = math.MaxUint16
+	minIndex  = 16
+)
 
 // Hash is the FNV-1a hash of a user id that selects the user's table
 // stripe here and the histogram stripe in the streaming engine, which
 // hashes an id once per report. It must be stable across process restarts
 // — WAL replay re-runs every accepted report through the ingest path, and
 // bit-identical recovered sums need a deterministic user→stripe
-// assignment. Placement inside a table stripe uses the Go map's
-// per-process seeded hash instead, so crafted ids can crowd a stripe's
-// lock but not degrade its lookups.
+// assignment. Placement inside a table stripe uses a per-Accountant
+// maphash seed instead, so crafted ids can crowd a stripe's lock but not
+// degrade its lookups.
 //
 //dapvet:hotpath
 func Hash(id string) uint64 {
@@ -59,13 +78,19 @@ func Hash(id string) uint64 {
 }
 
 // Record is one user's entry in the table: cumulative spend and group
-// binding. A record never moves or dies while its Accountant lives, so
-// the handle Bind returns stays valid without holding any lock. The spend
-// is updated by compare-and-swap: concurrent charges through two handles
-// to the same record cannot overspend, whatever locks their callers hold.
+// binding. A record lives in a fixed chunk that is never moved or freed
+// while its Accountant lives, so the handle Bind returns stays valid
+// without holding any lock, however the stripe's index grows. The spend is
+// updated by compare-and-swap: concurrent charges through two handles to
+// the same record cannot overspend, whatever locks their callers hold.
+// The other fields are written once on insert, except group, and are
+// guarded by the stripe lock.
 type Record struct {
 	spent atomic.Uint64 // math.Float64bits of the cumulative spend
-	group int32         // bound group, -1 = none; guarded by the stripe lock
+	id    uint32        // packed id: chunk<<idShift | offset; long id: index into long
+	n     uint16        // id length, or longID
+	group int8          // bound group, -1 = none
+	tag   uint8         // top byte of the id's seeded hash: most probe misses stop here
 }
 
 // load returns the budget the record's user has consumed.
@@ -99,14 +124,116 @@ func (r *Record) Force(eps float64, n int) { r.add(eps*float64(n), math.Inf(1)) 
 // the rejected request leaves no trace.
 func (r *Record) Refund(eps float64, n int) { r.add(-eps*float64(n), math.Inf(1)) }
 
-// tableStripe is one shard of the user table, padded to a full cache line
-// (8B mutex + 8B map header + 24B slab + 24B pad = 64B) so adjacent
-// stripes don't false-share under concurrent binds.
+// tableStripe is one shard of the user table. Records are numbered in
+// insertion order; record k is recs[k>>recShift][k&(recChunk-1)] (a
+// uint32 number: 2^32−1 records, 64 GiB of them, per stripe). index
+// is an open-addressing table of record numbers + 1 (0 = empty slot),
+// probed triangularly from the id's seeded hash and kept at load ≤ 3/4 by
+// doubling. Growing it rehashes the stored ids and moves no record, which
+// is why handles stay valid. Id bytes are append-only and never change
+// once written, so key may hand out strings that alias them. The padding
+// rounds the stripe to two cache lines so adjacent stripes don't
+// false-share under concurrent binds.
 type tableStripe struct {
 	mu    sync.Mutex
-	users map[string]*Record
-	slab  []Record // unused tail of the newest record block
-	_     [24]byte
+	index []uint32
+	recs  []*[recChunk]Record
+	ids   [][]byte // id chunks; only the last one still has room
+	long  []string // ids not packed into a chunk
+	n     int      // records in the stripe
+	_     [16]byte
+}
+
+// rec returns record k.
+func (p *tableStripe) rec(k uint32) *Record {
+	return &p.recs[k>>recShift][k&(recChunk-1)]
+}
+
+// key returns r's id, aliasing the stripe's id bytes.
+func (p *tableStripe) key(r *Record) string {
+	switch {
+	case r.n == longID:
+		return p.long[r.id]
+	case r.n == 0:
+		return ""
+	}
+	return unsafe.String(&p.ids[r.id>>idShift][r.id&(idChunk-1)], int(r.n))
+}
+
+// find probes for id, whose seeded hash is h. It returns the id's record
+// and the slot holding it, or nil and the empty slot an insert would take.
+// The index must exist.
+//
+//dapvet:hotpath
+func (p *tableStripe) find(id string, h uint64) (*Record, int) {
+	mask := len(p.index) - 1
+	tag := uint8(h >> 56)
+	i := int(h) & mask
+	for step := 1; ; step++ {
+		e := p.index[i]
+		if e == 0 {
+			return nil, i
+		}
+		if r := p.rec(e - 1); r.tag == tag && p.key(r) == id {
+			return r, i
+		}
+		i = (i + step) & mask
+	}
+}
+
+// indexSize is the smallest index that holds users at load ≤ 3/4.
+func indexSize(users int) int {
+	size := minIndex
+	for size*3 < users*4 {
+		size *= 2
+	}
+	return size
+}
+
+// grow doubles the index and re-places every record in it.
+func (p *tableStripe) grow(seed maphash.Seed) {
+	p.index = make([]uint32, 2*len(p.index))
+	for k := range p.n {
+		id := p.key(p.rec(uint32(k)))
+		_, slot := p.find(id, maphash.String(seed, id))
+		p.index[slot] = uint32(k) + 1
+	}
+}
+
+// keep stores a copy of id and returns where it lives and the record's
+// length field.
+func (p *tableStripe) keep(id string) (uint32, uint16) {
+	last := len(p.ids) - 1
+	if len(id) <= maxPacked && (last < 0 || len(p.ids[last])+len(id) > idChunk) && len(p.ids) < maxChunks {
+		p.ids = append(p.ids, make([]byte, 0, idChunk))
+		last++
+	}
+	if len(id) > maxPacked || len(p.ids[last])+len(id) > idChunk {
+		p.long = append(p.long, strings.Clone(id))
+		return uint32(len(p.long) - 1), longID
+	}
+	off := len(p.ids[last])
+	p.ids[last] = append(p.ids[last], id...)
+	return uint32(last<<idShift | off), uint16(len(id))
+}
+
+// insert appends a record for id, unbound and unspent, into the slot find
+// returned, growing the index first when it would pass load 3/4.
+func (p *tableStripe) insert(id string, h uint64, slot int, seed maphash.Seed) *Record {
+	if (p.n+1)*4 > len(p.index)*3 {
+		p.grow(seed)
+		_, slot = p.find(id, h)
+	}
+	k := uint32(p.n)
+	if k&(recChunk-1) == 0 {
+		p.recs = append(p.recs, new([recChunk]Record))
+	}
+	r := p.rec(k)
+	r.id, r.n = p.keep(id)
+	r.group, r.tag = -1, uint8(h>>56)
+	p.index[slot] = k + 1
+	p.n++
+	return r
 }
 
 // Accountant is the per-user table: it tracks every user's spent budget
@@ -115,7 +242,8 @@ type tableStripe struct {
 // different users mostly proceed without contention.
 type Accountant struct {
 	cap  float64
-	hint int // initial size of a stripe's map, see Reserve
+	hint int          // users a stripe is sized for on its first insert, see Reserve
+	seed maphash.Seed // places ids inside a stripe
 	part [stripes]tableStripe
 }
 
@@ -124,7 +252,7 @@ func NewAccountant(cap float64) (*Accountant, error) {
 	if cap <= 0 {
 		return nil, errors.New("privacy: cap must be positive")
 	}
-	return &Accountant{cap: cap}, nil
+	return &Accountant{cap: cap, seed: maphash.MakeSeed()}, nil
 }
 
 // maxReserve bounds what Reserve pre-sizes for: a tenant announcing
@@ -132,9 +260,10 @@ func NewAccountant(cap float64) (*Accountant, error) {
 const maxReserve = 1 << 19
 
 // Reserve sizes the table for an expected number of users, sparing the
-// ingest path the map growth up to there. It must precede any other use.
-// Nothing is allocated yet: each stripe makes its map on its first insert,
-// so an idle tenant costs nothing however many users it announced.
+// ingest path the index growth up to there. It must precede any other use.
+// Nothing is allocated yet: each stripe makes its index and first chunks
+// on its first insert, so an idle tenant costs nothing however many users
+// it announced.
 func (a *Accountant) Reserve(users int) {
 	a.hint = min(users, maxReserve) / stripes
 }
@@ -147,25 +276,25 @@ func (a *Accountant) Cap() float64 {
 // bind is the table's one lookup-or-insert: it returns id's record,
 // created on first sight with a private copy of id, Hash(id), and the
 // group the record is bound to afterwards. An unbound record takes group
-// (≥ 0) as its binding; rebind overwrites an existing one.
+// (≥ 0) as its binding; rebind overwrites an existing one. Groups above
+// 127 do not fit a record; core.MaxGroups keeps them at most 15.
 func (a *Accountant) bind(id string, group int, rebind bool) (r *Record, hash uint64, bound int) {
+	if group > math.MaxInt8 {
+		panic(fmt.Sprintf("privacy: group %d does not fit a record", group))
+	}
 	hash = Hash(id)
+	h := maphash.String(a.seed, id)
 	p := &a.part[hash&(stripes-1)]
 	p.mu.Lock()
-	r = p.users[id]
+	if p.index == nil {
+		p.index = make([]uint32, indexSize(a.hint))
+	}
+	r, slot := p.find(id, h)
 	if r == nil {
-		if p.users == nil {
-			p.users = make(map[string]*Record, a.hint)
-		}
-		if len(p.slab) == 0 {
-			p.slab = make([]Record, slabRecords)
-		}
-		r, p.slab = &p.slab[0], p.slab[1:]
-		r.group = -1
-		p.users[strings.Clone(id)] = r
+		r = p.insert(id, h, slot, a.seed)
 	}
 	if group >= 0 && (rebind || r.group < 0) {
-		r.group = int32(group)
+		r.group = int8(group)
 	}
 	bound = int(r.group)
 	p.mu.Unlock()
@@ -222,8 +351,11 @@ func (a *Accountant) SpendN(id string, eps float64, n int) error {
 // Spent returns the budget consumed by user id so far.
 func (a *Accountant) Spent(id string) float64 {
 	p := &a.part[Hash(id)&(stripes-1)]
+	var r *Record
 	p.mu.Lock()
-	r := p.users[id]
+	if p.index != nil {
+		r, _ = p.find(id, maphash.String(a.seed, id))
+	}
 	p.mu.Unlock()
 	if r == nil {
 		return 0
@@ -240,13 +372,16 @@ func (a *Accountant) Remaining(id string) float64 {
 	return r
 }
 
-// each calls fn for every record under its stripe's lock.
+// each calls fn for every record under its stripe's lock, stripe by
+// stripe in insertion order. The id aliases the table's copy, which is
+// never modified.
 func (a *Accountant) each(fn func(id string, r *Record)) {
 	for i := range a.part {
 		p := &a.part[i]
 		p.mu.Lock()
-		for id, r := range p.users {
-			fn(id, r)
+		for k := range p.n {
+			r := p.rec(uint32(k))
+			fn(p.key(r), r)
 		}
 		p.mu.Unlock()
 	}

@@ -2,8 +2,13 @@ package privacy
 
 import (
 	"errors"
+	"maps"
+	"math/rand/v2"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestNewAccountantValidation(t *testing.T) {
@@ -220,5 +225,225 @@ func TestBindChargeRefund(t *testing.T) {
 	b.Import(a.Export())
 	if b.Spent("u") != 1.5 || len(b.Bindings()) != 0 {
 		t.Fatalf("import: spent %v bindings %v", b.Spent("u"), b.Bindings())
+	}
+}
+
+// Handles taken before the table grows — the index doubling several times,
+// new record and id chunks — still point at their users' records, and
+// charges through them while the table grows land exactly.
+func TestHandlesSurviveGrowth(t *testing.T) {
+	a, _ := NewAccountant(1 << 20)
+	const held, workers, charges = 64, 4, 200
+	handles := make([]*Record, held)
+	for i := range handles {
+		handles[i], _, _ = a.Bind("held-"+strconv.Itoa(i), i%3)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // grows every stripe's index and chunks under the charges
+		defer wg.Done()
+		for i := range 40000 {
+			a.Bind("new-"+strconv.Itoa(i), 0)
+		}
+	}()
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range charges {
+				for i, r := range handles {
+					if err := a.Charge(r, "held-"+strconv.Itoa(i), 0.125, 1); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	want := 0.125 * workers * charges
+	for i, r := range handles {
+		id := "held-" + strconv.Itoa(i)
+		if r2, _, bound := a.Bind(id, 2); r2 != r || bound != i%3 {
+			t.Fatalf("%s: Bind after growth = %p bound %d, want the handle %p bound %d", id, r2, bound, r, i%3)
+		}
+		if got := a.Spent(id); got != want {
+			t.Fatalf("%s spent %v, want %v", id, got, want)
+		}
+	}
+	if users, _ := a.Stats(); users != held {
+		t.Fatalf("%d spenders, want %d", users, held)
+	}
+}
+
+// An id far past any length field a record could hold is kept whole: it
+// binds, charges and round-trips through Export/Import and
+// Bindings/Rebind unchanged.
+func TestLongIDRoundTrip(t *testing.T) {
+	a, _ := NewAccountant(1)
+	long := strings.Repeat("0123456789", 7000) // 70 000 bytes
+	other := long[:69999] + "x"
+	r, hash, bound := a.Bind(long, 3)
+	if hash != Hash(long) || bound != 3 {
+		t.Fatalf("Bind = hash %x group %d", hash, bound)
+	}
+	if err := a.Charge(r, long, 0.5, 1); err != nil {
+		t.Fatal(err)
+	}
+	a.Rebind(other, 1)
+	if a.Spent(other) != 0 || a.Spent(long) != 0.5 || a.Spent(long[:69999]) != 0 {
+		t.Fatalf("spends: long %v, other %v", a.Spent(long), a.Spent(other))
+	}
+	ledger, binds := a.Export(), a.Bindings()
+	if len(ledger) != 1 || ledger[long] != 0.5 {
+		t.Fatalf("ledger has %d entries, long id at %v", len(ledger), ledger[long])
+	}
+	if len(binds) != 2 || binds[long] != 3 || binds[other] != 1 {
+		t.Fatalf("bindings: %d entries, long→%d other→%d", len(binds), binds[long], binds[other])
+	}
+	b, _ := NewAccountant(1)
+	b.Import(ledger)
+	for id, g := range binds {
+		b.Rebind(id, g)
+	}
+	if !maps.Equal(b.Export(), ledger) || !maps.Equal(b.Bindings(), binds) {
+		t.Fatal("the long id did not round-trip through Export/Import and Bindings/Rebind")
+	}
+	if err := b.SpendN(long, 0.5, 2); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("restored long id took a spend past the cap: %v", err)
+	}
+}
+
+// Binding a new user allocates nothing of its own: records and ids go
+// into chunks shared by hundreds of users.
+func TestBindFreshAllocFree(t *testing.T) {
+	const runs, batch = 20, 1000
+	ids := make([]string, (runs+1)*batch) // built outside the measurement
+	for i := range ids {
+		ids[i] = "user-" + strconv.Itoa(1e12+i)
+	}
+	a, _ := NewAccountant(1)
+	a.Reserve(len(ids))
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		for _, id := range ids[next : next+batch] {
+			a.Bind(id, 0)
+		}
+		next += batch
+	})
+	if perUser := allocs / batch; perUser >= 0.05 {
+		t.Fatalf("%.3f allocations per new user, want < 0.05", perUser)
+	}
+	if n := len(a.Bindings()); n != len(ids) {
+		t.Fatalf("%d users bound, want %d", n, len(ids))
+	}
+}
+
+// A seeded random sequence of every table operation leaves the table
+// equal to a plain-map reference: ledger, bindings, stats and spends. The
+// universe mixes short and long ids and is large enough to grow every
+// stripe's index and chunks several times.
+func TestTableMatchesMapReference(t *testing.T) {
+	const capEps = 4.0
+	rnd := rand.New(rand.NewPCG(30, 1))
+	ids := make([]string, 6000)
+	for i := range ids {
+		ids[i] = "id" + strconv.Itoa(i)
+		if i%97 == 0 {
+			ids[i] += strings.Repeat("~", maxPacked+rnd.IntN(500))
+		}
+	}
+	a, _ := NewAccountant(capEps)
+	spent := map[string]float64{}
+	group := map[string]int{}
+	handle := map[string]*Record{}
+	bind := func(id string, g int, rebind bool) int {
+		if _, seen := group[id]; !seen {
+			group[id] = -1
+		}
+		if g >= 0 && (rebind || group[id] < 0) {
+			group[id] = g
+		}
+		return group[id]
+	}
+	for op := range 60000 {
+		id := ids[rnd.IntN(len(ids))]
+		eps := []float64{0.125, 0.25, 0.5, 1}[rnd.IntN(4)]
+		n := 1 + rnd.IntN(4)
+		switch rnd.IntN(6) {
+		case 0, 1:
+			g := rnd.IntN(5) - 1
+			r, _, bound := a.Bind(id, g)
+			if want := bind(id, g, false); bound != want {
+				t.Fatalf("op %d: Bind(%.12s, %d) bound to %d, want %d", op, id, g, bound, want)
+			}
+			if h, ok := handle[id]; ok && h != r {
+				t.Fatalf("op %d: Bind(%.12s) returned a new record", op, id)
+			}
+			handle[id] = r
+		case 2:
+			g := rnd.IntN(4)
+			a.Rebind(id, g)
+			bind(id, g, true)
+		case 3:
+			r, ok := handle[id]
+			if !ok {
+				continue
+			}
+			err := a.Charge(r, id, eps, n)
+			if next := spent[id] + eps*float64(n); next <= capEps+spendTol {
+				spent[id] = next
+				if err != nil {
+					t.Fatalf("op %d: charge rejected at %v: %v", op, spent[id], err)
+				}
+			} else if !errors.Is(err, ErrBudgetExceeded) {
+				t.Fatalf("op %d: charge past the cap: %v", op, err)
+			}
+		case 4:
+			if r, ok := handle[id]; ok {
+				r.Refund(eps, n)
+				spent[id] = max(spent[id]-eps*float64(n), 0)
+			}
+		case 5:
+			if r, ok := handle[id]; ok {
+				r.Force(eps, n)
+				spent[id] += eps * float64(n)
+			}
+		}
+	}
+	ledger, binds := map[string]float64{}, map[string]int{}
+	var total float64
+	for id, v := range spent {
+		if v > 0 {
+			ledger[id] = v
+			total += v
+		}
+	}
+	for id, g := range group {
+		if g >= 0 {
+			binds[id] = g
+		}
+	}
+	if got := a.Export(); !maps.Equal(got, ledger) {
+		t.Fatalf("ledger: %d entries, reference %d", len(got), len(ledger))
+	}
+	if got := a.Bindings(); !maps.Equal(got, binds) {
+		t.Fatalf("bindings: %d entries, reference %d", len(got), len(binds))
+	}
+	if users, sum := a.Stats(); users != len(ledger) || sum != total {
+		t.Fatalf("Stats = %d users, %v spent; reference %d, %v", users, sum, len(ledger), total)
+	}
+	for _, id := range ids {
+		if a.Spent(id) != spent[id] {
+			t.Fatalf("Spent(%.12s) = %v, reference %v", id, a.Spent(id), spent[id])
+		}
+	}
+}
+
+// A record is 16 bytes: spend bits, id reference and length, group, tag.
+func TestRecordSize(t *testing.T) {
+	var r Record
+	if size := unsafe.Sizeof(r); size != 16 {
+		t.Fatalf("Record is %d bytes, want 16", size)
 	}
 }

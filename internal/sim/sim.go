@@ -9,11 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
-
-// Trial produces one estimate given a trial-private generator.
-type Trial func(r *rand.Rand) (float64, error)
 
 // Repeat runs fn for the given number of trials, each with an independent
 // deterministic stream derived from seed (rng.Split by trial index),
@@ -52,46 +48,4 @@ func Repeat[T any](seed uint64, trials int, fn func(r *rand.Rand) (T, error)) ([
 		}
 	}
 	return out, nil
-}
-
-// MSE runs trials of fn and returns the mean squared error of the
-// estimates against truth.
-func MSE(seed uint64, trials int, truth float64, fn Trial) (float64, error) {
-	ests, err := Repeat(seed, trials, fn)
-	if err != nil {
-		return 0, err
-	}
-	return stats.MSE(ests, truth), nil
-}
-
-// Average runs trials of fn and returns the mean of the outputs — used
-// for series that are already error magnitudes (e.g. |γ̂−γ|).
-func Average(seed uint64, trials int, fn Trial) (float64, error) {
-	ests, err := Repeat(seed, trials, fn)
-	if err != nil {
-		return 0, err
-	}
-	return stats.Mean(ests), nil
-}
-
-// VecTrial produces one vector estimate (e.g. a frequency histogram).
-type VecTrial func(r *rand.Rand) ([]float64, error)
-
-// MSEVec runs trials of fn and returns the average component MSE of the
-// vector estimates against truth.
-func MSEVec(seed uint64, trials int, truth []float64, fn VecTrial) (float64, error) {
-	if trials <= 0 {
-		return 0, nil
-	}
-	mses, err := Repeat(seed, trials, func(r *rand.Rand) (float64, error) {
-		est, err := fn(r)
-		if err != nil {
-			return 0, err
-		}
-		return stats.MSEVec(est, truth), nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return stats.Mean(mses), nil
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -56,60 +55,5 @@ func TestRepeatPropagatesError(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
-	}
-}
-
-func TestMSE(t *testing.T) {
-	got, err := MSE(1, 100, 0, func(r *rand.Rand) (float64, error) {
-		return 1, nil // constant estimate, truth 0 → MSE 1
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("MSE = %v", got)
-	}
-}
-
-func TestMSEConvergesToVariance(t *testing.T) {
-	// Unbiased Gaussian estimates: MSE should approach the variance.
-	got, err := MSE(2, 4000, 0, func(r *rand.Rand) (float64, error) {
-		return r.NormFloat64() * 0.5, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.25) > 0.03 {
-		t.Fatalf("MSE = %v, want ~0.25", got)
-	}
-}
-
-func TestMSEVec(t *testing.T) {
-	truth := []float64{0, 0}
-	got, err := MSEVec(3, 50, truth, func(r *rand.Rand) ([]float64, error) {
-		return []float64{1, 3}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 5 {
-		t.Fatalf("MSEVec = %v, want 5", got)
-	}
-}
-
-func TestMSEVecError(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := MSEVec(1, 4, []float64{0}, func(r *rand.Rand) ([]float64, error) {
-		return nil, boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("want boom, got %v", err)
-	}
-}
-
-func TestMSEVecZeroTrials(t *testing.T) {
-	got, err := MSEVec(1, 0, []float64{0}, nil)
-	if err != nil || got != 0 {
-		t.Fatalf("zero trials: %v %v", got, err)
 	}
 }

@@ -85,6 +85,9 @@ func restoreTenant(ts *store.TenantSnap) (*Tenant, error) {
 	}
 	t.acct.Import(ts.Spend)
 	for user, g := range ts.Users {
+		if g < 0 || g >= len(t.groups) {
+			return nil, fmt.Errorf("stream: tenant %s snapshot binds user %s to group %d of %d", ts.Name, user, g, len(t.groups))
+		}
 		t.acct.Rebind(user, g)
 	}
 	t.joined = ts.Joined
@@ -197,10 +200,16 @@ func Recover(st *store.Store) (*Registry, *RecoveryReport, error) {
 			}
 			rep.Applied++
 		case store.RecJoin:
-			if r.LSN >= t.acctFrom {
-				t.restoreJoin(r.User, r.Group)
-				rep.Applied++
+			if r.LSN < t.acctFrom {
+				continue
 			}
+			if r.Group < 0 || r.Group >= len(t.groups) {
+				rep.Warnings = append(rep.Warnings,
+					fmt.Sprintf("tenant %s join at LSN %d: group %d of %d", r.Tenant, r.LSN, r.Group, len(t.groups)))
+				continue
+			}
+			t.restoreJoin(r.User, r.Group)
+			rep.Applied++
 		case store.RecRotate:
 			if r.LSN >= t.walStart {
 				t.replaySeal(r.Seq)

@@ -346,6 +346,37 @@ func TestRecoverKeepsReportOfReboundUser(t *testing.T) {
 	}
 }
 
+// TestRecoverSkipsJoinOutsideGroups: the WAL stores a join's group as a
+// plain number. Replay must not bind a user to a group the tenant does not
+// have — nor to one the per-user table cannot hold — but report the record
+// and go on with the rest of the log.
+func TestRecoverSkipsJoinOutsideGroups(t *testing.T) {
+	dir := t.TempDir()
+	reg, st, _ := openDurable(t, dir, nil)
+	tn, err := reg.CreateSpec("t", durableSpec(stream.Tumbling))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []int{len(tn.Groups()), 200, 1 << 40} {
+		if _, err := st.AppendJoin("t", "mallory"+itoa(g), g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id, _ := tn.Join()
+
+	reg2, _, rep := openDurable(t, dir, nil)
+	if len(rep.Warnings) != 3 {
+		t.Errorf("recovery warnings %q, want one per out-of-range join", rep.Warnings)
+	}
+	tn2, ok := reg2.Get("t")
+	if !ok {
+		t.Fatal("tenant lost across crash")
+	}
+	if got := tn2.Accountant().Bindings(); len(got) != 1 || got[id] != 0 {
+		t.Errorf("recovered bindings %v, want only %s→0", got, id)
+	}
+}
+
 // TestDurableTenantLifecycle: creations and deletions survive restarts.
 func TestDurableTenantLifecycle(t *testing.T) {
 	dir := t.TempDir()

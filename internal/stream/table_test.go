@@ -5,6 +5,7 @@ import (
 	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -233,4 +234,50 @@ func TestFloodedStripeIngest(t *testing.T) {
 	if flood > 4*base {
 		t.Fatalf("one-stripe ids took %v, random ids %v: more than 4×", flood, base)
 	}
+}
+
+// BenchmarkIngestBatchNewUsers: every report is a new user's, so each
+// entry inserts into the per-user table. 200-entry batches from every
+// benchmark goroutine into one tenant pre-sized for 2^19 users; ids are 19
+// bytes, written into a reused buffer the way the binary decoder hands
+// them over. Comparing -cpu 1,2 with and without GOGC=off separates what
+// the table costs the collector's marking from lock contention. Each
+// iteration adds 200 users, so bound the run (-benchtime 2000x is 400 000
+// users, the repository benchmark's scale).
+func BenchmarkIngestBatchNewUsers(b *testing.B) {
+	const batch, idLen = 200, 19
+	tn, err := stream.NewTenant("new-users", stream.Config{
+		Spec:          core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.25},
+		ExpectedUsers: 1 << 19, Shards: 8,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := len(tn.Groups())
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		buf := make([]byte, batch*idLen)
+		entries := make([]stream.BatchEntry, batch)
+		vals := []float64{0.1}
+		for pb.Next() {
+			u := next.Add(1) * batch
+			for j := range entries {
+				id := buf[j*idLen : (j+1)*idLen]
+				copy(id, "user-")
+				for i, v := idLen-1, u+int64(j); i >= len("user-"); i, v = i-1, v/10 {
+					id[i] = byte('0' + v%10)
+				}
+				entries[j] = stream.BatchEntry{User: unsafe.String(&id[0], idLen), Group: j % h, Values: vals}
+			}
+			for _, err := range tn.IngestBatch(entries) {
+				if err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}
+	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/user")
 }
