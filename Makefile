@@ -88,10 +88,11 @@ race:
 	$(GO) test -race ./benchmark
 
 # Short fuzzing pass over every untrusted decoder: WAL record payloads,
-# WAL segment files, snapshots, the metrics exposition parser and task-
-# spec JSON. Seed corpora live in each package's testdata/fuzz/; CI runs
-# this with the default FUZZTIME=30s per target, local runs can go
-# longer (make fuzz-smoke FUZZTIME=5m).
+# WAL segment files, snapshots, the metrics exposition parser, task-spec
+# JSON, binary frames and deltas, and the JSON ingest scanner. Seed
+# corpora live in each package's testdata/fuzz/; CI runs this with the
+# default FUZZTIME=30s per target, local runs can go longer (make
+# fuzz-smoke FUZZTIME=5m).
 fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/store/
 	$(GO) test -run '^Fuzz' -fuzz '^FuzzWALSegment$$' -fuzztime $(FUZZTIME) ./internal/store/
@@ -100,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run '^Fuzz' -fuzz '^FuzzSpecJSON$$' -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^Fuzz' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME) ./internal/wirebin/
 	$(GO) test -run '^Fuzz' -fuzz '^FuzzDeltaDecode$$' -fuzztime $(FUZZTIME) ./internal/wirebin/
+	$(GO) test -run '^Fuzz' -fuzz '^FuzzIngestJSON$$' -fuzztime $(FUZZTIME) ./internal/transport/
 
 # Durability fault-injection battery under the race detector: kill-and-
 # restart recovery (mid-ingest / mid-rotation / mid-snapshot / torn WAL

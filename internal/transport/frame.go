@@ -49,20 +49,25 @@ var (
 	frameUDP  = bindFrameMetrics("udp")
 )
 
-// frameCodec is a pooled decoder plus body read buffer and a frame-slice
-// scratch for stream bodies. Pooling keeps the HTTP frame path
-// allocation-free in the steady state: the decoder's arenas and intern
-// tables warm up once per pooled instance.
-type frameCodec struct {
-	dec    wirebin.Decoder
+// ingestCodec is the pooled per-request state of the HTTP ingest routes:
+// the body read buffer, the frame decoder with a frame-slice scratch for
+// stream bodies, and the JSON scanner's entry and value arenas. Pooling
+// keeps both wires allocation-free in the steady state: the arenas and
+// the decoder's intern table warm up once per pooled instance, and they
+// live only in the pool, never in a long-lived slice.
+type ingestCodec struct {
 	buf    []byte
+	dec    wirebin.Decoder
 	frames [][]byte
+	// entries and values are the JSON scanner's arenas (json.go).
+	entries []stream.BatchEntry
+	values  []float64
 }
 
-var frameCodecPool = sync.Pool{New: func() any { return new(frameCodec) }}
+var codecPool = sync.Pool{New: func() any { return new(ingestCodec) }}
 
 // readBody drains r into the codec's reused buffer.
-func (fc *frameCodec) readBody(r io.Reader, sizeHint int64) ([]byte, error) {
+func (fc *ingestCodec) readBody(r io.Reader, sizeHint int64) ([]byte, error) {
 	b := fc.buf[:0]
 	if n := int(sizeHint); n > 0 && n <= wirebin.MaxFrameBytes && cap(b) < n {
 		b = make([]byte, 0, n)
@@ -102,8 +107,8 @@ func isFrameStream(r *http.Request) bool {
 // sequence). A frame's tenant must be empty or match the route's tenant;
 // the URL is authoritative, a mismatched frame is rejected whole.
 func (s *Server) handleIngestFrame(w http.ResponseWriter, r *http.Request, t *stream.Tenant) {
-	fc := frameCodecPool.Get().(*frameCodec)
-	defer frameCodecPool.Put(fc)
+	fc := codecPool.Get().(*ingestCodec)
+	defer codecPool.Put(fc)
 	body, err := fc.readBody(r.Body, r.ContentLength)
 	if err != nil {
 		frameHTTP.rejected.Inc()

@@ -288,8 +288,8 @@ func writeEngineErr(w http.ResponseWriter, err error) {
 }
 
 // limitBody enforces the request body-size limit: oversized requests with
-// a declared length fail fast with 413 before a byte is decoded, and
-// chunked uploads are cut off at the limit mid-decode.
+// a declared length fail fast with 413 before a byte is read, and chunked
+// uploads are cut off at the limit while the body is read.
 func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) bool {
 	max := s.opts.MaxIngestBytes
 	if max <= 0 {
@@ -356,16 +356,18 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request, t *stream.
 	if !s.limitBody(w, r) {
 		return
 	}
-	var req ReportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	fc := codecPool.Get().(*ingestCodec)
+	defer codecPool.Put(fc)
+	e, err := fc.decodeReportJSON(r)
+	if err != nil {
 		writeErr(w, decodeStatus(err), "invalid JSON: %v", err)
 		return
 	}
-	if err := t.Ingest(req.User, req.Group, req.Values); err != nil {
+	if err := t.Ingest(e.User, e.Group, e.Values); err != nil {
 		writeEngineErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ReportResponse{Accepted: len(req.Values)})
+	writeJSON(w, http.StatusOK, ReportResponse{Accepted: len(e.Values)})
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, t *stream.Tenant) {
@@ -376,15 +378,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, t *stream.
 		s.handleIngestFrame(w, r, t)
 		return
 	}
-	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	fc := codecPool.Get().(*ingestCodec)
+	defer codecPool.Put(fc)
+	entries, err := fc.decodeIngestJSON(r)
+	if err != nil {
 		writeErr(w, decodeStatus(err), "invalid JSON: %v", err)
 		return
-	}
-	entries := make([]stream.BatchEntry, len(req.Reports))
-	for i := range req.Reports {
-		e := &req.Reports[i]
-		entries[i] = stream.BatchEntry{User: e.User, Group: e.Group, Values: e.Values}
 	}
 	// One engine call applies the whole batch under a single WAL write —
 	// the durable fast path — with per-entry accept/reject semantics. A
