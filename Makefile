@@ -119,6 +119,7 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkEstimate|BenchmarkEStep|BenchmarkFig5Cell' -benchtime 1x .
 	$(GO) test -run xxx -bench BenchmarkIngestBatchNewUsers -benchtime 1x ./internal/stream
+	$(GO) test -run xxx -bench BenchmarkBindBatch -benchtime 1x ./internal/privacy
 
 # The repository benchmark (BENCHMARK.json, benchmark/README.md): the only
 # instrument that times the system. benchmark-smoke checks the harness

@@ -273,29 +273,57 @@ func (a *Accountant) Cap() float64 {
 	return a.cap
 }
 
-// bind is the table's one lookup-or-insert: it returns id's record,
-// created on first sight with a private copy of id, Hash(id), and the
-// group the record is bound to afterwards. An unbound record takes group
-// (≥ 0) as its binding; rebind overwrites an existing one. Groups above
-// 127 do not fit a record; core.MaxGroups keeps them at most 15.
-func (a *Accountant) bind(id string, group int, rebind bool) (r *Record, hash uint64, bound int) {
+// maxRun is how many binds BindBatch makes under one hold of a stripe's
+// lock before it lets go: ids crafted into one stripe cannot hold it for a
+// whole frame.
+const maxRun = 64
+
+// Binding is one entry of a BindBatch call. User and Group go in; Rec,
+// Hash and Group come back as Bind returns them.
+type Binding struct {
+	User  string   // the user's id, copied on insert; need not outlive the call
+	Group int      // in: the group a new user is bound to (-1 none); out: the group bound
+	Rec   *Record  // the user's record
+	Hash  uint64   // Hash(User)
+	place uint64   // User's seeded hash, placing it inside its stripe
+	next  *Binding // the batch's next entry in the same stripe
+}
+
+// checkGroup refuses a group that does not fit a record's int8;
+// core.MaxGroups keeps groups at most 15.
+func checkGroup(group int) {
 	if group > math.MaxInt8 {
 		panic(fmt.Sprintf("privacy: group %d does not fit a record", group))
 	}
-	hash = Hash(id)
-	h := maphash.String(a.seed, id)
-	p := &a.part[hash&(stripes-1)]
-	p.mu.Lock()
+}
+
+// bindLocked is the table's one lookup-or-insert, run under p's lock, the
+// stripe of id, whose seeded hash is place: it returns id's record,
+// created on first sight with a private copy of id. An unbound record
+// takes group (≥ 0) as its binding; rebind overwrites an existing one.
+func (a *Accountant) bindLocked(p *tableStripe, id string, place uint64, group int, rebind bool) *Record {
 	if p.index == nil {
 		p.index = make([]uint32, indexSize(a.hint))
 	}
-	r, slot := p.find(id, h)
+	r, slot := p.find(id, place)
 	if r == nil {
-		r = p.insert(id, h, slot, a.seed)
+		r = p.insert(id, place, slot, a.seed)
 	}
 	if group >= 0 && (rebind || r.group < 0) {
 		r.group = int8(group)
 	}
+	return r
+}
+
+// bind runs bindLocked for one id under its stripe's lock and returns the
+// record, Hash(id) and the group bound afterwards.
+func (a *Accountant) bind(id string, group int, rebind bool) (r *Record, hash uint64, bound int) {
+	checkGroup(group)
+	hash = Hash(id)
+	place := maphash.String(a.seed, id)
+	p := &a.part[hash&(stripes-1)]
+	p.mu.Lock()
+	r = a.bindLocked(p, id, place, group, rebind)
 	bound = int(r.group)
 	p.mu.Unlock()
 	return r, hash, bound
@@ -305,8 +333,44 @@ func (a *Accountant) bind(id string, group int, rebind bool) (r *Record, hash ui
 // the user is new — together with Hash(id) and the group the user is
 // bound to, which differs from group when an earlier report or Join bound
 // them elsewhere. id is copied on insert and need not outlive the call.
+// It is BindBatch of one entry, without the batch's stripe chains.
 func (a *Accountant) Bind(id string, group int) (r *Record, hash uint64, bound int) {
 	return a.bind(id, group, false)
+}
+
+// BindBatch binds n entries at once, at(k) being entry k, which must not
+// move during the call: each gets what Bind would return for it, bound in
+// batch order. The entries are grouped by stripe, and each stripe's lock
+// is taken once per run of up to maxRun of its entries instead of once
+// per entry. Within a stripe the order is the batch's, so records are
+// numbered and an id's first entry binds it exactly as with n sequential
+// Binds. A single entry is cheaper through Bind, which goes straight to
+// its stripe.
+func (a *Accountant) BindBatch(n int, at func(k int) *Binding) {
+	var head, tail [stripes]*Binding
+	for k := range n {
+		b := at(k)
+		checkGroup(b.Group)
+		b.Hash, b.place, b.next = Hash(b.User), maphash.String(a.seed, b.User), nil
+		s := b.Hash & (stripes - 1)
+		if tail[s] == nil {
+			head[s] = b
+		} else {
+			tail[s].next = b
+		}
+		tail[s] = b
+	}
+	for s, b := range head {
+		p := &a.part[s]
+		for b != nil {
+			p.mu.Lock()
+			for run := 0; run < maxRun && b != nil; run++ {
+				b.Rec = a.bindLocked(p, b.User, b.place, b.Group, false)
+				b.Group, b = int(b.Rec.group), b.next
+			}
+			p.mu.Unlock()
+		}
+	}
 }
 
 // Rebind binds user id to group unconditionally (a join hands out the

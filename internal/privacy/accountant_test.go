@@ -4,6 +4,7 @@ import (
 	"errors"
 	"maps"
 	"math/rand/v2"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -446,4 +447,123 @@ func TestRecordSize(t *testing.T) {
 	if size := unsafe.Sizeof(r); size != 16 {
 		t.Fatalf("Record is %d bytes, want 16", size)
 	}
+}
+
+// bindTrace is what a table's binds leave behind: every record's id and
+// group, stripe by stripe in insertion order.
+func bindTrace(a *Accountant) []string {
+	var out []string
+	a.each(func(id string, r *Record) { out = append(out, id+"→"+strconv.Itoa(int(r.group))) })
+	return out
+}
+
+// BindBatch returns, position by position, what sequential Binds of the
+// same entries return, and numbers every stripe's records the same way.
+// The batches repeat ids, give one id two groups, pass group −1, carry ids
+// past maxPacked, make the first insert into fresh stripes (the first
+// batch meets no index at all), grow indexes in the middle of a stripe's
+// run, and flood one stripe with 300 entries, past maxRun.
+func TestBindBatchMatchesBind(t *testing.T) {
+	rnd := rand.New(rand.NewPCG(33, 1))
+	ids := make([]string, 3000)
+	for i := range ids {
+		ids[i] = "b" + strconv.Itoa(i)
+		if i%89 == 0 {
+			ids[i] += strings.Repeat("#", maxPacked+rnd.IntN(300))
+		}
+	}
+	var flood []string // 300 new ids in stripe 21
+	for i := 0; len(flood) < 300; i++ {
+		if id := "f" + strconv.Itoa(i); Hash(id)&(stripes-1) == 21 {
+			flood = append(flood, id)
+		}
+	}
+	batch, seq := newAccountant(t), newAccountant(t)
+	check := func(round int, bs []Binding) {
+		t.Helper()
+		want := make([]Binding, len(bs))
+		for k, b := range bs {
+			want[k] = Binding{User: b.User, Group: b.Group}
+			want[k].Rec, want[k].Hash, want[k].Group = seq.Bind(b.User, b.Group)
+		}
+		batch.BindBatch(len(bs), func(k int) *Binding { return &bs[k] })
+		recs := map[string]*Record{}
+		for k, b := range bs {
+			if b.Hash != want[k].Hash || b.Group != want[k].Group {
+				t.Fatalf("round %d entry %d (%.12s): BindBatch gave hash %x group %d, Bind %x group %d",
+					round, k, b.User, b.Hash, b.Group, want[k].Hash, want[k].Group)
+			}
+			if r, ok := recs[b.User]; ok && r != b.Rec || b.Rec == nil {
+				t.Fatalf("round %d entry %d (%.12s): record %p, earlier %p", round, k, b.User, b.Rec, r)
+			}
+			recs[b.User] = b.Rec
+		}
+		if got, want := bindTrace(batch), bindTrace(seq); !slices.Equal(got, want) {
+			t.Fatalf("round %d: stripes hold %d records in another order than sequential Binds' %d", round, len(got), len(want))
+		}
+	}
+	for round := range 120 {
+		var bs []Binding
+		switch {
+		case round == 40:
+			for _, id := range flood {
+				bs = append(bs, Binding{User: id, Group: rnd.IntN(5) - 1})
+			}
+		default:
+			for range 1 + rnd.IntN([]int{1, 8, 400}[round%3]) {
+				id := ids[rnd.IntN(len(ids))]
+				bs = append(bs, Binding{User: id, Group: rnd.IntN(5) - 1})
+				if rnd.IntN(8) == 0 { // the same id again, maybe for another group
+					bs = append(bs, Binding{User: id, Group: rnd.IntN(5) - 1})
+				}
+			}
+		}
+		check(round, bs)
+	}
+}
+
+func newAccountant(t testing.TB) *Accountant {
+	a, err := NewAccountant(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// benchBind inserts 200 new 19-byte ids per iteration, written into a
+// reused buffer, through bind, into a table pre-sized for 2^19 users.
+// Each iteration adds 200 users, so bound the run (-benchtime 2000x).
+func benchBind(b *testing.B, bind func(a *Accountant, bs []Binding)) {
+	const batch, idLen = 200, 19
+	a := newAccountant(b)
+	a.Reserve(1 << 19)
+	buf := make([]byte, batch*idLen)
+	bs := make([]Binding, batch)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		for j := range bs {
+			id := buf[j*idLen : (j+1)*idLen]
+			copy(id, "user-")
+			for d, v := idLen-1, i*batch+j; d >= len("user-"); d, v = d-1, v/10 {
+				id[d] = byte('0' + v%10)
+			}
+			bs[j] = Binding{User: unsafe.String(&id[0], idLen), Group: j % 8}
+		}
+		bind(a, bs)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/user")
+}
+
+func BenchmarkBindBatch(b *testing.B) {
+	benchBind(b, func(a *Accountant, bs []Binding) {
+		a.BindBatch(len(bs), func(k int) *Binding { return &bs[k] })
+	})
+}
+
+func BenchmarkBind(b *testing.B) {
+	benchBind(b, func(a *Accountant, bs []Binding) {
+		for k := range bs {
+			a.Bind(bs[k].User, bs[k].Group)
+		}
+	})
 }

@@ -305,11 +305,10 @@ const (
 	replayApply
 )
 
-// stagedEntry is one validated, bound entry of a batch awaiting its charge.
+// stagedEntry is one validated entry of a batch awaiting its charge.
 type stagedEntry struct {
+	b      privacy.Binding // its user's record (charge and refund go through it), Hash and bound group
 	i      int             // position in the caller's entries
-	rec    *privacy.Record // the user's table record: charge and refund go through it
-	stripe uint64          // privacy.Hash of the entry's user
 	lo, hi int             // its bucket indices are arena[lo:hi]
 }
 
@@ -338,9 +337,11 @@ var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 // receives one error per rejected entry. The stages run in a fixed order
 // and a rejected entry leaves no trace:
 //
-//  1. validate and discretize every value, then look the user up in the
-//     per-user table — the entry's only lookup, inserting and binding a new
-//     user to the group — and keep the record handle;
+//  1. validate and discretize every value, then look every valid entry's
+//     user up in the per-user table in one BindBatch (Bind for a lone
+//     entry) — the entry's only lookup, inserting and binding a new user
+//     to the group, one table lock per stripe the batch touches — and
+//     keep the record handle;
 //  2. lock every stripe the batch touches, in one global (group, stripe)
 //     order so concurrent batches cannot deadlock;
 //  3. charge each entry's budget atomically through its handle — each
@@ -384,16 +385,29 @@ func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMod
 		if arena, errs[i] = t.appendIndices(arena, e.Group, e.Values); errs[i] != nil {
 			continue
 		}
-		rec, stripe, bound := t.acct.Bind(e.User, e.Group)
+		staged = slices.Grow(staged, 1)[:len(staged)+1] // filled in place: an 80-byte literal would be copied
+		sg := &staged[len(staged)-1]
+		sg.b.User, sg.b.Group, sg.i, sg.lo, sg.hi = e.User, e.Group, i, lo, len(arena)
+	}
+	// A lone entry — Ingest, /report, WAL replay — takes Bind's direct
+	// path; bs, never reassigned, is captured by value, so staged itself
+	// stays in registers.
+	if bs := staged; len(bs) == 1 {
+		b := &bs[0].b
+		b.Rec, b.Hash, b.Group = t.acct.Bind(b.User, b.Group)
+	} else {
+		t.acct.BindBatch(len(bs), func(k int) *privacy.Binding { return &bs[k].b })
+	}
+	// From here on an entry is live while errs holds nothing for it.
+	for j := range staged {
+		sg, e := &staged[j], &entries[staged[j].i]
 		// A replayed record was admitted when it was logged; a Join issued
 		// since may have rebound its user, which must not un-admit it.
-		if bound != e.Group && mode == ingestLive {
-			arena = arena[:lo]
-			errs[i] = fmt.Errorf("%w: user %s is bound to group %d", ErrWrongGroup, e.User, bound)
+		if sg.b.Group != e.Group && mode == ingestLive {
+			errs[sg.i] = fmt.Errorf("%w: user %s is bound to group %d", ErrWrongGroup, e.User, sg.b.Group)
 			continue
 		}
-		staged = append(staged, stagedEntry{i: i, rec: rec, stripe: stripe, lo: lo, hi: len(arena)})
-		keys = append(keys, e.Group*nsh+int(stripe%uint64(nsh)))
+		keys = append(keys, e.Group*nsh+int(sg.b.Hash%uint64(nsh)))
 	}
 	if len(keys) > 1 {
 		slices.Sort(keys)
@@ -402,46 +416,52 @@ func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMod
 	for _, k := range keys {
 		t.live[k/nsh].shards[k%nsh].mu.Lock()
 	}
-	handles := staged // every record handle taken, cleared before the scratch is pooled
-	charged := staged[:0]
-	for _, sg := range staged {
-		e := &entries[sg.i]
-		switch mode {
-		case ingestLive:
-			if errs[sg.i] = t.acct.Charge(sg.rec, e.User, t.groups[e.Group].Eps, len(e.Values)); errs[sg.i] != nil {
+	charged := 0
+	for j := range staged {
+		sg, e := &staged[j], &entries[staged[j].i]
+		switch {
+		case errs[sg.i] != nil:
+			continue
+		case mode == ingestLive:
+			if errs[sg.i] = t.acct.Charge(sg.b.Rec, e.User, t.groups[e.Group].Eps, len(e.Values)); errs[sg.i] != nil {
 				continue
 			}
-		case replayCharge:
-			sg.rec.Force(t.groups[e.Group].Eps, len(e.Values))
+		case mode == replayCharge:
+			sg.b.Rec.Force(t.groups[e.Group].Eps, len(e.Values))
 		}
-		charged = append(charged, sg)
+		charged++
 	}
-	staged = charged
-	if mode == ingestLive && t.st != nil && len(staged) > 0 {
+	if mode == ingestLive && t.st != nil && charged > 0 {
 		recs := entries // all-accepted batches log as-is, no copy
-		if len(staged) != len(entries) {
-			recs = make([]BatchEntry, len(staged))
-			for j, sg := range staged {
-				recs[j] = entries[sg.i]
+		if charged != len(entries) {
+			recs = make([]BatchEntry, 0, charged)
+			for _, sg := range staged {
+				if errs[sg.i] == nil {
+					recs = append(recs, entries[sg.i])
+				}
 			}
 		}
 		if _, err := t.st.AppendIngestBatch(t.name, recs); err != nil {
 			// Not durable ⇒ not accepted: roll back every staged charge so
 			// the rejected batch leaves no trace, and surface a retryable
 			// store-down error per entry.
-			for _, sg := range staged {
-				e := &entries[sg.i]
-				sg.rec.Refund(t.groups[e.Group].Eps, len(e.Values))
-				errs[sg.i] = fmt.Errorf("%w: %v", ErrStoreDown, err)
+			for j := range staged {
+				sg, e := &staged[j], &entries[staged[j].i]
+				if errs[sg.i] == nil {
+					sg.b.Rec.Refund(t.groups[e.Group].Eps, len(e.Values))
+					errs[sg.i] = fmt.Errorf("%w: %v", ErrStoreDown, err)
+				}
 			}
-			staged = staged[:0]
+			charged = 0
 		}
 	}
 	accepted := 0
-	for _, sg := range staged {
-		e := &entries[sg.i]
-		t.live[e.Group].stripe(sg.stripe).addLocked(arena[sg.lo:sg.hi], e.Values)
-		accepted += len(e.Values)
+	for j := range staged {
+		sg, e := &staged[j], &entries[staged[j].i]
+		if errs[sg.i] == nil {
+			t.live[e.Group].stripe(sg.b.Hash).addLocked(arena[sg.lo:sg.hi], e.Values)
+			accepted += len(e.Values)
+		}
 	}
 	for _, k := range keys {
 		t.live[k/nsh].shards[k%nsh].mu.Unlock()
@@ -449,12 +469,12 @@ func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMod
 	t.mu.RUnlock()
 	if mode == ingestLive {
 		t.met.ingested.Add(uint64(accepted))
-		if rejected := len(entries) - len(staged); rejected > 0 {
+		if rejected := len(entries) - charged; rejected > 0 {
 			t.met.rejected.Add(uint64(rejected))
 		}
 	}
 	if cap(staged) <= maxScratchEntries && cap(arena) <= maxScratchValues {
-		clear(handles)
+		clear(staged) // the record handles and the caller's ids
 		sc.staged, sc.arena, sc.keys = staged, arena, keys
 		scratchPool.Put(sc)
 	}

@@ -170,6 +170,42 @@ func TestIngestSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// The steady-state batch path allocates only the []error it returns: a
+// 200-entry IngestBatch of known users spread over every group takes its
+// staging and binding scratch from the pool.
+func TestIngestBatchSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; guard applies to production builds")
+	}
+	tn, err := stream.NewTenant("batch", stream.Config{
+		Spec:          core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 1.0 / 64},
+		ExpectedUsers: 8192, Shards: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch, runs = 200, 20
+	// Every entry is a joined user's first report, so each is accepted and
+	// no user runs out of budget; Join binds users round-robin to groups.
+	entries := make([]stream.BatchEntry, (runs+1)*batch)
+	for i := range entries {
+		id, g := tn.Join()
+		entries[i] = stream.BatchEntry{User: id, Group: g.Index, Values: []float64{0.25}}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		for i, err := range tn.IngestBatch(entries[next : next+batch]) {
+			if err != nil {
+				t.Fatalf("entry %d: %v", next+i, err)
+			}
+		}
+		next += batch
+	})
+	if allocs > 1 {
+		t.Fatalf("a %d-entry IngestBatch allocates %v times, want only its []error", batch, allocs)
+	}
+}
+
 // scrapeDefault renders and re-parses the process-wide registry, so the
 // assertion exercises the same exposition surface GET /metrics serves.
 func scrapeDefault(t *testing.T) *metrics.Scrape {
