@@ -4,7 +4,7 @@ GO ?= go
 
 FUZZTIME ?= 30s
 
-.PHONY: all build vet dapvet fmt-check doccheck test race fuzz-smoke bench bench-smoke benchmark benchmark-smoke load-smoke load-smoke-bin merge-smoke apicheck apigen matrix matrix-check crash-test metrics-check
+.PHONY: all build vet dapvet deadcode fmt-check doccheck test race fuzz-smoke bench bench-smoke benchmark benchmark-smoke load-smoke load-smoke-bin merge-smoke apicheck apigen matrix matrix-check crash-test metrics-check
 
 all: vet dapvet fmt-check doccheck build test apicheck
 
@@ -21,6 +21,16 @@ vet:
 # //dapvet:<rule>-ok annotation; see DESIGN.md "Static analysis".
 dapvet:
 	$(GO) run ./cmd/dapvet ./...
+
+# Reachability gate: builds every main package, plus a generated harness
+# that references the whole root-package API, with inlining off and reads
+# each binary's symbol table; every declared non-test function must be
+# linked into one of them. A function only tests reach is deleted, or
+# stays on the allowlist in internal/lint/deadcode_test.go with its
+# reason — an entry without one, or one that covers nothing, fails too.
+# The deadcode build tag keeps the no-inline build out of go test ./...
+deadcode:
+	$(GO) test -tags deadcode -count=1 -run '^TestDeadcode' ./internal/lint
 
 # Fail when any file needs gofmt.
 fmt-check:

@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -60,10 +59,7 @@ func main() {
 		}
 	}
 	var extra []bench.NamedAttack
-	for _, s := range strings.Split(*attacks, ",") {
-		if s = strings.TrimSpace(s); s == "" {
-			continue
-		}
+	for _, s := range specflag.SplitAttacks(*attacks) {
 		sp, err := specflag.ParseAttack(s)
 		fatal(err)
 		extra = append(extra, bench.NamedAttack{Label: s, Spec: *sp})

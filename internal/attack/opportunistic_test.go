@@ -52,7 +52,7 @@ func TestOpportunisticDomainBounds(t *testing.T) {
 	env := EnvFor(pm.MustNew(0.5), 0)
 	adv := &Opportunistic{TrimFrac: 0.5}
 	for _, v := range adv.Poison(r, env, 500) {
-		if !env.Domain.Contains(v) {
+		if env.Domain.Clamp(v) != v {
 			t.Fatalf("poison %v outside domain", v)
 		}
 	}

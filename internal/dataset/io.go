@@ -2,17 +2,14 @@ package dataset
 
 import (
 	"encoding/csv"
-	"errors"
-	"fmt"
 	"io"
 	"os"
 	"strconv"
 )
 
-// WriteCSV serializes the dataset: a header row with metadata followed by
-// one normalized value per row. The format round-trips through ReadCSV,
-// letting expensive generated datasets (or externally prepared real data)
-// be cached on disk and shared between experiment runs.
+// WriteCSV serializes the dataset: a header row with metadata
+// (`name,<name>,<raw lo>,<raw hi>`) followed by one normalized value per
+// row, every float in the shortest form that parses back exactly.
 func (d *Numeric) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"name", d.Name,
@@ -29,53 +26,6 @@ func (d *Numeric) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV deserializes a dataset written by WriteCSV. Values are verified
-// to lie in [−1, 1].
-func ReadCSV(r io.Reader) (*Numeric, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: reading header: %w", err)
-	}
-	if len(header) != 4 || header[0] != "name" {
-		return nil, errors.New("dataset: malformed header")
-	}
-	rawLo, err := strconv.ParseFloat(header[2], 64)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: raw lower bound: %w", err)
-	}
-	rawHi, err := strconv.ParseFloat(header[3], 64)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: raw upper bound: %w", err)
-	}
-	d := &Numeric{Name: header[1], RawLo: rawLo, RawHi: rawHi}
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: reading values: %w", err)
-		}
-		if len(rec) != 1 {
-			return nil, errors.New("dataset: malformed value row")
-		}
-		v, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: value %q: %w", rec[0], err)
-		}
-		if v < -1 || v > 1 {
-			return nil, fmt.Errorf("dataset: value %g outside [-1,1]", v)
-		}
-		d.Values = append(d.Values, v)
-	}
-	if len(d.Values) == 0 {
-		return nil, errors.New("dataset: no values")
-	}
-	return d, nil
-}
-
 // SaveFile writes the dataset to path.
 func (d *Numeric) SaveFile(path string) error {
 	f, err := os.Create(path)
@@ -87,14 +37,4 @@ func (d *Numeric) SaveFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// LoadFile reads a dataset from path.
-func LoadFile(path string) (*Numeric, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadCSV(f)
 }

@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/csv"
+	"os"
 	"path/filepath"
-	"strings"
+	"strconv"
 	"testing"
 
 	"repro/internal/rng"
@@ -15,19 +17,25 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := d.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
+	cr := csv.NewReader(&buf)
+	cr.FieldsPerRecord = -1
+	rows, err := cr.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != d.Name || got.RawLo != d.RawLo || got.RawHi != d.RawHi {
-		t.Fatalf("metadata mismatch: %+v", got)
+	want := []string{"name", d.Name, strconv.FormatFloat(d.RawLo, 'g', -1, 64), strconv.FormatFloat(d.RawHi, 'g', -1, 64)}
+	if len(rows) != len(d.Values)+1 || len(rows[0]) != 4 {
+		t.Fatalf("%d rows, header %q", len(rows), rows[0])
 	}
-	if len(got.Values) != len(d.Values) {
-		t.Fatalf("length %d vs %d", len(got.Values), len(d.Values))
+	for i := range want {
+		if rows[0][i] != want[i] {
+			t.Fatalf("header %q, want %q", rows[0], want)
+		}
 	}
-	for i := range d.Values {
-		if got.Values[i] != d.Values[i] {
-			t.Fatalf("value %d: %v vs %v", i, got.Values[i], d.Values[i])
+	for i, v := range d.Values {
+		got, err := strconv.ParseFloat(rows[i+1][0], 64)
+		if err != nil || len(rows[i+1]) != 1 || got != v {
+			t.Fatalf("value %d: row %q, want %v", i, rows[i+1], v)
 		}
 	}
 }
@@ -38,35 +46,18 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := d.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N() != 300 || got.Name != "Taxi" {
-		t.Fatalf("loaded %+v", got)
+	var want bytes.Buffer
+	if err := d.WriteCSV(&want); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.csv")); err == nil {
-		t.Fatal("missing file accepted")
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("saved file differs from WriteCSV output")
 	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":          "",
-		"bad header":     "x,y\n0.5\n",
-		"bad rawlo":      "name,d,zzz,1\n0.5\n",
-		"bad rawhi":      "name,d,0,zzz\n0.5\n",
-		"bad value":      "name,d,0,1\nabc\n",
-		"range value":    "name,d,0,1\n7\n",
-		"no values":      "name,d,0,1\n",
-		"malformed rows": "name,d,0,1\n0.5,0.6\n",
-	}
-	for label, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Fatalf("%s: accepted %q", label, in)
-		}
+	if err := d.SaveFile(filepath.Join(t.TempDir(), "missing", "taxi.csv")); err == nil {
+		t.Fatal("save into a missing directory succeeded")
 	}
 }

@@ -157,10 +157,6 @@ func (m *Matrix) detectBands() {
 // representation (and the E-step will use the O(band) fast path).
 func (m *Matrix) Banded() bool { return m.band != nil }
 
-// BandRegular reports whether the band interior is constant, enabling the
-// O(1)-per-row prefix-sum E-step.
-func (m *Matrix) BandRegular() bool { return m.band != nil && m.band.regular }
-
 // fastLog is a table-accelerated natural logarithm for strictly positive,
 // finite, normal inputs (the E-step clamps its denominators to ≥1e-300).
 // The mantissa's top logTabBits select a precomputed (1/m₀, ln m₀) pair,

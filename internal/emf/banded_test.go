@@ -39,8 +39,8 @@ func TestBandDetection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !m.Banded() || !m.BandRegular() {
-			t.Fatalf("PM(ε=%v): banded=%v regular=%v, want both", eps, m.Banded(), m.BandRegular())
+		if !m.Banded() || !m.band.regular {
+			t.Fatalf("PM(ε=%v): want a banded matrix with a regular band", eps)
 		}
 	}
 	msw, err := BuildNumeric(sw.MustNew(1), 20, 60)
@@ -51,8 +51,8 @@ func TestBandDetection(t *testing.T) {
 		t.Fatal("SW matrix should be banded")
 	}
 	mk := BuildCategorical(krr.MustNew(1, 15))
-	if !mk.Banded() || !mk.BandRegular() {
-		t.Fatalf("k-RR matrix: banded=%v regular=%v, want both", mk.Banded(), mk.BandRegular())
+	if !mk.Banded() || !mk.band.regular {
+		t.Fatal("k-RR matrix: want a banded matrix with a regular band")
 	}
 }
 
@@ -194,7 +194,6 @@ func TestStatePoolReuseIsClean(t *testing.T) {
 }
 
 func TestMatrixCache(t *testing.T) {
-	ResetMatrixCache()
 	mech := pm.MustNew(0.75)
 	m1, err := BuildNumericCached(mech, 10, 30)
 	if err != nil {

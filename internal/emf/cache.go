@@ -47,11 +47,3 @@ func BuildCategoricalCached(mech ldp.Categorical) *Matrix {
 	v, _ := matrixCache.LoadOrStore(key, m)
 	return v.(*Matrix)
 }
-
-// ResetMatrixCache drops every cached transform matrix (tests only).
-func ResetMatrixCache() {
-	matrixCache.Range(func(k, _ any) bool {
-		matrixCache.Delete(k)
-		return true
-	})
-}

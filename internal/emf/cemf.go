@@ -35,19 +35,3 @@ func RunConcentrated(m *Matrix, counts []float64, base *Result, gamma, factor fl
 	}
 	return RunConstrained(m, counts, kept, gamma, cfg)
 }
-
-// Suppressed returns the poison buckets of base that RunConcentrated would
-// suppress at the given gamma and factor, for diagnostics and tests.
-func Suppressed(base *Result, gamma, factor float64) []int {
-	if len(base.Poison) == 0 {
-		return nil
-	}
-	threshold := factor * gamma / float64(len(base.Poison))
-	var out []int
-	for _, j := range base.Poison {
-		if base.Y[j] < threshold {
-			out = append(out, j)
-		}
-	}
-	return out
-}

@@ -15,6 +15,7 @@ import (
 // [poiLoFrac·C, poiHiFrac·C].
 type scenario struct {
 	mech   *pm.Mechanism
+	eps    float64
 	matrix *Matrix
 	counts []float64
 	n, m   int
@@ -38,7 +39,7 @@ func makeScenario(t *testing.T, r *rand.Rand, eps float64, n int, gamma float64,
 	for i := 0; i < nByz; i++ {
 		reports = append(reports, rng.Uniform(r, poiLoFrac*c, poiHiFrac*c))
 	}
-	return &scenario{mech: mech, matrix: m, counts: m.Counts(reports), n: nNorm, m: nByz}
+	return &scenario{mech: mech, eps: eps, matrix: m, counts: m.Counts(reports), n: nNorm, m: nByz}
 }
 
 func TestRunValidation(t *testing.T) {
@@ -277,18 +278,21 @@ func TestCEMFEmptyPoisonDegenerates(t *testing.T) {
 	}
 }
 
+// CEMF* keeps only the poison buckets at or above factor·γ/|P|.
 func TestSuppressedHelper(t *testing.T) {
+	m, _ := BuildNumeric(pm.MustNew(1), 4, 5)
+	counts := []float64{100, 100, 100, 100, 100}
 	base := &Result{
 		Y:      []float64{0, 0, 0, 0.001, 0.2},
 		Poison: []int{3, 4},
 	}
 	// threshold = 0.5·0.3/2 = 0.075 → bucket 3 suppressed.
-	got := Suppressed(base, 0.3, 0.5)
-	if len(got) != 1 || got[0] != 3 {
-		t.Fatalf("Suppressed = %v, want [3]", got)
+	res, err := RunConcentrated(m, counts, base, 0.3, 0.5, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s := Suppressed(&Result{}, 0.3, 0.5); s != nil {
-		t.Fatalf("empty base should suppress nothing, got %v", s)
+	if len(res.Poison) != 1 || res.Poison[0] != 4 {
+		t.Fatalf("kept poison buckets %v, want [4]", res.Poison)
 	}
 }
 
@@ -311,12 +315,6 @@ func TestPoisonMeanNoMass(t *testing.T) {
 	res := &Result{Y: make([]float64, 10), Poison: []int{8, 9}}
 	if got := PoisonMean(m, res); got != 0 {
 		t.Fatalf("PoisonMean of empty = %v", got)
-	}
-}
-
-func TestPoisonCount(t *testing.T) {
-	if got := PoisonCount(0.25, 1000); got != 250 {
-		t.Fatalf("PoisonCount = %v", got)
 	}
 }
 

@@ -1,20 +1,9 @@
 package emf
 
-// Features are the three Byzantine features the collector probes with EMF
-// (§IV-C): the poisoned side, the Byzantine proportion γ̂ and the poison
-// value frequency histogram ŷ (summarized here by its mean, Eq. 11).
-type Features struct {
-	Side Side
-	// Gamma is the estimated Byzantine proportion γ̂ = Σŷ (Eq. 9).
-	Gamma float64
-	// PoisonMean is M_α = Σŷ_jν_j / Σŷ_j with ν the poison bucket
-	// medians (Eq. 11); 0 when no poison mass was reconstructed.
-	PoisonMean float64
-	// Y is the reconstructed poison histogram indexed by output bucket.
-	Y []float64
-}
-
-// PoisonMean computes Eq. 11 for an EM result on the given matrix.
+// PoisonMean computes Eq. 11 for an EM result on the given matrix: the
+// mean M_α = Σŷ_jν_j / Σŷ_j of the reconstructed poison histogram ŷ with
+// ν the poison bucket medians (§IV-C); 0 when no poison mass was
+// reconstructed.
 func PoisonMean(m *Matrix, res *Result) float64 {
 	var num, den float64
 	for _, j := range res.Poison {
@@ -25,22 +14,4 @@ func PoisonMean(m *Matrix, res *Result) float64 {
 		return 0
 	}
 	return num / den
-}
-
-// ExtractFeatures bundles the Byzantine features from a completed side
-// probe.
-func ExtractFeatures(m *Matrix, probe *SideProbe) Features {
-	res := probe.Chosen()
-	return Features{
-		Side:       probe.Side,
-		Gamma:      res.Gamma(),
-		PoisonMean: PoisonMean(m, res),
-		Y:          append([]float64(nil), res.Y...),
-	}
-}
-
-// PoisonCount converts γ̂ into an estimated number of Byzantine reports m̂
-// out of n collected reports.
-func PoisonCount(gamma float64, n int) float64 {
-	return gamma * float64(n)
 }

@@ -38,9 +38,6 @@ type Matrix struct {
 	band *bandRep
 }
 
-// At returns Pr[output bucket i | input bucket k].
-func (m *Matrix) At(i, k int) float64 { return m.P[i*m.D+k] }
-
 // InWidth returns the input bucket width.
 func (m *Matrix) InWidth() float64 { return (m.InHi - m.InLo) / float64(m.D) }
 
@@ -66,19 +63,6 @@ func (m *Matrix) InCenters() []float64 {
 		c[k] = m.InCenter(k)
 	}
 	return c
-}
-
-// OutBucket returns the output bucket index for a reported value,
-// clamping out-of-domain reports into the boundary buckets.
-func (m *Matrix) OutBucket(v float64) int {
-	i := int(math.Floor((v - m.OutLo) / m.OutWidth()))
-	if i < 0 {
-		i = 0
-	}
-	if i >= m.DPrime {
-		i = m.DPrime - 1
-	}
-	return i
 }
 
 // Counts histograms reports into the matrix's output buckets (the c_i of

@@ -19,7 +19,7 @@ func TestBuildNumericColumnsSumToOne(t *testing.T) {
 		for k := 0; k < m.D; k++ {
 			var total float64
 			for i := 0; i < m.DPrime; i++ {
-				total += m.At(i, k)
+				total += m.P[i*m.D+k]
 			}
 			if math.Abs(total-1) > 1e-9 {
 				t.Fatalf("eps=%v col %d sums to %v", eps, k, total)
@@ -36,7 +36,7 @@ func TestBuildNumericSWColumnsSumToOne(t *testing.T) {
 	for k := 0; k < m.D; k++ {
 		var total float64
 		for i := 0; i < m.DPrime; i++ {
-			total += m.At(i, k)
+			total += m.P[i*m.D+k]
 		}
 		if math.Abs(total-1) > 1e-9 {
 			t.Fatalf("col %d sums to %v", k, total)
@@ -72,11 +72,9 @@ func TestMatrixGeometry(t *testing.T) {
 
 func TestOutBucketClamps(t *testing.T) {
 	m, _ := BuildNumeric(pm.MustNew(1), 4, 10)
-	if got := m.OutBucket(-1e9); got != 0 {
-		t.Fatalf("low clamp = %d", got)
-	}
-	if got := m.OutBucket(1e9); got != 9 {
-		t.Fatalf("high clamp = %d", got)
+	counts := m.Counts([]float64{-1e9, 1e9})
+	if counts[0] != 1 || counts[9] != 1 {
+		t.Fatalf("clamped counts = %v, want one report in each boundary bucket", counts)
 	}
 }
 
@@ -130,13 +128,13 @@ func TestBuildCategorical(t *testing.T) {
 	for from := 0; from < 6; from++ {
 		var total float64
 		for to := 0; to < 6; to++ {
-			total += m.At(to, from)
+			total += m.P[to*m.D+from]
 		}
 		if math.Abs(total-1) > 1e-12 {
 			t.Fatalf("col %d sums to %v", from, total)
 		}
 	}
-	if m.At(2, 2) != mech.P() {
+	if e := math.Exp(1); m.P[2*m.D+2] != e/(e+5) {
 		t.Fatal("diagonal should be keep probability")
 	}
 }

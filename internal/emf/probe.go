@@ -16,14 +16,6 @@ const (
 	Right
 )
 
-// String implements fmt.Stringer.
-func (s Side) String() string {
-	if s == Left {
-		return "left"
-	}
-	return "right"
-}
-
 // SideProbe holds the outcome of Algorithm 3.
 type SideProbe struct {
 	Side  Side

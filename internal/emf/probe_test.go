@@ -52,12 +52,8 @@ func TestProbeSideLeft(t *testing.T) {
 	}
 }
 
-func TestSideString(t *testing.T) {
-	if Left.String() != "left" || Right.String() != "right" {
-		t.Fatal("Side.String broken")
-	}
-}
-
+// The §IV-C features as the collector reads them off a side probe: the
+// poisoned side, γ̂ and the poison mean of the chosen run.
 func TestExtractFeatures(t *testing.T) {
 	r := rng.New(3)
 	sc := makeScenario(t, r, 0.125, 50000, 0.25, -1, 0, 0.5, 1)
@@ -65,19 +61,16 @@ func TestExtractFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := ExtractFeatures(sc.matrix, probe)
-	if f.Side != Right {
-		t.Fatalf("side = %v", f.Side)
+	if probe.Side != Right {
+		t.Fatalf("side = %v", probe.Side)
 	}
-	if f.Gamma < 0.15 || f.Gamma > 0.35 {
-		t.Fatalf("γ̂ = %v, want ~0.25", f.Gamma)
+	res := probe.Chosen()
+	if g := res.Gamma(); g < 0.15 || g > 0.35 {
+		t.Fatalf("γ̂ = %v, want ~0.25", g)
 	}
 	c := sc.mech.C()
-	if f.PoisonMean < 0.5*c || f.PoisonMean > c {
-		t.Fatalf("poison mean %v outside [C/2, C]", f.PoisonMean)
-	}
-	if len(f.Y) != sc.matrix.DPrime {
-		t.Fatalf("Y length %d", len(f.Y))
+	if pm := PoisonMean(sc.matrix, res); pm < 0.5*c || pm > c {
+		t.Fatalf("poison mean %v outside [C/2, C]", pm)
 	}
 }
 

@@ -42,7 +42,7 @@ func squaremCases(t *testing.T) []*scenario {
 // log-likelihood.
 func TestSQUAREMMatchesPlainFixedPoint(t *testing.T) {
 	for _, sc := range squaremCases(t) {
-		tol := PaperTol(sc.mech.Epsilon())
+		tol := PaperTol(sc.eps)
 		cfg := Config{Tol: tol, MaxIter: 2000}
 		poison := sc.matrix.PoisonRight(0)
 		for name, run := range map[string]func(Config) (*Result, error){
@@ -62,15 +62,15 @@ func TestSQUAREMMatchesPlainFixedPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !plain.Converged || !acc.Converged {
-				t.Fatalf("%s eps=%v: plain conv=%v acc conv=%v", name, sc.mech.Epsilon(), plain.Converged, acc.Converged)
+				t.Fatalf("%s eps=%v: plain conv=%v acc conv=%v", name, sc.eps, plain.Converged, acc.Converged)
 			}
 			if acc.Iters > plain.Iters {
-				t.Errorf("%s eps=%v: accelerated used %d iters, plain %d", name, sc.mech.Epsilon(), acc.Iters, plain.Iters)
+				t.Errorf("%s eps=%v: accelerated used %d iters, plain %d", name, sc.eps, acc.Iters, plain.Iters)
 			}
 			llP := finalLogLik(t, sc.matrix, sc.counts, plain)
 			llA := finalLogLik(t, sc.matrix, sc.counts, acc)
 			if llA < llP-(tol+2e-5*math.Abs(llP)) {
-				t.Errorf("%s eps=%v: accelerated log-lik %v below plain %v − tol", name, sc.mech.Epsilon(), llA, llP)
+				t.Errorf("%s eps=%v: accelerated log-lik %v below plain %v − tol", name, sc.eps, llA, llP)
 			}
 			// Both stopped when one more map application moved l(F) by < Tol;
 			// the iterates then agree within a Tol-scaled neighbourhood of the
@@ -79,11 +79,11 @@ func TestSQUAREMMatchesPlainFixedPoint(t *testing.T) {
 			// basin is flat (ill-conditioned deconvolution) and the Tol rule
 			// legitimately stops at different points of it.
 			if diff := math.Abs(acc.Gamma() - plain.Gamma()); diff > 0.02 {
-				t.Errorf("%s eps=%v: γ̂ accelerated %v vs plain %v", name, sc.mech.Epsilon(), acc.Gamma(), plain.Gamma())
+				t.Errorf("%s eps=%v: γ̂ accelerated %v vs plain %v", name, sc.eps, acc.Gamma(), plain.Gamma())
 			}
 			for k := range plain.X {
 				if diff := math.Abs(acc.X[k] - plain.X[k]); diff > 0.06 {
-					t.Fatalf("%s eps=%v: x̂[%d] accelerated %v vs plain %v", name, sc.mech.Epsilon(), k, acc.X[k], plain.X[k])
+					t.Fatalf("%s eps=%v: x̂[%d] accelerated %v vs plain %v", name, sc.eps, k, acc.X[k], plain.X[k])
 				}
 			}
 		}

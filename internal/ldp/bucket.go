@@ -27,9 +27,6 @@ func NewDiscretizer(dom Domain, n int) Discretizer {
 	return Discretizer{lo: dom.Lo, hi: dom.Hi, inv: 1 / w, n: n}
 }
 
-// Buckets returns the bucket count.
-func (d Discretizer) Buckets() int { return d.n }
-
 // Index returns the bucket index of v and whether v is acceptable: NaN,
 // ±Inf and out-of-domain values are rejected (ok = false) rather than
 // clamped — at the wire boundary a report outside the mechanism's output

@@ -12,9 +12,6 @@ import (
 
 func TestDiscretizerRejectsBadValues(t *testing.T) {
 	d := ldp.NewDiscretizer(ldp.Domain{Lo: -2, Hi: 2}, 10)
-	if d.Buckets() != 10 {
-		t.Fatalf("buckets = %d", d.Buckets())
-	}
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -2.0001, 2.0001} {
 		if _, ok := d.Index(v); ok {
 			t.Fatalf("value %v accepted", v)

@@ -53,17 +53,8 @@ func MustNew(eps float64, k int) *Mechanism {
 // Name implements ldp.Categorical.
 func (m *Mechanism) Name() string { return fmt.Sprintf("kRR(ε=%g,k=%d)", m.eps, m.k) }
 
-// Epsilon implements ldp.Categorical.
-func (m *Mechanism) Epsilon() float64 { return m.eps }
-
 // K implements ldp.Categorical.
 func (m *Mechanism) K() int { return m.k }
-
-// P returns the keep probability e^ε/(e^ε+k−1).
-func (m *Mechanism) P() float64 { return m.p }
-
-// Q returns the flip probability 1/(e^ε+k−1).
-func (m *Mechanism) Q() float64 { return m.q }
 
 // PerturbCat implements ldp.Categorical. It panics if c is out of range.
 func (m *Mechanism) PerturbCat(r *rand.Rand, c int) int {

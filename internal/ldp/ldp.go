@@ -1,7 +1,6 @@
 // Package ldp defines the interfaces shared by the local differential
-// privacy mechanisms in this repository (Piecewise, Square Wave, k-RR,
-// Duchi 1-bit, OUE) and small helpers for reasoning about their output
-// distributions.
+// privacy mechanisms in this repository (Piecewise, Square Wave, k-RR)
+// and small helpers for reasoning about their output distributions.
 //
 // A mechanism perturbs a single user value; the collector only ever sees
 // perturbed outputs. The EMF machinery in internal/emf builds transform
@@ -21,12 +20,6 @@ type Domain struct {
 // Width returns Hi−Lo.
 func (d Domain) Width() float64 { return d.Hi - d.Lo }
 
-// Mid returns the midpoint of the domain.
-func (d Domain) Mid() float64 { return (d.Lo + d.Hi) / 2 }
-
-// Contains reports whether v lies in the closed interval.
-func (d Domain) Contains(v float64) bool { return v >= d.Lo && v <= d.Hi }
-
 // Clamp restricts v to the domain.
 func (d Domain) Clamp(v float64) float64 {
 	return math.Min(d.Hi, math.Max(d.Lo, v))
@@ -35,7 +28,6 @@ func (d Domain) Clamp(v float64) float64 {
 // Mechanism is a numerical LDP perturbation mechanism.
 type Mechanism interface {
 	Name() string
-	Epsilon() float64
 	InputDomain() Domain
 	OutputDomain() Domain
 	// Perturb returns one ε-LDP report for value v. Inputs outside the
@@ -62,7 +54,6 @@ type PDFer interface {
 // Categorical is a categorical LDP mechanism over K categories.
 type Categorical interface {
 	Name() string
-	Epsilon() float64
 	K() int
 	// PerturbCat returns one ε-LDP report for category c ∈ [0,K).
 	PerturbCat(r *rand.Rand, c int) int

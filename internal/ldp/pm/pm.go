@@ -60,9 +60,6 @@ func MustNew(eps float64) *Mechanism {
 // Name implements ldp.Mechanism.
 func (m *Mechanism) Name() string { return fmt.Sprintf("PM(ε=%g)", m.eps) }
 
-// Epsilon implements ldp.Mechanism.
-func (m *Mechanism) Epsilon() float64 { return m.eps }
-
 // C returns the output-domain bound C = (e^{ε/2}+1)/(e^{ε/2}−1).
 func (m *Mechanism) C() float64 { return m.c }
 

@@ -34,7 +34,7 @@ func TestOutputWithinDomain(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			v := rng.Uniform(r, -1, 1)
 			out := m.Perturb(r, v)
-			if !d.Contains(out) {
+			if d.Clamp(out) != out {
 				t.Fatalf("eps=%v: output %v outside [%v,%v]", eps, out, d.Lo, d.Hi)
 			}
 		}
@@ -45,7 +45,7 @@ func TestPerturbClampsInput(t *testing.T) {
 	r := rng.New(2)
 	m := MustNew(1)
 	out := m.Perturb(r, 5) // clamped to 1
-	if !m.OutputDomain().Contains(out) {
+	if m.OutputDomain().Clamp(out) != out {
 		t.Fatalf("clamped input produced out-of-domain output %v", out)
 	}
 }
@@ -165,7 +165,7 @@ func TestIntervalProbDegenerate(t *testing.T) {
 // the density ratio is bounded by e^ε.
 func TestLDPRatioProperty(t *testing.T) {
 	m := MustNew(1.2)
-	bound := math.Exp(m.Epsilon()) * (1 + 1e-9)
+	bound := math.Exp(m.eps) * (1 + 1e-9)
 	f := func(v1i, v2i, oi int16) bool {
 		v1 := float64(v1i) / float64(math.MaxInt16)
 		v2 := float64(v2i) / float64(math.MaxInt16)

@@ -53,12 +53,6 @@ func MustNew(eps float64) *Mechanism {
 // Name implements ldp.Mechanism.
 func (m *Mechanism) Name() string { return fmt.Sprintf("SW(ε=%g)", m.eps) }
 
-// Epsilon implements ldp.Mechanism.
-func (m *Mechanism) Epsilon() float64 { return m.eps }
-
-// B returns the half-width b of the near band.
-func (m *Mechanism) B() float64 { return m.b }
-
 // InputDomain implements ldp.Mechanism.
 func (m *Mechanism) InputDomain() ldp.Domain { return ldp.Domain{Lo: 0, Hi: 1} }
 

@@ -20,8 +20,8 @@ func TestBFormula(t *testing.T) {
 	m := MustNew(1)
 	e := math.E
 	want := (e - e + 1) / (2 * e * (e - 2)) // ε=1: (1·e − e + 1) / (2e(e−1−1))
-	if math.Abs(m.B()-want) > 1e-12 {
-		t.Fatalf("b = %v, want %v", m.B(), want)
+	if math.Abs(m.b-want) > 1e-12 {
+		t.Fatalf("b = %v, want %v", m.b, want)
 	}
 }
 
@@ -46,7 +46,7 @@ func TestOutputWithinDomain(t *testing.T) {
 		d := m.OutputDomain()
 		for i := 0; i < 3000; i++ {
 			out := m.Perturb(r, rng.Uniform(r, 0, 1))
-			if !d.Contains(out) {
+			if d.Clamp(out) != out {
 				t.Fatalf("eps=%v: output %v outside [%v,%v]", eps, out, d.Lo, d.Hi)
 			}
 		}
@@ -55,7 +55,7 @@ func TestOutputWithinDomain(t *testing.T) {
 
 func TestIntervalProbPartition(t *testing.T) {
 	m := MustNew(0.75)
-	lo, hi := -m.B(), 1+m.B()
+	lo, hi := -m.b, 1+m.b
 	for _, v := range []float64{0, 0.33, 1} {
 		var total float64
 		const k = 41
@@ -97,7 +97,7 @@ func TestNearBandConcentration(t *testing.T) {
 	near := 0
 	for i := 0; i < n; i++ {
 		out := m.Perturb(r, v)
-		if out >= v-m.B() && out <= v+m.B() {
+		if out >= v-m.b && out <= v+m.b {
 			near++
 		}
 	}
@@ -109,11 +109,11 @@ func TestNearBandConcentration(t *testing.T) {
 
 func TestLDPRatioProperty(t *testing.T) {
 	m := MustNew(0.9)
-	bound := math.Exp(m.Epsilon()) * (1 + 1e-9)
+	bound := math.Exp(m.eps) * (1 + 1e-9)
 	f := func(v1i, v2i, oi uint16) bool {
 		v1 := float64(v1i) / math.MaxUint16
 		v2 := float64(v2i) / math.MaxUint16
-		out := -m.B() + (1+2*m.B())*float64(oi)/math.MaxUint16
+		out := -m.b + (1+2*m.b)*float64(oi)/math.MaxUint16
 		p1 := m.PDF(v1, out)
 		p2 := m.PDF(v2, out)
 		if p1 == 0 && p2 == 0 {

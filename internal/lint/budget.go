@@ -11,11 +11,11 @@ import (
 // internal/stream's ingest paths:
 //
 //   - Histogram mutation (shard.addLocked) must be
-//     lexically dominated by a charge — Accountant.Spend, SpendN or Charge
+//     lexically dominated by a charge — Accountant.SpendN or Charge
 //     (the charge through a user's table record), or Record.Force on
 //     replay — in the same function: state never moves before the privacy
 //     budget pays for it.
-//   - After a Spend/SpendN/Charge, a failed store append must refund: an
+//   - After a SpendN/Charge, a failed store append must refund: an
 //     error return inside the append's error branch that skips
 //     Record.Refund leaks budget the tenant never got durability for.
 //
@@ -69,7 +69,7 @@ func checkBudgetFn(p *Package, r *Reporter, fd *ast.FuncDecl) {
 		return fn != nil && slices.Contains(methods, recvNamed(fn)+"."+fn.Name())
 	}
 	isSpend := func(call *ast.CallExpr) bool {
-		return isCall(call, "Accountant.Spend", "Accountant.SpendN", "Accountant.Charge")
+		return isCall(call, "Accountant.SpendN", "Accountant.Charge")
 	}
 	isRefund := func(call *ast.CallExpr) bool { return isCall(call, "Record.Refund") }
 	isMutate := func(call *ast.CallExpr) bool {

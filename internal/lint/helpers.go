@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -124,21 +123,6 @@ func (p *Package) funcName(fd *ast.FuncDecl) string {
 	return fd.Name.Name
 }
 
-// selectorRoot descends a selector chain (a.b.c -> a) and returns the
-// root identifier, nil when the chain roots in a call or index.
-func selectorRoot(e ast.Expr) *ast.Ident {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
 // mutexCall matches a call of the form <owner>.<field>.Lock/Unlock (or
 // RLock/RUnlock) where <field> has a sync mutex type, returning the owner
 // expression, the mutex field name and the method. ok is false otherwise.
@@ -205,15 +189,4 @@ func (p *Package) containsCall(n ast.Node, match func(*ast.CallExpr) bool) *ast.
 		return true
 	})
 	return found
-}
-
-// firstPos is the smallest valid position in ps (helper for messages).
-func firstPos(ps ...token.Pos) token.Pos {
-	best := token.NoPos
-	for _, p := range ps {
-		if p.IsValid() && (best == token.NoPos || p < best) {
-			best = p
-		}
-	}
-	return best
 }

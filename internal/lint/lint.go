@@ -8,7 +8,7 @@
 // analyzer that fails the build when the contract is broken.
 //
 // The analyzers are deliberately idiom-anchored: they match the repo's
-// naming conventions (an `Accountant` with Spend/Refund, a `Store` with
+// naming conventions (an `Accountant` with SpendN/Charge, a `Store` with
 // Append*, `shard.addLocked`, `*Vec.With`) rather than reimplementing a
 // whole-program escape or alias analysis. That keeps the pass fast,
 // dependency-free and reviewable, at the cost of being a lint, not a

@@ -62,9 +62,6 @@ func (s Sample) String() string {
 	return s.Name + labelString(s.Labels) + " " + formatFloat(s.Value)
 }
 
-// Label returns the value of label name, or "" when absent.
-func (s Sample) Label(name string) string { return s.Labels[name] }
-
 // labelString renders a label set as {k="v",...} with keys sorted, or ""
 // when empty.
 func labelString(labels map[string]string) string {

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"regexp"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -266,15 +265,4 @@ func labelMap(names, values []string, extra ...string) map[string]string {
 		m[extra[i]] = extra[i+1]
 	}
 	return m
-}
-
-// sortSamples orders samples deterministically: by name, then by the
-// rendered label set. Exposition and tests both rely on stable output.
-func sortSamples(ss []Sample) {
-	sort.SliceStable(ss, func(i, j int) bool {
-		if ss[i].Name != ss[j].Name {
-			return ss[i].Name < ss[j].Name
-		}
-		return labelString(ss[i].Labels) < labelString(ss[j].Labels)
-	})
 }

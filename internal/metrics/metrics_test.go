@@ -155,8 +155,8 @@ func TestExpositionRoundTrip(t *testing.T) {
 	if got := sc.Value("rt_eps", map[string]string{"tenant": `we"ird\x`}); got != 0.5 {
 		t.Fatalf("escaped label round-trip = %v, want 0.5", got)
 	}
-	if !sc.Has("rt_seconds") {
-		t.Fatal("Has(rt_seconds) = false")
+	if _, ok := sc.Get("rt_seconds_count", nil); !ok {
+		t.Fatal("rt_seconds histogram missing")
 	}
 }
 

@@ -181,19 +181,8 @@ func (sc *Scrape) Get(name string, match map[string]string) (Sample, bool) {
 }
 
 // Value returns the value of the first matching sample, or 0 when absent
-// (check Has when absence matters).
+// (use Get when absence matters).
 func (sc *Scrape) Value(name string, match map[string]string) float64 {
 	s, _ := sc.Get(name, match)
 	return s.Value
-}
-
-// Has reports whether any sample with the given family name exists. For
-// histograms pass the family name; the _count series is checked too.
-func (sc *Scrape) Has(name string) bool {
-	for _, s := range sc.Samples {
-		if s.Name == name || s.Name == name+"_count" {
-			return true
-		}
-	}
-	return false
 }

@@ -399,13 +399,6 @@ func (a *Accountant) Charge(r *Record, id string, eps float64, n int) error {
 	return nil
 }
 
-// Spend records eps of budget consumption for user id, applying
-// sequential composition. It fails without recording when the spend would
-// exceed the cap.
-func (a *Accountant) Spend(id string, eps float64) error {
-	return a.SpendN(id, eps, 1)
-}
-
 // SpendN is Charge on the record of user id, looked up or inserted.
 func (a *Accountant) SpendN(id string, eps float64, n int) error {
 	r, _, _ := a.Bind(id, -1)
@@ -425,15 +418,6 @@ func (a *Accountant) Spent(id string) float64 {
 		return 0
 	}
 	return r.load()
-}
-
-// Remaining returns the budget user id may still spend.
-func (a *Accountant) Remaining(id string) float64 {
-	r := a.cap - a.Spent(id)
-	if r < 0 {
-		return 0
-	}
-	return r
 }
 
 // each calls fn for every record under its stripe's lock, stripe by
@@ -509,10 +493,4 @@ func (a *Accountant) Stats() (users int, spent float64) {
 		}
 	})
 	return users, spent
-}
-
-// Exhausted reports whether user id has depleted the cap (within
-// tolerance), i.e. reported the full number of times their group demands.
-func (a *Accountant) Exhausted(id string) bool {
-	return a.Spent(id) >= a.cap-spendTol
 }

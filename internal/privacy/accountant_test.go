@@ -3,6 +3,7 @@ package privacy
 import (
 	"errors"
 	"maps"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"strconv"
@@ -20,14 +21,11 @@ func TestNewAccountantValidation(t *testing.T) {
 
 func TestSpendWithinCap(t *testing.T) {
 	a, _ := NewAccountant(1)
-	if err := a.Spend("u1", 0.5); err != nil {
+	if err := a.SpendN("u1", 0.5, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Spend("u1", 0.5); err != nil {
+	if err := a.SpendN("u1", 0.5, 1); err != nil {
 		t.Fatal(err)
-	}
-	if !a.Exhausted("u1") {
-		t.Fatal("u1 should be exhausted")
 	}
 	if got := a.Spent("u1"); got != 1 {
 		t.Fatalf("spent = %v", got)
@@ -36,10 +34,10 @@ func TestSpendWithinCap(t *testing.T) {
 
 func TestSpendRejectsOverCap(t *testing.T) {
 	a, _ := NewAccountant(1)
-	if err := a.Spend("u1", 0.9); err != nil {
+	if err := a.SpendN("u1", 0.9, 1); err != nil {
 		t.Fatal(err)
 	}
-	err := a.Spend("u1", 0.2)
+	err := a.SpendN("u1", 0.2, 1)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
@@ -51,10 +49,10 @@ func TestSpendRejectsOverCap(t *testing.T) {
 
 func TestSpendRejectsNonPositive(t *testing.T) {
 	a, _ := NewAccountant(1)
-	if err := a.Spend("u1", 0); err == nil {
+	if err := a.SpendN("u1", 0, 1); err == nil {
 		t.Fatal("zero spend accepted")
 	}
-	if err := a.Spend("u1", -0.5); err == nil {
+	if err := a.SpendN("u1", -0.5, 1); err == nil {
 		t.Fatal("negative spend accepted")
 	}
 }
@@ -66,35 +64,42 @@ func TestSequentialCompositionExactness(t *testing.T) {
 		id := string(rune('a' + reports))
 		eps := 1.0 / float64(reports)
 		for i := 0; i < reports; i++ {
-			if err := a.Spend(id, eps); err != nil {
+			if err := a.SpendN(id, eps, 1); err != nil {
 				t.Fatalf("%d reports of %v: %v", reports, eps, err)
 			}
 		}
-		if !a.Exhausted(id) {
-			t.Fatalf("%d reports should exhaust the budget", reports)
+		if got := a.Spent(id); math.Abs(got-1) > spendTol {
+			t.Fatalf("%d reports spent %v, want the whole budget", reports, got)
 		}
-		if err := a.Spend(id, eps); err == nil {
+		if err := a.SpendN(id, eps, 1); err == nil {
 			t.Fatalf("%d+1-th report accepted", reports)
 		}
 	}
 }
 
+// The budget a user has left is the cap less their spend: it fits one
+// more charge of exactly that size and nothing beyond.
 func TestRemaining(t *testing.T) {
 	a, _ := NewAccountant(2)
-	a.Spend("u", 0.5)
-	if got := a.Remaining("u"); got != 1.5 {
-		t.Fatalf("remaining = %v", got)
+	if err := a.SpendN("u", 0.5, 1); err != nil {
+		t.Fatal(err)
 	}
-	if got := a.Remaining("fresh"); got != 2 {
-		t.Fatalf("fresh remaining = %v", got)
+	if err := a.SpendN("u", 1.5+1e-6, 1); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("charge past the remaining 1.5: %v", err)
+	}
+	if err := a.SpendN("u", 0.75, 2); err != nil {
+		t.Fatalf("charge of the remaining 1.5: %v", err)
+	}
+	if err := a.SpendN("fresh", 2, 1); err != nil {
+		t.Fatalf("fresh user's full cap: %v", err)
 	}
 }
 
 func TestUsers(t *testing.T) {
 	a, _ := NewAccountant(1)
-	a.Spend("u1", 0.1)
-	a.Spend("u2", 0.1)
-	a.Spend("u1", 0.1)
+	a.SpendN("u1", 0.1, 1)
+	a.SpendN("u2", 0.1, 1)
+	a.SpendN("u1", 0.1, 1)
 	if got := a.Users(); got != 2 {
 		t.Fatalf("users = %d", got)
 	}
@@ -108,7 +113,7 @@ func TestConcurrentSpends(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if err := a.Spend("shared", 1); err != nil {
+				if err := a.SpendN("shared", 1, 1); err != nil {
 					t.Error(err)
 					return
 				}
@@ -127,8 +132,8 @@ func TestSpendNAtomicity(t *testing.T) {
 	if err := a.SpendN("u", 0.25, 4); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Exhausted("u") {
-		t.Fatal("u should be exhausted")
+	if got := a.Spent("u"); got != 1 {
+		t.Fatalf("spent = %v, want the whole budget", got)
 	}
 	// A batch that does not fit must leave the ledger untouched: no
 	// partial spend survives a rejected upload.

@@ -79,16 +79,6 @@ func Beta(r *rand.Rand, a, b float64) float64 {
 	return x / (x + y)
 }
 
-// Exponential samples from an exponential distribution with the given mean.
-func Exponential(r *rand.Rand, mean float64) float64 {
-	return r.ExpFloat64() * mean
-}
-
-// Perm returns a random permutation of [0, n).
-func Perm(r *rand.Rand, n int) []int {
-	return r.Perm(n)
-}
-
 // SampleWithoutReplacement returns k distinct indices drawn uniformly from
 // [0, n) via a partial Fisher–Yates shuffle. It panics if k > n.
 func SampleWithoutReplacement(r *rand.Rand, n, k int) []int {

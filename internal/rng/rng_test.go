@@ -168,18 +168,6 @@ func TestBetaMoments(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := New(9)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += Exponential(r, 4)
-	}
-	if mean := sum / n; math.Abs(mean-4) > 0.1 {
-		t.Fatalf("Exponential mean = %v, want ~4", mean)
-	}
-}
-
 func TestSampleWithoutReplacementDistinct(t *testing.T) {
 	r := New(10)
 	got := SampleWithoutReplacement(r, 50, 20)

@@ -157,6 +157,41 @@ func ParseAttack(s string) (*attack.Spec, error) {
 	}
 }
 
+// SplitAttacks splits a comma-separated list of -attack values (see
+// ParseAttack) at the commas outside JSON strings, objects and arrays, so
+// an inline JSON entry survives whole. Entries are trimmed; empty ones
+// are dropped.
+func SplitAttacks(list string) []string {
+	var out []string
+	depth, inStr, start := 0, false, 0
+	add := func(end int) {
+		if s := strings.TrimSpace(list[start:end]); s != "" {
+			out = append(out, s)
+		}
+		start = end + 1
+	}
+	for i := 0; i < len(list); i++ {
+		switch c := list[i]; {
+		case inStr:
+			if c == '\\' {
+				i++
+			} else if c == '"' {
+				inStr = false
+			}
+		case c == '"' && depth > 0:
+			inStr = true
+		case c == '{' || c == '[':
+			depth++
+		case (c == '}' || c == ']') && depth > 0:
+			depth--
+		case c == ',' && depth == 0:
+			add(i)
+		}
+	}
+	add(len(list))
+	return out
+}
+
 // decodeAttack parses a JSON attack spec strictly, mirroring
 // core.ParseSpec's unknown-field rejection.
 func decodeAttack(data []byte) (*attack.Spec, error) {

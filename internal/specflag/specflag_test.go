@@ -164,3 +164,42 @@ func TestAttackDefaultKeepsParameters(t *testing.T) {
 		t.Fatalf("flag override wrong: %+v", sp2.Attack)
 	}
 }
+
+// dapredteam's -attacks list mixes inline JSON, bare names and @files;
+// the commas inside a JSON entry must not split it.
+func TestSplitAttacks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "atk.json")
+	if err := os.WriteFile(path, []byte(`{"name":"gba","frac_left":0.7}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	inline := `{"name":"bba","range":"[C/2,C]","dist":"uniform"}`
+	got := SplitAttacks(inline + ", ima,,@" + path + " ")
+	want := []string{inline, "ima", "@" + path}
+	if len(got) != len(want) {
+		t.Fatalf("split %q, want %q", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("split %q, want %q", got, want)
+		}
+	}
+	var specs []*attack.Spec
+	for _, s := range got {
+		sp, err := ParseAttack(s)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		specs = append(specs, sp)
+	}
+	if specs[0].Name != "bba" || specs[0].Range != "[C/2,C]" || specs[0].Dist != "uniform" {
+		t.Fatalf("inline entry parsed as %+v", specs[0])
+	}
+	if specs[1].Name != "ima" || specs[2].Name != "gba" || specs[2].FracLeft != 0.7 {
+		t.Fatalf("name / @file entries parsed as %+v, %+v", specs[1], specs[2])
+	}
+	// A comma inside a JSON string, and an escaped quote before it, stay
+	// inside the entry.
+	if got := SplitAttacks(`{"name":"a\",b"},c`); len(got) != 2 || got[1] != "c" {
+		t.Fatalf("quoted comma split: %q", got)
+	}
+}

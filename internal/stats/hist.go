@@ -50,31 +50,6 @@ func (h *Hist) Bucket(v float64) int {
 	return i
 }
 
-// Width returns the bucket width.
-func (h *Hist) Width() float64 {
-	return (h.Hi - h.Lo) / float64(len(h.Counts))
-}
-
-// Center returns the midpoint value of bucket i.
-func (h *Hist) Center(i int) float64 {
-	w := h.Width()
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Centers returns all bucket midpoints.
-func (h *Hist) Centers() []float64 {
-	c := make([]float64, len(h.Counts))
-	for i := range c {
-		c[i] = h.Center(i)
-	}
-	return c
-}
-
-// Total returns the sum of counts.
-func (h *Hist) Total() float64 {
-	return Sum(h.Counts)
-}
-
 // Normalized returns the counts normalized to sum to one. A zero histogram
 // normalizes to the uniform distribution.
 func (h *Hist) Normalized() []float64 {

@@ -41,24 +41,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(n)
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
-// MSE returns the mean squared error of estimates against a scalar truth.
-func MSE(estimates []float64, truth float64) float64 {
-	if len(estimates) == 0 {
-		return 0
-	}
-	var s float64
-	for _, e := range estimates {
-		d := e - truth
-		s += d * d
-	}
-	return s / float64(len(estimates))
-}
-
 // MSEVec returns the mean squared error between two equal-length vectors,
 // averaged over components. It panics on length mismatch.
 func MSEVec(est, truth []float64) float64 {
@@ -108,34 +90,6 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Min returns the minimum of xs. It panics on empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs. It panics on empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Clamp restricts x to [lo, hi].

@@ -31,9 +31,6 @@ func TestVariance(t *testing.T) {
 	if got := Variance(xs); !almostEq(got, 4, 1e-12) {
 		t.Fatalf("Variance = %v, want 4", got)
 	}
-	if got := StdDev(xs); !almostEq(got, 2, 1e-12) {
-		t.Fatalf("StdDev = %v, want 2", got)
-	}
 }
 
 func TestVarianceDegenerate(t *testing.T) {
@@ -46,11 +43,10 @@ func TestVarianceDegenerate(t *testing.T) {
 }
 
 func TestMSE(t *testing.T) {
-	est := []float64{1, 3}
-	if got := MSE(est, 2); !almostEq(got, 1, 1e-12) {
+	if got := MSEVec([]float64{1, 3}, []float64{2, 2}); !almostEq(got, 1, 1e-12) {
 		t.Fatalf("MSE = %v, want 1", got)
 	}
-	if got := MSE(nil, 2); got != 0 {
+	if got := MSEVec(nil, nil); got != 0 {
 		t.Fatalf("MSE(nil) = %v, want 0", got)
 	}
 }
@@ -93,13 +89,6 @@ func TestQuantile(t *testing.T) {
 }
 
 func TestMinMaxClamp(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if got := Min(xs); got != -1 {
-		t.Fatalf("Min = %v", got)
-	}
-	if got := Max(xs); got != 7 {
-		t.Fatalf("Max = %v", got)
-	}
 	if got := Clamp(5, 0, 3); got != 3 {
 		t.Fatalf("Clamp high = %v", got)
 	}
@@ -111,15 +100,6 @@ func TestMinMaxClamp(t *testing.T) {
 	}
 }
 
-func TestMinPanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Min(nil)
-}
-
 func TestHistogramBasic(t *testing.T) {
 	// Boundary values fall into the upper bucket: -0.5 → bucket 1, 0.5 → bucket 3.
 	h := Histogram([]float64{-1, -0.5, 0, 0.5, 0.999}, -1, 1, 4)
@@ -129,8 +109,8 @@ func TestHistogramBasic(t *testing.T) {
 			t.Fatalf("Counts = %v, want %v", h.Counts, want)
 		}
 	}
-	if h.Total() != 5 {
-		t.Fatalf("Total = %v", h.Total())
+	if Sum(h.Counts) != 5 {
+		t.Fatalf("total = %v", Sum(h.Counts))
 	}
 }
 
@@ -138,19 +118,6 @@ func TestHistogramClampsOutOfRange(t *testing.T) {
 	h := Histogram([]float64{-10, 10}, -1, 1, 4)
 	if h.Counts[0] != 1 || h.Counts[3] != 1 {
 		t.Fatalf("out-of-range not clamped: %v", h.Counts)
-	}
-}
-
-func TestHistCenters(t *testing.T) {
-	h := NewHist(0, 1, 4)
-	want := []float64{0.125, 0.375, 0.625, 0.875}
-	for i, c := range h.Centers() {
-		if !almostEq(c, want[i], 1e-12) {
-			t.Fatalf("Centers = %v, want %v", h.Centers(), want)
-		}
-	}
-	if !almostEq(h.Width(), 0.25, 1e-12) {
-		t.Fatalf("Width = %v", h.Width())
 	}
 }
 
@@ -206,14 +173,6 @@ func TestWasserstein1Basic(t *testing.T) {
 	}
 }
 
-func TestTotalVariation(t *testing.T) {
-	p := []float64{1, 0}
-	q := []float64{0, 1}
-	if got := TotalVariation(p, q); !almostEq(got, 1, 1e-12) {
-		t.Fatalf("TV = %v, want 1", got)
-	}
-}
-
 // Property: W1 is symmetric and non-negative.
 func TestWassersteinSymmetryProperty(t *testing.T) {
 	f := func(a, b, c, d uint8) bool {
@@ -253,7 +212,7 @@ func TestHistogramTotalProperty(t *testing.T) {
 			}
 		}
 		h := Histogram(vals, -1, 1, 8)
-		return h.Total() == float64(len(vals))
+		return Sum(h.Counts) == float64(len(vals))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -22,18 +22,3 @@ func Wasserstein1(p, q []float64, width float64) float64 {
 	}
 	return dist * width
 }
-
-// TotalVariation computes the total-variation distance between two discrete
-// distributions (normalizing raw counts first).
-func TotalVariation(p, q []float64) float64 {
-	if len(p) != len(q) {
-		panic("stats: TotalVariation length mismatch")
-	}
-	pn := Normalize(p)
-	qn := Normalize(q)
-	var s float64
-	for i := range pn {
-		s += math.Abs(pn[i] - qn[i])
-	}
-	return s / 2
-}

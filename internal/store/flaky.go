@@ -164,9 +164,6 @@ func (f *Flaky) Remove(name string) error { return f.inner.Remove(name) }
 // Truncate implements FS.
 func (f *Flaky) Truncate(name string, size int64) error { return f.inner.Truncate(name, size) }
 
-// Size implements FS.
-func (f *Flaky) Size(name string) (int64, error) { return f.inner.Size(name) }
-
 // SyncDir implements FS.
 func (f *Flaky) SyncDir(dir string) error { return f.inner.SyncDir(dir) }
 

@@ -29,8 +29,6 @@ type FS interface {
 	Remove(name string) error
 	// Truncate cuts the named file to size bytes.
 	Truncate(name string, size int64) error
-	// Size returns the named file's length in bytes.
-	Size(name string) (int64, error)
 	// SyncDir fsyncs a directory, making renames within it durable.
 	SyncDir(dir string) error
 }
@@ -85,15 +83,6 @@ func (OS) Remove(name string) error { return os.Remove(name) }
 
 // Truncate implements FS.
 func (OS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
-
-// Size implements FS.
-func (OS) Size(name string) (int64, error) {
-	fi, err := os.Stat(name)
-	if err != nil {
-		return 0, err
-	}
-	return fi.Size(), nil
-}
 
 // SyncDir implements FS. Directory fsync makes the rename that published a
 // snapshot durable; on platforms where directories cannot be fsynced the

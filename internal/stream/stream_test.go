@@ -82,8 +82,18 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	if cfg.Shards != 8 || cfg.ExpectedUsers != 4096 || cfg.Window.Span != 1 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	// Per-group resolutions follow the paper's rule on the expected split.
-	bkt := tn.Buckets()
+	// Per-group resolutions follow the paper's rule on the expected split;
+	// a sealed epoch's histograms carry them.
+	var sealed *stream.EpochDelta
+	tn.SetSealHook(func(d *stream.EpochDelta) { sealed = d })
+	fillTenant(t, tn, rng.New(1), 20, -0.5, 0.5)
+	if _, err := tn.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	var bkt []int
+	for _, c := range sealed.Counts {
+		bkt = append(bkt, len(c))
+	}
 	if len(bkt) != 3 {
 		t.Fatalf("buckets = %v", bkt)
 	}

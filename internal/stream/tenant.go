@@ -194,9 +194,6 @@ func (t *Tenant) freshLive() []*shardSet {
 	return live
 }
 
-// Buckets returns the per-group histogram resolutions d′.
-func (t *Tenant) Buckets() []int { return append([]int(nil), t.bkt...) }
-
 // Name returns the tenant name.
 func (t *Tenant) Name() string { return t.name }
 
@@ -209,9 +206,6 @@ func (t *Tenant) Config() Config { return t.cfg }
 // Spec returns the tenant's task spec with a Serve section reflecting the
 // effective engine configuration — enough to recreate the tenant.
 func (t *Tenant) Spec() core.Spec { return t.cfg.SpecWithServe() }
-
-// Estimator exposes the tenant's task estimator.
-func (t *Tenant) Estimator() core.Estimator { return t.est }
 
 // Groups returns the group layout.
 func (t *Tenant) Groups() []core.Group { return append([]core.Group(nil), t.groups...) }

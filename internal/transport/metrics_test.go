@@ -74,7 +74,9 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	if got := sc.Value("dap_http_requests_total", map[string]string{"route": "/v1/tenants/{tenant}", "code": "4xx"}); got < 1 {
 		t.Errorf("4xx counter = %v, want >= 1", got)
 	}
-	if !sc.Has("dap_http_request_duration_seconds") || !sc.Has("dap_http_request_size_bytes") {
+	_, okLatency := sc.Get("dap_http_request_duration_seconds_count", nil)
+	_, okSize := sc.Get("dap_http_request_size_bytes_count", nil)
+	if !okLatency || !okSize {
 		t.Error("request latency/size histograms missing")
 	}
 	// Stream: every accepted value counted; reports arrive one value per
