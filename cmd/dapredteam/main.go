@@ -21,8 +21,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
+	"repro/internal/attack"
 	"repro/internal/bench"
 	"repro/internal/specflag"
 )
@@ -58,12 +60,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	var extra []bench.NamedAttack
-	for _, s := range specflag.SplitAttacks(*attacks) {
-		sp, err := specflag.ParseAttack(s)
-		fatal(err)
-		extra = append(extra, bench.NamedAttack{Label: s, Spec: *sp})
-	}
+	extra, err := extraAttacks(*attacks)
+	fatal(err)
 
 	cfg := bench.Config{N: *n, Trials: *trials, Seed: *seed, EMFMaxIter: *maxIter, Workers: *workers}
 	start := time.Now()
@@ -91,4 +89,37 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "dapredteam: %d cells in %s (N=%d, trials=%d, seed=%d, γ=%g)\n",
 		len(rep.Rows), time.Since(start).Round(time.Millisecond), *n, *trials, *seed, *gamma)
+}
+
+// extraAttacks parses the -attacks list into matrix rows, each titled by
+// label.
+func extraAttacks(list string) ([]bench.NamedAttack, error) {
+	var extra []bench.NamedAttack
+	for _, s := range specflag.SplitAttacks(list) {
+		sp, err := specflag.ParseAttack(s)
+		if err != nil {
+			return nil, err
+		}
+		extra = append(extra, bench.NamedAttack{Label: label(*sp), Spec: *sp})
+	}
+	return extra, nil
+}
+
+// label titles a row by its parsed spec, however the spec was given: the
+// registry name, then the side, range and dist it sets, then any other
+// parameter as key:value — "bba-left-beta16", "ima-g:0.5". A bare
+// registry name stays itself.
+func label(sp attack.Spec) string {
+	parts := []string{sp.Name}
+	for _, v := range []string{sp.Side, sp.Range, sp.Dist} {
+		if v != "" {
+			parts = append(parts, v)
+		}
+	}
+	sp.Name, sp.Side, sp.Range, sp.Dist = "", "", "", ""
+	if rest, _ := json.Marshal(sp); string(rest) != `{"name":""}` {
+		rest = rest[len(`{"name":"",`) : len(rest)-1]
+		parts = append(parts, strings.ReplaceAll(string(rest), `"`, ""))
+	}
+	return strings.Join(parts, "-")
 }

@@ -116,10 +116,10 @@
 // mean substitutes bucket centers for sorted raw reports — agreement
 // there is to within a bucket width, not bit-exact).
 //
-// internal/transport serves the engine over HTTP — the original
-// single-collector API on the "default" tenant, the same routes per
-// tenant under /v1/tenants/{tenant}/..., tenant CRUD, epoch rotation and
-// a batched ingest endpoint. Budgets are charged atomically before any
+// internal/transport serves the engine over HTTP: every data route is
+// under /v1/tenants/{tenant}/... (a collector boots with one tenant,
+// "default"), beside tenant CRUD, epoch rotation and a batched ingest
+// endpoint. Budgets are charged atomically before any
 // state changes; NaN/Inf, out-of-domain values and bucket-index abuse are
 // rejected at the wire boundary. cmd/dapcollect runs it with graceful
 // shutdown; cmd/daploadgen drives it with honest+Byzantine client mixes

@@ -22,7 +22,9 @@ import (
 //     deadlock); scrapes go through the published-registry gate instead.
 //  3. Stripe ordering: a loop that acquires indexed stripe locks without
 //     releasing them in the loop body must be preceded by the sorted-keys
-//     idiom (slices.Sort), or concurrent batches deadlock.
+//     idiom (slices.Sort) or walk a bitset of keys in ascending order
+//     (math/bits.TrailingZeros in the loop), or concurrent batches
+//     deadlock.
 //
 // The held-state walk is lexical and per-branch (branch bodies get a copy
 // of the held set), which models the repo's lock/defer-unlock and
@@ -368,7 +370,8 @@ func checkScrapeReach(p *Package, r *Reporter) {
 }
 
 // checkStripeLoops enforces rule 3: a loop that acquires indexed stripe
-// locks and holds them past the iteration must be preceded by a key sort.
+// locks and holds them past the iteration must be preceded by a key sort
+// or draw its keys lowest first from a bitset.
 func checkStripeLoops(p *Package, r *Reporter, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		var body *ast.BlockStmt
@@ -397,7 +400,7 @@ func checkStripeLoops(p *Package, r *Reporter, fd *ast.FuncDecl) {
 		if unlocked != nil {
 			return true // lock-per-iteration: only one held at a time
 		}
-		if !sortedBefore(p, fd, n.Pos()) {
+		if !sortedBefore(p, fd, n.Pos()) && !ascendingBits(p, n) {
 			r.Reportf(lock.Pos(), "%s acquires stripe locks in a loop without sorting the keys first; unordered acquisition deadlocks concurrent batches (see Tenant.ingestStaged)", p.funcName(fd))
 		}
 		return true
@@ -416,6 +419,16 @@ func containsIndex(e ast.Expr) bool {
 		return !found
 	})
 	return found
+}
+
+// ascendingBits reports whether loop calls math/bits.TrailingZeros*, the
+// walk of a bitset that yields its set bits lowest first.
+func ascendingBits(p *Package, loop ast.Node) bool {
+	return p.containsCall(loop, func(call *ast.CallExpr) bool {
+		fn := p.callee(call)
+		return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "math/bits" &&
+			strings.HasPrefix(fn.Name(), "TrailingZeros")
+	}) != nil
 }
 
 // sortedBefore reports whether the function calls a slices/sort sorting

@@ -3,6 +3,7 @@
 package stream
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -89,6 +90,20 @@ func lockAllSorted(shards []shard, keys []int) {
 	}
 	for _, k := range keys {
 		shards[k].mu.Unlock()
+	}
+}
+
+// lockAllBitset walks a key bitset lowest bit first: ascending, no sort.
+func lockAllBitset(shards []shard, keys uint64) {
+	for m := keys; m != 0; m &= m - 1 {
+		shards[bits.TrailingZeros64(m)].mu.Lock()
+	}
+}
+
+// lockAllBitsetDown walks it highest bit first: descending, deadlock bait.
+func lockAllBitsetDown(shards []shard, keys uint64) {
+	for m := keys; m != 0; m &^= 1 << (63 - bits.LeadingZeros64(m)) {
+		shards[63-bits.LeadingZeros64(m)].mu.Lock() // want lockorder "without sorting"
 	}
 }
 

@@ -9,10 +9,12 @@
 // The table is flat and pointer-free, because it is the collector's memory
 // floor: every user ever seen stays in it. A stripe holds 16-byte records
 // in fixed chunks that never move, the ids back to back in fixed byte
-// chunks, and an open-addressing index of record numbers. A user costs
-// 16 B of record, its id's bytes and 5–11 B of index (load between 3/8
-// and 3/4) — about 46 B for a 19-byte id — and nothing the collector has
-// to mark: the records and id bytes hold no pointers.
+// chunks, and an open-addressing index of tagged record numbers: the bits
+// of an index entry that the record number does not need carry a few bits
+// of the id's seeded hash, so a probe loads a record only when they match.
+// A user costs 16 B of record, its id's bytes and 5–11 B of index (load
+// between 3/8 and 3/4) — about 46 B for a 19-byte id — and nothing the
+// collector has to mark: the records and id bytes hold no pointers.
 package privacy
 
 import (
@@ -90,7 +92,6 @@ type Record struct {
 	id    uint32        // packed id: chunk<<idShift | offset; long id: index into long
 	n     uint16        // id length, or longID
 	group int8          // bound group, -1 = none
-	tag   uint8         // top byte of the id's seeded hash: most probe misses stop here
 }
 
 // load returns the budget the record's user has consumed.
@@ -127,10 +128,14 @@ func (r *Record) Refund(eps float64, n int) { r.add(-eps*float64(n), math.Inf(1)
 // tableStripe is one shard of the user table. Records are numbered in
 // insertion order; record k is recs[k>>recShift][k&(recChunk-1)] (a
 // uint32 number: 2^32−1 records, 64 GiB of them, per stripe). index
-// is an open-addressing table of record numbers + 1 (0 = empty slot),
-// probed triangularly from the id's seeded hash and kept at load ≤ 3/4 by
-// doubling. Growing it rehashes the stored ids and moves no record, which
-// is why handles stay valid. Id bytes are append-only and never change
+// is an open-addressing table of 2^b slots, probed triangularly from the
+// id's seeded hash and kept at load ≤ 3/4 by doubling. An entry holds the
+// record number + 1 in its low b bits (0 = empty slot; the number fits,
+// as the stripe holds fewer than 2^b records) and, above them, the same
+// bits of the top half of the id's seeded hash as a tag: find compares
+// tags and loads only the records whose tag matches. Growing the index
+// rehashes the stored ids, recomputing their tags, and moves no record,
+// which is why handles stay valid. Id bytes are append-only and never change
 // once written, so key may hand out strings that alias them. The padding
 // rounds the stripe to two cache lines so adjacent stripes don't
 // false-share under concurrent binds.
@@ -160,6 +165,15 @@ func (p *tableStripe) key(r *Record) string {
 	return unsafe.String(&p.ids[r.id>>idShift][r.id&(idChunk-1)], int(r.n))
 }
 
+// entry is the index entry of record k, whose id's seeded hash is h: the
+// record number + 1 under the index mask, the hash's tag bits above it.
+// An index of 2^32 slots or more leaves no tag bits; find then compares
+// every probed record's id, as it must.
+func (p *tableStripe) entry(k uint32, h uint64) uint32 {
+	low := uint32(len(p.index) - 1)
+	return k + 1 | uint32(h>>32)&^low
+}
+
 // find probes for id, whose seeded hash is h. It returns the id's record
 // and the slot holding it, or nil and the empty slot an insert would take.
 // The index must exist.
@@ -167,18 +181,39 @@ func (p *tableStripe) key(r *Record) string {
 //dapvet:hotpath
 func (p *tableStripe) find(id string, h uint64) (*Record, int) {
 	mask := len(p.index) - 1
-	tag := uint8(h >> 56)
+	low := uint32(mask)
+	tag := uint32(h>>32) &^ low
 	i := int(h) & mask
 	for step := 1; ; step++ {
 		e := p.index[i]
 		if e == 0 {
 			return nil, i
 		}
-		if r := p.rec(e - 1); r.tag == tag && p.key(r) == id {
-			return r, i
+		if e&^low == tag {
+			if r := p.rec(e&low - 1); p.key(r) == id {
+				return r, i
+			}
 		}
 		i = (i + step) & mask
 	}
+}
+
+// touch loads the home slot of the first maxRun entries of the chain at b,
+// all of them in this stripe, and returns their OR, which no caller needs:
+// the loads are independent, so their cache misses overlap instead of
+// each stalling its bindLocked in turn. bindLocked re-reads every slot,
+// since an insert earlier in the run may fill it. It is not inlined, so
+// the loads are not discarded with the unused result.
+//
+//go:noinline
+func (p *tableStripe) touch(b *Binding) uint32 {
+	mask := len(p.index) - 1
+	var or uint32
+	for run := 0; run < maxRun && b != nil; run++ {
+		or |= p.index[int(b.place)&mask]
+		b = b.next
+	}
+	return or
 }
 
 // indexSize is the smallest index that holds users at load ≤ 3/4.
@@ -195,8 +230,9 @@ func (p *tableStripe) grow(seed maphash.Seed) {
 	p.index = make([]uint32, 2*len(p.index))
 	for k := range p.n {
 		id := p.key(p.rec(uint32(k)))
-		_, slot := p.find(id, maphash.String(seed, id))
-		p.index[slot] = uint32(k) + 1
+		h := maphash.String(seed, id)
+		_, slot := p.find(id, h)
+		p.index[slot] = p.entry(uint32(k), h)
 	}
 }
 
@@ -230,8 +266,8 @@ func (p *tableStripe) insert(id string, h uint64, slot int, seed maphash.Seed) *
 	}
 	r := p.rec(k)
 	r.id, r.n = p.keep(id)
-	r.group, r.tag = -1, uint8(h>>56)
-	p.index[slot] = k + 1
+	r.group = -1
+	p.index[slot] = p.entry(k, h)
 	p.n++
 	return r
 }
@@ -344,8 +380,11 @@ func (a *Accountant) Bind(id string, group int) (r *Record, hash uint64, bound i
 // is taken once per run of up to maxRun of its entries instead of once
 // per entry. Within a stripe the order is the batch's, so records are
 // numbered and an id's first entry binds it exactly as with n sequential
-// Binds. A single entry is cheaper through Bind, which goes straight to
-// its stripe.
+// Binds. Each run first loads the home index slot of all its entries, so
+// that their cache misses overlap, then binds them one by one. A single
+// entry is cheaper through Bind, which goes straight to its stripe.
+//
+//dapvet:hotpath
 func (a *Accountant) BindBatch(n int, at func(k int) *Binding) {
 	var head, tail [stripes]*Binding
 	for k := range n {
@@ -364,6 +403,9 @@ func (a *Accountant) BindBatch(n int, at func(k int) *Binding) {
 		p := &a.part[s]
 		for b != nil {
 			p.mu.Lock()
+			if p.index != nil {
+				p.touch(b)
+			}
 			for run := 0; run < maxRun && b != nil; run++ {
 				b.Rec = a.bindLocked(p, b.User, b.place, b.Group, false)
 				b.Group, b = int(b.Rec.group), b.next

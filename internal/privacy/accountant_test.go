@@ -2,6 +2,7 @@ package privacy
 
 import (
 	"errors"
+	"hash/maphash"
 	"maps"
 	"math"
 	"math/rand/v2"
@@ -446,7 +447,7 @@ func TestTableMatchesMapReference(t *testing.T) {
 	}
 }
 
-// A record is 16 bytes: spend bits, id reference and length, group, tag.
+// A record is 16 bytes: spend bits, id reference and length, group.
 func TestRecordSize(t *testing.T) {
 	var r Record
 	if size := unsafe.Sizeof(r); size != 16 {
@@ -527,6 +528,141 @@ func TestBindBatchMatchesBind(t *testing.T) {
 	}
 }
 
+// stripeID returns id i of a family of ids in stripe s: a decimal number
+// and one last byte, picked so that FNV-1a lands the id in s. Only the low
+// six bits of a byte reach the stripe, so '@'..DEL reach every stripe.
+func stripeID(i int, s uint64) string {
+	const fnvPrime = 1099511628211
+	pre := "c" + strconv.Itoa(i)
+	h, c := Hash(pre), byte('@')
+	for ((h^uint64(c))*fnvPrime)&(stripes-1) != s {
+		c++
+	}
+	return pre + string(rune(c))
+}
+
+// tagCollisions returns up to three pairs of ids in stripe s whose seeded
+// hashes agree on the 32 bits that pick the home slot and the tag in a
+// 16-slot index, so that a probe there tells a pair apart only by its ids.
+// Placement is seeded, so they are found by brute force against a's own
+// seed: 2^19 ids hold 32 such pairs in expectation.
+func tagCollisions(a *Accountant, s uint64) [][2]string {
+	const low = minIndex - 1
+	keys := make([]uint64, 1<<19)
+	for i := range keys {
+		h := maphash.String(a.seed, stripeID(i, s))
+		keys[i] = (h&low|h>>32&^low)<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	var pairs [][2]string
+	for i := 1; i < len(keys) && len(pairs) < 3; i++ {
+		if keys[i]>>32 == keys[i-1]>>32 {
+			pairs = append(pairs, [2]string{stripeID(int(uint32(keys[i-1])), s), stripeID(int(uint32(keys[i])), s)})
+		}
+	}
+	return pairs
+}
+
+// Ids that share a stripe, a home slot and an index tag each resolve to a
+// record of their own, and none is inserted twice, whether they are bound
+// in one BindBatch run, whose first pass reads their home slot empty
+// before the run's first insert fills it, in a run the index grows in the
+// middle of, or by sequential Binds.
+func TestTagCollisions(t *testing.T) {
+	const s = 5
+	seeded := newAccountant(t)
+	pairs := tagCollisions(seeded, s)
+	if len(pairs) == 0 {
+		t.Fatal("no pair of 2^19 ids shares a home slot and a tag")
+	}
+	fresh := func() *Accountant {
+		a := newAccountant(t)
+		a.seed = seeded.seed
+		return a
+	}
+	// fillers binds n ids of stripe s whose home slots differ from the
+	// pairs' in a 16-slot index.
+	fillers := func(a *Accountant, n int) {
+		homes := map[uint64]bool{}
+		for _, pr := range pairs {
+			homes[maphash.String(a.seed, pr[0])&(minIndex-1)] = true
+		}
+		for i := -1; n > 0; i-- {
+			if id := stripeID(i, s); !homes[maphash.String(a.seed, id)&(minIndex-1)] {
+				a.Bind(id, 0)
+				n--
+			}
+		}
+	}
+	var batch []Binding
+	for range 2 {
+		for _, pr := range pairs {
+			batch = append(batch, Binding{User: pr[0], Group: 1}, Binding{User: pr[1], Group: 2})
+		}
+	}
+	bindBatch := func(a *Accountant) {
+		bs := slices.Clone(batch)
+		a.BindBatch(len(bs), func(k int) *Binding { return &bs[k] })
+		for k, b := range bs {
+			if first := bs[k%(2*len(pairs))]; b.Rec != first.Rec || b.Group != first.Group {
+				t.Fatalf("entry %d (%q): record %p group %d, its first entry %p group %d", k, b.User, b.Rec, b.Group, first.Rec, first.Group)
+			}
+		}
+	}
+	// check charges every pair's ids differently: two ids sharing a record
+	// would both read the sum.
+	check := func(how string, a *Accountant, records, slots int) {
+		t.Helper()
+		p := &a.part[s]
+		if len(p.index) != slots {
+			t.Fatalf("%s: index of %d slots, want %d", how, len(p.index), slots)
+		}
+		for _, pr := range pairs {
+			h0, h1 := maphash.String(a.seed, pr[0]), maphash.String(a.seed, pr[1])
+			if slots == minIndex && (h0^h1)&(minIndex-1) != 0 || p.entry(0, h0) != p.entry(0, h1) {
+				t.Fatalf("%s: %q and %q do not share a home slot and a tag", how, pr[0], pr[1])
+			}
+		}
+		for _, pr := range pairs {
+			for k, id := range pr {
+				r, _, bound := a.Bind(id, -1)
+				if bound != k+1 || p.key(r) != id {
+					t.Fatalf("%s: %q resolves to the record of %q, bound to %d", how, id, p.key(r), bound)
+				}
+				if err := a.Charge(r, id, 0.25*float64(k+1), 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, pr := range pairs {
+			for k, id := range pr {
+				if got := a.Spent(id); got != 0.25*float64(k+1) {
+					t.Fatalf("%s: %q spent %v, want %v", how, id, got, 0.25*float64(k+1))
+				}
+			}
+		}
+		if p.n != records {
+			t.Fatalf("%s: stripe holds %d records, want %d", how, p.n, records)
+		}
+	}
+
+	a := fresh()
+	fillers(a, 1) // the run's first pass needs an index to read
+	bindBatch(a)
+	check("one run", a, 1+2*len(pairs), minIndex)
+
+	a = fresh()
+	fillers(a, minIndex*3/4-1) // the run's first insert fills the index to 3/4, the next one grows it
+	bindBatch(a)
+	check("grown", a, minIndex*3/4-1+2*len(pairs), 2*minIndex)
+
+	a = fresh()
+	for _, b := range batch {
+		a.Bind(b.User, b.Group)
+	}
+	check("sequential", a, 2*len(pairs), minIndex)
+}
+
 func newAccountant(t testing.TB) *Accountant {
 	a, err := NewAccountant(1)
 	if err != nil {
@@ -536,24 +672,33 @@ func newAccountant(t testing.TB) *Accountant {
 }
 
 // benchBind inserts 200 new 19-byte ids per iteration, written into a
-// reused buffer, through bind, into a table pre-sized for 2^19 users.
-// Each iteration adds 200 users, so bound the run (-benchtime 2000x).
+// reused buffer, through bind, into a table pre-sized for 2^19 users and
+// filled with 450 000 of them before the timer starts: the index and the
+// records of a table that size miss the caches, as the collector's do.
+// Each iteration adds 200 users, so bound the run (-benchtime 2500x).
 func benchBind(b *testing.B, bind func(a *Accountant, bs []Binding)) {
-	const batch, idLen = 200, 19
+	const batch, idLen, filled = 200, 19, 450_000
 	a := newAccountant(b)
 	a.Reserve(1 << 19)
 	buf := make([]byte, batch*idLen)
 	bs := make([]Binding, batch)
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
+	fill := func(first int) {
 		for j := range bs {
 			id := buf[j*idLen : (j+1)*idLen]
 			copy(id, "user-")
-			for d, v := idLen-1, i*batch+j; d >= len("user-"); d, v = d-1, v/10 {
+			for d, v := idLen-1, first+j; d >= len("user-"); d, v = d-1, v/10 {
 				id[d] = byte('0' + v%10)
 			}
 			bs[j] = Binding{User: unsafe.String(&id[0], idLen), Group: j % 8}
 		}
+	}
+	for first := 0; first < filled; first += batch {
+		fill(first)
+		a.BindBatch(len(bs), func(k int) *Binding { return &bs[k] })
+	}
+	b.ReportAllocs()
+	for first := filled; b.Loop(); first += batch {
+		fill(first)
 		bind(a, bs)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/user")

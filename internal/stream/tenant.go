@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -311,8 +312,25 @@ type stagedEntry struct {
 // table records, which would pin a deleted tenant's table.
 type ingestScratch struct {
 	staged []stagedEntry
-	arena  []int // bucket indices of every staged entry, back to back
-	keys   []int // (group, stripe) lock keys
+	arena  []int   // bucket indices of every staged entry, back to back
+	locks  lockSet // (group, stripe) lock keys; empty between calls
+}
+
+// lockSet is a set of (group, stripe) lock keys group·shards + stripe,
+// read back in ascending order, the global lock order, without a sort: a
+// bitset over every key a tenant can have, with one summary bit per word,
+// so that reading and clearing it visit only the words holding a key.
+type lockSet struct {
+	used  uint64 // bit w: words[w] holds a key
+	words [core.MaxGroups * core.MaxServeShards / 64]uint64
+}
+
+// The summary has one bit per word.
+const _ = uint(64 - len(lockSet{}.words))
+
+func (s *lockSet) add(k int) {
+	s.words[k>>6] |= 1 << (k & 63)
+	s.used |= 1 << (k >> 6)
 }
 
 // Scratch grown past these sizes by an unusually large batch is dropped
@@ -356,7 +374,7 @@ var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 // group-commit write.
 func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMode) {
 	sc := scratchPool.Get().(*ingestScratch)
-	staged, arena, keys := sc.staged[:0], sc.arena[:0], sc.keys[:0]
+	staged, arena, locks := sc.staged[:0], sc.arena[:0], &sc.locks
 	nsh := t.cfg.Shards
 	t.mu.RLock()
 	for i := range entries {
@@ -401,14 +419,14 @@ func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMod
 			errs[sg.i] = fmt.Errorf("%w: user %s is bound to group %d", ErrWrongGroup, e.User, sg.b.Group)
 			continue
 		}
-		keys = append(keys, e.Group*nsh+int(sg.b.Hash%uint64(nsh)))
+		locks.add(e.Group*nsh + int(sg.b.Hash%uint64(nsh)))
 	}
-	if len(keys) > 1 {
-		slices.Sort(keys)
-		keys = slices.Compact(keys)
-	}
-	for _, k := range keys {
-		t.live[k/nsh].shards[k%nsh].mu.Lock()
+	for u := locks.used; u != 0; u &= u - 1 {
+		w := bits.TrailingZeros64(u)
+		for m := locks.words[w]; m != 0; m &= m - 1 {
+			k := w<<6 | bits.TrailingZeros64(m)
+			t.live[k/nsh].shards[k%nsh].mu.Lock()
+		}
 	}
 	charged := 0
 	for j := range staged {
@@ -457,9 +475,15 @@ func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMod
 			accepted += len(e.Values)
 		}
 	}
-	for _, k := range keys {
-		t.live[k/nsh].shards[k%nsh].mu.Unlock()
+	for u := locks.used; u != 0; u &= u - 1 {
+		w := bits.TrailingZeros64(u)
+		for m := locks.words[w]; m != 0; m &= m - 1 {
+			k := w<<6 | bits.TrailingZeros64(m)
+			t.live[k/nsh].shards[k%nsh].mu.Unlock()
+		}
+		locks.words[w] = 0
 	}
+	locks.used = 0
 	t.mu.RUnlock()
 	if mode == ingestLive {
 		t.met.ingested.Add(uint64(accepted))
@@ -469,7 +493,7 @@ func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMod
 	}
 	if cap(staged) <= maxScratchEntries && cap(arena) <= maxScratchValues {
 		clear(staged) // the record handles and the caller's ids
-		sc.staged, sc.arena, sc.keys = staged, arena, keys
+		sc.staged, sc.arena = staged, arena
 		scratchPool.Put(sc)
 	}
 }
