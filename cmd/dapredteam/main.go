@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/attack"
@@ -91,8 +90,10 @@ func main() {
 		len(rep.Rows), time.Since(start).Round(time.Millisecond), *n, *trials, *seed, *gamma)
 }
 
-// extraAttacks parses the -attacks list into matrix rows, each titled by
-// label.
+// extraAttacks parses the -attacks list into matrix rows. A bare registry
+// name titles its row; a JSON entry, inline or @file, is titled by the
+// adversary it builds — "BBA(left, [0.5,1]·C, Beta(1,6))" — not by its
+// text.
 func extraAttacks(list string) ([]bench.NamedAttack, error) {
 	var extra []bench.NamedAttack
 	for _, s := range specflag.SplitAttacks(list) {
@@ -100,26 +101,15 @@ func extraAttacks(list string) ([]bench.NamedAttack, error) {
 		if err != nil {
 			return nil, err
 		}
-		extra = append(extra, bench.NamedAttack{Label: label(*sp), Spec: *sp})
+		label := s
+		if sp.Name != s {
+			adv, err := attack.New(*sp)
+			if err != nil {
+				return nil, err
+			}
+			label = adv.Name()
+		}
+		extra = append(extra, bench.NamedAttack{Label: label, Spec: *sp})
 	}
 	return extra, nil
-}
-
-// label titles a row by its parsed spec, however the spec was given: the
-// registry name, then the side, range and dist it sets, then any other
-// parameter as key:value — "bba-left-beta16", "ima-g:0.5". A bare
-// registry name stays itself.
-func label(sp attack.Spec) string {
-	parts := []string{sp.Name}
-	for _, v := range []string{sp.Side, sp.Range, sp.Dist} {
-		if v != "" {
-			parts = append(parts, v)
-		}
-	}
-	sp.Name, sp.Side, sp.Range, sp.Dist = "", "", "", ""
-	if rest, _ := json.Marshal(sp); string(rest) != `{"name":""}` {
-		rest = rest[len(`{"name":"",`) : len(rest)-1]
-		parts = append(parts, strings.ReplaceAll(string(rest), `"`, ""))
-	}
-	return strings.Join(parts, "-")
 }
