@@ -4,7 +4,7 @@ GO ?= go
 
 FUZZTIME ?= 30s
 
-.PHONY: all build vet dapvet deadcode fmt-check doccheck test race fuzz-smoke bench bench-smoke benchmark benchmark-smoke load-smoke load-smoke-bin merge-smoke apicheck apigen matrix matrix-check crash-test metrics-check
+.PHONY: all build vet dapvet deadcode fmt-check doccheck test race fuzz-smoke bench bench-smoke benchmark benchmark-smoke load-smoke load-smoke-bin merge-smoke apicheck apigen matrix matrix-check crash-test
 
 all: vet dapvet fmt-check doccheck build test apicheck
 
@@ -70,7 +70,7 @@ doccheck: vet
 # Red-team robustness matrix (attack battery x schemes); writes markdown
 # and JSON reports.
 matrix:
-	$(GO) run ./cmd/dapredteam -md MATRIX.md -json MATRIX.json
+	$(GO) run ./cmd/dapbench -exp matrix -md MATRIX.md -json MATRIX.json
 
 # Matrix gate: regenerate both reports with make matrix's flags into a
 # temporary directory and diff them against the committed ones. The run
@@ -81,7 +81,7 @@ matrix:
 # CPU without FMA under math.Exp) can move the last digits.
 matrix-check:
 	@tmp=$$(mktemp -d); \
-	$(GO) run ./cmd/dapredteam -md $$tmp/MATRIX.md -json $$tmp/MATRIX.json && \
+	$(GO) run ./cmd/dapbench -exp matrix -md $$tmp/MATRIX.md -json $$tmp/MATRIX.json && \
 	diff -u MATRIX.md $$tmp/MATRIX.md && diff -u MATRIX.json $$tmp/MATRIX.json; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
@@ -142,14 +142,6 @@ benchmark:
 	@for w in ingest_bin ingest_json ingest_wal serve_mixed paper_batch; do \
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds 18 --trace 0 || exit 1; \
 	done
-
-# Observability end-to-end gate: boot a durable collector on loopback,
-# drive traffic through every instrumented layer, scrape GET /metrics
-# over HTTP and verify the payload parses, every documented metric
-# family is present with its documented type, and the layer counters
-# moved (see cmd/metricscheck). `-addr` points it at a live collector.
-metrics-check:
-	$(GO) run ./cmd/metricscheck
 
 # Load-generator smoke: boot an in-process collector over real loopback
 # HTTP, drive 10k reports through batched ingest with a rotating epoch

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -31,5 +33,34 @@ func TestExtraAttackLabels(t *testing.T) {
 		if _, err := extraAttacks(bad); err == nil {
 			t.Errorf("%s accepted", bad)
 		}
+	}
+}
+
+// -exp one runs one round of every committed task kind and prints its
+// estimate and the probed γ̂.
+func TestOneRound(t *testing.T) {
+	for _, tc := range []struct {
+		spec     string
+		extra    []string
+		estimate string
+	}{
+		{"mean.json", nil, "estimate "},
+		{"distribution.json", nil, "estimate "},
+		{"variance.json", nil, "variance "},
+		{"baseline.json", nil, "estimate "},
+		{"frequency.json", []string{"-attack", `{"name":"targeted","cats":[10,11,12]}`}, "frequency MSE "},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			var out strings.Builder
+			args := append([]string{"-exp", "one", "-n", "3000", "-spec", filepath.Join("..", "..", "specs", tc.spec)}, tc.extra...)
+			if err := run(args, &out, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{tc.estimate, "probed γ̂ "} {
+				if !strings.Contains(out.String(), "\n"+want) {
+					t.Errorf("no %q line in\n%s", want, out.String())
+				}
+			}
+		})
 	}
 }

@@ -54,9 +54,9 @@
 // The threat side mirrors the defense side: a declarative AttackSpec
 // (name + parameters, JSON-serializable) selects an adversary from the
 // registry via NewAttack, and a Spec's optional "attack" section carries
-// it through every simulation face — dapsim, dapbench -spec, the
-// cmd/dapredteam robustness matrix, and daploadgen's Byzantine client
-// mix. Registered families (AttackNames lists them): the paper's threat
+// it through every simulation face — dapbench -exp one and -exp spec,
+// the dapbench -exp matrix robustness matrix, and daploadgen's Byzantine
+// client mix. Registered families (AttackNames lists them): the paper's threat
 // models — bba (Definition 4), gba (Definition 2), ima (input
 // manipulation), evasion (§V-D), opportunistic (the §I trimming
 // critique), swtop (Fig. 8) — plus categorical injection for the
@@ -67,9 +67,9 @@
 // the attack.Env group/epoch context: the collectors provide the group
 // index, and daploadgen's client mix advances the epoch
 // (-attack-epochs). One-shot batch collections run at epoch 0, so the
-// epoch-less harnesses refuse (dapbench -spec, dapredteam extras) or
-// flag (dapsim) epoch-adaptive attacks instead of tabulating their
-// weakened epoch-0 phase. Wrappers nest ("ramp" over "bba" over any
+// epoch-less harnesses refuse (dapbench -exp spec, -exp matrix extras)
+// or flag (dapbench -exp one) epoch-adaptive attacks instead of
+// tabulating their weakened epoch-0 phase. Wrappers nest ("ramp" over "bba" over any
 // range); unknown names fail with ErrUnknownAttack, wrapped into
 // ErrBadSpec at spec validation.
 //

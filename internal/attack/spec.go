@@ -85,7 +85,7 @@ func Names() []string {
 
 // registry maps each attack name to its builder. Adding an attack is one
 // entry here (plus its Adversary implementation); it then works in every
-// spec-driven surface — dapsim, dapbench -spec, daploadgen, dapredteam.
+// spec-driven surface — dapbench (-exp one, spec, matrix), daploadgen.
 // Filled by init: the wrapper builders recurse through New, so a literal
 // initializer would be an initialization cycle.
 var registry map[string]func(Spec) (Adversary, error)

@@ -5,8 +5,8 @@
 // attack, γ, metric, seed) Monte-Carlo evaluation each, with comparators
 // that exist only as code (k-means, isolation forest, the SW baselines,
 // the side probe) as the exception. One scheduler runs every job on a
-// bounded pool and fills the tables in row order. The cmd/dapbench and
-// cmd/dapredteam CLIs drive this package.
+// bounded pool and fills the tables in row order. The cmd/dapbench CLI
+// drives this package.
 //
 // Absolute values depend on N (the paper uses ~10⁶ users; the default
 // here is laptop-scale) and on the synthetic substitutes for the
@@ -41,7 +41,7 @@ type Config struct {
 	// collected in table order.
 	Workers int
 	// Spec is the user-supplied task spec evaluated by the "spec"
-	// experiment (cmd/dapbench -spec); other experiments ignore it.
+	// experiment (cmd/dapbench -exp spec); other experiments ignore it.
 	Spec *core.Spec
 }
 

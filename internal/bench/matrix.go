@@ -5,9 +5,9 @@ package bench
 // frequency task (k-RR). One collection per trial is shared across the
 // scheme rows (load.shared, like the paper experiments), so a matrix row
 // is a paired comparison on identical data and the whole matrix stays
-// cheap enough to run in CI. cmd/dapredteam drives RunMatrix
-// and renders the report; `dapbench -exp matrix` prints the same cells as
-// tables.
+// cheap enough to run in CI. dapbench -exp matrix drives RunMatrix
+// and renders the report; the registry's "matrix" experiment (Matrix)
+// gives the same cells as tables.
 
 import (
 	"fmt"
@@ -84,7 +84,7 @@ type MatrixReport struct {
 }
 
 // RunMatrix evaluates the standard attack battery, with extra numeric
-// registry attacks appended (cmd/dapredteam's -attacks), against every
+// registry attacks appended (dapbench's -attacks), against every
 // scheme at the given Byzantine proportion. Deterministic for a fixed
 // cfg.Seed, independent of cfg.Workers: every (task, attack) cell owns a
 // fixed rng stream and rows are collected in battery order.

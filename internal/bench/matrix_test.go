@@ -55,8 +55,8 @@ func TestMatrixCoverage(t *testing.T) {
 // TestMatrixBBARowMatchesDirect pins the registry path against the
 // pre-registry simulator: the bba[C/2,C] row must reproduce, bit for bit,
 // the MSE of directly-constructed BBA collections at equal seeds — the
-// invariant that keeps matrix rows comparable with the dapsim/Fig. 6
-// tables.
+// invariant that keeps matrix rows comparable with dapbench -exp one and
+// the Fig. 6 tables.
 func TestMatrixBBARowMatchesDirect(t *testing.T) {
 	cfg := matrixTestConfig()
 	const gamma = 0.25

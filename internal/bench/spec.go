@@ -11,8 +11,8 @@ import (
 	"repro/internal/stats"
 )
 
-// SpecSweep evaluates one user-supplied task spec (cfg.Spec, loaded by
-// cmd/dapbench -spec) across the paper's γ grid: MSE of the spec's
+// SpecSweep evaluates one user-supplied task spec (cfg.Spec, resolved by
+// cmd/dapbench -exp spec) across the paper's γ grid: MSE of the spec's
 // estimator against the BBA high-half attack, next to the Ostrich
 // comparator on the same collections' budget. Any numeric task kind runs
 // (mean, distribution, variance, baseline, or a named defense); frequency

@@ -208,8 +208,8 @@ type Spec struct {
 	// single-group collection at budget Eps (TaskMean only).
 	Defense *defense.Spec `json:"defense,omitempty"`
 	// Attack names the simulated adversary for the spec's simulation faces
-	// (dapsim, dapbench -spec, the red-team matrix, daploadgen's client
-	// mix), selected from the attack registry (attack.New). Like the other
+	// (dapbench -exp one and -exp spec, the red-team matrix, daploadgen's
+	// client mix), selected from the attack registry (attack.New). Like the other
 	// simulation-only faces it never crosses the wire: stream tenants and
 	// the collector reject specs that carry it.
 	Attack *attack.Spec `json:"attack,omitempty"`

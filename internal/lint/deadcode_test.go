@@ -46,6 +46,10 @@ var allowlist = map[string]string{
 	"internal/transport.(*Client).Tenants":            "the Go client's binding of a server route no command calls; the transport tests drive the route through it",
 	"internal/transport.(*Client).DeleteTenant":       "the Go client's binding of a server route no command calls; the transport tests drive the route through it",
 	"internal/transport.(*Client).MergeEstimate":      "the Go client's binding of a server route no command calls; the transport tests drive the route through it",
+	"internal/transport.(*Client).CreateTenantSpec":   "the Go client's binding of a server route no command calls (POST /v1/tenants); the transport and root tests drive the route through it",
+	"internal/transport.(*TenantClient).Join":         "the Go client's binding of a server route no command calls (POST /v1/tenants/{tenant}/join); the transport tests drive the route through it",
+	"internal/transport.(*TenantClient).Report":       "the Go client's binding of a server route no command calls (POST /v1/tenants/{tenant}/report); the transport tests drive the route through it",
+	"internal/transport.(*TenantClient).Status":       "the Go client's binding of a server route no command calls (GET /v1/tenants/{tenant}/status); the transport tests drive the route through it",
 	"internal/transport.(*TenantClient).SubmitPoison": "the Go client's Byzantine round; the transport tests check the server clamps it",
 	"internal/transport.(*Server).Recovering":         "boot-recovery flag the transport durability tests wait on",
 	"internal/transport.(*UDPClient).Skip":            "advances the datagram sequence so the UDP tests can provoke loss",

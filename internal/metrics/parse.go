@@ -11,7 +11,7 @@ import (
 
 // Scrape is a parsed exposition payload: the samples in document order
 // plus the TYPE declared for each family. It is what the end-to-end
-// scrape checks (daploadgen -scrape-metrics, cmd/metricscheck) consume.
+// scrape checks (daploadgen -scrape-metrics, the transport tests) consume.
 type Scrape struct {
 	Samples []Sample
 	Types   map[string]string // family name -> counter|gauge|histogram|...

@@ -165,7 +165,7 @@ func TestAttackDefaultKeepsParameters(t *testing.T) {
 	}
 }
 
-// dapredteam's -attacks list mixes inline JSON, bare names and @files;
+// dapbench's -attacks list mixes inline JSON, bare names and @files;
 // the commas inside a JSON entry must not split it.
 func TestSplitAttacks(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "atk.json")

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ldp/pm"
 	"repro/internal/wirebin"
 )
 
@@ -199,7 +198,7 @@ func (c *Client) AdminStatus(ctx context.Context) (*AdminStatusResponse, error) 
 	return &out, nil
 }
 
-// frameEncoders pools the binary encoders behind IngestFrame so
+// frameEncoders pools the binary encoders behind IngestFrames so
 // concurrent senders on one client reuse buffers without contention.
 var frameEncoders = sync.Pool{New: func() any { return new(wirebin.Encoder) }}
 
@@ -320,21 +319,6 @@ func (tc *TenantClient) postIngestBody(ctx context.Context, contentType string, 
 	return &out, nil
 }
 
-// IngestFrame uploads many reports as one binary frame — the same batch
-// semantics as Ingest at a fraction of the serialization cost, lossless.
-// seq is echoed back in the response (0 = unsequenced). The tenant
-// travels in the URL, as on the JSON wire; the frame's tenant field stays
-// empty.
-func (tc *TenantClient) IngestFrame(ctx context.Context, seq uint64, entries []wirebin.Entry) (*IngestResponse, error) {
-	enc := frameEncoders.Get().(*wirebin.Encoder)
-	defer frameEncoders.Put(enc)
-	frame, err := enc.Encode("", seq, entries)
-	if err != nil {
-		return nil, err
-	}
-	return tc.postIngestBody(ctx, wirebin.ContentType, frame)
-}
-
 // IngestFrames uploads several frame batches in one request (the frame
 // stream wire): batch i is encoded as its own frame stamped sequence
 // seqBase+i, the frames travel length-prefixed in one body, and the
@@ -389,28 +373,6 @@ func (tc *TenantClient) Rotate(ctx context.Context) (*EstimateResponse, error) {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// SubmitValue performs a full honest-user round: join, perturb the value
-// locally with the assigned group's budget (once per report slot), and
-// upload. The raw value never leaves this function.
-func (tc *TenantClient) SubmitValue(ctx context.Context, r *rand.Rand, value float64) (*JoinResponse, error) {
-	join, err := tc.Join(ctx)
-	if err != nil {
-		return nil, err
-	}
-	mech, err := pm.New(join.Group.Eps)
-	if err != nil {
-		return nil, err
-	}
-	values := make([]float64, join.Group.Reports)
-	for i := range values {
-		values[i] = mech.Perturb(r, value)
-	}
-	if err := tc.Report(ctx, join.User, join.Group.Index, values); err != nil {
-		return nil, err
-	}
-	return join, nil
 }
 
 // SubmitPoison performs a Byzantine round: join, then upload the given

@@ -51,10 +51,12 @@ func newDurableServer(t *testing.T, dir string, flaky *store.Flaky, opts ServerO
 	return srv, st, NewClient(ts.URL, ts.Client())
 }
 
-// feedReports joins n users and uploads fixed (deterministic) values.
-func feedReports(t *testing.T, c *Client, n int) {
+// feedReports joins n users, uploads fixed (deterministic) values and
+// returns how many values it sent.
+func feedReports(t *testing.T, c *Client, n int) int {
 	t.Helper()
 	ctx := context.Background()
+	sent := 0
 	for i := 0; i < n; i++ {
 		j, err := c.Tenant(DefaultTenant).Join(ctx)
 		if err != nil {
@@ -67,7 +69,9 @@ func feedReports(t *testing.T, c *Client, n int) {
 		if err := c.Tenant(DefaultTenant).Report(ctx, j.User, j.Group.Index, vals); err != nil {
 			t.Fatal(err)
 		}
+		sent += len(vals)
 	}
+	return sent
 }
 
 // TestDurableServerCrashRestart is the transport-level kill-and-restart

@@ -219,7 +219,7 @@ func TestWireIDsOutliveTheirBuffers(t *testing.T) {
 			return err
 		},
 		"bin": func(tn *stream.Tenant, entries []wirebin.Entry) error {
-			_, err := c.Tenant(tn.Name()).IngestFrame(ctx, 0, entries)
+			_, err := c.Tenant(tn.Name()).IngestFrames(ctx, 0, [][]wirebin.Entry{entries})
 			return err
 		},
 		"udp": func(tn *stream.Tenant, entries []wirebin.Entry) error {
@@ -340,7 +340,10 @@ func TestFrameHTTPRejects(t *testing.T) {
 	}
 
 	// A well-formed frame without a tenant lands on the route's tenant.
-	out, err := c.Tenant(DefaultTenant).IngestFrame(ctx, 7, entries)
+	if frame, err = enc.Encode("", 7, entries); err != nil {
+		t.Fatal(err)
+	}
+	out, err := postRaw(ctx, c, wirebin.ContentType, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,21 +432,26 @@ func TestFrameStreamRejects(t *testing.T) {
 // postRawFrame posts pre-encoded frame bytes to the default ingest route,
 // bypassing the client's encoder so tests can send broken frames.
 func postRawFrame(ctx context.Context, c *Client, frame []byte) error {
-	return postRaw(ctx, c, wirebin.ContentType, frame)
+	_, err := postRaw(ctx, c, wirebin.ContentType, frame)
+	return err
 }
 
 // postRawStream posts raw frame-stream body bytes (length-prefixed
 // frames), bypassing the client's stream builder.
 func postRawStream(ctx context.Context, c *Client, body []byte) error {
-	return postRaw(ctx, c, wirebin.ContentTypeStream, body)
+	_, err := postRaw(ctx, c, wirebin.ContentTypeStream, body)
+	return err
 }
 
-func postRaw(ctx context.Context, c *Client, contentType string, body []byte) error {
+func postRaw(ctx context.Context, c *Client, contentType string, body []byte) (*IngestResponse, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/tenants/default/ingest", bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", contentType)
 	var out IngestResponse
-	return c.do(req, &out)
+	if err := c.do(req, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }

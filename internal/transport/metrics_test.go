@@ -5,6 +5,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +15,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/store"
+	"repro/internal/wirebin"
 )
 
 // scrapeMetrics fetches and parses GET /metrics, asserting the payload
@@ -36,22 +40,82 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) *metrics.Scrape {
 	return sc
 }
 
+// designInventory reads the metric inventory table of DESIGN.md's
+// Observability section: family name to type.
+func designInventory(t *testing.T) map[string]string {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv := map[string]string{}
+	for _, m := range inventoryRow.FindAllStringSubmatch(string(doc), -1) {
+		inv[m[1]] = m[2]
+	}
+	return inv
+}
+
+// inventoryRow matches a row of the inventory table: | `name` | type | …
+var inventoryRow = regexp.MustCompile("(?m)^\\| `(dap_[a-z0-9_]+)` \\| ([a-z]+) \\|")
+
 // TestMetricsEndpointCoversAllLayers drives a durable collector through
-// ingest, rotation and an error response, then asserts one scrape carries
-// live series from every instrumented layer: transport, stream, emf,
-// privacy and store.
+// JSON reports, binary frames over HTTP and UDP (one of them corrupt),
+// a rotation and an error response, then asserts that one scrape parses,
+// exposes exactly the families DESIGN.md's inventory documents with their
+// documented types, and carries live series from every instrumented layer:
+// transport, binary wire, stream, emf, privacy and store.
 func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	srv, _, c := newDurableServer(t, t.TempDir(), nil, ServerOptions{})
 	defer srv.Close()
+	lis, err := srv.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
 	ctx := context.Background()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	before := scrapeMetrics(t, ts)
-	ingBefore := before.Value("dap_stream_reports_ingested_total", map[string]string{"tenant": "default"})
-	okBefore := before.Value("dap_http_requests_total", map[string]string{"route": "/v1/tenants/{tenant}/report", "code": "2xx"})
+	tenant := map[string]string{"tenant": DefaultTenant}
+	delta := func(sc *metrics.Scrape, name string, match map[string]string) float64 {
+		return sc.Value(name, match) - before.Value(name, match)
+	}
+	report2xx := map[string]string{"route": "/v1/tenants/{tenant}/report", "code": "2xx"}
+	frameOver := func(wire string) map[string]string { return map[string]string{"transport": wire} }
 
-	feedReports(t, c, 8)
+	sent := feedReports(t, c, 8)
+	cfg, err := c.Tenant(DefaultTenant).Config(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := cfg.Groups[0]
+	frame := func(user string) []wirebin.Entry {
+		return []wirebin.Entry{{User: user, Group: g.Index, Values: make([]float64, g.Reports)}}
+	}
+	if _, err := c.Tenant(DefaultTenant).IngestFrames(ctx, 1, [][]wirebin.Entry{frame("frame-http")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := postRawFrame(ctx, c, []byte("DAPF not a frame")); err == nil {
+		t.Fatal("corrupt frame accepted")
+	}
+	uc, err := DialUDP(lis.Addr().String(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer uc.Close()
+	if _, err := uc.Send(frame("frame-udp")); err != nil {
+		t.Fatal(err)
+	}
+	// The datagram lands asynchronously; wait on the monotonic ingested
+	// counter (see TestIngestedSurvivesRotation).
+	want := float64(sent + 2*g.Reports)
+	for deadline := time.Now().Add(10 * time.Second); delta(scrapeMetrics(t, ts), "dap_stream_reports_ingested_total", tenant) < want; {
+		if time.Now().After(deadline) {
+			t.Fatal("UDP frame never landed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	if _, err := c.Tenant(DefaultTenant).Rotate(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +130,26 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	}
 
 	sc := scrapeMetrics(t, ts)
+	// Inventory, both ways: every documented family is exposed with its
+	// documented type, and every exposed dap_ family is documented.
+	inv := designInventory(t)
+	for name, typ := range inv {
+		if got, ok := sc.Types[name]; !ok {
+			t.Errorf("documented family %s is not exposed", name)
+		} else if got != typ {
+			t.Errorf("%s is exposed as a %s, documented as a %s", name, got, typ)
+		}
+	}
+	for name := range sc.Types {
+		if _, ok := inv[name]; !ok && strings.HasPrefix(name, "dap_") {
+			t.Errorf("exposed family %s is not in DESIGN.md's inventory", name)
+		}
+	}
+
 	// Transport: per-route counters moved, the 4xx registered, latency
 	// histograms populated.
-	if got := sc.Value("dap_http_requests_total", map[string]string{"route": "/v1/tenants/{tenant}/report", "code": "2xx"}); got-okBefore < 8 {
-		t.Errorf("report route 2xx advanced by %v, want >= 8", got-okBefore)
+	if got := delta(sc, "dap_http_requests_total", report2xx); got < 8 {
+		t.Errorf("report route 2xx advanced by %v, want >= 8", got)
 	}
 	if got := sc.Value("dap_http_requests_total", map[string]string{"route": "/v1/tenants/{tenant}", "code": "4xx"}); got < 1 {
 		t.Errorf("4xx counter = %v, want >= 1", got)
@@ -79,43 +159,119 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	if !okLatency || !okSize {
 		t.Error("request latency/size histograms missing")
 	}
-	// Stream: every accepted value counted; reports arrive one value per
-	// group report so the delta is at least the 8 sessions.
-	if got := sc.Value("dap_stream_reports_ingested_total", map[string]string{"tenant": "default"}); got-ingBefore < 8 {
-		t.Errorf("ingested counter advanced by %v, want >= 8", got-ingBefore)
+	// Binary wire: a frame decoded over each transport, the corrupt one
+	// rejected, the datagram counted and its sequence tracked.
+	for _, m := range []struct {
+		name  string
+		match map[string]string
+	}{
+		{"dap_frames_decoded_total", frameOver("http")},
+		{"dap_frames_decoded_total", frameOver("udp")},
+		{"dap_frames_rejected_total", frameOver("http")},
+		{"dap_udp_datagrams_total", nil},
+	} {
+		if got := delta(sc, m.name, m.match); got < 1 {
+			t.Errorf("%s%v advanced by %v, want >= 1", m.name, m.match, got)
+		}
 	}
-	if got := sc.Value("dap_stream_epoch_rotations_total", map[string]string{"tenant": "default"}); got < 1 {
+	if got := sc.Value("dap_udp_last_seq", nil); got < 1 {
+		t.Errorf("udp last seq = %v, want >= 1", got)
+	}
+	// Stream: every accepted value counted.
+	if got := delta(sc, "dap_stream_reports_ingested_total", tenant); got < want {
+		t.Errorf("ingested counter advanced by %v, want >= %v", got, want)
+	}
+	if got := sc.Value("dap_stream_epoch_rotations_total", tenant); got < 1 {
 		t.Errorf("rotations = %v, want >= 1", got)
 	}
-	if lag := sc.Value("dap_stream_epoch_lag_seconds", map[string]string{"tenant": "default"}); lag < 0 {
+	if lag := sc.Value("dap_stream_epoch_lag_seconds", tenant); lag < 0 {
 		t.Errorf("epoch lag = %v after a rotation, want >= 0", lag)
 	}
 	// EMF: the rotation estimated the window through the solver.
-	if got := sc.Value("dap_emf_runs_total", nil); got < 1 {
-		t.Errorf("emf runs = %v, want >= 1", got)
+	if got := delta(sc, "dap_emf_runs_total", nil); got < 1 {
+		t.Errorf("emf runs advanced by %v, want >= 1", got)
 	}
-	if got := sc.Value("dap_emf_iterations_total", nil); got < 1 {
-		t.Errorf("emf iterations = %v, want >= 1", got)
+	if got := delta(sc, "dap_emf_iterations_total", nil); got < 1 {
+		t.Errorf("emf iterations advanced by %v, want >= 1", got)
 	}
 	// Privacy: budget gauges reflect the spend.
-	if got := sc.Value("dap_privacy_budget_spent_eps", map[string]string{"tenant": "default"}); got <= 0 {
+	if got := sc.Value("dap_privacy_budget_spent_eps", tenant); got <= 0 {
 		t.Errorf("budget spent = %v, want > 0", got)
 	}
-	if got := sc.Value("dap_privacy_budget_cap_eps", map[string]string{"tenant": "default"}); got != 1 {
+	if got := sc.Value("dap_privacy_budget_cap_eps", tenant); got != 1 {
 		t.Errorf("budget cap = %v, want 1", got)
 	}
-	if got := sc.Value("dap_privacy_reporters", map[string]string{"tenant": "default"}); got < 8 {
-		t.Errorf("reporters = %v, want >= 8", got)
+	if got := sc.Value("dap_privacy_reporters", tenant); got < 10 {
+		t.Errorf("reporters = %v, want >= 10", got)
 	}
-	// Store: WAL appends and level gauges.
-	if got := sc.Value("dap_wal_appends_total", nil); got < 1 {
-		t.Errorf("wal appends = %v, want >= 1", got)
+	// Store: WAL appends and level gauges, healthy and recovered.
+	if got := delta(sc, "dap_wal_appends_total", nil); got < 1 {
+		t.Errorf("wal appends advanced by %v, want >= 1", got)
 	}
 	if got := sc.Value("dap_wal_segments", nil); got < 1 {
 		t.Errorf("wal segments = %v, want >= 1", got)
 	}
 	if got := sc.Value("dap_store_degraded", nil); got != 0 {
 		t.Errorf("degraded = %v on a healthy store, want 0", got)
+	}
+	if got := sc.Value("dap_collector_recovering", nil); got != 0 {
+		t.Errorf("recovering = %v after boot, want 0", got)
+	}
+}
+
+// TestIngestedSurvivesRotation is the regression test for the delivery-
+// confirmation signal: the status route's window report totals reset when an
+// epoch seals, so a poller using them can watch a confirmed delivery
+// vanish mid-wait. The monotonic dap_stream_reports_ingested_total —
+// what daploadgen polls — must keep every accepted report across a
+// rotation.
+func TestIngestedSurvivesRotation(t *testing.T) {
+	srv, _, c := newDurableServer(t, t.TempDir(), nil, ServerOptions{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ctx := context.Background()
+	client := c.Tenant(DefaultTenant)
+	ingestedTotal := func() float64 {
+		return scrapeMetrics(t, ts).Value("dap_stream_reports_ingested_total", map[string]string{"tenant": DefaultTenant})
+	}
+	windowTotal := func() int {
+		st, err := client.Status(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, n := range st.GroupReports {
+			total += n
+		}
+		return total
+	}
+
+	start := ingestedTotal()
+	sent := feedReports(t, c, 8)
+	before := ingestedTotal()
+	if before-start < float64(sent) {
+		t.Fatalf("ingested metric advanced by %g, below the %d reports sent", before-start, sent)
+	}
+	if total := windowTotal(); total < sent {
+		t.Fatalf("window totals %d below the %d reports sent pre-rotation", total, sent)
+	}
+
+	// Two rotations age the reports out of the window entirely: the first
+	// seals them, the second replaces them with an empty epoch. The
+	// second may answer 409 — an empty window cannot estimate — but the
+	// seal it reports still happened, which is all this test needs.
+	if _, err := client.Rotate(ctx); err != nil {
+		t.Fatalf("rotate: %v", err)
+	}
+	_, _ = client.Rotate(ctx)
+
+	// The window totals forget the delivery; the monotonic metric must not.
+	if total := windowTotal(); total >= sent {
+		t.Fatalf("window totals %d still cover the %d reports sent; rotation did not reset them (precondition of the regression)", total, sent)
+	}
+	if after := ingestedTotal(); after < before {
+		t.Fatalf("ingested metric dropped across rotation: %g → %g", before, after)
 	}
 }
 

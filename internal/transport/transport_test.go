@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ldp/pm"
 	"repro/internal/rng"
 	"repro/internal/stream"
 )
@@ -136,7 +137,21 @@ func TestEndToEndEstimate(t *testing.T) {
 	for i := 0; i < n; i++ {
 		v := rng.Uniform(r, -0.5, 0.1)
 		sum += v
-		if _, err := c.Tenant(DefaultTenant).SubmitValue(ctx, r, v); err != nil {
+		// An honest round: join, perturb locally once per report slot
+		// with the group's budget, upload.
+		j, err := c.Tenant(DefaultTenant).Join(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mech, err := pm.New(j.Group.Eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]float64, j.Group.Reports)
+		for k := range vals {
+			vals[k] = mech.Perturb(r, v)
+		}
+		if err := c.Tenant(DefaultTenant).Report(ctx, j.User, j.Group.Index, vals); err != nil {
 			t.Fatal(err)
 		}
 	}
