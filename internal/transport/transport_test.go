@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -423,4 +424,36 @@ func TestAddressingAndCreateRejections(t *testing.T) {
 
 func itoa(i int) string {
 	return fmt.Sprintf("%d", i)
+}
+
+// TestConfigResponsePinned pins the config route's body for a full serve
+// section and a frequency tenant: the flat fields are read off the
+// tenant's effective spec and must keep their wire form.
+func TestConfigResponsePinned(t *testing.T) {
+	reg := stream.NewRegistry()
+	for _, tc := range []struct {
+		sp   core.Spec
+		want string
+	}{
+		{core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.25, Serve: &core.ServeSpec{
+			ExpectedUsers: 2000, Shards: 2, Window: "SLIDING", Span: 3, EpochMs: 250,
+			Buckets: 13, Wire: "bin", UDPAddr: "127.0.0.1:9200"}},
+			`{"eps":1,"eps0":0.25,"scheme":"CEMF*","groups":[{"index":0,"eps":1,"reports":1},{"index":1,"eps":0.5,"reports":2},{"index":2,"eps":0.25,"reports":4}],"kind":"mean","buckets":12,"shards":2,"window_mode":"sliding","window_span":3,"epoch_ms":250,"wire":"bin","spec":{"task":"mean","mechanism":"pm","scheme":"CEMF*","weights":"paper","eps":1,"eps0":0.25,"serve":{"buckets":12,"expected_users":2000,"shards":2,"window":"sliding","span":3,"epoch_ms":250,"wire":"bin","udp_addr":"127.0.0.1:9200"}}}`},
+		{core.Spec{Task: core.TaskFrequency, Eps: 1, Eps0: 0.5, K: 3,
+			Serve: &core.ServeSpec{Buckets: 13, Window: "fixed", Span: 4}},
+			`{"eps":1,"eps0":0.5,"scheme":"CEMF*","groups":[{"index":0,"eps":1,"reports":1},{"index":1,"eps":0.5,"reports":2}],"kind":"frequency","k":3,"shards":8,"window_mode":"tumbling","window_span":1,"spec":{"task":"frequency","mechanism":"krr","scheme":"CEMF*","weights":"paper","eps":1,"eps0":0.5,"k":3,"serve":{"buckets":12,"expected_users":4096,"shards":8,"window":"tumbling","span":1}}}`},
+	} {
+		tn, err := reg.CreateSpec(fmt.Sprintf("t%d", len(reg.List())), tc.sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(configResponse(tn))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("config response\n got %s\nwant %s", got, tc.want)
+		}
+	}
+	reg.Close()
 }
