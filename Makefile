@@ -4,7 +4,7 @@ GO ?= go
 
 FUZZTIME ?= 30s
 
-.PHONY: all build vet dapvet deadcode fmt-check doccheck test race fuzz-smoke bench bench-smoke benchmark benchmark-smoke load-smoke load-smoke-bin merge-smoke apicheck apigen matrix matrix-check crash-test
+.PHONY: all build vet dapvet deadcode fmt-check doccheck test race fuzz-smoke bench bench-smoke benchmark benchmark-smoke load-smoke load-smoke-bin merge-smoke apicheck apigen matrix matrix-check crash-test loc
 
 all: vet dapvet fmt-check doccheck build test apicheck
 
@@ -31,6 +31,16 @@ dapvet:
 # The deadcode build tag keeps the no-inline build out of go test ./...
 deadcode:
 	$(GO) test -tags deadcode -count=1 -run '^TestDeadcode' ./internal/lint
+
+# Code size: "counted lines" are the non-blank, non-comment lines of the
+# non-test Go files outside benchmark/ and testdata/ (the figure ROADMAP
+# budgets); "all Go lines" counts the same lines with the tests included.
+LOC_FILES = find . -name '*.go' -not -path './benchmark/*' -not -path '*/testdata/*'
+LOC_COUNT = xargs -0 cat | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'
+
+loc:
+	@echo "counted lines: $$($(LOC_FILES) -not -name '*_test.go' -print0 | $(LOC_COUNT))"
+	@echo "all Go lines:  $$($(LOC_FILES) -print0 | $(LOC_COUNT))"
 
 # Fail when any file needs gofmt.
 fmt-check:

@@ -140,7 +140,7 @@ func TestAttackSpecTaxonomy(t *testing.T) {
 // spec fails loudly — attacks are simulation-only and never cross the
 // wire, mirroring the defense comparators.
 func TestAttackSpecRejectedAtWire(t *testing.T) {
-	srv, err := transport.NewServerOpts(stream.Config{Spec: core.NewSpec(core.MeanTask())}, transport.ServerOptions{})
+	srv, err := transport.NewServerOpts(core.NewSpec(core.MeanTask()), transport.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,10 @@ func main() {
 	}
 }
 
-// experiments lists every -exp id: the harness's registry and "one".
+// experiments lists every -exp id: the harness's registry, "matrix" and
+// "one".
 func experiments() []string {
-	return append(bench.Experiments(), "one")
+	return append(bench.Experiments(), "matrix", "one")
 }
 
 func run(args []string, stdout, stderr io.Writer) error {
@@ -150,11 +151,11 @@ func runTables(w io.Writer, cfg bench.Config, exp string, specFile, csv bool) er
 	if exp == "all" && specFile {
 		names = []string{"spec"}
 	} else if exp == "all" {
-		// The spec sweep and the red-team matrix are not paper
-		// experiments; "all" is the paper's evaluation alone.
+		// The spec sweep is not a paper experiment; "all" is the paper's
+		// evaluation alone.
 		names = names[:0]
 		for _, name := range bench.Experiments() {
-			if name != "spec" && name != "matrix" {
+			if name != "spec" {
 				names = append(names, name)
 			}
 		}

@@ -142,6 +142,9 @@ func main() {
 		log.Fatal("dapcollect: ", err)
 	}
 	sp, err := sf.Resolve()
+	if err == nil {
+		sp, err = stream.ConfigFromSpec(sp) // fill the serve defaults
+	}
 	if err != nil {
 		log.Fatal("dapcollect: ", err)
 	}
@@ -206,7 +209,7 @@ func main() {
 		fmt.Printf("dapcollect: coordinating %d nodes (quorum=%d, straggler=%v)\n",
 			len(ids), *quorum, *straggler)
 	}
-	srv, err := transport.NewServerOpts(stream.Config{Spec: sp}, opts)
+	srv, err := transport.NewServerOpts(sp, opts)
 	if err != nil {
 		log.Fatal("dapcollect: ", err)
 	}
@@ -222,7 +225,7 @@ func main() {
 		fmt.Printf("dapcollect: node %q pushing sealed deltas to %s\n", *nodeID, *coordURL)
 	}
 	udpListen := *udpAddr
-	if udpListen == "" && sp.Serve != nil {
+	if udpListen == "" {
 		udpListen = sp.Serve.UDPAddr
 	}
 	var udpLis *transport.UDPListener
@@ -244,16 +247,9 @@ func main() {
 	defer stop()
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.ListenAndServe() }()
-	epoch := time.Duration(0)
-	window := "tumbling"
-	if sp.Serve != nil {
-		epoch = time.Duration(sp.Serve.EpochMs) * time.Millisecond
-		if sp.Serve.Window != "" {
-			window = sp.Serve.Window
-		}
-	}
 	fmt.Printf("dapcollect: listening on %s (task=%s, ε=%g, ε0=%g, scheme=%s, window=%s, epoch=%v)\n",
-		*addr, sp.Task, sp.Eps, sp.Eps0, sp.Scheme, window, epoch)
+		*addr, sp.Task, sp.Eps, sp.Eps0, sp.Scheme, sp.Serve.Window,
+		time.Duration(sp.Serve.EpochMs)*time.Millisecond)
 	select {
 	case err := <-done:
 		if udpLis != nil {

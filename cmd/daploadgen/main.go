@@ -52,7 +52,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/specflag"
-	"repro/internal/stream"
 	"repro/internal/transport"
 	"repro/internal/wirebin"
 )
@@ -303,7 +302,7 @@ func selfServe(sp core.Spec, users, reports int, wantUDP bool) (string, func(), 
 		}
 		sp.Serve.ExpectedUsers = expected
 	}
-	srv, err := transport.NewServerOpts(stream.Config{Spec: sp}, transport.ServerOptions{})
+	srv, err := transport.NewServerOpts(sp, transport.ServerOptions{})
 	if err != nil {
 		return "", nil, err
 	}

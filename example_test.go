@@ -347,7 +347,8 @@ func Example_telemetry() {
 		return sc
 	}
 	before := scrape()
-	t, err := reg.Create("fleet", stream.Config{Spec: sp, ExpectedUsers: devices, Warm: true})
+	sp.Serve = &ServeSpec{ExpectedUsers: devices, Warm: true}
+	t, err := reg.CreateSpec("fleet", sp)
 	if err != nil {
 		panic(err)
 	}
@@ -439,8 +440,8 @@ func Example_telemetry() {
 // spec: batch estimation, the serving engine and the wire API all take
 // the one Spec shape.
 func Example_network() {
-	srv, err := transport.NewServerOpts(stream.Config{Spec: NewSpec(Mean(),
-		WithBudget(1, 0.25), WithScheme(SchemeEMFStar))}, transport.ServerOptions{})
+	srv, err := transport.NewServerOpts(NewSpec(Mean(),
+		WithBudget(1, 0.25), WithScheme(SchemeEMFStar)), transport.ServerOptions{})
 	if err != nil {
 		panic(err)
 	}

@@ -126,7 +126,6 @@ var registry = map[string]Runner{
 	"fig10":    Fig10,
 	"ablation": Ablation,
 	"spec":     SpecSweep,
-	"matrix":   Matrix,
 }
 
 // Experiments lists the registered experiment ids in sorted order.

@@ -17,7 +17,7 @@ func tinyConfig() Config {
 
 func TestExperimentsRegistry(t *testing.T) {
 	names := Experiments()
-	want := []string{"ablation", "fig10", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "matrix", "spec", "table1"}
+	want := []string{"ablation", "fig10", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "spec", "table1"}
 	if len(names) != len(want) {
 		t.Fatalf("experiments = %v", names)
 	}

@@ -25,7 +25,7 @@ func TestWorkersDeterminism(t *testing.T) {
 		exp string
 		cfg Config
 	}{
-		{"table1", base}, {"fig5", base}, {"ablation", base}, {"fig8", base}, {"fig9", base}, {"matrix", base},
+		{"table1", base}, {"fig5", base}, {"ablation", base}, {"fig8", base}, {"fig9", base},
 		{"fig6", small}, {"fig7", small}, {"fig10", small}, {"spec", spec},
 	} {
 		seq, err := Run(tc.exp, tc.cfg)
@@ -42,6 +42,21 @@ func TestWorkersDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(seq, par) {
 				t.Fatalf("%s: tables differ between Workers=1 and Workers=%d", tc.exp, workers)
 			}
+		}
+	}
+	seq, err := RunMatrix(base, 0.25, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 8} {
+		cfg := base
+		cfg.Workers = workers
+		par, err := RunMatrix(cfg, 0.25, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, par) {
+			t.Fatalf("matrix: reports differ between Workers=1 and Workers=%d", workers)
 		}
 	}
 }

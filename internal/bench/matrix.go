@@ -6,8 +6,7 @@ package bench
 // scheme rows (load.shared, like the paper experiments), so a matrix row
 // is a paired comparison on identical data and the whole matrix stays
 // cheap enough to run in CI. dapbench -exp matrix drives RunMatrix
-// and renders the report; the registry's "matrix" experiment (Matrix)
-// gives the same cells as tables.
+// and renders the report.
 
 import (
 	"fmt"
@@ -283,36 +282,4 @@ func (rep *MatrixReport) Markdown(w io.Writer) error {
 		}
 	}
 	return ew.err
-}
-
-// Tables converts the report into the harness table shape for dapbench.
-func (rep *MatrixReport) Tables() []*Table {
-	byTask := map[string]*Table{}
-	var out []*Table
-	for _, row := range rep.Rows {
-		t, ok := byTask[row.Task]
-		if !ok {
-			t = &Table{
-				Title:  fmt.Sprintf("robustness matrix: task=%s γ=%g (attack × scheme)", row.Task, rep.Gamma),
-				Header: []string{"attack", "scheme", "gamma", "mse", "gamma_err"},
-			}
-			byTask[row.Task] = t
-			out = append(out, t)
-		}
-		t.Rows = append(t.Rows, []string{
-			row.Attack, row.Scheme, fmt.Sprintf("%.2f", row.Gamma),
-			e2s(row.MSE), fmt.Sprintf("%.4f", row.GammaErr),
-		})
-	}
-	return out
-}
-
-// Matrix is the dapbench-registered experiment wrapper around RunMatrix
-// at the default red-team γ=0.25.
-func Matrix(cfg Config) ([]*Table, error) {
-	rep, err := RunMatrix(cfg, 0.25, nil)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Tables(), nil
 }

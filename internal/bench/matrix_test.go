@@ -133,9 +133,8 @@ func TestMatrixMarkdownAndTables(t *testing.T) {
 			t.Errorf("markdown missing %q:\n%s", want, md)
 		}
 	}
-	tables := rep.Tables()
-	if len(tables) != 1 || len(tables[0].Rows) != 2 {
-		t.Fatalf("tables shape wrong: %+v", tables)
+	if len(rep.Rows) != 2 {
+		t.Fatalf("report has %d rows, want 2: %+v", len(rep.Rows), rep.Rows)
 	}
 }
 

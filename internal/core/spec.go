@@ -124,7 +124,8 @@ const MaxGroups = 16
 
 // ServeSpec carries the serving-layer parameters of a task — how a stream
 // tenant hosting this spec shards, buckets and windows its histograms.
-// Batch estimation ignores it. Zero values select the engine defaults.
+// Batch estimation ignores it. Zero values select the engine defaults,
+// which stream.ConfigFromSpec fills in.
 type ServeSpec struct {
 	// Buckets fixes one output histogram resolution d′ for every group;
 	// zero derives per-group resolutions from ExpectedUsers.
@@ -133,8 +134,8 @@ type ServeSpec struct {
 	ExpectedUsers int `json:"expected_users,omitempty"`
 	// Shards is the number of lock stripes per group histogram.
 	Shards int `json:"shards,omitempty"`
-	// Window selects the epoch window shape: "tumbling" (default) or
-	// "sliding".
+	// Window selects the epoch window shape: "tumbling" (default; "fixed"
+	// is an alias) or "sliding", in any case. Normalize canonicalizes it.
 	Window string `json:"window,omitempty"`
 	// Span is the sliding window length in epochs.
 	Span int `json:"span,omitempty"`
@@ -161,10 +162,12 @@ type ServeSpec struct {
 
 // Spec is the declarative, JSON-serializable description of one
 // aggregation task. The same spec drives batch estimation (Build), a
-// stream tenant (stream.ConfigFromSpec), the wire API (tenant CRUD
-// accepts and returns it) and the CLIs (-spec file.json). Construct specs
-// with NewSpec and functional options, or unmarshal them from JSON;
-// Validate (called by Build) rejects malformed specs with ErrBadSpec.
+// stream tenant (its whole configuration: stream.ConfigFromSpec fills the
+// Serve defaults and the result is the tenant's effective spec), the wire
+// API (tenant CRUD accepts and returns it) and the CLIs (-spec
+// file.json). Construct specs with NewSpec and functional options, or
+// unmarshal them from JSON; Validate (called by Build) rejects malformed
+// specs with ErrBadSpec.
 type Spec struct {
 	// Task selects what is estimated.
 	Task TaskKind `json:"task"`
@@ -327,18 +330,23 @@ func (k TaskKind) nativeMechanism() string {
 	}
 }
 
-// validWindowMode accepts the window-shape names a ServeSpec may carry;
-// the serving layer's ParseWindowMode is the authority for their meaning.
-func validWindowMode(s string) bool {
+// windowMode maps a window-shape name a ServeSpec may carry to its
+// canonical form, "tumbling" or "sliding". Names are case-insensitive,
+// "fixed" is an alias of tumbling and the empty name selects it; ok is
+// false for any other name.
+func windowMode(s string) (canonical string, ok bool) {
 	switch strings.ToLower(s) {
-	case "", "tumbling", "fixed", "sliding":
-		return true
+	case "", "tumbling", "fixed":
+		return "tumbling", true
+	case "sliding":
+		return "sliding", true
 	}
-	return false
+	return s, false
 }
 
 // Normalize fills the spec's defaulted fields (mechanism, scheme, weights,
-// ε₀, the baseline split) and returns the effective spec. It does not
+// ε₀, the baseline split, the serve window name) and returns the effective
+// spec. It does not
 // validate; Build and Validate call it internally.
 func (sp Spec) Normalize() Spec {
 	if sp.Task == "" {
@@ -368,6 +376,11 @@ func (sp Spec) Normalize() Spec {
 		}
 	} else if sp.Eps0 == 0 {
 		sp.Eps0 = sp.Eps / 16
+	}
+	if sp.Serve != nil {
+		s := *sp.Serve // the caller's section stays as given
+		s.Window, _ = windowMode(s.Window)
+		sp.Serve = &s
 	}
 	return sp
 }
@@ -447,7 +460,7 @@ func (sp Spec) Validate() error {
 			return badSpec("serve parameters exceed their bounds (shards ≤ %d, buckets ≤ %d, span ≤ %d, expected_users ≤ %d)",
 				MaxServeShards, MaxServeBuckets, MaxServeSpan, MaxServeExpectedUsers)
 		}
-		if !validWindowMode(s.Window) {
+		if _, ok := windowMode(s.Window); !ok {
 			return badSpec("unknown window mode %q", s.Window)
 		}
 		switch strings.ToLower(s.Wire) {

@@ -30,29 +30,28 @@ import (
 // module prefix dropped; a key ending in ".*" covers every method of
 // that receiver.
 var allowlist = map[string]string{
-	"internal/store.NewFlaky":                         "fault-injecting FS test double; the store, stream and transport durability tests use it",
-	"internal/store.(*Flaky).*":                       "fault-injecting FS test double; the store, stream and transport durability tests use it",
-	"internal/store.(*flakyFile).*":                   "the test double's file handle",
-	"internal/store.errInjected.Error":                "the test double's injected error",
-	"internal/emf.fastLog":                            "the reference the E-step's hand-inlined copies of the log table track; the emf tests compare it with math.Log",
-	"internal/emf.(*Matrix).Banded":                   "the emf tests and the root benchmarks assert that the banded E-step is taken",
-	"internal/ldp/krr.MustNew":                        "builds fixed-parameter k-RR mechanisms in the emf and stream tests",
-	"internal/privacy.(*Accountant).Spent":            "reads one user's spend; the privacy and stream tests check the ledger through it",
-	"internal/bench.Fig5Cell":                         "one paper cell, timed by the root package's BenchmarkFig5Cell",
-	"internal/stream.StripeOf":                        "the documented partition rule for multi-node routing; ROADMAP item 8 decides it",
-	"internal/stream.(*Coordinator).Ledger":           "the merged per-user ledger; ROADMAP item 8 decides it",
-	"internal/lint.CheckFixture":                      "the dapvet fixture tests type-check each fixture through it",
-	"internal/transport.(*Client).AdminStatus":        "the Go client's binding of a server route no command calls; the transport tests drive the route through it",
-	"internal/transport.(*Client).Tenants":            "the Go client's binding of a server route no command calls; the transport tests drive the route through it",
-	"internal/transport.(*Client).DeleteTenant":       "the Go client's binding of a server route no command calls; the transport tests drive the route through it",
-	"internal/transport.(*Client).MergeEstimate":      "the Go client's binding of a server route no command calls; the transport tests drive the route through it",
-	"internal/transport.(*Client).CreateTenantSpec":   "the Go client's binding of a server route no command calls (POST /v1/tenants); the transport and root tests drive the route through it",
-	"internal/transport.(*TenantClient).Join":         "the Go client's binding of a server route no command calls (POST /v1/tenants/{tenant}/join); the transport tests drive the route through it",
-	"internal/transport.(*TenantClient).Report":       "the Go client's binding of a server route no command calls (POST /v1/tenants/{tenant}/report); the transport tests drive the route through it",
-	"internal/transport.(*TenantClient).Status":       "the Go client's binding of a server route no command calls (GET /v1/tenants/{tenant}/status); the transport tests drive the route through it",
-	"internal/transport.(*TenantClient).SubmitPoison": "the Go client's Byzantine round; the transport tests check the server clamps it",
-	"internal/transport.(*Server).Recovering":         "boot-recovery flag the transport durability tests wait on",
-	"internal/transport.(*UDPClient).Skip":            "advances the datagram sequence so the UDP tests can provoke loss",
+	"internal/store.NewFlaky":                       "fault-injecting FS test double; the store, stream and transport durability tests use it",
+	"internal/store.(*Flaky).*":                     "fault-injecting FS test double; the store, stream and transport durability tests use it",
+	"internal/store.(*flakyFile).*":                 "the test double's file handle",
+	"internal/store.errInjected.Error":              "the test double's injected error",
+	"internal/emf.fastLog":                          "the reference the E-step's hand-inlined copies of the log table track; the emf tests compare it with math.Log",
+	"internal/emf.(*Matrix).Banded":                 "the emf tests and the root benchmarks assert that the banded E-step is taken",
+	"internal/ldp/krr.MustNew":                      "builds fixed-parameter k-RR mechanisms in the emf and stream tests",
+	"internal/privacy.(*Accountant).Spent":          "reads one user's spend; the privacy and stream tests check the ledger through it",
+	"internal/bench.Fig5Cell":                       "one paper cell, timed by the root package's BenchmarkFig5Cell",
+	"internal/stream.StripeOf":                      "the documented partition rule for multi-node routing; ROADMAP item 8 decides it",
+	"internal/stream.(*Coordinator).Ledger":         "the merged per-user ledger; ROADMAP item 8 decides it",
+	"internal/lint.CheckFixture":                    "the dapvet fixture tests type-check each fixture through it",
+	"internal/transport.(*Client).AdminStatus":      "the Go client's binding of a server route no command calls; the transport tests drive the route through it",
+	"internal/transport.(*Client).Tenants":          "the Go client's binding of a server route no command calls; the transport tests drive the route through it",
+	"internal/transport.(*Client).DeleteTenant":     "the Go client's binding of a server route no command calls; the transport tests drive the route through it",
+	"internal/transport.(*Client).MergeEstimate":    "the Go client's binding of a server route no command calls; the transport tests drive the route through it",
+	"internal/transport.(*Client).CreateTenantSpec": "the Go client's binding of a server route no command calls (POST /v1/tenants); the transport and root tests drive the route through it",
+	"internal/transport.(*TenantClient).Join":       "the Go client's binding of a server route no command calls (POST /v1/tenants/{tenant}/join); the transport tests drive the route through it",
+	"internal/transport.(*TenantClient).Report":     "the Go client's binding of a server route no command calls (POST /v1/tenants/{tenant}/report); the transport tests drive the route through it",
+	"internal/transport.(*TenantClient).Status":     "the Go client's binding of a server route no command calls (GET /v1/tenants/{tenant}/status); the transport tests drive the route through it",
+	"internal/transport.(*Server).Recovering":       "boot-recovery flag the transport durability tests wait on",
+	"internal/transport.(*UDPClient).Skip":          "advances the datagram sequence so the UDP tests can provoke loss",
 }
 
 const (

@@ -264,11 +264,7 @@ func (c *Coordinator) AddTenantSpec(name string, sp core.Spec) error {
 	if !tenantName.MatchString(name) {
 		return fmt.Errorf("stream: invalid tenant name %q", name)
 	}
-	cfg, err := ConfigFromSpec(sp)
-	if err != nil {
-		return err
-	}
-	t, err := NewTenant(name, cfg)
+	t, err := NewTenantSpec(name, sp)
 	if err != nil {
 		return err
 	}
@@ -463,7 +459,7 @@ func (c *Coordinator) publishLocked(ct *coordTenant, e uint64, partial bool) {
 		eh.sums[g] = sum
 	}
 	ct.window = append(ct.window, eh)
-	if over := len(ct.window) - t.cfg.Window.Span; over > 0 {
+	if over := len(ct.window) - t.spec.Serve.Span; over > 0 {
 		ct.window = append([]epochHist(nil), ct.window[over:]...)
 	}
 	degraded := partial || e != ct.published+1

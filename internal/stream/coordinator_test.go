@@ -22,11 +22,11 @@ import (
 // estimates are pure functions of the window histograms, fixed bucket
 // resolution and stripe count so every node and the coordinator agree
 // on the histogram geometry regardless of per-node population.
-func coordSpec(mode WindowMode) core.Spec {
+func coordSpec() core.Spec {
 	return core.Spec{
 		Task: core.TaskMean, Eps: 1, Eps0: 0.25,
 		Scheme: core.SchemeEMF.String(), EMFMaxIter: 40,
-		Serve: &core.ServeSpec{Buckets: 16, Shards: 4, Window: mode.String(), Span: 2},
+		Serve: &core.ServeSpec{Buckets: 16, Shards: 4, Window: "sliding", Span: 2},
 	}
 }
 
@@ -55,7 +55,7 @@ func synthDeltas(tn *Tenant, nodes []string, epochs int, seed uint64) []*wirebin
 				}
 				d.Counts[g] = counts
 				d.Ns[g] = total
-				sums := make([]float64, tn.cfg.Shards)
+				sums := make([]float64, tn.Shards())
 				for s := range sums {
 					sums[s] = r.Float64()*2 - 1
 				}
@@ -125,7 +125,7 @@ func newTestCoordinator(t *testing.T, nodes []string, st *store.Store) *Coordina
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddTenantSpec("t", coordSpec(Sliding)); err != nil {
+	if err := c.AddTenantSpec("t", coordSpec()); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -240,7 +240,7 @@ func TestMergeStragglerQuorum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddTenantSpec("t", coordSpec(Sliding)); err != nil {
+	if err := c.AddTenantSpec("t", coordSpec()); err != nil {
 		t.Fatal(err)
 	}
 	now := time.Unix(1000, 0)
@@ -291,14 +291,10 @@ type partition struct {
 
 func buildPartition(t *testing.T, n, users, rounds int) *partition {
 	t.Helper()
-	sp := coordSpec(Sliding)
+	sp := coordSpec()
 	p := &partition{}
 	var err error
-	cfg, err := ConfigFromSpec(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.ref, err = NewTenant("t", cfg)
+	p.ref, err = NewTenantSpec("t", sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +302,7 @@ func buildPartition(t *testing.T, n, users, rounds int) *partition {
 	for i := 0; i < n; i++ {
 		id := "node-" + strconv.Itoa(i)
 		p.ids = append(p.ids, id)
-		tn, err := NewTenant("t", cfg)
+		tn, err := NewTenantSpec("t", sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -502,7 +498,7 @@ func TestCoordinatorCrashMidMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.AddTenantSpec("t", coordSpec(Sliding)); err != nil {
+	if err := c1.AddTenantSpec("t", coordSpec()); err != nil {
 		t.Fatal(err)
 	}
 	applyAll2(t, c1, p.frames[0])                // epoch 1 publishes
@@ -539,7 +535,7 @@ func TestCoordinatorCrashMidPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.AddTenantSpec("t", coordSpec(Sliding)); err != nil {
+	if err := c1.AddTenantSpec("t", coordSpec()); err != nil {
 		t.Fatal(err)
 	}
 	applyAll2(t, c1, p.frames[0]) // publish, then crash immediately after
@@ -570,7 +566,7 @@ func TestCoordinatorTornDeltaRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c1.AddTenantSpec("t", coordSpec(Sliding)); err != nil {
+	if err := c1.AddTenantSpec("t", coordSpec()); err != nil {
 		t.Fatal(err)
 	}
 	applyAll2(t, c1, p.frames[0][:2])

@@ -44,7 +44,7 @@ func (t *Tenant) SetSealHook(fn func(*EpochDelta)) {
 
 // Shards returns the tenant's per-group stripe count — the shards value
 // delta partitioning must agree on across nodes.
-func (t *Tenant) Shards() int { return t.cfg.Shards }
+func (t *Tenant) Shards() int { return t.spec.Serve.Shards }
 
 // SetSealHook registers fn on every current and future tenant of the
 // registry (see Tenant.SetSealHook). A node-role collector installs its

@@ -22,11 +22,11 @@ import (
 // durableSpec is the task spec the crash tests run: warm start off so
 // every estimate is a pure function of the window histograms — the
 // precondition for the bit-identity assertions below.
-func durableSpec(mode stream.WindowMode) core.Spec {
+func durableSpec(window string) core.Spec {
 	sp := core.Spec{
 		Task: core.TaskMean, Eps: 1, Eps0: 0.25,
 		Scheme: core.SchemeEMF.String(), EMFMaxIter: 40,
-		Serve: &core.ServeSpec{Buckets: 16, Shards: 4, Window: mode.String(), Span: 2},
+		Serve: &core.ServeSpec{Buckets: 16, Shards: 4, Window: window, Span: 2},
 	}
 	return sp
 }
@@ -133,9 +133,9 @@ func tearNewestSegment(t *testing.T, dir string) {
 // leaves behind (every accepted record is already written to the kernel).
 func TestCrashRecoveryMatrix(t *testing.T) {
 	const users = 16
-	for _, mode := range []stream.WindowMode{stream.Tumbling, stream.Sliding} {
+	for _, mode := range []string{"tumbling", "sliding"} {
 		for _, point := range []string{"mid-ingest", "mid-rotation", "mid-snapshot", "torn-tail"} {
-			t.Run(mode.String()+"/"+point, func(t *testing.T) {
+			t.Run(mode+"/"+point, func(t *testing.T) {
 				sp := durableSpec(mode)
 
 				// Reference: the full workload, uninterrupted, on an
@@ -269,7 +269,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 // ledger — with zero WAL replay needed beyond the snapshot.
 func TestRecoverAfterCleanShutdown(t *testing.T) {
 	dir := t.TempDir()
-	sp := durableSpec(stream.Sliding)
+	sp := durableSpec("sliding")
 	reg, st, _ := openDurable(t, dir, nil)
 	tn, err := reg.CreateSpec("t", sp)
 	if err != nil {
@@ -315,7 +315,7 @@ func TestRecoverAfterCleanShutdown(t *testing.T) {
 func TestRecoverKeepsReportOfReboundUser(t *testing.T) {
 	dir := t.TempDir()
 	reg, _, _ := openDurable(t, dir, nil)
-	tn, err := reg.CreateSpec("t", durableSpec(stream.Tumbling))
+	tn, err := reg.CreateSpec("t", durableSpec("tumbling"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestRecoverKeepsReportOfReboundUser(t *testing.T) {
 func TestRecoverSkipsJoinOutsideGroups(t *testing.T) {
 	dir := t.TempDir()
 	reg, st, _ := openDurable(t, dir, nil)
-	tn, err := reg.CreateSpec("t", durableSpec(stream.Tumbling))
+	tn, err := reg.CreateSpec("t", durableSpec("tumbling"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,10 +381,10 @@ func TestRecoverSkipsJoinOutsideGroups(t *testing.T) {
 func TestDurableTenantLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	reg, _, _ := openDurable(t, dir, nil)
-	if _, err := reg.CreateSpec("keep", durableSpec(stream.Tumbling)); err != nil {
+	if _, err := reg.CreateSpec("keep", durableSpec("tumbling")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.CreateSpec("drop", durableSpec(stream.Tumbling)); err != nil {
+	if _, err := reg.CreateSpec("drop", durableSpec("tumbling")); err != nil {
 		t.Fatal(err)
 	}
 	if !reg.Delete("drop") {
@@ -410,7 +410,7 @@ func TestIngestStoreDownRefunds(t *testing.T) {
 	dir := t.TempDir()
 	flaky := store.NewFlaky(nil)
 	reg, _, _ := openDurable(t, dir, flaky)
-	tn, err := reg.CreateSpec("t", durableSpec(stream.Tumbling))
+	tn, err := reg.CreateSpec("t", durableSpec("tumbling"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestConcurrentIngestRecoversBitIdentical(t *testing.T) {
 	flaky := store.NewFlaky(nil)
 	flaky.Latency(500 * time.Microsecond)
 	reg, _, _ := openDurable(t, dir, flaky)
-	sp := durableSpec(stream.Tumbling)
+	sp := durableSpec("tumbling")
 	sp.Serve.Shards = 2 // few stripes: force same-stripe collisions
 	tn, err := reg.CreateSpec("t", sp)
 	if err != nil {

@@ -108,10 +108,8 @@ func TestEngineEquivalenceBitForBit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tn, err := stream.NewTenant("eq", stream.Config{
-		Spec:          sp,
-		ExpectedUsers: n, Shards: 1,
-	})
+	sp.Serve = &core.ServeSpec{ExpectedUsers: n, Shards: 1}
+	tn, err := stream.NewTenantSpec("eq", sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +158,8 @@ func TestEngineEquivalenceConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, err := stream.NewTenant("eqc", stream.Config{
-		Spec:          sp,
-		ExpectedUsers: n, Shards: 8,
-	})
+	sp.Serve = &core.ServeSpec{ExpectedUsers: n, Shards: 8}
+	tn, err := stream.NewTenantSpec("eqc", sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +203,8 @@ func TestEquivalenceAcrossEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn, err := stream.NewTenant("ep", stream.Config{
-		Spec:          sp,
-		ExpectedUsers: n, Shards: 1,
-		Window: stream.WindowConfig{Mode: stream.Sliding, Span: 16},
-	})
+	sp.Serve = &core.ServeSpec{ExpectedUsers: n, Shards: 1, Window: "sliding", Span: 16}
+	tn, err := stream.NewTenantSpec("ep", sp)
 	if err != nil {
 		t.Fatal(err)
 	}

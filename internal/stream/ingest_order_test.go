@@ -14,9 +14,9 @@ import (
 // orderTenant has three groups — ε 1, 1/2, 1/4 with 1, 2, 4 report slots.
 func orderTenant(t *testing.T) *Tenant {
 	t.Helper()
-	tn, err := NewTenant("order", Config{
-		Spec:    core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.25, Scheme: core.SchemeEMF.String()},
-		Buckets: 16, Shards: 4,
+	tn, err := NewTenantSpec("order", core.Spec{
+		Task: core.TaskMean, Eps: 1, Eps0: 0.25, Scheme: core.SchemeEMF.String(),
+		Serve: &core.ServeSpec{Buckets: 16, Shards: 4},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,11 +15,10 @@ import (
 // CI; the invariant checked at the end is conservation: every accepted
 // report is in exactly one epoch of the (all-covering) sliding window.
 func TestConcurrentIngestRotateEstimate(t *testing.T) {
-	tn, err := stream.NewTenant("race", stream.Config{
-		Spec: core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.25,
-			Scheme: core.SchemeEMF.String(), EMFMaxIter: 40},
-		Buckets: 16, Shards: 4,
-		Window: stream.WindowConfig{Mode: stream.Sliding, Span: 1 << 20},
+	tn, err := stream.NewTenantSpec("race", core.Spec{
+		Task: core.TaskMean, Eps: 1, Eps0: 0.25,
+		Scheme: core.SchemeEMF.String(), EMFMaxIter: 40,
+		Serve: &core.ServeSpec{Buckets: 16, Shards: 4, Window: "sliding", Span: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +104,10 @@ func TestConcurrentTenantsIsolated(t *testing.T) {
 	reg := stream.NewRegistry()
 	defer reg.Close()
 	mk := func(name string) *stream.Tenant {
-		tn, err := reg.Create(name, stream.Config{
-			Spec: core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.5,
-				Scheme: core.SchemeEMF.String(), EMFMaxIter: 40},
-			Buckets: 16, Shards: 4,
+		tn, err := reg.CreateSpec(name, core.Spec{
+			Task: core.TaskMean, Eps: 1, Eps0: 0.5,
+			Scheme: core.SchemeEMF.String(), EMFMaxIter: 40,
+			Serve: &core.ServeSpec{Buckets: 16, Shards: 4},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -39,13 +39,14 @@ func NewRegistry() *Registry {
 	return &Registry{tenants: make(map[string]*Tenant)}
 }
 
-// Create builds, registers and starts a tenant. It fails when the name is
-// invalid or already taken.
-func (r *Registry) Create(name string, cfg Config) (*Tenant, error) {
+// CreateSpec builds, registers and starts a tenant from a task spec,
+// honouring its Serve section. It fails when the name is invalid or
+// already taken.
+func (r *Registry) CreateSpec(name string, sp core.Spec) (*Tenant, error) {
 	if !tenantName.MatchString(name) {
 		return nil, fmt.Errorf("stream: invalid tenant name %q", name)
 	}
-	t, err := NewTenant(name, cfg)
+	t, err := NewTenantSpec(name, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -82,16 +83,6 @@ func (r *Registry) Create(name string, cfg Config) (*Tenant, error) {
 	r.tenants[name] = t
 	r.mu.Unlock()
 	return t, nil
-}
-
-// CreateSpec builds, registers and starts a tenant directly from a task
-// spec, honouring its Serve section.
-func (r *Registry) CreateSpec(name string, sp core.Spec) (*Tenant, error) {
-	cfg, err := ConfigFromSpec(sp)
-	if err != nil {
-		return nil, err
-	}
-	return r.Create(name, cfg)
 }
 
 // Get returns the named tenant.

@@ -62,6 +62,14 @@ func TestEffectiveSpecPinned(t *testing.T) {
 		if string(got) != tc.want {
 			t.Errorf("%s: effective spec\n got %s\nwant %s", tc.name, got, tc.want)
 		}
+		// Recovery rebuilds a tenant from its effective spec: a fixed point.
+		again, err := stream.ConfigFromSpec(tn.Spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if js, _ := json.Marshal(again); string(js) != string(got) {
+			t.Errorf("%s: effective spec is not a fixed point\n got %s\nwant %s", tc.name, js, got)
+		}
 	}
 }
 

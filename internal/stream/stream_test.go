@@ -16,16 +16,16 @@ import (
 	"repro/internal/stream"
 )
 
-func meanConfig() stream.Config {
-	return stream.Config{
-		Spec: core.NewSpec(core.MeanTask(), core.WithBudget(1, 0.25),
-			core.WithScheme(core.SchemeEMFStar)),
-	}
+// meanSpec is the mean task most tenant tests run, with serve as its
+// serve section.
+func meanSpec(serve core.ServeSpec) core.Spec {
+	return core.NewSpec(core.MeanTask(), core.WithBudget(1, 0.25),
+		core.WithScheme(core.SchemeEMFStar), core.WithServe(serve))
 }
 
-func newMeanTenant(t *testing.T, cfg stream.Config) *stream.Tenant {
+func newMeanTenant(t *testing.T, sp core.Spec) *stream.Tenant {
 	t.Helper()
-	tn, err := stream.NewTenant("t", cfg)
+	tn, err := stream.NewTenantSpec("t", sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,19 +68,19 @@ func itoa(i int) string {
 }
 
 func TestParsers(t *testing.T) {
-	if m, err := stream.ParseWindowMode("sliding"); err != nil || m != stream.Sliding {
-		t.Fatalf("ParseWindowMode(sliding) = %v, %v", m, err)
+	sp, err := stream.ConfigFromSpec(meanSpec(core.ServeSpec{Window: "Sliding", Span: 3}))
+	if err != nil || sp.Serve.Window != "sliding" || sp.Serve.Span != 3 {
+		t.Fatalf("ConfigFromSpec(window Sliding) = %+v, %v", sp.Serve, err)
 	}
-	if _, err := stream.ParseWindowMode("bogus"); err == nil {
+	if _, err := stream.ConfigFromSpec(meanSpec(core.ServeSpec{Window: "bogus"})); err == nil {
 		t.Fatal("bad mode accepted")
 	}
 }
 
 func TestConfigDefaultsAndValidation(t *testing.T) {
-	tn := newMeanTenant(t, meanConfig())
-	cfg := tn.Config()
-	if cfg.Shards != 8 || cfg.ExpectedUsers != 4096 || cfg.Window.Span != 1 {
-		t.Fatalf("defaults not applied: %+v", cfg)
+	tn := newMeanTenant(t, meanSpec(core.ServeSpec{}))
+	if s := tn.Spec().Serve; s.Shards != 8 || s.ExpectedUsers != 4096 || s.Span != 1 {
+		t.Fatalf("defaults not applied: %+v", s)
 	}
 	// Per-group resolutions follow the paper's rule on the expected split;
 	// a sealed epoch's histograms carry them.
@@ -105,37 +105,12 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 			t.Fatalf("resolutions should grow with report volume: %v", bkt)
 		}
 	}
-	// Tumbling forces span 1.
-	c := meanConfig()
-	c.Window = stream.WindowConfig{Mode: stream.Tumbling, Span: 5}
-	if tn := newMeanTenant(t, c); tn.Config().Window.Span != 1 {
-		t.Fatal("tumbling span not forced to 1")
-	}
-	for _, bad := range []stream.Config{
-		{Spec: core.Spec{Task: core.TaskFrequency, Eps: 1, Eps0: 0.5}}, // K missing
-		{Spec: core.Spec{Task: core.TaskMean, Eps: -1, Eps0: 0.5}},     // bad budgets
-		{Spec: core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.5}, Shards: -1},
-		// Engine fields set directly obey the spec's serve bounds, so a
-		// durable tenant's persisted spec always re-validates on recovery.
-		{Spec: core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.5}, Shards: core.MaxServeShards + 1},
-		{Spec: core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.5}, Buckets: core.MaxServeBuckets + 2},
-		{Spec: core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.5}, ExpectedUsers: core.MaxServeExpectedUsers + 1},
-		{Spec: core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.5},
-			Window: stream.WindowConfig{Mode: stream.Sliding, Span: core.MaxServeSpan + 1}},
-		{Spec: core.Spec{Task: "nope", Eps: 1, Eps0: 0.5}},            // unknown task
-		{Spec: core.Spec{Task: core.TaskVariance, Eps: 1, Eps0: 0.5}}, // not streamable
-	} {
-		if _, err := stream.NewTenant("x", bad); err == nil {
-			t.Fatalf("invalid config accepted: %+v", bad)
-		}
-	}
-	if _, err := stream.NewTenant("", meanConfig()); err == nil {
-		t.Fatal("empty name accepted")
-	}
+	// The effective spec recreates the tenant: TestEffectiveSpecPinned
+	// pins its bytes, TestBadSpecRejected what no tenant is built from.
 }
 
 func TestJoinRoundRobin(t *testing.T) {
-	tn := newMeanTenant(t, meanConfig())
+	tn := newMeanTenant(t, meanSpec(core.ServeSpec{}))
 	h := len(tn.Groups())
 	seen := map[int]int{}
 	for i := 0; i < 3*h; i++ {
@@ -192,7 +167,7 @@ type ingestState struct {
 // whole table as a single IngestBatch — each on a fresh tenant. Every
 // entry must put every step in its wanted error class and leave the same
 // ledger, counts and estimate behind; that state is returned.
-func runIngestTable(t *testing.T, cfg stream.Config, steps []ingestStep) ingestState {
+func runIngestTable(t *testing.T, sp core.Spec, steps []ingestStep) ingestState {
 	t.Helper()
 	batch := make([]stream.BatchEntry, len(steps))
 	for i, st := range steps {
@@ -220,7 +195,7 @@ func runIngestTable(t *testing.T, cfg stream.Config, steps []ingestStep) ingestS
 	}
 	var first ingestState
 	for k, entry := range entries {
-		tn := newMeanTenant(t, cfg)
+		tn := newMeanTenant(t, sp)
 		for i, err := range entry.run(tn) {
 			if got := errClass(err); got != steps[i].want {
 				t.Errorf("%s: step %q ended %s (%v), want %s", entry.name, steps[i].name, got, err, steps[i].want)
@@ -242,8 +217,8 @@ func runIngestTable(t *testing.T, cfg stream.Config, steps []ingestStep) ingestS
 }
 
 func TestIngestValidation(t *testing.T) {
-	dom := pmDomain(t, newMeanTenant(t, meanConfig()).Groups()[0].Eps)
-	state := runIngestTable(t, meanConfig(), []ingestStep{
+	dom := pmDomain(t, newMeanTenant(t, meanSpec(core.ServeSpec{})).Groups()[0].Eps)
+	state := runIngestTable(t, meanSpec(core.ServeSpec{}), []ingestStep{
 		{"empty user", "", 0, []float64{0}, "invalid"},
 		{"bad group", "u", 9, []float64{0}, "invalid"},
 		{"negative group", "u", -1, []float64{0}, "invalid"},
@@ -276,7 +251,7 @@ func pmDomain(t *testing.T, eps float64) float64 {
 }
 
 func TestIngestGroupBindingAndBudget(t *testing.T) {
-	state := runIngestTable(t, meanConfig(), []ingestStep{
+	state := runIngestTable(t, meanSpec(core.ServeSpec{}), []ingestStep{
 		{"first report binds u to group 0", "u", 0, []float64{0.1}, "ok"},
 		{"cross-group report", "u", 1, []float64{0.1}, "wrong-group"},
 		// Group 0 costs ε per report; u's budget is exhausted.
@@ -296,9 +271,7 @@ func TestIngestGroupBindingAndBudget(t *testing.T) {
 }
 
 func TestFreqIngestValidation(t *testing.T) {
-	state := runIngestTable(t, stream.Config{
-		Spec: core.Spec{Task: core.TaskFrequency, Eps: 1, Eps0: 0.5, K: 4},
-	}, []ingestStep{
+	state := runIngestTable(t, core.Spec{Task: core.TaskFrequency, Eps: 1, Eps0: 0.5, K: 4}, []ingestStep{
 		{"category K", "u", 0, []float64{4}, "domain"},
 		{"negative category", "u", 0, []float64{-1}, "domain"},
 		{"fractional category", "u", 0, []float64{1.5}, "domain"},
@@ -313,9 +286,7 @@ func TestFreqIngestValidation(t *testing.T) {
 func TestRotateTumblingAndSliding(t *testing.T) {
 	r := rng.New(1)
 	// Tumbling: each epoch estimated on its own.
-	c := meanConfig()
-	c.ExpectedUsers = 300
-	tumb := newMeanTenant(t, c)
+	tumb := newMeanTenant(t, meanSpec(core.ServeSpec{ExpectedUsers: 300}))
 	fillTenant(t, tumb, r, 100, -0.5, 0.1)
 	snap, err := tumb.Rotate()
 	if err != nil {
@@ -353,10 +324,7 @@ func TestRotateTumblingAndSliding(t *testing.T) {
 	}
 
 	// Sliding span 2: the second window covers both epochs.
-	c = meanConfig()
-	c.ExpectedUsers = 300
-	c.Window = stream.WindowConfig{Mode: stream.Sliding, Span: 2}
-	slide := newMeanTenant(t, c)
+	slide := newMeanTenant(t, meanSpec(core.ServeSpec{ExpectedUsers: 300, Window: "sliding", Span: 2}))
 	fillTenant(t, slide, r, 100, -0.5, 0.1)
 	if snap, err = slide.Rotate(); err != nil {
 		t.Fatal(err)
@@ -393,9 +361,7 @@ func TestRotateTumblingAndSliding(t *testing.T) {
 
 func TestEstimateLiveAndCached(t *testing.T) {
 	r := rng.New(2)
-	c := meanConfig()
-	c.ExpectedUsers = 300
-	tn := newMeanTenant(t, c)
+	tn := newMeanTenant(t, meanSpec(core.ServeSpec{ExpectedUsers: 300}))
 	if _, err := tn.Estimate(false); err == nil {
 		t.Fatal("cached estimate before any rotation")
 	}
@@ -424,10 +390,7 @@ func TestEstimateLiveAndCached(t *testing.T) {
 
 func TestEpochClock(t *testing.T) {
 	r := rng.New(3)
-	c := meanConfig()
-	c.ExpectedUsers = 300
-	c.Window = stream.WindowConfig{Mode: stream.Tumbling, Epoch: 10 * time.Millisecond}
-	tn := newMeanTenant(t, c)
+	tn := newMeanTenant(t, meanSpec(core.ServeSpec{ExpectedUsers: 300, Window: "tumbling", EpochMs: 10}))
 	fillTenant(t, tn, r, 100, -0.5, 0.1)
 	tn.Start()
 	defer tn.Stop()
@@ -451,20 +414,20 @@ func TestEpochClock(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	reg := stream.NewRegistry()
-	a, err := reg.Create("alpha", meanConfig())
+	a, err := reg.CreateSpec("alpha", meanSpec(core.ServeSpec{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Create("alpha", meanConfig()); err == nil {
+	if _, err := reg.CreateSpec("alpha", meanSpec(core.ServeSpec{})); err == nil {
 		t.Fatal("duplicate tenant accepted")
 	}
-	if _, err := reg.Create("bad name!", meanConfig()); err == nil {
+	if _, err := reg.CreateSpec("bad name!", meanSpec(core.ServeSpec{})); err == nil {
 		t.Fatal("invalid name accepted")
 	}
-	if _, err := reg.Create("x", stream.Config{Spec: core.Spec{Task: core.TaskMean, Eps: -1, Eps0: 1}}); err == nil {
+	if _, err := reg.CreateSpec("x", core.Spec{Task: core.TaskMean, Eps: -1, Eps0: 1}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	b, err := reg.Create("beta", stream.Config{Spec: core.Spec{Task: core.TaskFrequency, Eps: 1, Eps0: 0.5, K: 3}})
+	b, err := reg.CreateSpec("beta", core.Spec{Task: core.TaskFrequency, Eps: 1, Eps0: 0.5, K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,10 +450,9 @@ func TestRegistry(t *testing.T) {
 func TestCrossTenantIsolation(t *testing.T) {
 	r := rng.New(4)
 	reg := stream.NewRegistry()
-	cfg := meanConfig()
-	cfg.ExpectedUsers = 300
-	a, _ := reg.Create("a", cfg)
-	b, _ := reg.Create("b", cfg)
+	sp := meanSpec(core.ServeSpec{ExpectedUsers: 300})
+	a, _ := reg.CreateSpec("a", sp)
+	b, _ := reg.CreateSpec("b", sp)
 	fillTenant(t, a, r, 120, -0.8, -0.4)
 	fillTenant(t, b, r, 120, 0.4, 0.8)
 	// Same user ids were used in both tenants: budgets are independent.
@@ -519,10 +481,8 @@ func TestCrossTenantIsolation(t *testing.T) {
 // estimate out.
 func TestFreqTenantEndToEnd(t *testing.T) {
 	r := rng.New(6)
-	tn, err := stream.NewTenant("f", stream.Config{
-		Spec: core.NewSpec(core.FrequencyTask(4), core.WithBudget(2, 1),
-			core.WithScheme(core.SchemeEMFStar)),
-	})
+	tn, err := stream.NewTenantSpec("f", core.NewSpec(core.FrequencyTask(4), core.WithBudget(2, 1),
+		core.WithScheme(core.SchemeEMFStar)))
 	if err != nil {
 		t.Fatal(err)
 	}

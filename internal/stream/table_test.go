@@ -23,10 +23,9 @@ import (
 // and histograms coarse enough that any value in [-1,1] is valid.
 func tableTenant(t *testing.T, expectedUsers int) *stream.Tenant {
 	t.Helper()
-	tn, err := stream.NewTenant("table", stream.Config{
-		Spec: core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.25,
-			Scheme: core.SchemeEMF.String()},
-		Buckets: 16, Shards: 4, ExpectedUsers: expectedUsers,
+	tn, err := stream.NewTenantSpec("table", core.Spec{
+		Task: core.TaskMean, Eps: 1, Eps0: 0.25, Scheme: core.SchemeEMF.String(),
+		Serve: &core.ServeSpec{Buckets: 16, Shards: 4, ExpectedUsers: expectedUsers},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,10 +132,9 @@ func TestSameUserConcurrentCharge(t *testing.T) {
 	t.Run("rebind", func(t *testing.T) {
 		interleaved := 0
 		for round := 0; round < 50; round++ {
-			tn, err := stream.NewTenant("rebind", stream.Config{
-				Spec: core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 1.0 / 16,
-					Scheme: core.SchemeEMF.String()},
-				Buckets: 16, Shards: 4,
+			tn, err := stream.NewTenantSpec("rebind", core.Spec{
+				Task: core.TaskMean, Eps: 1, Eps0: 1.0 / 16, Scheme: core.SchemeEMF.String(),
+				Serve: &core.ServeSpec{Buckets: 16, Shards: 4},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -246,9 +244,9 @@ func TestFloodedStripeIngest(t *testing.T) {
 // users, the repository benchmark's scale).
 func BenchmarkIngestBatchNewUsers(b *testing.B) {
 	const batch, idLen = 200, 19
-	tn, err := stream.NewTenant("new-users", stream.Config{
-		Spec:          core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.25},
-		ExpectedUsers: 1 << 19, Shards: 8,
+	tn, err := stream.NewTenantSpec("new-users", core.Spec{
+		Task: core.TaskMean, Eps: 1, Eps0: 0.25,
+		Serve: &core.ServeSpec{ExpectedUsers: 1 << 19, Shards: 8},
 	})
 	if err != nil {
 		b.Fatal(err)

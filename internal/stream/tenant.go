@@ -62,8 +62,10 @@ type epochHist struct {
 // accountant, per-group sharded live histograms, a ring of sealed epochs
 // and the cached window estimate.
 type Tenant struct {
-	name   string
-	cfg    Config
+	name string
+	// spec is the effective spec (ConfigFromSpec); its Serve section is
+	// the tenant's own copy and never changes.
+	spec   core.Spec
 	est    core.Streamable
 	groups []core.Group
 	// acct is the one per-user table: each user's record holds the group
@@ -90,7 +92,7 @@ type Tenant struct {
 	// the live shard sets and sealing the epoch.
 	mu     sync.RWMutex
 	live   []*shardSet
-	sealed []epochHist // newest last; len ≤ cfg.Window.Span
+	sealed []epochHist // newest last; len ≤ spec.Serve.Span
 	seq    uint64
 	// onSeal, when set (guarded by mu), receives each live seal's
 	// EpochDelta — the merge-plane export. Fired by rotate after the
@@ -103,7 +105,7 @@ type Tenant struct {
 
 	cached atomic.Pointer[Snapshot]
 	// warm is the EM-fit state of the latest estimate, seeding the next
-	// re-estimation when cfg.Warm is on (epoch-to-epoch warm start). Any
+	// re-estimation when spec.Serve.Warm is on (epoch-to-epoch warm start). Any
 	// recent estimate is a valid seed, so the pointer is simply last-write
 	// -wins.
 	warm atomic.Pointer[core.WarmState]
@@ -119,28 +121,29 @@ type Tenant struct {
 	lastRotate atomic.Int64
 }
 
-// NewTenant builds a tenant from cfg (defaults filled, see Config). The
-// task spec goes through core.Build — the same construction path as batch
-// estimation — so any spec that estimates in batch estimates here, and
-// any spec Build rejects is rejected here with the same ErrBadSpec.
-func NewTenant(name string, cfg Config) (*Tenant, error) {
+// NewTenantSpec builds a tenant from a task spec, honouring its Serve
+// section (defaults filled, see ConfigFromSpec). The task spec goes
+// through core.Build — the same construction path as batch estimation — so
+// any spec that estimates in batch estimates here, and any spec Build
+// rejects is rejected here with the same ErrBadSpec.
+func NewTenantSpec(name string, sp core.Spec) (*Tenant, error) {
 	if name == "" {
 		return nil, errors.New("stream: tenant name must be non-empty")
 	}
-	cfg, err := cfg.normalize()
+	sp, err := ConfigFromSpec(sp)
 	if err != nil {
 		return nil, err
 	}
-	est, err := core.Build(cfg.Spec)
+	est, err := core.Build(sp)
 	if err != nil {
 		return nil, err
 	}
 	streamable, ok := est.(core.Streamable)
 	if !ok {
 		return nil, fmt.Errorf("%w: task %q cannot run as a stream tenant",
-			core.ErrBadSpec, cfg.Spec.Task)
+			core.ErrBadSpec, sp.Task)
 	}
-	t := &Tenant{name: name, cfg: cfg, est: streamable}
+	t := &Tenant{name: name, spec: sp, est: streamable}
 	t.met = bindTenantMetrics(name)
 	t.groups = streamable.Groups()
 	h := len(t.groups)
@@ -149,48 +152,39 @@ func NewTenant(name string, cfg Config) (*Tenant, error) {
 	// chunks with the batch collector's exact rounding, group t reporting
 	// 2^t times — so a window collected at the expected scale estimates at
 	// the same resolution the batch path would have picked.
+	serve := sp.Serve
 	t.bkt = make([]int, h)
 	for i := range t.groups {
 		switch {
-		case cfg.Spec.Task == core.TaskFrequency:
-			t.bkt[i] = cfg.Spec.K
-		case cfg.Buckets > 0:
-			t.bkt[i] = cfg.Buckets
+		case sp.Task == core.TaskFrequency:
+			t.bkt[i] = sp.K
+		case serve.Buckets > 0:
+			t.bkt[i] = serve.Buckets
 		default:
-			users := (i+1)*cfg.ExpectedUsers/h - i*cfg.ExpectedUsers/h
+			users := (i+1)*serve.ExpectedUsers/h - i*serve.ExpectedUsers/h
 			t.bkt[i] = emf.OutputBuckets(users * t.groups[i].Reports)
 		}
 	}
-	if cfg.Spec.Task != core.TaskFrequency {
+	if sp.Task != core.TaskFrequency {
 		t.disc = make([]ldp.Discretizer, h)
 		for i := range t.groups {
 			t.disc[i] = ldp.NewDiscretizer(t.est.OutputDomain(i), t.bkt[i])
 		}
 	}
-	t.acct, err = privacy.NewAccountant(cfg.Spec.Eps)
+	t.acct, err = privacy.NewAccountant(sp.Eps)
 	if err != nil {
 		return nil, err
 	}
-	t.acct.Reserve(cfg.ExpectedUsers)
+	t.acct.Reserve(serve.ExpectedUsers)
 	t.live = t.freshLive()
 	return t, nil
-}
-
-// NewTenantSpec builds a tenant directly from a task spec, honouring its
-// Serve section — the one-call spec→tenant path.
-func NewTenantSpec(name string, sp core.Spec) (*Tenant, error) {
-	cfg, err := ConfigFromSpec(sp)
-	if err != nil {
-		return nil, err
-	}
-	return NewTenant(name, cfg)
 }
 
 // freshLive allocates one empty shard set per group.
 func (t *Tenant) freshLive() []*shardSet {
 	live := make([]*shardSet, len(t.groups))
 	for i := range live {
-		live[i] = newShardSet(t.cfg.Shards, t.bkt[i])
+		live[i] = newShardSet(t.spec.Serve.Shards, t.bkt[i])
 	}
 	return live
 }
@@ -199,14 +193,16 @@ func (t *Tenant) freshLive() []*shardSet {
 func (t *Tenant) Name() string { return t.name }
 
 // Kind returns the tenant's task kind.
-func (t *Tenant) Kind() core.TaskKind { return t.cfg.Spec.Task }
+func (t *Tenant) Kind() core.TaskKind { return t.spec.Task }
 
-// Config returns the effective (normalized) configuration.
-func (t *Tenant) Config() Config { return t.cfg }
-
-// Spec returns the tenant's task spec with a Serve section reflecting the
-// effective engine configuration — enough to recreate the tenant.
-func (t *Tenant) Spec() core.Spec { return t.cfg.SpecWithServe() }
+// Spec returns the tenant's effective spec (see ConfigFromSpec) — enough
+// to recreate the tenant.
+func (t *Tenant) Spec() core.Spec {
+	sp := t.spec
+	serve := *sp.Serve // the caller's copy; the tenant's own never changes
+	sp.Serve = &serve
+	return sp
+}
 
 // Groups returns the group layout.
 func (t *Tenant) Groups() []core.Group { return append([]core.Group(nil), t.groups...) }
@@ -375,7 +371,7 @@ var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMode) {
 	sc := scratchPool.Get().(*ingestScratch)
 	staged, arena, locks := sc.staged[:0], sc.arena[:0], &sc.locks
-	nsh := t.cfg.Shards
+	nsh := t.spec.Serve.Shards
 	t.mu.RLock()
 	for i := range entries {
 		e := &entries[i]
@@ -506,13 +502,13 @@ func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMod
 func (t *Tenant) appendIndices(idx []int, group int, values []float64) ([]int, error) {
 	base := len(idx)
 	idx = slices.Grow(idx, len(values))
-	if t.cfg.Spec.Task == core.TaskFrequency {
-		k := float64(t.cfg.Spec.K)
+	if t.spec.Task == core.TaskFrequency {
+		k := float64(t.spec.K)
 		for _, v := range values {
 			c := int(v)
 			if v != float64(c) || v < 0 || v >= k {
 				return idx[:base], fmt.Errorf("%w: %g is not a category in [0,%d)",
-					core.ErrDomain, v, t.cfg.Spec.K)
+					core.ErrDomain, v, t.spec.K)
 			}
 			idx = append(idx, c)
 		}
@@ -584,7 +580,7 @@ func (t *Tenant) sealLocked() *EpochDelta {
 	}
 	t.live = t.freshLive()
 	t.sealed = append(t.sealed, eh)
-	if over := len(t.sealed) - t.cfg.Window.Span; over > 0 {
+	if over := len(t.sealed) - t.spec.Serve.Span; over > 0 {
 		t.sealed = append([]epochHist(nil), t.sealed[over:]...)
 	}
 	t.seq++
@@ -725,7 +721,7 @@ func (t *Tenant) estimateWindow(window []epochHist, liveHist *epochHist, seq uin
 		merge(liveHist)
 	}
 	ctx := context.Background()
-	if t.cfg.Warm {
+	if t.spec.Serve.Warm {
 		ctx = core.WithWarm(ctx, t.warm.Load())
 	}
 	start := time.Now() //dapvet:nondeterministic-ok duration metric, not estimate state
@@ -736,12 +732,12 @@ func (t *Tenant) estimateWindow(window []epochHist, liveHist *epochHist, seq uin
 		return nil, err
 	}
 	t.met.warmHits.Add(uint64(res.WarmHits))
-	if t.cfg.Warm && res.Warm != nil {
+	if t.spec.Serve.Warm && res.Warm != nil {
 		t.warm.Store(res.Warm)
 	}
 	return &Snapshot{
 		Tenant:  t.name,
-		Task:    t.cfg.Spec.Task,
+		Task:    t.spec.Task,
 		Epoch:   seq,
 		Live:    live,
 		At:      time.Now(), //dapvet:nondeterministic-ok snapshot wall-clock stamp, not estimate state
@@ -776,10 +772,10 @@ type Status struct {
 func (t *Tenant) Status() Status {
 	st := Status{
 		Name:   t.name,
-		Task:   t.cfg.Spec.Task,
-		Eps:    t.cfg.Spec.Eps,
-		Eps0:   t.cfg.Spec.Eps0,
-		Scheme: t.cfg.Spec.Scheme,
+		Task:   t.spec.Task,
+		Eps:    t.spec.Eps,
+		Eps0:   t.spec.Eps0,
+		Scheme: t.spec.Scheme,
 		Users:  t.Joined(),
 	}
 	st.Reporters = t.acct.Users()
@@ -799,13 +795,14 @@ func (t *Tenant) Status() Status {
 	return st
 }
 
-// Start launches the epoch clock when the configuration carries one
-// (Window.Epoch > 0): the tenant rotates itself every epoch, keeping the
+// Start launches the epoch clock when the spec carries one
+// (serve.epoch_ms > 0): the tenant rotates itself every epoch, keeping the
 // cached estimate at most one epoch stale. Rotation errors (typically an
 // empty window during warm-up) leave the previous cache in place. Start is
 // a no-op for clockless tenants and when the clock already runs.
 func (t *Tenant) Start() {
-	if t.cfg.Window.Epoch <= 0 {
+	epoch := time.Duration(t.spec.Serve.EpochMs) * time.Millisecond
+	if epoch <= 0 {
 		return
 	}
 	t.clockMu.Lock()
@@ -817,7 +814,7 @@ func (t *Tenant) Start() {
 	t.done = make(chan struct{})
 	go func(stop, done chan struct{}) {
 		defer close(done)
-		tick := time.NewTicker(t.cfg.Window.Epoch)
+		tick := time.NewTicker(epoch)
 		defer tick.Stop()
 		for {
 			select {

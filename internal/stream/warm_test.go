@@ -19,12 +19,9 @@ func warmTenantPair(t *testing.T) (warm, cold *stream.Tenant) {
 	t.Helper()
 	const n = 1800
 	mk := func(warmOn bool) *stream.Tenant {
-		tn, err := stream.NewTenant(map[bool]string{true: "warm", false: "cold"}[warmOn], stream.Config{
-			Spec: core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.25,
-				Scheme: core.SchemeEMFStar.String()},
-			ExpectedUsers: n, Shards: 1,
-			Window: stream.WindowConfig{Mode: stream.Sliding, Span: 8},
-			Warm:   warmOn,
+		tn, err := stream.NewTenantSpec(map[bool]string{true: "warm", false: "cold"}[warmOn], core.Spec{
+			Task: core.TaskMean, Eps: 1, Eps0: 0.25, Scheme: core.SchemeEMFStar.String(),
+			Serve: &core.ServeSpec{ExpectedUsers: n, Shards: 1, Window: "sliding", Span: 8, Warm: warmOn},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -98,9 +95,9 @@ func TestTenantWarmRotation(t *testing.T) {
 // The warm flag round-trips through the spec's Serve section, so a tenant
 // recreated from Spec() keeps its warm-start behaviour.
 func TestWarmServeSpecRoundTrip(t *testing.T) {
-	tn, err := stream.NewTenant("w", stream.Config{
-		Spec:          core.Spec{Task: core.TaskMean, Eps: 1},
-		ExpectedUsers: 256, Warm: true,
+	tn, err := stream.NewTenantSpec("w", core.Spec{
+		Task: core.TaskMean, Eps: 1,
+		Serve: &core.ServeSpec{ExpectedUsers: 256, Warm: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +110,7 @@ func TestWarmServeSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tn2.Config().Warm {
+	if !tn2.Spec().Serve.Warm {
 		t.Fatal("recreated tenant lost the warm flag")
 	}
 }
@@ -124,9 +121,9 @@ func TestIngestSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; guard applies to production builds")
 	}
-	tn, err := stream.NewTenant("a", stream.Config{
-		Spec:          core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.25},
-		ExpectedUsers: 4096, Shards: 4,
+	tn, err := stream.NewTenantSpec("a", core.Spec{
+		Task: core.TaskMean, Eps: 1, Eps0: 0.25,
+		Serve: &core.ServeSpec{ExpectedUsers: 4096, Shards: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +174,9 @@ func TestIngestBatchSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; guard applies to production builds")
 	}
-	tn, err := stream.NewTenant("batch", stream.Config{
-		Spec:          core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 1.0 / 64},
-		ExpectedUsers: 8192, Shards: 4,
+	tn, err := stream.NewTenantSpec("batch", core.Spec{
+		Task: core.TaskMean, Eps: 1, Eps0: 1.0 / 64,
+		Serve: &core.ServeSpec{ExpectedUsers: 8192, Shards: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -222,9 +219,9 @@ func scrapeDefault(t *testing.T) *metrics.Scrape {
 }
 
 func BenchmarkIngest(b *testing.B) {
-	tn, err := stream.NewTenant("b", stream.Config{
-		Spec:          core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 1.0 / 1024},
-		ExpectedUsers: 1 << 16, Shards: 8,
+	tn, err := stream.NewTenantSpec("b", core.Spec{
+		Task: core.TaskMean, Eps: 1, Eps0: 1.0 / 1024,
+		Serve: &core.ServeSpec{ExpectedUsers: 1 << 16, Shards: 8},
 	})
 	if err != nil {
 		b.Fatal(err)

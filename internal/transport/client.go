@@ -374,19 +374,3 @@ func (tc *TenantClient) Rotate(ctx context.Context) (*EstimateResponse, error) {
 	}
 	return &out, nil
 }
-
-// SubmitPoison performs a Byzantine round: join, then upload the given
-// poison values directly (clamped to the report slot limit).
-func (tc *TenantClient) SubmitPoison(ctx context.Context, values []float64) (*JoinResponse, error) {
-	join, err := tc.Join(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if len(values) > join.Group.Reports {
-		values = values[:join.Group.Reports]
-	}
-	if err := tc.Report(ctx, join.User, join.Group.Index, values); err != nil {
-		return nil, err
-	}
-	return join, nil
-}

@@ -63,7 +63,7 @@ type distNode struct {
 
 func newDistNode(t *testing.T, id string, coord *Client) *distNode {
 	t.Helper()
-	srv, err := NewServerOpts(stream.Config{Spec: distSpec()}, ServerOptions{})
+	srv, err := NewServerOpts(distSpec(), ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func newDistNode(t *testing.T, id string, coord *Client) *distNode {
 // retrying client for it — the client nodes push through.
 func newCoordServer(t *testing.T, co *stream.Coordinator) *Client {
 	t.Helper()
-	srv, err := NewServerOpts(stream.Config{Spec: distSpec()}, ServerOptions{Coordinator: co})
+	srv, err := NewServerOpts(distSpec(), ServerOptions{Coordinator: co})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestDistributedEquivalence(t *testing.T) {
 	}
 
 	// Reference: one collector sees the whole stream.
-	refSrv, err := NewServerOpts(stream.Config{Spec: distSpec()}, ServerOptions{})
+	refSrv, err := NewServerOpts(distSpec(), ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/store"
-	"repro/internal/stream"
 )
 
 // durableServerSpec keeps warm start off so recovered estimates are a pure
@@ -42,7 +41,7 @@ func newDurableServer(t *testing.T, dir string, flaky *store.Flaky, opts ServerO
 		t.Fatal(err)
 	}
 	opts.Store = st
-	srv, err := NewServerOpts(mustConfig(t), opts)
+	srv, err := NewServerOpts(durableServerSpec(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +216,7 @@ func TestAsyncRecoverGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServerOpts(mustConfig(t), ServerOptions{Store: st, AsyncRecover: true})
+	srv, err := NewServerOpts(durableServerSpec(), ServerOptions{Store: st, AsyncRecover: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +311,7 @@ func TestStoreDownDegradedMode(t *testing.T) {
 
 // TestIngestBodyLimit asserts oversized ingest bodies fail fast with 413.
 func TestIngestBodyLimit(t *testing.T) {
-	srv, err := NewServerOpts(mustConfig(t), ServerOptions{MaxIngestBytes: 512})
+	srv, err := NewServerOpts(durableServerSpec(), ServerOptions{MaxIngestBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,15 +345,6 @@ func TestIngestBodyLimit(t *testing.T) {
 	if err := c.Tenant(DefaultTenant).Report(context.Background(), j.User, j.Group.Index, vals); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func mustConfig(t *testing.T) stream.Config {
-	t.Helper()
-	cfg, err := stream.ConfigFromSpec(durableServerSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cfg
 }
 
 // TestClientRetry asserts the retry loop: 5xx responses and their

@@ -90,7 +90,7 @@ func producerReports(t *testing.T, groups []core.Group, n int) []ReportRequest {
 // -wire json sends), and json.Marshal(IngestRequest) as the benchmark's
 // generator encodes it — and it decodes to what encoding/json gives.
 func TestJSONProducersTakeFastPath(t *testing.T) {
-	srv, err := NewServerOpts(mustConfig(t), ServerOptions{})
+	srv, err := NewServerOpts(durableServerSpec(), ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func postJSON(t *testing.T, url string, body io.Reader) (int, string) {
 // but whitespace after the value, and apply nothing, so a second batch
 // concatenated to the first is never dropped silently.
 func TestJSONTrailingDataRejected(t *testing.T) {
-	srv, err := NewServerOpts(mustConfig(t), ServerOptions{})
+	srv, err := NewServerOpts(durableServerSpec(), ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestJSONTrailingDataRejected(t *testing.T) {
 // MaxIngestBytes answers 413 on both JSON routes — the limit holds while
 // the body is read whole, not only on the declared-length fast fail.
 func TestJSONChunkedBodyLimit(t *testing.T) {
-	srv, err := NewServerOpts(mustConfig(t), ServerOptions{MaxIngestBytes: 512})
+	srv, err := NewServerOpts(durableServerSpec(), ServerOptions{MaxIngestBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

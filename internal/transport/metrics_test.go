@@ -280,7 +280,7 @@ func TestIngestedSurvivesRotation(t *testing.T) {
 // and gauges the hot path writes, so this is the -race coverage for the
 // whole registry.
 func TestMetricsScrapeWhileIngesting(t *testing.T) {
-	srv, err := NewServerOpts(mustConfig(t), ServerOptions{})
+	srv, err := NewServerOpts(durableServerSpec(), ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestMetricsAgreeWithAdminDuringRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServerOpts(mustConfig(t), ServerOptions{Store: st, AsyncRecover: true})
+	srv, err := NewServerOpts(durableServerSpec(), ServerOptions{Store: st, AsyncRecover: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestMetricsAgreeWithAdminWhenDegraded(t *testing.T) {
 // when ServerOptions.Pprof is set.
 func TestPprofMount(t *testing.T) {
 	for _, on := range []bool{false, true} {
-		srv, err := NewServerOpts(mustConfig(t), ServerOptions{Pprof: on})
+		srv, err := NewServerOpts(durableServerSpec(), ServerOptions{Pprof: on})
 		if err != nil {
 			t.Fatal(err)
 		}

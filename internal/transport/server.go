@@ -18,8 +18,8 @@ import (
 )
 
 // DefaultTenant is the tenant every collector boots with (built from the
-// configuration NewServerOpts is given) and the one a UDP frame with an
-// empty tenant field addresses. It cannot be deleted.
+// spec NewServerOpts is given) and the one a UDP frame with an empty
+// tenant field addresses. It cannot be deleted.
 const DefaultTenant = "default"
 
 // maxIngestErrors caps the per-entry rejection reasons echoed back from a
@@ -84,18 +84,18 @@ type Server struct {
 	udpAddr atomic.Pointer[string]
 }
 
-// NewServerOpts builds a collector from an engine configuration plus
+// NewServerOpts builds a collector whose default tenant serves sp, plus
 // deployment options. With opts.Store the registry is recovered from disk
 // (a recovered "default" tenant keeps its durable spec — the one it was
-// created with — over cfg); without, the server is ephemeral.
-func NewServerOpts(cfg stream.Config, opts ServerOptions) (*Server, error) {
+// created with — over sp); without, the server is ephemeral.
+func NewServerOpts(sp core.Spec, opts ServerOptions) (*Server, error) {
 	if opts.MaxIngestBytes == 0 {
 		opts.MaxIngestBytes = defaultMaxIngestBytes
 	}
 	s := &Server{opts: opts}
 	if opts.Store == nil {
 		reg := stream.NewRegistry()
-		if _, err := reg.Create(DefaultTenant, cfg); err != nil {
+		if _, err := reg.CreateSpec(DefaultTenant, sp); err != nil {
 			return nil, err
 		}
 		s.install(reg, nil)
@@ -103,10 +103,10 @@ func NewServerOpts(cfg stream.Config, opts ServerOptions) (*Server, error) {
 	}
 	s.recovering.Store(true)
 	if opts.AsyncRecover {
-		go func() { _ = s.recover(cfg) }()
+		go func() { _ = s.recover(sp) }()
 		return s, nil
 	}
-	if err := s.recover(cfg); err != nil {
+	if err := s.recover(sp); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -115,7 +115,7 @@ func NewServerOpts(cfg stream.Config, opts ServerOptions) (*Server, error) {
 // recover rebuilds the registry from the store and installs it. On
 // failure the 503 gate stays up and the error is surfaced on the admin
 // status endpoint.
-func (s *Server) recover(cfg stream.Config) error {
+func (s *Server) recover(sp core.Spec) error {
 	start := time.Now()
 	reg, rep, err := stream.Recover(s.opts.Store)
 	if err != nil {
@@ -125,7 +125,7 @@ func (s *Server) recover(cfg stream.Config) error {
 		return err
 	}
 	if _, ok := reg.Get(DefaultTenant); !ok {
-		if _, err = reg.Create(DefaultTenant, cfg); err != nil {
+		if _, err = reg.CreateSpec(DefaultTenant, sp); err != nil {
 			msg := err.Error()
 			s.recoverErr.Store(&msg)
 			slog.Error("boot recovery failed", "dir", s.opts.Store.Dir(), "err", err)
@@ -315,20 +315,17 @@ func decodeStatus(err error) int {
 }
 
 func configResponse(t *stream.Tenant) ConfigResponse {
-	cfg := t.Config()
 	sp := t.Spec()
+	serve := sp.Serve
 	out := ConfigResponse{
 		Eps: sp.Eps, Eps0: sp.Eps0, Scheme: sp.Scheme,
-		Kind: t.Kind().String(), K: sp.K, Shards: cfg.Shards,
-		WindowMode: cfg.Window.Mode.String(), WindowSpan: cfg.Window.Span,
-		EpochMs: cfg.Window.Epoch.Milliseconds(),
-		Spec:    &sp,
+		Kind: t.Kind().String(), K: sp.K, Shards: serve.Shards,
+		WindowMode: serve.Window, WindowSpan: serve.Span,
+		EpochMs: serve.EpochMs, Wire: serve.Wire,
+		Spec: &sp,
 	}
 	if t.Kind() != core.TaskFrequency {
-		out.Buckets = cfg.Buckets
-	}
-	if sp.Serve != nil {
-		out.Wire = sp.Serve.Wire
+		out.Buckets = serve.Buckets
 	}
 	for _, g := range t.Groups() {
 		out.Groups = append(out.Groups, GroupInfo{Index: g.Index, Eps: g.Eps, Reports: g.Reports})

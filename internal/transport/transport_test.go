@@ -18,8 +18,8 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *Client) {
 	t.Helper()
-	srv, err := NewServerOpts(stream.Config{Spec: core.NewSpec(core.MeanTask(),
-		core.WithBudget(1, 0.25), core.WithScheme(core.SchemeEMFStar))}, ServerOptions{})
+	srv, err := NewServerOpts(core.NewSpec(core.MeanTask(),
+		core.WithBudget(1, 0.25), core.WithScheme(core.SchemeEMFStar)), ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,21 +196,8 @@ func TestEstimateFailsOnEmptyCollection(t *testing.T) {
 	}
 }
 
-func TestSubmitPoisonClamps(t *testing.T) {
-	_, c := newTestServer(t)
-	ctx := context.Background()
-	vals := make([]float64, 64) // longer than any group's slot count
-	j, err := c.Tenant(DefaultTenant).SubmitPoison(ctx, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Group.Reports > 64 {
-		t.Fatal("unexpected group layout")
-	}
-}
-
 func TestServerRejectsBadParams(t *testing.T) {
-	bad := stream.Config{Spec: core.Spec{Task: core.TaskMean, Eps: -1, Eps0: 1}}
+	bad := core.Spec{Task: core.TaskMean, Eps: -1, Eps0: 1}
 	if _, err := NewServerOpts(bad, ServerOptions{}); err == nil {
 		t.Fatal("bad params accepted")
 	}
@@ -372,7 +359,7 @@ func TestBatchIngestAndRotate(t *testing.T) {
 // takes a bounded body holding a spec whose serve section and group count
 // are bounded (the server keeps answering after each rejection).
 func TestAddressingAndCreateRejections(t *testing.T) {
-	srv, err := NewServerOpts(mustConfig(t), ServerOptions{MaxIngestBytes: 512})
+	srv, err := NewServerOpts(durableServerSpec(), ServerOptions{MaxIngestBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@
 //	GET        /v1/admin/status, /metrics       operations
 //
 // A collector boots with one tenant, DefaultTenant, built from the
-// configuration NewServerOpts is given. The UDP wire carries the tenant
+// spec NewServerOpts is given. The UDP wire carries the tenant
 // name in the frame instead (empty = DefaultTenant).
 package transport
 

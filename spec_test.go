@@ -422,7 +422,7 @@ func TestSpecEndToEnd(t *testing.T) {
 
 	// (3) Wire: the same spec becomes a tenant over HTTP; the identical
 	// reports flow through batched ingest.
-	srv, err := transport.NewServerOpts(stream.Config{Spec: core.NewSpec(core.MeanTask())}, transport.ServerOptions{})
+	srv, err := transport.NewServerOpts(core.NewSpec(core.MeanTask()), transport.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
