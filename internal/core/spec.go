@@ -346,8 +346,7 @@ func windowMode(s string) (canonical string, ok bool) {
 
 // Normalize fills the spec's defaulted fields (mechanism, scheme, weights,
 // ε₀, the baseline split, the serve window name) and returns the effective
-// spec. It does not
-// validate; Build and Validate call it internally.
+// spec. It does not validate; Build and Validate call it internally.
 func (sp Spec) Normalize() Spec {
 	if sp.Task == "" {
 		sp.Task = TaskMean

@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -67,16 +68,6 @@ func itoa(i int) string {
 	return string(b)
 }
 
-func TestParsers(t *testing.T) {
-	sp, err := stream.ConfigFromSpec(meanSpec(core.ServeSpec{Window: "Sliding", Span: 3}))
-	if err != nil || sp.Serve.Window != "sliding" || sp.Serve.Span != 3 {
-		t.Fatalf("ConfigFromSpec(window Sliding) = %+v, %v", sp.Serve, err)
-	}
-	if _, err := stream.ConfigFromSpec(meanSpec(core.ServeSpec{Window: "bogus"})); err == nil {
-		t.Fatal("bad mode accepted")
-	}
-}
-
 func TestConfigDefaultsAndValidation(t *testing.T) {
 	tn := newMeanTenant(t, meanSpec(core.ServeSpec{}))
 	if s := tn.Spec().Serve; s.Shards != 8 || s.ExpectedUsers != 4096 || s.Span != 1 {
@@ -105,8 +96,102 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 			t.Fatalf("resolutions should grow with report volume: %v", bkt)
 		}
 	}
-	// The effective spec recreates the tenant: TestEffectiveSpecPinned
-	// pins its bytes, TestBadSpecRejected what no tenant is built from.
+	sp := core.Spec{Task: core.TaskMean, Eps: 1, Eps0: 0.5}
+	serve := func(s core.ServeSpec) core.Spec {
+		sp := sp
+		sp.Serve = &s
+		return sp
+	}
+	for _, bad := range []core.Spec{
+		{Task: core.TaskFrequency, Eps: 1, Eps0: 0.5}, // K missing
+		{Task: core.TaskMean, Eps: -1, Eps0: 0.5},     // bad budgets
+		{Task: "nope", Eps: 1, Eps0: 0.5},             // unknown task
+		{Task: core.TaskVariance, Eps: 1, Eps0: 0.5},  // not streamable
+		serve(core.ServeSpec{Shards: -1}),
+		serve(core.ServeSpec{Buckets: -2}),
+		serve(core.ServeSpec{ExpectedUsers: -1}),
+		serve(core.ServeSpec{Span: -1}),
+		serve(core.ServeSpec{EpochMs: -1}),
+		serve(core.ServeSpec{EpochMs: math.MaxInt64}), // overflows time.Duration
+		serve(core.ServeSpec{Shards: core.MaxServeShards + 1}),
+		serve(core.ServeSpec{Buckets: core.MaxServeBuckets + 2}),
+		serve(core.ServeSpec{ExpectedUsers: core.MaxServeExpectedUsers + 1}),
+		serve(core.ServeSpec{Window: "sliding", Span: core.MaxServeSpan + 1}),
+		serve(core.ServeSpec{Window: "bogus"}),
+		serve(core.ServeSpec{Wire: "carrier-pigeon"}),
+	} {
+		if _, err := stream.NewTenantSpec("x", bad); !errors.Is(err, core.ErrBadSpec) {
+			js, _ := json.Marshal(bad)
+			t.Errorf("spec %s: err = %v, want ErrBadSpec", js, err)
+		}
+	}
+	if _, err := stream.NewTenantSpec("", sp); err == nil {
+		t.Fatal("empty name accepted")
+	}
+}
+
+// TestEffectiveSpecPinned pins the effective spec a tenant reports for a
+// range of serve sections. These bytes are what a durable tenant's
+// create record, its snapshots and GET /v1/tenants/{tenant}/config carry,
+// so a store written by an older collector must recover to exactly the
+// same tenant: a change here is a change to the on-disk format.
+func TestEffectiveSpecPinned(t *testing.T) {
+	mean := func(s *core.ServeSpec) core.Spec {
+		sp := core.NewSpec(core.MeanTask(), core.WithBudget(1, 0.25),
+			core.WithScheme(core.SchemeEMFStar))
+		sp.Serve = s
+		return sp
+	}
+	for _, tc := range []struct {
+		name string
+		sp   core.Spec
+		want string
+	}{
+		{"no serve", mean(nil),
+			`{"task":"mean","mechanism":"pm","scheme":"EMF*","weights":"paper","eps":1,"eps0":0.25,"serve":{"expected_users":4096,"shards":8,"window":"tumbling","span":1}}`},
+		{"shards only", mean(&core.ServeSpec{Shards: 4}),
+			`{"task":"mean","mechanism":"pm","scheme":"EMF*","weights":"paper","eps":1,"eps0":0.25,"serve":{"expected_users":4096,"shards":4,"window":"tumbling","span":1}}`},
+		{"full sliding", mean(&core.ServeSpec{
+			ExpectedUsers: 2000, Shards: 2, Window: "sliding", Span: 3,
+			EpochMs: 250, Warm: true, Wire: "bin", UDPAddr: "127.0.0.1:9200",
+		}),
+			`{"task":"mean","mechanism":"pm","scheme":"EMF*","weights":"paper","eps":1,"eps0":0.25,"serve":{"expected_users":2000,"shards":2,"window":"sliding","span":3,"epoch_ms":250,"warm":true,"wire":"bin","udp_addr":"127.0.0.1:9200"}}`},
+		{"fixed", mean(&core.ServeSpec{Window: "fixed"}),
+			`{"task":"mean","mechanism":"pm","scheme":"EMF*","weights":"paper","eps":1,"eps0":0.25,"serve":{"expected_users":4096,"shards":8,"window":"tumbling","span":1}}`},
+		{"SLIDING", mean(&core.ServeSpec{Window: "SLIDING", Span: 2}),
+			`{"task":"mean","mechanism":"pm","scheme":"EMF*","weights":"paper","eps":1,"eps0":0.25,"serve":{"expected_users":4096,"shards":8,"window":"sliding","span":2}}`},
+		{"buckets 7", mean(&core.ServeSpec{Buckets: 7}),
+			`{"task":"mean","mechanism":"pm","scheme":"EMF*","weights":"paper","eps":1,"eps0":0.25,"serve":{"buckets":8,"expected_users":4096,"shards":8,"window":"tumbling","span":1}}`},
+		{"buckets 13", mean(&core.ServeSpec{Buckets: 13}),
+			`{"task":"mean","mechanism":"pm","scheme":"EMF*","weights":"paper","eps":1,"eps0":0.25,"serve":{"buckets":12,"expected_users":4096,"shards":8,"window":"tumbling","span":1}}`},
+		{"tumbling span 5", mean(&core.ServeSpec{Window: "tumbling", Span: 5}),
+			`{"task":"mean","mechanism":"pm","scheme":"EMF*","weights":"paper","eps":1,"eps0":0.25,"serve":{"expected_users":4096,"shards":8,"window":"tumbling","span":1}}`},
+		{"frequency", core.Spec{Task: core.TaskFrequency, Eps: 1, Eps0: 0.5, K: 3,
+			Serve: &core.ServeSpec{Buckets: 13, Window: "Sliding", Span: 4}},
+			`{"task":"frequency","mechanism":"krr","scheme":"CEMF*","weights":"paper","eps":1,"eps0":0.5,"k":3,"serve":{"buckets":12,"expected_users":4096,"shards":8,"window":"sliding","span":4}}`},
+		{"distribution", core.Spec{Task: core.TaskDistribution, Eps: 2},
+			`{"task":"distribution","mechanism":"sw","scheme":"CEMF*","weights":"paper","eps":2,"eps0":0.125,"serve":{"expected_users":4096,"shards":8,"window":"tumbling","span":1}}`},
+	} {
+		tn, err := stream.NewTenantSpec("t", tc.sp)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := json.Marshal(tn.Spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s: effective spec\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		// Recovery rebuilds a tenant from its effective spec: a fixed point.
+		again, err := stream.ConfigFromSpec(tn.Spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if js, _ := json.Marshal(again); string(js) != string(got) {
+			t.Errorf("%s: effective spec is not a fixed point\n got %s\nwant %s", tc.name, js, got)
+		}
+	}
 }
 
 func TestJoinRoundRobin(t *testing.T) {

@@ -105,9 +105,9 @@ type Tenant struct {
 
 	cached atomic.Pointer[Snapshot]
 	// warm is the EM-fit state of the latest estimate, seeding the next
-	// re-estimation when spec.Serve.Warm is on (epoch-to-epoch warm start). Any
-	// recent estimate is a valid seed, so the pointer is simply last-write
-	// -wins.
+	// re-estimation when spec.Serve.Warm is on (epoch-to-epoch warm
+	// start). Any recent estimate is a valid seed, so the pointer is
+	// simply last-write-wins.
 	warm atomic.Pointer[core.WarmState]
 
 	clockMu sync.Mutex
