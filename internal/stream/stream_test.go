@@ -172,9 +172,13 @@ func TestEffectiveSpecPinned(t *testing.T) {
 		{"distribution", core.Spec{Task: core.TaskDistribution, Eps: 2},
 			`{"task":"distribution","mechanism":"sw","scheme":"CEMF*","weights":"paper","eps":2,"eps0":0.125,"serve":{"expected_users":4096,"shards":8,"window":"tumbling","span":1}}`},
 	} {
+		given, _ := json.Marshal(tc.sp)
 		tn, err := stream.NewTenantSpec("t", tc.sp)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if after, _ := json.Marshal(tc.sp); string(after) != string(given) {
+			t.Errorf("%s: the caller's spec changed to %s", tc.name, after)
 		}
 		got, err := json.Marshal(tn.Spec())
 		if err != nil {
