@@ -15,10 +15,9 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific invariant linter (cmd/dapvet): determinism of the
-# estimation path, lock ordering against the store, privacy-budget
-# charge-before-mutate, hot-path allocation hygiene, error taxonomy and
-# metrics registration rules. Violations are fixed or carry a justified
-# //dapvet:<rule>-ok annotation; see DESIGN.md "Static analysis".
+# estimation and replay paths, lock ordering against the store, and
+# privacy-budget charge-before-mutate. Violations are fixed or carry a
+# justified //dapvet:<rule>-ok annotation; see DESIGN.md "Static analysis".
 dapvet:
 	$(GO) run ./cmd/dapvet ./...
 

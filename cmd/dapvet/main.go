@@ -1,8 +1,8 @@
 // Command dapvet runs the repository's invariant linter: a stdlib-only
 // static-analysis pass (internal/lint) that machine-checks the contracts
-// the implementation depends on — deterministic estimate/replay paths,
-// allocation-free hot paths, mutex ordering, charge-then-refund budget
-// accounting, the typed error taxonomy, and metrics registration hygiene.
+// the collector's numbers depend on — deterministic estimate/replay
+// paths, mutex ordering against the store, and charge-then-refund budget
+// accounting.
 //
 // Usage:
 //

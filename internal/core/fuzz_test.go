@@ -3,14 +3,17 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 )
 
 // FuzzSpecJSON feeds arbitrary JSON to the task-spec decoder: unmarshal
-// must never panic, and any spec that passes Validate must marshal to a
-// fixed point — unmarshal ∘ marshal is the identity and validity is
-// preserved, so specs logged in the WAL (RecTenantCreate) re-validate on
-// recovery exactly as they did at creation.
+// must never panic, every Validate rejection must wrap ErrBadSpec (the
+// sentinel the tenant-create route maps to 400), and any spec that passes
+// Validate must marshal to a fixed point — unmarshal ∘ marshal is the
+// identity and validity is preserved, so specs logged in the WAL
+// (RecTenantCreate) re-validate on recovery exactly as they did at
+// creation.
 func FuzzSpecJSON(f *testing.F) {
 	for _, s := range []Spec{
 		{Task: TaskMean, Eps: 1},
@@ -32,7 +35,10 @@ func FuzzSpecJSON(f *testing.F) {
 			return
 		}
 		if err := sp.Validate(); err != nil {
-			return // invalid specs are rejected uniformly; nothing to preserve
+			if !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("Validate rejection does not wrap ErrBadSpec: %v", err)
+			}
+			return
 		}
 		out, err := json.Marshal(sp)
 		if err != nil {

@@ -184,8 +184,6 @@ const ln2 = 6.93147180559945286227e-01
 // NOTE: the E-step loops in emf.go inline this body by hand (it exceeds
 // the compiler's inline budget and the call overhead is measurable there);
 // keep the copies in eStepDense/eStepBanded in sync with any change here.
-//
-//dapvet:hotpath
 func fastLog(x float64) float64 {
 	bits := math.Float64bits(x)
 	e := int((bits>>52)&0x7ff) - 1023

@@ -261,8 +261,6 @@ func (s *state) eStep(dense bool) float64 {
 // each row's denominator, log-likelihood contribution, Px accumulation and
 // Py update happen while the row is hot in cache. Rows with zero observed
 // count contribute nothing and are skipped.
-//
-//dapvet:hotpath
 func (s *state) eStepDense() float64 {
 	m := s.m
 	d := m.D
@@ -319,8 +317,6 @@ func (s *state) eStepDense() float64 {
 // the per-row division and logarithm issue back-to-back (throughput-bound)
 // instead of serializing on each row's dependency chain; all scratch
 // arrays are ≤ D′ floats and stay L1-resident.
-//
-//dapvet:hotpath
 func (s *state) eStepBanded() float64 {
 	m := s.m
 	b := m.band
@@ -400,8 +396,6 @@ func (s *state) eStepBanded() float64 {
 // delta0·(X[hi−1] − X[lo+1]) over the prefix sums X of x̂, and the Px
 // scatter becomes two edge writes plus a difference-array update, so one
 // EM iteration costs O(D + D′) independent of the band width.
-//
-//dapvet:hotpath
 func (s *state) eStepBandedRegular() float64 {
 	m := s.m
 	b := m.band
@@ -484,8 +478,6 @@ func (s *state) eStepBandedRegular() float64 {
 // mStepEMF is Algorithm 2's M-step: joint normalization of Px and Py.
 // One reciprocal replaces the D+|P| divisions of the literal form — at
 // ~10⁷ normalizations per harness run the divider latency is visible.
-//
-//dapvet:hotpath
 func (s *state) mStepEMF() {
 	total := s.sumPx + s.sumPy
 	if total <= 0 {

@@ -309,7 +309,8 @@ func TestWarmStartResurrectsZeroedMass(t *testing.T) {
 	}
 }
 
-// The per-iteration path of the solver must stay allocation-free in both
+// The per-iteration path of the solver must stay allocation-free for
+// each E-step kind (dense, ragged banded, regular banded) and in both
 // modes: a run at 8× the iteration budget may not allocate more than a
 // short run (the Result copies and closures are per-run constants).
 func TestRunIterationsAllocFree(t *testing.T) {
@@ -317,20 +318,47 @@ func TestRunIterationsAllocFree(t *testing.T) {
 		t.Skip("race instrumentation allocates; guard applies to production builds")
 	}
 	r := rng.New(9)
-	sc := makeScenario(t, r, 0.25, 20000, 0.25, -1, 0, 0.5, 1)
-	poison := sc.matrix.PoisonRight(0)
-	for _, accel := range []bool{false, true} {
-		run := func(maxIter int) float64 {
-			return testing.AllocsPerRun(20, func() {
-				if _, err := Run(sc.matrix, sc.counts, poison, Config{MaxIter: maxIter, Tol: 1e-12, Accelerate: accel}); err != nil {
-					t.Fatal(err)
-				}
-			})
+	pmSc := makeScenario(t, r, 0.25, 20000, 0.25, -1, 0, 0.5, 1)
+	pmPoison := pmSc.matrix.PoisonRight(0)
+	swMech := sw.MustNew(1)
+	swM, err := BuildNumeric(swMech, 64, 64) // bucket edges off the window grid: a ragged band
+	if err != nil {
+		t.Fatal(err)
+	}
+	swReports := make([]float64, 5000)
+	for i := range swReports {
+		swReports[i] = swMech.Perturb(r, rng.Uniform(r, 0, 0.5))
+	}
+	for _, tc := range []struct {
+		name    string
+		m       *Matrix
+		counts  []float64
+		poison  []int
+		dense   bool
+		regular bool
+	}{
+		{"dense", pmSc.matrix, pmSc.counts, pmPoison, true, false},
+		{"banded", swM, swM.Counts(swReports), swM.PoisonRight(0.5), false, false},
+		{"banded-regular", pmSc.matrix, pmSc.counts, pmPoison, false, true},
+	} {
+		if !tc.dense && (!tc.m.Banded() || tc.m.band.regular != tc.regular) {
+			t.Fatalf("%s: matrix does not take this E-step (banded=%v)", tc.name, tc.m.Banded())
 		}
-		run(4) // warm the state pool
-		short, long := run(8), run(64)
-		if long > short+1 {
-			t.Errorf("accel=%v: iterations allocate: %v allocs at 8 iters vs %v at 64", accel, short, long)
+		for _, accel := range []bool{false, true} {
+			cfg := Config{Tol: 1e-12, Accelerate: accel, Dense: tc.dense}
+			run := func(maxIter int) float64 {
+				cfg.MaxIter = maxIter
+				return testing.AllocsPerRun(20, func() {
+					if _, err := Run(tc.m, tc.counts, tc.poison, cfg); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			run(4) // warm the state pool
+			short, long := run(8), run(64)
+			if long > short+1 {
+				t.Errorf("%s accel=%v: iterations allocate: %v allocs at 8 iters vs %v at 64", tc.name, accel, short, long)
+			}
 		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 //     error return inside the append's error branch that skips
 //     Record.Refund leaks budget the tenant never got durability for.
 //
-// The shard/shardSet methods themselves are the mutation primitives and
-// are exempt; the rule binds their callers.
+// The shard's own methods are exempt — addLocked is the mutation
+// primitive; the rule binds its callers.
 var analyzerBudget = &Analyzer{
 	Name: "budget",
 	Doc:  "histogram mutation must follow an Accountant charge; failed appends after a charge must refund",
@@ -37,9 +37,8 @@ func runBudget(p *Package, r *Reporter) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			switch recvName(fd) {
-			case "shard", "shardSet":
-				continue // the mutation primitives themselves
+			if recvName(fd) == "shard" {
+				continue // the mutation primitive itself
 			}
 			checkBudgetFn(p, r, fd)
 		}
@@ -72,18 +71,7 @@ func checkBudgetFn(p *Package, r *Reporter, fd *ast.FuncDecl) {
 		return isCall(call, "Accountant.SpendN", "Accountant.Charge")
 	}
 	isRefund := func(call *ast.CallExpr) bool { return isCall(call, "Record.Refund") }
-	isMutate := func(call *ast.CallExpr) bool {
-		fn := p.callee(call)
-		if fn == nil {
-			return false
-		}
-		switch recvNamed(fn) {
-		case "shard", "shardSet":
-		default:
-			return false
-		}
-		return fn.Name() == "add" || fn.Name() == "addLocked"
-	}
+	isMutate := func(call *ast.CallExpr) bool { return isCall(call, "shard.addLocked") }
 	isAppend := func(call *ast.CallExpr) bool {
 		fn := p.callee(call)
 		return fn != nil && recvNamed(fn) == "Store" && strings.HasPrefix(fn.Name(), "Append")

@@ -19,7 +19,7 @@ import (
 // internal/stream. The check covers everything statically reachable from
 // an entry within its package. Wall-clock reads that do not feed the
 // estimate (metric timings, snapshot timestamps) are annotated
-// //dapvet:nondeterministic-ok with a justification.
+// //dapvet:determinism-ok with a justification.
 var analyzerDeterminism = &Analyzer{
 	Name: "determinism",
 	Doc:  "estimate/replay paths must not use time.Now, math/rand, or map-order float accumulation",

@@ -9,10 +9,6 @@ import (
 
 // The //dapvet: directive grammar (no space after //, like //go: ones):
 //
-//	//dapvet:hotpath
-//	    On a function's doc comment: the function is a declared
-//	    allocation-free hot path and the hotpath rules apply to its body.
-//
 //	//dapvet:scrape
 //	    On a function's doc comment: the function runs at metrics-scrape
 //	    time; the lockorder rule forbids it (and everything it calls in
@@ -22,9 +18,8 @@ import (
 //	    Suppresses one rule's findings. On a function's doc comment it
 //	    covers the whole function; on or above a source line it covers
 //	    that line. The justification is mandatory — an unexplained
-//	    suppression is itself a finding. Suppression tokens:
-//	    nondeterministic-ok (determinism), hotpath-ok, lockorder-ok,
-//	    budget-ok, errtaxonomy-ok, metricshygiene-ok.
+//	    suppression is itself a finding. Suppression tokens are the rule
+//	    names with an -ok suffix: determinism-ok, lockorder-ok, budget-ok.
 //
 // Anything else after //dapvet: is a malformed directive and reported
 // under the "directive" rule, so typos fail the build instead of
@@ -39,14 +34,8 @@ type suppression struct {
 
 // suppressionRule maps a directive token to the rule it suppresses.
 func suppressionRule(word string) (string, bool) {
-	if !strings.HasSuffix(word, "-ok") {
-		return "", false
-	}
-	name := strings.TrimSuffix(word, "-ok")
-	if name == "nondeterministic" {
-		name = "determinism"
-	}
-	return name, AnalyzerNames()[name]
+	name, ok := strings.CutSuffix(word, "-ok")
+	return name, ok && AnalyzerNames()[name]
 }
 
 // suppressed reports whether a finding of rule at pos is covered by a
@@ -61,7 +50,7 @@ func (p *Package) suppressed(rule string, pos token.Position) bool {
 }
 
 // scanDirectives parses every //dapvet: comment in the file, attaching
-// hotpath/scrape markers to their functions, recording suppressions and
+// scrape markers to their functions, recording suppressions and
 // reporting malformed directives.
 func (p *Package) scanDirectives(file *ast.File) {
 	docOwner := make(map[*ast.CommentGroup]*ast.FuncDecl)
@@ -86,12 +75,6 @@ func (p *Package) scanDirectives(file *ast.File) {
 			word, arg, _ := strings.Cut(text, " ")
 			arg = strings.TrimSpace(arg)
 			switch word {
-			case "hotpath":
-				if owner == nil {
-					bad(c.Pos(), "//dapvet:hotpath must sit on a function's doc comment")
-					continue
-				}
-				p.hot[owner] = true
 			case "scrape":
 				if owner == nil {
 					bad(c.Pos(), "//dapvet:scrape must sit on a function's doc comment")

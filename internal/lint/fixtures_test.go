@@ -24,11 +24,8 @@ var fixtureCases = []struct {
 	path string
 }{
 	{"determinism.go", "repro/internal/stream"},
-	{"hotpath.go", "repro/internal/stream"},
 	{"lockorder.go", "repro/internal/stream"},
 	{"budget.go", "repro/internal/stream"},
-	{"errtaxonomy.go", "repro/internal/core"},
-	{"metricshygiene.go", "repro/internal/stream"},
 	{"directive.go", "repro/internal/stream"},
 }
 

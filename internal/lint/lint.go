@@ -1,20 +1,20 @@
 // Package lint is dapvet's engine: a stdlib-only static-analysis pass
 // (go/parser + go/ast + go/types, export data via `go list -export`) that
-// machine-checks the repository's correctness contracts. Each contract
-// that previous PRs established in prose or by a test that happens to hit
-// it — deterministic estimate/replay paths, allocation-free hot paths,
-// store-mutex ordering, charge-then-refund budget accounting, the typed
-// error taxonomy, init-time metric registration — is encoded as an
-// analyzer that fails the build when the contract is broken.
+// machine-checks the two contracts DAP's numbers rest on. Replaying the
+// WAL must give the same estimate bit for bit (determinism, plus lockorder
+// so recovery and scrapes cannot deadlock against the store), and each
+// user's ε must be charged before the report lands (budget). Properties a
+// runtime test can observe on the real binary — allocation counts, error
+// classes, metric registration — are left to those tests.
 //
 // The analyzers are deliberately idiom-anchored: they match the repo's
 // naming conventions (an `Accountant` with SpendN/Charge, a `Store` with
-// Append*, `shard.addLocked`, `*Vec.With`) rather than reimplementing a
-// whole-program escape or alias analysis. That keeps the pass fast,
-// dependency-free and reviewable, at the cost of being a lint, not a
-// proof — intentional deviations are annotated in source with the
-// `//dapvet:*` directive grammar (see directive.go) and carry a written
-// justification that dapvet itself enforces.
+// Append*, `shard.addLocked`) rather than reimplementing a whole-program
+// escape or alias analysis. That keeps the pass fast, dependency-free and
+// reviewable, at the cost of being a lint, not a proof — intentional
+// deviations are annotated in source with the `//dapvet:*` directive
+// grammar (see directive.go) and carry a written justification that
+// dapvet itself enforces.
 package lint
 
 import (
@@ -53,11 +53,8 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		analyzerDeterminism,
-		analyzerHotpath,
 		analyzerLockOrder,
 		analyzerBudget,
-		analyzerErrTaxonomy,
-		analyzerMetricsHygiene,
 	}
 }
 

@@ -40,7 +40,6 @@ type Package struct {
 	Info *types.Info
 
 	supp          []suppression
-	hot           map[*ast.FuncDecl]bool
 	scrape        map[*ast.FuncDecl]bool
 	badDirectives []Finding
 }
@@ -171,7 +170,6 @@ func check(fset *token.FileSet, imp types.ImporterFrom, path, dir string, filena
 			Uses:       make(map[*ast.Ident]types.Object),
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		},
-		hot:    make(map[*ast.FuncDecl]bool),
 		scrape: make(map[*ast.FuncDecl]bool),
 	}
 	for _, name := range filenames {

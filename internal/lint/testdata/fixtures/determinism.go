@@ -51,5 +51,5 @@ func notAnEntryPoint() time.Time {
 
 // estimateAnnotated shows the justified escape hatch.
 func estimateAnnotated() {
-	_ = time.Now() //dapvet:nondeterministic-ok timing metric, not estimate state
+	_ = time.Now() //dapvet:determinism-ok timing metric, not estimate state
 }

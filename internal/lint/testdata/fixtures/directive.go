@@ -5,21 +5,25 @@
 // point one line up.
 package stream
 
-//dapvet:hotpth typo in the directive name
+//dapvet:scrap typo in the directive name
 var misspelled int // want(-1) directive "unknown dapvet directive"
 
 //dapvet:lockorder-ok
 var unjustified int // want(-1) directive "needs a justification"
 
-//dapvet:hotpath
+//dapvet:scrape
 var notAFunction int // want(-1) directive "must sit on a function's doc comment"
 
-//dapvet:hotpath
+//dapvet:allocfree-ok a suppression must name a rule dapvet has
+var noSuchRule int // want(-1) directive "unknown dapvet directive"
+
+//dapvet:scrape
 func properlyAnnotated() {}
 
 func body() {
 	_ = misspelled
 	_ = unjustified
 	_ = notAFunction
+	_ = noSuchRule
 	properlyAnnotated()
 }

@@ -55,13 +55,9 @@ func (f *Float) Load() float64 { return math.Float64frombits(f.bits.Load()) }
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
-//
-//dapvet:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
-//
-//dapvet:hotpath
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
@@ -71,13 +67,9 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 type Gauge struct{ v Float }
 
 // Set replaces the value.
-//
-//dapvet:hotpath
 func (g *Gauge) Set(v float64) { g.v.Store(v) }
 
 // Add adds delta (negative to subtract).
-//
-//dapvet:hotpath
 func (g *Gauge) Add(delta float64) { g.v.Add(delta) }
 
 // Value returns the current value.
@@ -116,8 +108,6 @@ func newHistogram(bounds []float64) *Histogram {
 // Observe records one observation. The linear bound scan is deliberate:
 // bucket lists are short (≤ ~16) and the scan is branch-predictable,
 // beating a binary search at this size — and it allocates nothing.
-//
-//dapvet:hotpath
 func (h *Histogram) Observe(v float64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {

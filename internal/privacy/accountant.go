@@ -64,8 +64,6 @@ const (
 // assignment. Placement inside a table stripe uses a per-Accountant
 // maphash seed instead, so crafted ids can crowd a stripe's lock but not
 // degrade its lookups.
-//
-//dapvet:hotpath
 func Hash(id string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -177,8 +175,6 @@ func (p *tableStripe) entry(k uint32, h uint64) uint32 {
 // find probes for id, whose seeded hash is h. It returns the id's record
 // and the slot holding it, or nil and the empty slot an insert would take.
 // The index must exist.
-//
-//dapvet:hotpath
 func (p *tableStripe) find(id string, h uint64) (*Record, int) {
 	mask := len(p.index) - 1
 	low := uint32(mask)
@@ -383,8 +379,6 @@ func (a *Accountant) Bind(id string, group int) (r *Record, hash uint64, bound i
 // Binds. Each run first loads the home index slot of all its entries, so
 // that their cache misses overlap, then binds them one by one. A single
 // entry is cheaper through Bind, which goes straight to its stripe.
-//
-//dapvet:hotpath
 func (a *Accountant) BindBatch(n int, at func(k int) *Binding) {
 	var head, tail [stripes]*Binding
 	for k := range n {

@@ -321,28 +321,46 @@ func TestLongIDRoundTrip(t *testing.T) {
 	}
 }
 
-// Binding a new user allocates nothing of its own: records and ids go
-// into chunks shared by hundreds of users.
+// Binding a new user allocates nothing of its own, one at a time through
+// Bind or a batch at a time through BindBatch: records and ids go into
+// chunks shared by hundreds of users. A batch of known users allocates
+// nothing at all.
 func TestBindFreshAllocFree(t *testing.T) {
 	const runs, batch = 20, 1000
 	ids := make([]string, (runs+1)*batch) // built outside the measurement
 	for i := range ids {
 		ids[i] = "user-" + strconv.Itoa(1e12+i)
 	}
-	a, _ := NewAccountant(1)
-	a.Reserve(len(ids))
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		for _, id := range ids[next : next+batch] {
-			a.Bind(id, 0)
+	bs := make([]Binding, batch)
+	at := func(k int) *Binding { return &bs[k] }
+	for _, viaBatch := range []bool{false, true} {
+		a, _ := NewAccountant(1)
+		a.Reserve(len(ids))
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			if viaBatch {
+				for k := range bs {
+					bs[k] = Binding{User: ids[next+k]}
+				}
+				a.BindBatch(batch, at)
+			} else {
+				for _, id := range ids[next : next+batch] {
+					a.Bind(id, 0)
+				}
+			}
+			next += batch
+		})
+		if perUser := allocs / batch; perUser >= 0.05 {
+			t.Fatalf("batch=%v: %.3f allocations per new user, want < 0.05", viaBatch, perUser)
 		}
-		next += batch
-	})
-	if perUser := allocs / batch; perUser >= 0.05 {
-		t.Fatalf("%.3f allocations per new user, want < 0.05", perUser)
-	}
-	if n := len(a.Bindings()); n != len(ids) {
-		t.Fatalf("%d users bound, want %d", n, len(ids))
+		if n := len(a.Bindings()); n != len(ids) {
+			t.Fatalf("batch=%v: %d users bound, want %d", viaBatch, n, len(ids))
+		}
+		if viaBatch { // bs still holds the last batch: all known now
+			if allocs := testing.AllocsPerRun(runs, func() { a.BindBatch(batch, at) }); allocs != 0 {
+				t.Fatalf("a batch of known users allocates %v times, want 0", allocs)
+			}
+		}
 	}
 }
 

@@ -313,7 +313,7 @@ func (c *Coordinator) Apply(frame []byte) (MergeResult, error) {
 	if err := ct.checkShape(d); err != nil {
 		return MergeResult{}, err
 	}
-	now := c.now() //dapvet:nondeterministic-ok straggler/liveness clock, not estimate state
+	now := c.now() //dapvet:determinism-ok straggler/liveness clock, not estimate state
 	ns.lastSeen = now
 	if d.Epoch > ns.lastEpoch {
 		ns.lastEpoch = d.Epoch
@@ -465,7 +465,7 @@ func (c *Coordinator) publishLocked(ct *coordTenant, e uint64, partial bool) {
 	degraded := partial || e != ct.published+1
 	ct.published = e
 	ct.degraded = degraded
-	ct.lastPublish = c.now() //dapvet:nondeterministic-ok lag gauge input, not estimate state
+	ct.lastPublish = c.now() //dapvet:determinism-ok lag gauge input, not estimate state
 	window := append([]epochHist(nil), ct.window...)
 	snap, err := t.estimateWindow(window, nil, e, false)
 	ct.lastErr = err
@@ -483,7 +483,7 @@ func (c *Coordinator) publishLocked(ct *coordTenant, e uint64, partial bool) {
 // clock.
 func (c *Coordinator) Tick() {
 	c.mu.Lock()
-	now := c.now() //dapvet:nondeterministic-ok straggler clock, not estimate state
+	now := c.now() //dapvet:determinism-ok straggler clock, not estimate state
 	for _, name := range c.tenantNamesLocked() {
 		c.advanceLocked(c.tenants[name], now)
 	}

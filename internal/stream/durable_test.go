@@ -1,6 +1,8 @@
 package stream_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ldp/krr"
 	"repro/internal/ldp/pm"
 	"repro/internal/privacy"
 	"repro/internal/rng"
@@ -401,6 +404,157 @@ func TestDurableTenantLifecycle(t *testing.T) {
 	if rep.Tenants != 1 {
 		t.Errorf("recovered %d tenants, want 1", rep.Tenants)
 	}
+}
+
+// TestRecoverFrequencySpecWithBuckets: older collectors kept serve.buckets
+// in a frequency tenant's effective spec, although k-RR histograms always
+// have k buckets, so their create records and snapshots carry it. Such a
+// store — WAL only, or with a snapshot — must recover to the same counts,
+// estimates and ledger, with the field gone from the recovered spec.
+func TestRecoverFrequencySpecWithBuckets(t *testing.T) {
+	// The effective spec such a collector logged, byte for byte.
+	legacy := []byte(`{"task":"frequency","mechanism":"krr","scheme":"EMF","weights":"paper","eps":1,"eps0":0.5,"k":3,"emf_max_iter":40,"serve":{"buckets":12,"expected_users":4096,"shards":4,"window":"sliding","span":2}}`)
+	var sp core.Spec
+	if err := json.Unmarshal(legacy, &sp); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := stream.NewTenantSpec("f", sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := freqWorkload(t, ref.Groups(), sp.K, 16)
+	half := len(reports) / 2
+	ingestAll(t, ref, reports[:half])
+	if _, err := ref.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, ref, reports[half:])
+	wantSpec, err := json.Marshal(ref.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(wantSpec, []byte("buckets")) {
+		t.Fatalf("effective frequency spec keeps buckets: %s", wantSpec)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		withSnap bool
+	}{{"wal-only", false}, {"snapshot", true}} {
+		withSnap := tc.withSnap
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := store.Open(dir, store.Options{Sync: store.SyncOS})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Load(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.AppendTenantCreate("f", legacy); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reg, st, _ := openDurable(t, dir, nil)
+			tn, ok := reg.Get("f")
+			if !ok {
+				t.Fatal("tenant not recovered from its create record")
+			}
+			ingestAll(t, tn, reports[:half])
+			if _, err := tn.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+			ingestAll(t, tn, reports[half:])
+			if withSnap {
+				// Shut down cleanly (which cuts a snapshot), then put the
+				// older collector's spec back into that snapshot.
+				reg.Close()
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				st, err := store.Open(dir, store.Options{Sync: store.SyncOS})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec, err := st.Load()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec.Snapshot == nil || len(rec.Snapshot.Tenants) != 1 {
+					t.Fatal("clean shutdown left no snapshot of the tenant")
+				}
+				rec.Snapshot.Tenants[0].Spec = legacy
+				if err := st.WriteSnapshot(rec.Snapshot); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+			} // else: crash, leaving the WAL alone
+
+			reg2, _, rep := openDurable(t, dir, nil)
+			if len(rep.Warnings) != 0 {
+				t.Errorf("recovery warnings: %q", rep.Warnings)
+			}
+			if withSnap != (rep.SnapshotLSN != 0) {
+				t.Errorf("recovered from snapshot LSN %d", rep.SnapshotLSN)
+			}
+			tn2, ok := reg2.Get("f")
+			if !ok {
+				t.Fatal("tenant lost across restart")
+			}
+			if got, _ := json.Marshal(tn2.Spec()); !bytes.Equal(got, wantSpec) {
+				t.Errorf("recovered spec\n got %s\nwant %s", got, wantSpec)
+			}
+			if got, want := tn2.Status().GroupReports, ref.Status().GroupReports; !reflect.DeepEqual(got, want) {
+				t.Errorf("recovered group reports %v, want %v", got, want)
+			}
+			if got, want := tn2.Accountant().Export(), ref.Accountant().Export(); !reflect.DeepEqual(got, want) {
+				t.Errorf("recovered ledger %v, want %v", got, want)
+			}
+			for _, live := range []bool{false, true} {
+				got, err := tn2.Estimate(live)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := ref.Estimate(live)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Result, want.Result) {
+					t.Errorf("live=%v estimate differs:\n got %+v\nwant %+v", live, got.Result, want.Result)
+				}
+			}
+		})
+	}
+}
+
+// freqWorkload is workload's k-RR counterpart: n users per group, each
+// reporting its group's number of perturbed categories.
+func freqWorkload(t *testing.T, groups []core.Group, k, n int) []report {
+	t.Helper()
+	r := rng.New(43)
+	mechs := make([]*krr.Mechanism, len(groups))
+	for g := range groups {
+		m, err := krr.New(groups[g].Eps, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mechs[g] = m
+	}
+	var out []report
+	for i := 0; i < n; i++ {
+		for g := range groups {
+			vals := make([]float64, groups[g].Reports)
+			for j := range vals {
+				vals[j] = float64(mechs[g].PerturbCat(r, (i+j)%k))
+			}
+			out = append(out, report{user: "u" + itoa(i) + "g" + itoa(g), group: g, vals: vals})
+		}
+	}
+	return out
 }
 
 // TestIngestStoreDownRefunds: when every WAL append fails, ingest rejects

@@ -30,8 +30,6 @@ func newShardSet(stripes, buckets int) *shardSet {
 }
 
 // stripe returns the shard a stripe hash maps to.
-//
-//dapvet:hotpath
 func (s *shardSet) stripe(hash uint64) *shard {
 	return &s.shards[hash%uint64(len(s.shards))]
 }
@@ -42,8 +40,6 @@ func (s *shardSet) stripe(hash uint64) *shard {
 // parallel: idx[j] is the precomputed bucket of value vals[j]. Validation
 // happened before the lock — nothing here can fail, so the critical
 // section is a handful of adds.
-//
-//dapvet:hotpath
 func (sh *shard) addLocked(idx []int, vals []float64) {
 	for j, i := range idx {
 		sh.counts[i]++

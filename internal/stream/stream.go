@@ -85,7 +85,12 @@ func ConfigFromSpec(sp core.Spec) (core.Spec, error) {
 	if s.ExpectedUsers == 0 {
 		s.ExpectedUsers = 4096
 	}
-	if s.Buckets > 0 {
+	switch {
+	case sp.Task == core.TaskFrequency:
+		// k-RR histograms always have k buckets. The field is dropped,
+		// not rejected: older stores logged frequency specs carrying it.
+		s.Buckets = 0
+	case s.Buckets > 0:
 		s.Buckets = max(s.Buckets&^1, 8)
 	}
 	if s.Shards == 0 {

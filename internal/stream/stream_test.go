@@ -134,7 +134,9 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 // range of serve sections. These bytes are what a durable tenant's
 // create record, its snapshots and GET /v1/tenants/{tenant}/config carry,
 // so a store written by an older collector must recover to exactly the
-// same tenant: a change here is a change to the on-disk format.
+// same tenant: a change here is a change to the on-disk format, and needs
+// a recovery test over the old bytes (the frequency case dropped
+// serve.buckets; see TestRecoverFrequencySpecWithBuckets).
 func TestEffectiveSpecPinned(t *testing.T) {
 	mean := func(s *core.ServeSpec) core.Spec {
 		sp := core.NewSpec(core.MeanTask(), core.WithBudget(1, 0.25),
@@ -168,7 +170,7 @@ func TestEffectiveSpecPinned(t *testing.T) {
 			`{"task":"mean","mechanism":"pm","scheme":"EMF*","weights":"paper","eps":1,"eps0":0.25,"serve":{"expected_users":4096,"shards":8,"window":"tumbling","span":1}}`},
 		{"frequency", core.Spec{Task: core.TaskFrequency, Eps: 1, Eps0: 0.5, K: 3,
 			Serve: &core.ServeSpec{Buckets: 13, Window: "Sliding", Span: 4}},
-			`{"task":"frequency","mechanism":"krr","scheme":"CEMF*","weights":"paper","eps":1,"eps0":0.5,"k":3,"serve":{"buckets":12,"expected_users":4096,"shards":8,"window":"sliding","span":4}}`},
+			`{"task":"frequency","mechanism":"krr","scheme":"CEMF*","weights":"paper","eps":1,"eps0":0.5,"k":3,"serve":{"expected_users":4096,"shards":8,"window":"sliding","span":4}}`},
 		{"distribution", core.Spec{Task: core.TaskDistribution, Eps: 2},
 			`{"task":"distribution","mechanism":"sw","scheme":"CEMF*","weights":"paper","eps":2,"eps0":0.125,"serve":{"expected_users":4096,"shards":8,"window":"tumbling","span":1}}`},
 	} {

@@ -628,7 +628,7 @@ func (t *Tenant) rotate() (*Snapshot, error) {
 	window := append([]epochHist(nil), t.sealed...)
 	t.mu.Unlock()
 	t.met.rotations.Inc()
-	t.lastRotate.Store(time.Now().UnixNano()) //dapvet:nondeterministic-ok epoch-age gauge, not estimate state
+	t.lastRotate.Store(time.Now().UnixNano()) //dapvet:determinism-ok epoch-age gauge, not estimate state
 	if hook != nil && delta != nil {
 		// Outside every lock: the hook (a node's delta pusher) may block
 		// on the network without stalling ingest or other rotations.
@@ -724,10 +724,10 @@ func (t *Tenant) estimateWindow(window []epochHist, liveHist *epochHist, seq uin
 	if t.spec.Serve.Warm {
 		ctx = core.WithWarm(ctx, t.warm.Load())
 	}
-	start := time.Now() //dapvet:nondeterministic-ok duration metric, not estimate state
+	start := time.Now() //dapvet:determinism-ok duration metric, not estimate state
 	res, err := t.est.EstimateHist(ctx,
 		&core.HistCollection{Counts: counts, Sums: sums})
-	t.met.estimateDur.Observe(time.Since(start).Seconds()) //dapvet:nondeterministic-ok duration metric, not estimate state
+	t.met.estimateDur.Observe(time.Since(start).Seconds()) //dapvet:determinism-ok duration metric, not estimate state
 	if err != nil {
 		return nil, err
 	}
@@ -740,7 +740,7 @@ func (t *Tenant) estimateWindow(window []epochHist, liveHist *epochHist, seq uin
 		Task:    t.spec.Task,
 		Epoch:   seq,
 		Live:    live,
-		At:      time.Now(), //dapvet:nondeterministic-ok snapshot wall-clock stamp, not estimate state
+		At:      time.Now(), //dapvet:determinism-ok snapshot wall-clock stamp, not estimate state
 		Reports: total,
 		Result:  res,
 	}, nil

@@ -70,8 +70,6 @@ func (fc *ingestCodec) decodeReportJSON(r *http.Request) (stream.BatchEntry, err
 
 // scanIngest decodes a canonical ingest body; ok is false when body is
 // outside the grammar.
-//
-//dapvet:hotpath
 func (fc *ingestCodec) scanIngest(body []byte) (entries []stream.BatchEntry, ok bool) {
 	s := jsonScanner{p: body}
 	entries, values := fc.entries[:0], fc.values[:0]
@@ -106,8 +104,6 @@ func (fc *ingestCodec) scanIngest(body []byte) (entries []stream.BatchEntry, ok 
 
 // scanReport decodes a canonical single-report body; ok is false when body
 // is outside the grammar.
-//
-//dapvet:hotpath
 func (fc *ingestCodec) scanReport(body []byte) (e stream.BatchEntry, ok bool) {
 	s := jsonScanner{p: body}
 	e, fc.values = s.report(fc.values[:0])
@@ -125,8 +121,6 @@ type jsonScanner struct {
 
 // report scans one report object, appending its values to vals; the
 // entry's Values is the tail it appended.
-//
-//dapvet:hotpath
 func (s *jsonScanner) report(vals []float64) (stream.BatchEntry, []float64) {
 	s.expect('{')
 	s.key(`"user"`)

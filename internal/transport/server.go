@@ -321,11 +321,8 @@ func configResponse(t *stream.Tenant) ConfigResponse {
 		Eps: sp.Eps, Eps0: sp.Eps0, Scheme: sp.Scheme,
 		Kind: t.Kind().String(), K: sp.K, Shards: serve.Shards,
 		WindowMode: serve.Window, WindowSpan: serve.Span,
-		EpochMs: serve.EpochMs, Wire: serve.Wire,
+		Buckets: serve.Buckets, EpochMs: serve.EpochMs, Wire: serve.Wire,
 		Spec: &sp,
-	}
-	if t.Kind() != core.TaskFrequency {
-		out.Buckets = serve.Buckets
 	}
 	for _, g := range t.Groups() {
 		out.Groups = append(out.Groups, GroupInfo{Index: g.Index, Eps: g.Eps, Reports: g.Reports})

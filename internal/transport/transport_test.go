@@ -428,7 +428,7 @@ func TestConfigResponsePinned(t *testing.T) {
 			`{"eps":1,"eps0":0.25,"scheme":"CEMF*","groups":[{"index":0,"eps":1,"reports":1},{"index":1,"eps":0.5,"reports":2},{"index":2,"eps":0.25,"reports":4}],"kind":"mean","buckets":12,"shards":2,"window_mode":"sliding","window_span":3,"epoch_ms":250,"wire":"bin","spec":{"task":"mean","mechanism":"pm","scheme":"CEMF*","weights":"paper","eps":1,"eps0":0.25,"serve":{"buckets":12,"expected_users":2000,"shards":2,"window":"sliding","span":3,"epoch_ms":250,"wire":"bin","udp_addr":"127.0.0.1:9200"}}}`},
 		{core.Spec{Task: core.TaskFrequency, Eps: 1, Eps0: 0.5, K: 3,
 			Serve: &core.ServeSpec{Buckets: 13, Window: "fixed", Span: 4}},
-			`{"eps":1,"eps0":0.5,"scheme":"CEMF*","groups":[{"index":0,"eps":1,"reports":1},{"index":1,"eps":0.5,"reports":2}],"kind":"frequency","k":3,"shards":8,"window_mode":"tumbling","window_span":1,"spec":{"task":"frequency","mechanism":"krr","scheme":"CEMF*","weights":"paper","eps":1,"eps0":0.5,"k":3,"serve":{"buckets":12,"expected_users":4096,"shards":8,"window":"tumbling","span":1}}}`},
+			`{"eps":1,"eps0":0.5,"scheme":"CEMF*","groups":[{"index":0,"eps":1,"reports":1},{"index":1,"eps":0.5,"reports":2}],"kind":"frequency","k":3,"shards":8,"window_mode":"tumbling","window_span":1,"spec":{"task":"frequency","mechanism":"krr","scheme":"CEMF*","weights":"paper","eps":1,"eps0":0.5,"k":3,"serve":{"expected_users":4096,"shards":8,"window":"tumbling","span":1}}}`},
 	} {
 		tn, err := reg.CreateSpec(fmt.Sprintf("t%d", len(reg.List())), tc.sp)
 		if err != nil {

@@ -53,8 +53,6 @@ type Decoder struct {
 // body. Stream transports carrying several frames per request use it to
 // validate every frame before applying any, so a corrupted stream is
 // rejected whole with no state touched.
-//
-//dapvet:hotpath
 func Verify(buf []byte) error {
 	if len(buf) < headerSize+trailerSize {
 		return ErrFrameTooShort
@@ -82,8 +80,6 @@ func Verify(buf []byte) error {
 // valid until the next Decode call (see Frame); on any error the frame is
 // rejected as a whole and no partial state is returned. buf is not
 // retained.
-//
-//dapvet:hotpath
 func (d *Decoder) Decode(buf []byte) (*Frame, error) {
 	if err := Verify(buf); err != nil {
 		return nil, err
@@ -183,8 +179,6 @@ func (d *Decoder) Decode(buf []byte) (*Frame, error) {
 // internBytes returns the canonical string for tenant name b, allocating
 // only the first time a given name is seen. The compiler elides the []byte→string
 // conversion in the map lookup, so the hit path allocates nothing.
-//
-//dapvet:hotpath
 func (d *Decoder) internBytes(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -203,8 +197,6 @@ func (d *Decoder) internBytes(b []byte) string {
 // readUvarint decodes one LEB128 varint from p, returning the value and
 // the remaining bytes. ok is false on truncation or a value overflowing
 // 64 bits.
-//
-//dapvet:hotpath
 func readUvarint(p []byte) (uint64, []byte, bool) {
 	var x uint64
 	var shift uint
@@ -226,16 +218,12 @@ func readUvarint(p []byte) (uint64, []byte, bool) {
 }
 
 // le32 reads a little-endian uint32.
-//
-//dapvet:hotpath
 func le32(b []byte) uint32 {
 	_ = b[3]
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 // le64 reads a little-endian uint64.
-//
-//dapvet:hotpath
 func le64(b []byte) uint64 {
 	_ = b[7]
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |

@@ -207,8 +207,6 @@ func commonPrefix(a, b string) int {
 }
 
 // appendUvarint appends x in LEB128 (unsigned varint) form.
-//
-//dapvet:hotpath
 func appendUvarint(b []byte, x uint64) []byte {
 	for x >= 0x80 {
 		b = append(b, byte(x)|0x80)
@@ -218,8 +216,6 @@ func appendUvarint(b []byte, x uint64) []byte {
 }
 
 // appendUint64 appends x little-endian.
-//
-//dapvet:hotpath
 func appendUint64(b []byte, x uint64) []byte {
 	return append(b,
 		byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
@@ -227,8 +223,6 @@ func appendUint64(b []byte, x uint64) []byte {
 }
 
 // appendUint32 appends x little-endian.
-//
-//dapvet:hotpath
 func appendUint32(b []byte, x uint32) []byte {
 	return append(b, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
 }
