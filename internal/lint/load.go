@@ -229,7 +229,7 @@ func CheckFixture(moduleDir, claimedPath string, filenames []string) (*Package, 
 // given repo packages, matching by import-path suffix.
 func (p *Package) pathIn(suffixes ...string) bool {
 	for _, s := range suffixes {
-		if p.Path == s || strings.HasSuffix(p.Path, "/"+s) {
+		if pathHasSuffix(p.Path, s) {
 			return true
 		}
 	}

@@ -89,14 +89,15 @@ func labelString(labels map[string]string) string {
 }
 
 // escapeLabel escapes a label value per the exposition format: backslash,
-// double quote and newline.
+// double quote and newline. It walks bytes, not runes, so a value that is
+// not valid UTF-8 renders byte for byte instead of as U+FFFD.
 func escapeLabel(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
 	var b strings.Builder
-	for _, r := range v {
-		switch r {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
 		case '\\':
 			b.WriteString(`\\`)
 		case '"':
@@ -104,7 +105,7 @@ func escapeLabel(v string) string {
 		case '\n':
 			b.WriteString(`\n`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()

@@ -21,7 +21,8 @@ type Flaky struct {
 	mu         sync.Mutex
 	writeLeft  int  // inject on the write that makes this 0 (-1 = disarmed)
 	syncLeft   int  // same, for Sync
-	torn       bool // failing write lands half its bytes first
+	torn       bool // failing write lands some of its bytes first
+	tornBytes  int  // how many (0 = half)
 	persistErr bool // keep failing after the scheduled fault until Heal
 	latency    time.Duration
 
@@ -59,6 +60,14 @@ func (f *Flaky) FailWrites(n int, torn, persist bool) {
 	f.persistErr = persist
 }
 
+// TearAt makes a torn write land its first k bytes instead of half of
+// them (k ≤ 0 restores half).
+func (f *Flaky) TearAt(k int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.tornBytes = k
+}
+
 // FailSyncs arms the nth Sync from now (1-based) to fail.
 func (f *Flaky) FailSyncs(n int) {
 	f.mu.Lock()
@@ -80,6 +89,7 @@ func (f *Flaky) Heal() {
 	defer f.mu.Unlock()
 	f.writeLeft, f.syncLeft = -1, -1
 	f.torn, f.persistErr = false, false
+	f.tornBytes = 0
 	f.latency = 0
 }
 
@@ -90,9 +100,10 @@ func (f *Flaky) Stats() (writes, syncs, injected int) {
 	return f.writes, f.syncs, f.injected
 }
 
-// checkWrite consumes one write slot; it returns the sleep to apply,
-// whether to inject a fault, and whether the fault is torn.
-func (f *Flaky) checkWrite() (lat time.Duration, inject, torn bool) {
+// checkWrite consumes one write slot of an n-byte write; it returns the
+// sleep to apply, whether to inject a fault, and how many bytes land
+// before it (0 when the fault is not torn).
+func (f *Flaky) checkWrite(n int) (lat time.Duration, inject bool, land int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.writes++
@@ -100,7 +111,13 @@ func (f *Flaky) checkWrite() (lat time.Duration, inject, torn bool) {
 	if f.writeLeft > 0 {
 		f.writeLeft--
 		if f.writeLeft == 0 {
-			inject, torn = true, f.torn
+			inject = true
+			if f.torn {
+				land = n / 2
+				if f.tornBytes > 0 {
+					land = min(f.tornBytes, n)
+				}
+			}
 			f.injected++
 			if !f.persistErr {
 				f.writeLeft = -1
@@ -110,7 +127,7 @@ func (f *Flaky) checkWrite() (lat time.Duration, inject, torn bool) {
 		inject = true
 		f.injected++
 	}
-	return lat, inject, torn
+	return lat, inject, land
 }
 
 func (f *Flaky) checkSync() bool {
@@ -174,18 +191,18 @@ type flakyFile struct {
 }
 
 // Write implements File, applying the schedule: latency first, then
-// either a clean write, a clean error, or a torn write (half the bytes
+// either a clean write, a clean error, or a torn write (some of the bytes
 // land, then the error).
 func (ff *flakyFile) Write(p []byte) (int, error) {
-	lat, inject, torn := ff.f.checkWrite()
+	lat, inject, land := ff.f.checkWrite(len(p))
 	if lat > 0 {
 		time.Sleep(lat)
 	}
 	if !inject {
 		return ff.inner.Write(p)
 	}
-	if torn && len(p) > 1 {
-		n, err := ff.inner.Write(p[:len(p)/2])
+	if land > 0 {
+		n, err := ff.inner.Write(p[:land])
 		if err != nil {
 			return n, err
 		}

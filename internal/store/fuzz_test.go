@@ -2,10 +2,14 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/wirebin"
 )
 
 // fuzzRecordsEqual compares records field-wise with bit-exact float
@@ -13,7 +17,8 @@ import (
 // equal instead of tripping on NaN != NaN.
 func fuzzRecordsEqual(a, b *Record) bool {
 	if a.Type != b.Type || a.Tenant != b.Tenant || a.User != b.User ||
-		a.Group != b.Group || a.Seq != b.Seq || !bytes.Equal(a.Spec, b.Spec) {
+		a.Group != b.Group || a.Seq != b.Seq || !bytes.Equal(a.Spec, b.Spec) ||
+		!bytes.Equal(a.Frame, b.Frame) || a.Count != b.Count {
 		return false
 	}
 	if len(a.Values) != len(b.Values) {
@@ -25,6 +30,59 @@ func fuzzRecordsEqual(a, b *Record) bool {
 		}
 	}
 	return true
+}
+
+// encodePayload is encodeRecord plus the per-report RecIngest encoder
+// the store no longer has, so payloads of older logs round-trip here too.
+func encodePayload(r *Record) []byte {
+	if r.Type != RecIngest {
+		return encodeRecord(nil, r)
+	}
+	b := appendUstring([]byte{byte(RecIngest)}, r.Tenant)
+	b = appendUstring(b, r.User)
+	b = binary.AppendUvarint(b, uint64(r.Group))
+	b = binary.AppendUvarint(b, uint64(len(r.Values)))
+	for _, v := range r.Values {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// batchPayloads returns batch-record payloads: a good two-entry frame, the
+// same frame torn, one claiming three entries (CRC recomputed, so only
+// the body walk catches it), and one with a body byte flipped under the
+// old CRC.
+func batchPayloads() (good, torn, badCount, badCRC []byte) {
+	var enc wirebin.Encoder
+	fr, err := enc.Encode("t", 0, []wirebin.Entry{
+		{User: "u0", Group: 1, Values: []float64{0.25, math.NaN()}},
+		{User: "u1", Group: 0, Values: []float64{3}},
+	})
+	if err != nil {
+		panic(err)
+	}
+	good = append([]byte(nil), fr...)
+	torn = good[:len(good)/2]
+	// Header (14) | tenant length (1) | "t" | entry count.
+	badCount = append([]byte(nil), good...)
+	badCount[16] = 3
+	body := badCount[:len(badCount)-4]
+	binary.LittleEndian.PutUint32(badCount[len(body):], crc32.Checksum(body, castagnoli))
+	badCRC = append([]byte(nil), good...)
+	badCRC[len(badCRC)/2] ^= 0x40
+	return good, torn, badCount, badCRC
+}
+
+// segmentOf frames payloads as a WAL segment starting at LSN 1, each
+// under the checksum recordCRC reads for it.
+func segmentOf(payloads ...[]byte) []byte {
+	b := append([]byte(walMagic), 1, 0, 0, 0, 0, 0, 0, 0)
+	for _, p := range payloads {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
+		b = binary.LittleEndian.AppendUint32(b, recordCRC(p))
+		b = append(b, p...)
+	}
+	return b
 }
 
 // FuzzWALRecord feeds arbitrary bytes to the WAL record payload decoder:
@@ -40,24 +98,29 @@ func FuzzWALRecord(f *testing.F) {
 		{Type: RecMergeDelta, Tenant: "t", User: "node-1", Seq: 7, Spec: []byte("DAPD\x01\x00frame")},
 	}
 	for i := range seeds {
-		f.Add(encodeRecord(nil, &seeds[i]))
+		f.Add(encodePayload(&seeds[i]))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x01, 0x02})
+	good, torn, badCount, badCRC := batchPayloads()
+	for _, p := range [][]byte{good, torn, badCount, badCRC} {
+		f.Add(p)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var r Record
-		if err := decodeRecord(payload, &r); err != nil {
+		var dec wirebin.Decoder
+		if err := decodeRecord(payload, &r, &dec); err != nil {
 			return // rejected input: only the no-panic property applies
 		}
-		enc := encodeRecord(nil, &r)
+		enc := encodePayload(&r)
 		var r2 Record
-		if err := decodeRecord(enc, &r2); err != nil {
+		if err := decodeRecord(enc, &r2, &dec); err != nil {
 			t.Fatalf("re-encoded accepted record fails to decode: %v", err)
 		}
 		if !fuzzRecordsEqual(&r, &r2) {
 			t.Fatalf("record round-trip mismatch:\n first %+v\nsecond %+v", r, r2)
 		}
-		if enc2 := encodeRecord(nil, &r2); !bytes.Equal(enc, enc2) {
+		if enc2 := encodePayload(&r2); !bytes.Equal(enc, enc2) {
 			t.Fatalf("encode is not canonical:\n first %x\nsecond %x", enc, enc2)
 		}
 	})
@@ -74,6 +137,14 @@ func FuzzWALSegment(f *testing.F) {
 	f.Add(frame)                             // header only
 	f.Add(append([]byte(nil), frame[:4]...)) // torn header
 	f.Add([]byte("not a wal segment at all"))
+	good, torn, badCount, badCRC := batchPayloads()
+	rotate := encodeRecord(nil, &Record{Type: RecRotate, Tenant: "t", Seq: 1})
+	whole := segmentOf(rotate, good, good)
+	f.Add(whole)                       // a rotate and two batches
+	f.Add(whole[:len(whole)-5])        // the last batch torn
+	f.Add(segmentOf(rotate, torn))     // a batch record shorter than its frame
+	f.Add(segmentOf(rotate, badCount)) // a frame claiming too many entries
+	f.Add(segmentOf(rotate, badCRC))   // a frame failing its own CRC
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "fuzz.wal")

@@ -14,13 +14,13 @@ import (
 // SyncMetrics caller wins the gauges — in production there is one store.
 var (
 	metAppends = metrics.NewCounter("dap_wal_appends_total",
-		"WAL records appended durably (acked group-commit frames).")
+		"WAL log positions (LSNs) appended durably: one per ingested report, one per other record.")
 	metAppendBytes = metrics.NewCounter("dap_wal_bytes_total",
 		"Bytes written to the WAL by successful group commits.")
 	metAppendFailures = metrics.NewCounter("dap_wal_append_failures_total",
 		"WAL write or fsync failures that degraded the store (failed batches roll back and refund).")
 	metBatchRecords = metrics.NewHistogram("dap_wal_group_commit_records",
-		"Records coalesced per group-commit write.",
+		"WAL log positions (LSNs) coalesced per group-commit write: one per ingested report, one per other record.",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 	metFsync = metrics.NewHistogram("dap_wal_fsync_duration_seconds",
 		"WAL fsync(2) latency.",

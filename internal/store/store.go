@@ -32,6 +32,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/wirebin"
 )
 
 // ErrClosed is returned by operations on a closed store.
@@ -106,10 +108,12 @@ type segment struct {
 // walBatch is one group-commit unit: frames from concurrent appends that
 // land on disk with a single write syscall. Appenders enqueue their frame
 // and wait; the first of them to find no flush in flight becomes the
-// leader and writes the whole batch.
+// leader and writes the whole batch. The last appender to read the
+// outcome hands the batch, buffer and all, back for reuse.
 type walBatch struct {
 	buf     []byte
-	n       int // records framed onto the batch (for metrics)
+	n       int // LSNs framed onto the batch (for metrics)
+	waiters int // appenders that have not read the outcome yet
 	flushed bool
 	err     error
 }
@@ -131,7 +135,7 @@ type Store struct {
 	curSize   int64
 	nextLSN   uint64
 	segs      []segment
-	scratch   [][]byte // batch buffers recycled across batches (≥2 so a batch opening mid-flush reuses too)
+	free      []*walBatch // settled batches kept for reuse (≥2 so a batch opening mid-flush reuses too)
 	pendBatch *walBatch
 	flushing  bool
 	lastErr   error
@@ -192,7 +196,9 @@ func snapPath(dir string, lsn uint64) string {
 type Recovery struct {
 	// Snapshot is the newest snapshot that verified, nil if none.
 	Snapshot *Snapshot
-	// Records are the intact WAL records, LSN ascending.
+	// Records are the intact WAL records, LSN ascending. An ingest batch
+	// is one RecIngestBatch record holding its frame bytes until replay
+	// decodes them.
 	Records []Record
 	// Torn reports whether a torn tail was truncated somewhere.
 	Torn bool
@@ -336,33 +342,24 @@ func (s *Store) roll() error {
 }
 
 // append frames one record, enqueues it on the open group-commit batch
-// and returns its LSN once the batch is on disk.
+// and returns its LSN once the batch is on disk. On write failure the
+// whole batch fails (callers refund), the current segment is abandoned (a
+// later append rolls to a fresh one past any torn bytes) and the store
+// reports unhealthy until a subsequent append succeeds.
 func (s *Store) append(r *Record) (uint64, error) {
-	rs := [1]*Record{r}
-	return s.appendMany(rs[:])
-}
-
-// appendMany frames rs contiguously on the open group-commit batch and
-// returns the first record's LSN once the batch is on disk — record i
-// receives LSN first+i, and one write syscall covers them all (plus
-// whatever concurrent appends coalesced into the same batch). On write
-// failure the whole batch fails (callers refund), the current segment is
-// abandoned (a later append rolls to a fresh one past any torn bytes) and
-// the store reports unhealthy until a subsequent append succeeds.
-func (s *Store) appendMany(rs []*Record) (uint64, error) {
-	if len(rs) == 0 {
-		return 0, errors.New("store: empty append batch")
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, err := s.openBatch()
 	if err != nil {
 		return 0, err
 	}
-	for _, r := range rs {
-		s.appendFrame(b, r)
-	}
-	return s.commitBatch(b, len(rs))
+	off := len(b.buf)
+	b.buf = append(b.buf, make([]byte, frameHeaderSize)...)
+	b.buf = encodeRecord(b.buf, r)
+	payload := b.buf[off+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(b.buf[off:off+4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b.buf[off+4:off+8], crc32.Checksum(payload, castagnoli))
+	return s.commitBatch(b, 1)
 }
 
 // openBatch ensures a usable segment and returns the open group-commit
@@ -392,24 +389,16 @@ func (s *Store) openBatch() (*walBatch, error) {
 	}
 	b := s.pendBatch
 	if b == nil {
-		b = &walBatch{}
-		if n := len(s.scratch); n > 0 { // adopt a recycled scratch buffer
-			b.buf = s.scratch[n-1][:0]
-			s.scratch = s.scratch[:n-1]
+		if n := len(s.free); n > 0 {
+			b = s.free[n-1]
+			s.free = s.free[:n-1]
+			*b = walBatch{buf: b.buf[:0]}
+		} else {
+			b = &walBatch{}
 		}
 		s.pendBatch = b
 	}
 	return b, nil
-}
-
-// appendFrame frames one record onto the batch. Caller holds s.mu.
-func (s *Store) appendFrame(b *walBatch, r *Record) {
-	off := len(b.buf)
-	b.buf = append(b.buf, make([]byte, frameHeaderSize)...)
-	b.buf = encodeRecord(b.buf, r)
-	payload := b.buf[off+frameHeaderSize:]
-	binary.LittleEndian.PutUint32(b.buf[off:off+4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b.buf[off+4:off+8], crc32.Checksum(payload, castagnoli))
 }
 
 // commitBatch assigns n contiguous LSNs to the frames just enqueued and
@@ -427,6 +416,7 @@ func (s *Store) commitBatch(b *walBatch, n int) (uint64, error) {
 	first := s.nextLSN
 	s.nextLSN += uint64(n)
 	b.n += n
+	b.waiters++
 	for !b.flushed {
 		if s.closed {
 			if s.pendBatch == b {
@@ -448,8 +438,12 @@ func (s *Store) commitBatch(b *walBatch, n int) (uint64, error) {
 			s.cond.Wait()
 		}
 	}
-	if b.err != nil {
-		return 0, b.err
+	err := b.err
+	if b.waiters--; b.waiters == 0 && len(s.free) < 4 {
+		s.free = append(s.free, b)
+	}
+	if err != nil {
+		return 0, err
 	}
 	return first, nil
 }
@@ -505,9 +499,6 @@ func (s *Store) flushBatch(b *walBatch) {
 	}
 	b.flushed = true
 	b.err = err
-	if len(s.scratch) < 4 && cap(b.buf) > 0 {
-		s.scratch = append(s.scratch, b.buf[:0]) // recycle for later batches
-	}
 	s.cond.Broadcast()
 }
 
@@ -523,21 +514,61 @@ func (s *Store) fail(err error) {
 	}
 }
 
-// IngestEntry is one report in a batched WAL append.
-type IngestEntry struct {
-	User   string
-	Group  int
-	Values []float64
+// IngestEntry is one report in a batched WAL append: the wire's entry
+// type, which stream.BatchEntry aliases too.
+type IngestEntry = wirebin.Entry
+
+// batchEncoder frames ingest batches as WAL records outside the store
+// lock: enc encodes each frame, buf collects the framed records.
+type batchEncoder struct {
+	enc wirebin.Encoder
+	buf []byte
 }
 
-// AppendIngestBatch logs many accepted reports contiguously with one
-// write syscall and returns the first record's LSN (entry i gets LSN
-// first+i). On failure none of the entries are durable — callers roll
-// back all of them. On recovery the records replay individually; the
-// batching is invisible in the log.
+// encoderPool recycles batchEncoders; the steady-state append allocates
+// nothing.
+var encoderPool = sync.Pool{New: func() any { return new(batchEncoder) }}
+
+// frame appends entries to e.buf as RecIngestBatch records — one frame
+// when they fit its limits, split in halves until each part fits
+// otherwise.
+func (e *batchEncoder) frame(tenant string, entries []IngestEntry) error {
+	fr, err := e.enc.Encode(tenant, 0, entries)
+	if errors.Is(err, wirebin.ErrFrameTooLarge) && len(entries) > 1 {
+		half := len(entries) / 2
+		if err := e.frame(tenant, entries[:half]); err != nil {
+			return err
+		}
+		return e.frame(tenant, entries[half:])
+	}
+	if err != nil {
+		return err
+	}
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, uint32(len(fr)))
+	e.buf = append(e.buf, fr[len(fr)-4:]...) // the frame's CRC trailer, see recordCRC
+	e.buf = append(e.buf, fr...)
+	return nil
+}
+
+// AppendIngestBatch logs accepted reports as one RecIngestBatch record —
+// a wirebin frame, encoded outside the store lock — and returns the LSN
+// of the first entry once it is on disk; entry i gets LSN first+i. A
+// batch past one frame's limits becomes several contiguous records in
+// the same group commit. On failure none of the entries are durable —
+// callers roll back all of them.
 func (s *Store) AppendIngestBatch(tenant string, entries []IngestEntry) (uint64, error) {
 	if len(entries) == 0 {
 		return 0, errors.New("store: empty append batch")
+	}
+	e := encoderPool.Get().(*batchEncoder)
+	defer func() {
+		if cap(e.buf) <= wirebin.MaxFrameBytes { // one giant batch does not pin its buffer
+			encoderPool.Put(e)
+		}
+	}()
+	e.buf = e.buf[:0]
+	if err := e.frame(tenant, entries); err != nil {
+		return 0, fmt.Errorf("store: encoding ingest batch: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -545,13 +576,7 @@ func (s *Store) AppendIngestBatch(tenant string, entries []IngestEntry) (uint64,
 	if err != nil {
 		return 0, err
 	}
-	for i := range entries {
-		r := Record{
-			Type: RecIngest, Tenant: tenant,
-			User: entries[i].User, Group: entries[i].Group, Values: entries[i].Values,
-		}
-		s.appendFrame(b, &r)
-	}
+	b.buf = append(b.buf, e.buf...)
 	return s.commitBatch(b, len(entries))
 }
 

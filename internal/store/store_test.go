@@ -3,9 +3,12 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wirebin"
 )
 
 func openTest(t *testing.T, dir string, opts Options) *Store {
@@ -23,6 +26,39 @@ func appendIngest(s *Store, tenant, user string, group int, values []float64) (u
 	return s.AppendIngestBatch(tenant, []IngestEntry{{User: user, Group: group, Values: values}})
 }
 
+// encodeFrame is the frame AppendIngestBatch logs for one batch.
+func encodeFrame(t *testing.T, tenant string, entries []IngestEntry) []byte {
+	t.Helper()
+	var enc wirebin.Encoder
+	fr, err := enc.Encode(tenant, 0, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte(nil), fr...)
+}
+
+// recordUsers lists the user of every recovered report, in LSN order,
+// decoding batch frames entry by entry.
+func recordUsers(t *testing.T, recs []Record) []string {
+	t.Helper()
+	var users []string
+	var dec wirebin.Decoder
+	for _, r := range recs {
+		if r.Type != RecIngestBatch {
+			users = append(users, r.User)
+			continue
+		}
+		fr, err := dec.Decode(r.Frame)
+		if err != nil {
+			t.Fatalf("batch at LSN %d: %v", r.LSN, err)
+		}
+		for _, e := range fr.Entries {
+			users = append(users, strings.Clone(e.User)) // ids alias the decoder
+		}
+	}
+	return users
+}
+
 func mustLoad(t *testing.T, s *Store) *Recovery {
 	t.Helper()
 	rec, err := s.Load()
@@ -32,13 +68,20 @@ func mustLoad(t *testing.T, s *Store) *Recovery {
 	return rec
 }
 
-// appendMix writes one of each record type and returns the records.
+// mixBatch is appendMix's ingest batch.
+var mixBatch = []IngestEntry{
+	{User: "u0", Group: 1, Values: []float64{0.25, -0.5, 1e-9}},
+	{User: "u1", Group: 0, Values: []float64{3}},
+}
+
+// appendMix writes one of each record type the store writes and returns
+// the records.
 func appendMix(t *testing.T, s *Store) []Record {
 	t.Helper()
 	want := []Record{
 		{Type: RecTenantCreate, Tenant: "a", Spec: []byte(`{"task":"mean"}`)},
 		{Type: RecJoin, Tenant: "a", User: "u0", Group: 1},
-		{Type: RecIngest, Tenant: "a", User: "u0", Group: 1, Values: []float64{0.25, -0.5, 1e-9}},
+		{Type: RecIngestBatch, Tenant: "a", Frame: encodeFrame(t, "a", mixBatch), Count: len(mixBatch)},
 		{Type: RecRotate, Tenant: "a", Seq: 7},
 		{Type: RecMergeDelta, Tenant: "a", User: "node-1", Seq: 7, Spec: []byte("DAPD\x01\x00raw-frame-bytes")},
 		{Type: RecTenantDelete, Tenant: "a"},
@@ -52,8 +95,8 @@ func appendMix(t *testing.T, s *Store) []Record {
 			lsn, err = s.AppendTenantCreate(r.Tenant, r.Spec)
 		case RecJoin:
 			lsn, err = s.AppendJoin(r.Tenant, r.User, r.Group)
-		case RecIngest:
-			lsn, err = appendIngest(s, r.Tenant, r.User, r.Group, r.Values)
+		case RecIngestBatch:
+			lsn, err = s.AppendIngestBatch(r.Tenant, mixBatch)
 		case RecRotate:
 			lsn, err = s.AppendRotate(r.Tenant, r.Seq)
 		case RecMergeDelta:
@@ -72,7 +115,8 @@ func appendMix(t *testing.T, s *Store) []Record {
 func recordsEqual(a, b *Record) bool {
 	if a.LSN != b.LSN || a.Type != b.Type || a.Tenant != b.Tenant ||
 		a.User != b.User || a.Group != b.Group || a.Seq != b.Seq ||
-		string(a.Spec) != string(b.Spec) || len(a.Values) != len(b.Values) {
+		string(a.Spec) != string(b.Spec) || len(a.Values) != len(b.Values) ||
+		string(a.Frame) != string(b.Frame) || a.Count != b.Count {
 		return false
 	}
 	for i := range a.Values {
@@ -330,10 +374,7 @@ func TestFlakyWriteErrorDegradesAndHeals(t *testing.T) {
 
 	s2 := openTest(t, dir, Options{Sync: SyncOS})
 	rec := mustLoad(t, s2)
-	var users []string
-	for _, r := range rec.Records {
-		users = append(users, r.User)
-	}
+	users := recordUsers(t, rec.Records)
 	if len(rec.Records) != 2 || users[0] != "u0" || users[1] != "u2" {
 		t.Fatalf("recovered users %v, want [u0 u2] (failed append absent)", users)
 	}
@@ -363,8 +404,8 @@ func TestFlakyTornWriteTruncates(t *testing.T) {
 	if rec.Torn {
 		t.Fatalf("failed write's torn bytes not cleaned up at failure time: %v", rec.Warnings)
 	}
-	if len(rec.Records) != 1 || rec.Records[0].User != "u0" {
-		t.Fatalf("recovered %+v, want only u0's record", rec.Records)
+	if users := recordUsers(t, rec.Records); len(users) != 1 || users[0] != "u0" {
+		t.Fatalf("recovered users %v, want only u0's record", users)
 	}
 }
 
@@ -381,16 +422,12 @@ func TestFailedBatchLeavesNoPartialFrames(t *testing.T) {
 	if _, err := appendIngest(s, "a", "u0", 0, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
-	// A three-frame batch whose write lands its first half: without the
-	// pre-batch truncate, the leading frame survives CRC-intact and would
-	// replay records the callers rolled back.
+	// A batch past one frame's limits, logged as two records, whose
+	// write lands its first half: without the pre-batch truncate, the
+	// leading record survives CRC-intact and would replay entries the
+	// callers rolled back.
 	flaky.FailWrites(1, true, false)
-	entries := []IngestEntry{
-		{User: "u1", Group: 0, Values: []float64{1, 2, 3}},
-		{User: "u2", Group: 0, Values: []float64{4, 5, 6}},
-		{User: "u3", Group: 0, Values: []float64{7, 8, 9}},
-	}
-	if _, err := s.AppendIngestBatch("a", entries); err == nil {
+	if _, err := s.AppendIngestBatch("a", bigBatch()); err == nil {
 		t.Fatal("injected torn batch write not surfaced")
 	}
 	s.Close()
@@ -399,8 +436,135 @@ func TestFailedBatchLeavesNoPartialFrames(t *testing.T) {
 	if rec.Torn {
 		t.Fatalf("failed batch's torn bytes not cleaned up at failure time: %v", rec.Warnings)
 	}
-	if len(rec.Records) != 1 || rec.Records[0].User != "u0" {
-		t.Fatalf("recovered %+v, want only u0's record (no frame of the failed batch)", rec.Records)
+	if users := recordUsers(t, rec.Records); len(users) != 1 || users[0] != "u0" {
+		t.Fatalf("recovered users %v, want only u0's record (no frame of the failed batch)", users)
+	}
+}
+
+// bigBatch is five entries of wirebin.MaxEntryValues raw float64 values,
+// 256 KiB each: more than one frame carries, so AppendIngestBatch logs
+// it as two records.
+func bigBatch() []IngestEntry {
+	entries := make([]IngestEntry, 5)
+	for i := range entries {
+		vals := make([]float64, wirebin.MaxEntryValues)
+		for k := range vals {
+			vals[k] = float64(i*len(vals)+k) + 0.5
+		}
+		entries[i] = IngestEntry{User: "big" + string(rune('a'+i)), Group: 15, Values: vals}
+	}
+	return entries
+}
+
+// TestWALBatchSplitsPastFrameLimits: a batch too large for one frame
+// becomes contiguous records in one group commit, its entries keep one
+// LSN each, and they recover bit-exactly.
+func TestWALBatchSplitsPastFrameLimits(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{Sync: SyncOS})
+	mustLoad(t, s)
+	batch := bigBatch()
+	first, err := s.AppendIngestBatch("a", batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.NextLSN(), first+uint64(len(batch)); got != want {
+		t.Fatalf("NextLSN %d after a %d-entry batch at %d, want %d", got, len(batch), first, want)
+	}
+	s.Close()
+	s2 := openTest(t, dir, Options{Sync: SyncOS})
+	rec := mustLoad(t, s2)
+	if rec.Torn || len(rec.Records) < 2 {
+		t.Fatalf("recovered %d records (torn %v), want the batch split in two or more", len(rec.Records), rec.Torn)
+	}
+	var got []IngestEntry
+	var dec wirebin.Decoder
+	lsn := first
+	for _, r := range rec.Records {
+		if r.Type != RecIngestBatch || r.LSN != lsn {
+			t.Fatalf("record %s at LSN %d, want a batch at %d", r.Type, r.LSN, lsn)
+		}
+		fr, err := dec.Decode(r.Frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range fr.Entries {
+			got = append(got, IngestEntry{User: strings.Clone(e.User), Group: e.Group, Values: append([]float64(nil), e.Values...)})
+		}
+		lsn += r.Span()
+	}
+	if !reflect.DeepEqual(got, batch) {
+		t.Fatal("split batch does not recover to the entries logged")
+	}
+}
+
+// TestFlakyTornBatchRecordAtEveryOffset tears the last batch record at
+// every byte offset, two ways: as the crash image a kill -9 mid-write
+// leaves (the segment cut at the offset), and as a torn write the store
+// survives (Flaky lands that many bytes, then fails). Either way none of
+// the batch's entries may come back, and every earlier batch must.
+func TestFlakyTornBatchRecordAtEveryOffset(t *testing.T) {
+	batches := [][]IngestEntry{
+		{{User: "a0", Group: 0, Values: []float64{1}}, {User: "a1", Group: 1, Values: []float64{2, 3}}},
+		{{User: "b0", Group: 0, Values: []float64{0.5}}},
+		{{User: "c0", Group: 1, Values: []float64{4, -1}}, {User: "c1", Group: 0, Values: []float64{5}}, {User: "c2", Group: 2, Values: []float64{6, 7, 8, 9}}},
+	}
+	wantUsers := []string{"a0", "a1", "b0"}
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{Sync: SyncOS})
+	mustLoad(t, s)
+	for _, b := range batches[:2] {
+		if _, err := s.AppendIngestBatch("t", b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lastLSN := s.NextLSN()
+	start := s.Health().WALBytes
+	if _, err := s.AppendIngestBatch("t", batches[2]); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	full, err := os.ReadFile(segPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, dir string, torn bool) {
+		t.Helper()
+		s := openTest(t, dir, Options{Sync: SyncOS})
+		rec := mustLoad(t, s)
+		if rec.Torn != torn {
+			t.Errorf("torn = %v, want %v (%v)", rec.Torn, torn, rec.Warnings)
+		}
+		if got := recordUsers(t, rec.Records); !reflect.DeepEqual(got, wantUsers) {
+			t.Fatalf("recovered users %v, want %v", got, wantUsers)
+		}
+		if got := s.NextLSN(); got != lastLSN {
+			t.Fatalf("NextLSN %d, want %d: the torn batch's LSNs are free again", got, lastLSN)
+		}
+	}
+	for k := int64(0); k < int64(len(full))-start; k++ {
+		crash := t.TempDir()
+		if err := os.WriteFile(segPath(crash, 1), full[:start+k], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		check(t, crash, k > 0)
+
+		live := t.TempDir()
+		flaky := NewFlaky(nil)
+		s := openTest(t, live, Options{Sync: SyncOS, FS: flaky})
+		mustLoad(t, s)
+		for _, b := range batches[:2] {
+			if _, err := s.AppendIngestBatch("t", b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		flaky.FailWrites(1, k > 0, false)
+		flaky.TearAt(int(k))
+		if _, err := s.AppendIngestBatch("t", batches[2]); err == nil {
+			t.Fatalf("torn write at byte %d not surfaced", k)
+		}
+		s.Close()
+		check(t, live, false)
 	}
 }
 
@@ -532,8 +696,8 @@ func TestCloseWaitsForInflightFlush(t *testing.T) {
 	s2 := openTest(t, dir, Options{Sync: SyncOS})
 	rec := mustLoad(t, s2)
 	users := map[string]bool{}
-	for _, r := range rec.Records {
-		users[r.User] = true
+	for _, u := range recordUsers(t, rec.Records) {
+		users[u] = true
 	}
 	for _, u := range []string{"u0", "uc", "ua", "ub"} {
 		if !users[u] {

@@ -199,13 +199,13 @@ func RecoverCoordinator(cfg CoordinatorConfig) (*Coordinator, *RecoveryReport, e
 		return nil, nil, err
 	}
 	rep := &RecoveryReport{
-		Records:  len(rec.Records),
 		Torn:     rec.Torn,
 		Warnings: rec.Warnings,
 	}
 	c.replay = true
 	for i := range rec.Records {
 		r := &rec.Records[i]
+		rep.Records += int(r.Span())
 		switch r.Type {
 		case store.RecTenantCreate:
 			var sp core.Spec

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/store"
+	"repro/internal/wirebin"
 )
 
 // This file is the bridge between the streaming engine and the store
@@ -29,7 +30,9 @@ import (
 // Record.Force, not Charge, because every logged record was already
 // admitted under the cap. Records between walStart and acctFrom therefore
 // rebuild histograms without re-charging: the snapshot cut happened
-// mid-epoch and its ledger already reflects them.
+// mid-epoch and its ledger already reflects them. An ingest batch record
+// covers one LSN per entry and replays through ingestStaged in one call,
+// split where a replay position falls inside it (replayIngest).
 
 // snapshotCut builds the tenant's durable image at a consistent cut: the
 // exclusive tenant lock quiesces ingest (whose charge→append→apply runs
@@ -101,9 +104,10 @@ type RecoveryReport struct {
 	// SnapshotLSN is the cut position of the snapshot recovery started
 	// from, 0 when it replayed from an empty state.
 	SnapshotLSN uint64
-	// Records is how many intact WAL records the store returned; Applied
-	// is how many changed tenant state (the rest predate snapshot cuts or
-	// belong to deleted tenants).
+	// Records is how many log positions the intact WAL records cover (an
+	// ingest batch one per entry); Applied is how many of them changed
+	// tenant state (the rest predate snapshot cuts or belong to deleted
+	// tenants).
 	Records, Applied int
 	// Tenants is how many tenants exist after recovery.
 	Tenants int
@@ -130,12 +134,16 @@ func Recover(st *store.Store) (*Registry, *RecoveryReport, error) {
 		return nil, nil, err
 	}
 	rep := &RecoveryReport{
-		Records:  len(rec.Records),
 		Torn:     rec.Torn,
 		Warnings: rec.Warnings,
 	}
 	reg := NewRegistry()
 	reg.st = st
+	var (
+		dec  wirebin.Decoder
+		one  [1]BatchEntry
+		errs []error
+	)
 	if rec.Snapshot != nil {
 		rep.SnapshotLSN = rec.Snapshot.LSN
 		for i := range rec.Snapshot.Tenants {
@@ -152,6 +160,7 @@ func Recover(st *store.Store) (*Registry, *RecoveryReport, error) {
 	}
 	for i := range rec.Records {
 		r := &rec.Records[i]
+		rep.Records += int(r.Span())
 		if r.Type == store.RecTenantCreate {
 			if _, ok := reg.tenants[r.Tenant]; ok {
 				continue // predates the snapshot that already holds it
@@ -180,25 +189,27 @@ func Recover(st *store.Store) (*Registry, *RecoveryReport, error) {
 			continue // deleted later, or its create was lost with a torn tail
 		}
 		switch r.Type {
-		case store.RecIngest:
-			if r.LSN < t.walStart {
-				continue // already inside a sealed epoch the snapshot holds
+		case store.RecIngest, store.RecIngestBatch:
+			one[0] = BatchEntry{User: r.User, Group: r.Group, Values: r.Values}
+			entries := one[:] // a RecIngest is a one-entry batch
+			if r.Type == store.RecIngestBatch {
+				fr, err := dec.Decode(r.Frame)
+				if err != nil {
+					rep.Warnings = append(rep.Warnings,
+						fmt.Sprintf("tenant %s batch at LSN %d: %v", r.Tenant, r.LSN, err))
+					continue
+				}
+				entries = fr.Entries
 			}
-			// The record re-runs the normal ingest stages; its charge is
-			// replayed only when the ledger does not already reflect it. An
-			// erroring record — possible only if the spec changed under a
-			// tenant, which the spec-from-WAL recovery path prevents — is
-			// reported, not applied.
-			mode := replayApply
-			if r.LSN >= t.acctFrom {
-				mode = replayCharge
+			errs = t.replayIngest(r.LSN, entries, errs)
+			for i, err := range errs {
+				if err != nil {
+					rep.Warnings = append(rep.Warnings,
+						fmt.Sprintf("tenant %s ingest at LSN %d: %v", r.Tenant, r.LSN+uint64(i), err))
+				} else if r.LSN+uint64(i) >= t.walStart {
+					rep.Applied++
+				}
 			}
-			if err := t.ingestOne(r.User, r.Group, r.Values, mode); err != nil {
-				rep.Warnings = append(rep.Warnings,
-					fmt.Sprintf("tenant %s ingest at LSN %d: %v", r.Tenant, r.LSN, err))
-				continue
-			}
-			rep.Applied++
 		case store.RecJoin:
 			if r.LSN < t.acctFrom {
 				continue
@@ -257,6 +268,29 @@ func Recover(st *store.Store) (*Registry, *RecoveryReport, error) {
 		t.Start()
 	}
 	return reg, rep, nil
+}
+
+// replayIngest re-runs one logged batch, its entries at LSNs first,
+// first+1, …, through ingestStaged and returns errs refilled with one
+// error per entry. The batch splits at the tenant's replay positions:
+// entries before walStart sit in a sealed epoch the snapshot holds and
+// are skipped, entries before acctFrom rebuild histograms only
+// (replayApply), and the rest are charged too (replayCharge). An erroring
+// entry — possible only if the spec changed under a tenant, which the
+// spec-from-WAL recovery path prevents — is reported, not applied.
+func (t *Tenant) replayIngest(first uint64, entries []BatchEntry, errs []error) []error {
+	n := uint64(len(entries))
+	a := int(min(n, max(first, t.walStart)-first)) // entries with LSN < walStart
+	b := int(min(n, max(first, t.acctFrom)-first))
+	errs = slices.Grow(errs[:0], len(entries))[:len(entries)]
+	clear(errs)
+	if b = max(a, b); b > a {
+		t.ingestStaged(entries[a:b], errs[a:b], replayApply)
+	}
+	if len(entries) > b {
+		t.ingestStaged(entries[b:], errs[b:], replayCharge)
+	}
+	return errs
 }
 
 // Store returns the registry's durability layer, nil for an ephemeral

@@ -244,22 +244,21 @@ func (t *Tenant) Joined() int {
 	return t.joined
 }
 
-// BatchEntry is one report in a batched ingest. It aliases the store's
-// WAL entry type so an all-accepted batch is logged without copying.
-type BatchEntry = store.IngestEntry
+// BatchEntry is one report in a batched ingest. It aliases the wire's
+// entry type, which the store logs too, so a decoded frame is ingested and
+// an all-accepted batch is logged without copying.
+type BatchEntry = wirebin.Entry
+
+// errUserTooLong rejects an id no WAL frame could carry, on every wire.
+var errUserTooLong = fmt.Errorf("stream: user id longer than %d bytes", wirebin.MaxUserLen)
 
 // Ingest validates and records one user's reports: IngestBatch with a
-// single entry, same semantics, its error returned directly.
+// single entry, same semantics, its error returned directly. The
+// one-entry batch stays off the heap.
 func (t *Tenant) Ingest(user string, group int, values []float64) error {
-	return t.ingestOne(user, group, values, ingestLive)
-}
-
-// ingestOne runs a one-entry batch through ingestStaged without touching
-// the heap — the form single reports and replayed WAL records arrive in.
-func (t *Tenant) ingestOne(user string, group int, values []float64, mode ingestMode) error {
 	entry := [1]BatchEntry{{User: user, Group: group, Values: values}}
 	var errs [1]error
-	t.ingestStaged(entry[:], errs[:], mode)
+	t.ingestStaged(entry[:], errs[:], ingestLive)
 	return errs[0]
 }
 
@@ -345,17 +344,19 @@ var scratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 // receives one error per rejected entry. The stages run in a fixed order
 // and a rejected entry leaves no trace:
 //
-//  1. validate and discretize every value, then look every valid entry's
-//     user up in the per-user table in one BindBatch (Bind for a lone
-//     entry) — the entry's only lookup, inserting and binding a new user
-//     to the group, one table lock per stripe the batch touches — and
-//     keep the record handle;
+//  1. validate the entry — a user id the WAL frame can carry, a group,
+//     at most the group's report count — and discretize every value, then
+//     look every valid entry's user up in the per-user table in one
+//     BindBatch (Bind for a lone entry) — the entry's only lookup,
+//     inserting and binding a new user to the group, one table lock per
+//     stripe the batch touches — and keep the record handle;
 //  2. lock every stripe the batch touches, in one global (group, stripe)
 //     order so concurrent batches cannot deadlock;
 //  3. charge each entry's budget atomically through its handle — each
 //     report in group g costs ε_g; a failed charge rejects that entry alone;
-//  4. WAL-append the charged entries with one write; on failure refund all
-//     of them and report ErrStoreDown;
+//  4. WAL-append the charged entries as one batch record (a wirebin frame)
+//     with one write; on failure refund all of them and report
+//     ErrStoreDown;
 //  5. apply to the live histograms.
 //
 // The whole pass holds the shared rotation lock, so an epoch seal (which
@@ -378,6 +379,8 @@ func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMod
 		switch {
 		case e.User == "":
 			errs[i] = errors.New("stream: user id must be non-empty")
+		case len(e.User) > wirebin.MaxUserLen:
+			errs[i] = errUserTooLong
 		case e.Group < 0 || e.Group >= len(t.groups):
 			errs[i] = fmt.Errorf("stream: group %d out of range [0,%d)", e.Group, len(t.groups))
 		case len(e.Values) == 0:
@@ -397,8 +400,8 @@ func (t *Tenant) ingestStaged(entries []BatchEntry, errs []error, mode ingestMod
 		sg := &staged[len(staged)-1]
 		sg.b.User, sg.b.Group, sg.i, sg.lo, sg.hi = e.User, e.Group, i, lo, len(arena)
 	}
-	// A lone entry — Ingest, /report, WAL replay — takes Bind's direct
-	// path; bs, never reassigned, is captured by value, so staged itself
+	// A lone entry — Ingest, /report, a one-report WAL record — takes
+	// Bind's direct path; bs, never reassigned, is captured by value, so staged itself
 	// stays in registers.
 	if bs := staged; len(bs) == 1 {
 		b := &bs[0].b

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/rng"
+	"repro/internal/store"
 	"repro/internal/stream"
 )
 
@@ -169,37 +170,60 @@ func TestIngestSteadyStateAllocFree(t *testing.T) {
 
 // The steady-state batch path allocates only the []error it returns: a
 // 200-entry IngestBatch of known users spread over every group takes its
-// staging and binding scratch from the pool.
+// staging and binding scratch from the pool. A tenant on a store logs the
+// batch as one frame from a pooled encoder and allocates no more.
 func TestIngestBatchSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; guard applies to production builds")
 	}
-	tn, err := stream.NewTenantSpec("batch", core.Spec{
+	sp := core.Spec{
 		Task: core.TaskMean, Eps: 1, Eps0: 1.0 / 64,
 		Serve: &core.ServeSpec{ExpectedUsers: 8192, Shards: 4},
-	})
+	}
+	const batch, runs = 200, 20
+	measure := func(t *testing.T, tn *stream.Tenant) float64 {
+		// Every entry is a joined user's first report, so each is accepted
+		// and no user runs out of budget; Join binds users round-robin to
+		// groups.
+		entries := make([]stream.BatchEntry, (runs+1)*batch)
+		for i := range entries {
+			id, g := tn.Join()
+			entries[i] = stream.BatchEntry{User: id, Group: g.Index, Values: []float64{0.25}}
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			for i, err := range tn.IngestBatch(entries[next : next+batch]) {
+				if err != nil {
+					t.Fatalf("entry %d: %v", next+i, err)
+				}
+			}
+			next += batch
+		})
+	}
+	tn, err := stream.NewTenantSpec("batch", sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const batch, runs = 200, 20
-	// Every entry is a joined user's first report, so each is accepted and
-	// no user runs out of budget; Join binds users round-robin to groups.
-	entries := make([]stream.BatchEntry, (runs+1)*batch)
-	for i := range entries {
-		id, g := tn.Join()
-		entries[i] = stream.BatchEntry{User: id, Group: g.Index, Values: []float64{0.25}}
+	ephemeral := measure(t, tn)
+	if ephemeral > 1 {
+		t.Fatalf("a %d-entry IngestBatch allocates %v times, want only its []error", batch, ephemeral)
 	}
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		for i, err := range tn.IngestBatch(entries[next : next+batch]) {
-			if err != nil {
-				t.Fatalf("entry %d: %v", next+i, err)
-			}
-		}
-		next += batch
-	})
-	if allocs > 1 {
-		t.Fatalf("a %d-entry IngestBatch allocates %v times, want only its []error", batch, allocs)
+	st, err := store.Open(t.TempDir(), store.Options{Sync: store.SyncOS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reg, _, err := stream.Recover(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	dtn, err := reg.CreateSpec("batch", sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if durable := measure(t, dtn); durable > ephemeral {
+		t.Fatalf("a %d-entry IngestBatch on a store allocates %v times, %v without one", batch, durable, ephemeral)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/ldp/pm"
 	"repro/internal/rng"
 	"repro/internal/stream"
+	"repro/internal/wirebin"
 )
 
 func newTestServer(t *testing.T) (*Server, *Client) {
@@ -232,6 +233,44 @@ func TestReportRejectsNaNAndInf(t *testing.T) {
 		if n != 0 {
 			t.Fatalf("malformed reports landed: %v", st.GroupReports)
 		}
+	}
+}
+
+// TestReportRejectsOverlongUserID: JSON carries ids of any length, but a
+// WAL frame carries at most wirebin.MaxUserLen bytes, so a longer id is
+// rejected with a 4xx before anything is bound or charged — on /report
+// and as a rejected entry of /ingest alike.
+func TestReportRejectsOverlongUserID(t *testing.T) {
+	srv, _ := newTestServer(t)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	long := strings.Repeat("u", wirebin.MaxUserLen+1)
+	resp, err := ts.Client().Post(ts.URL+"/v1/tenants/default/report", "application/json",
+		strings.NewReader(`{"user":"`+long+`","group":0,"values":[0.1]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+		t.Fatalf("%d-byte user id on /report → HTTP %d, want 4xx", len(long), resp.StatusCode)
+	}
+	resp, err = ts.Client().Post(ts.URL+"/v1/tenants/default/ingest", "application/json",
+		strings.NewReader(`{"reports":[{"user":"`+long+`","group":0,"values":[0.1]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out IngestResponse
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil || out.Accepted != 0 || out.Rejected != 1 {
+		t.Fatalf("%d-byte user id on /ingest → %+v (%v), want one rejected entry", len(long), out, err)
+	}
+	tn, _ := srv.Registry().Get(DefaultTenant)
+	if got := tn.Accountant().Spent(long); got != 0 {
+		t.Fatalf("overlong id charged %g", got)
+	}
+	if _, ok := tn.Accountant().Bindings()[long]; ok {
+		t.Fatal("overlong id was bound")
 	}
 }
 

@@ -18,9 +18,10 @@
 // with Content-Type application/x-dap-frame (lossless, acked per batch)
 // and as one UDP datagram per frame (best-effort; the batch sequence in
 // the header lets the receiver count dropped frames). Frames decode into
-// store.IngestEntry slices — the exact type Tenant.IngestBatch consumes —
-// so WAL group-commit, budget charging and stripe-ordered apply are
-// shared verbatim with the JSON path.
+// Entry slices — the exact type Tenant.IngestBatch consumes — so WAL
+// group-commit, budget charging and stripe-ordered apply are shared
+// verbatim with the JSON path. The durable store logs each accepted batch
+// as one frame too, so the wire and the WAL share this one codec.
 //
 // Encoding and decoding are allocation-free in the steady state: the
 // Encoder appends into one reused buffer, and the Decoder materializes
@@ -33,14 +34,17 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
-
-	"repro/internal/store"
+	"math/bits"
 )
 
-// Entry is one report in a frame. It aliases the store's WAL entry type
-// (which stream.BatchEntry also aliases), so decoded frames feed
+// Entry is one report in a frame: a user's values for one group.
+// store.IngestEntry and stream.BatchEntry alias it, so decoded frames feed
 // Tenant.IngestBatch and Store.AppendIngestBatch without copying.
-type Entry = store.IngestEntry
+type Entry struct {
+	User   string
+	Group  int
+	Values []float64
+}
 
 // ContentType is the HTTP media type for a frame request body.
 const ContentType = "application/x-dap-frame"
@@ -79,9 +83,11 @@ const (
 	MaxUserLen   = 255
 	// MaxFrameEntries bounds the entries of one frame.
 	MaxFrameEntries = 1 << 16
-	// MaxEntryValues bounds the values of one entry (a user reports at
-	// most 2^t times for group t; this is far above any real layout).
-	MaxEntryValues = 1 << 12
+	// MaxEntryValues bounds the values of one entry. A user reports at
+	// most 2^t times for group t, and t < core.MaxGroups = 16, so every
+	// entry the engine accepts fits; MaxFrameBytes still bounds what a
+	// hostile frame can make the decoder allocate.
+	MaxEntryValues = 1 << 15
 	// MaxFrameBytes bounds a whole frame. HTTP bodies may use all of it;
 	// UDP senders should stay under MaxDatagramBytes.
 	MaxFrameBytes = 1 << 20
@@ -189,21 +195,42 @@ func (e *Encoder) Encode(tenant string, seq uint64, entries []Entry) ([]byte, er
 // float64 payload.
 func packable(values []float64) bool {
 	for _, v := range values {
-		if math.Signbit(v) || v != math.Trunc(v) || v >= 1<<32 {
+		if math.Signbit(v) || !(v < 1<<32) || v != float64(uint32(v)) {
 			return false
 		}
 	}
 	return true
 }
 
-// commonPrefix returns the length of the longest shared prefix of a and b.
+// commonPrefix returns the length of the longest shared prefix of a and
+// b. It compares eight bytes at a time, the last eight overlapping those
+// already compared: consecutive ids of a batch share most of their bytes,
+// and the WAL front-codes every accepted batch.
 func commonPrefix(a, b string) int {
 	n := min(len(a), len(b))
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
+	if n < 8 {
+		i := 0
+		for i < n && a[i] == b[i] {
+			i++
+		}
+		return i
 	}
-	return i
+	for i := 0; i+8 < n; i += 8 {
+		if x := le64s(a[i:]) ^ le64s(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	if x := le64s(a[n-8:]) ^ le64s(b[n-8:]); x != 0 {
+		return n - 8 + bits.TrailingZeros64(x)/8
+	}
+	return n
+}
+
+// le64s reads a little-endian uint64 from the first eight bytes of s.
+func le64s(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // appendUvarint appends x in LEB128 (unsigned varint) form.

@@ -194,6 +194,47 @@ func TestFrontCodingDenseIDs(t *testing.T) {
 	}
 }
 
+// TestCommonPrefixWordWise checks the word-at-a-time prefix against a
+// byte loop on ids that differ at every position of the first and the
+// overlapping last word, and round-trips them as one frame.
+func TestCommonPrefixWordWise(t *testing.T) {
+	base := "s9e3779b9.0.u0001000x"
+	ids := []string{"", "s", "s9e3779b", base[:8], base[:9], base[:16], base}
+	for i := range base {
+		b := []byte(base)
+		b[i] ^= 1
+		ids = append(ids, string(b), string(b[:i+1]))
+	}
+	for _, a := range ids {
+		for _, b := range ids {
+			n := 0
+			for n < min(len(a), len(b)) && a[n] == b[n] {
+				n++
+			}
+			if got := commonPrefix(a, b); got != n {
+				t.Fatalf("commonPrefix(%q, %q) = %d, want %d", a, b, got, n)
+			}
+		}
+	}
+	entries := make([]Entry, 0, len(ids))
+	for _, id := range ids[1:] {
+		entries = append(entries, Entry{User: id, Group: 0, Values: []float64{1}})
+	}
+	var enc Encoder
+	frame, err := enc.Encode("t", 0, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec Decoder
+	f, err := dec.Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !entriesEqual(entries, f.Entries) {
+		t.Fatal("front-coded long ids round-trip mismatch")
+	}
+}
+
 // TestDecodeSteadyStateAllocFree pins the zero-allocation codec
 // contract: after the first frame warmed the encoder's buffer, the
 // decoder's arenas and the interned tenant name, encoding and decoding
