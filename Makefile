@@ -4,7 +4,7 @@ GO ?= go
 
 FUZZTIME ?= 30s
 
-.PHONY: all build vet dapvet deadcode fmt-check doccheck test race fuzz-smoke bench bench-smoke benchmark benchmark-smoke load-smoke load-smoke-bin merge-smoke apicheck apigen matrix matrix-check crash-test loc
+.PHONY: all build vet dapvet deadcode fmt-check doccheck test race fuzz-smoke bench bench-smoke benchmark benchmark-smoke merge-smoke apicheck apigen matrix matrix-check crash-test loc
 
 all: vet dapvet fmt-check doccheck build test apicheck
 
@@ -151,21 +151,6 @@ benchmark:
 	@for w in ingest_bin ingest_json ingest_wal serve_mixed paper_batch; do \
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds 18 --trace 0 || exit 1; \
 	done
-
-# Load-generator smoke: boot an in-process collector over real loopback
-# HTTP, drive 10k reports through batched ingest with a rotating epoch
-# clock, and require a sane live per-epoch estimate.
-load-smoke:
-	$(GO) run ./cmd/daploadgen -addr "" -reports 10000 -epoch 150ms -assert
-
-# Binary-wire load smoke: the same loopback collector driven with compact
-# binary frames — once over HTTP (-wire bin), once as UDP datagrams
-# (-wire udp).
-load-smoke-bin:
-	$(GO) run ./cmd/daploadgen -addr "" -reports 10000 -epoch 150ms \
-		-wire bin -assert
-	$(GO) run ./cmd/daploadgen -addr "" -reports 10000 -epoch 150ms \
-		-wire udp -assert
 
 # Scale-out smoke: node collectors push sealed epoch deltas to a
 # coordinator while a single reference collector ingests the identical

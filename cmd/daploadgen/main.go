@@ -1,26 +1,30 @@
 // Command daploadgen drives a running DAP collector with a configurable
 // honest+Byzantine client mix and checks what the collector serves back.
-// It is a traffic source and a smoke test, not a measuring instrument:
-// speed is measured by the repository benchmark (benchmark/).
+// It is a traffic source, not a measuring instrument: speed is measured
+// by the repository benchmark (benchmark/).
 //
 // Usage:
 //
 //	daploadgen -addr http://localhost:8080 -users 10000 -gamma 0.1 -conns 8
-//	daploadgen -addr "" -reports 10000 -epoch 150ms -assert
+//	daploadgen -addr "" -reports 10000 -epoch 150ms -wire bin
 //
 // With -addr "" the generator boots an in-process collector over a real
-// loopback HTTP listener (the full wire stack, no external process) —
-// that is the CI smoke mode. Honest users perturb locally with their
-// assigned group's budget, exactly like real clients; Byzantine users
-// submit high-half poison values. Reports travel in batched
-// POST /v1/tenants/{tenant}/ingest requests of -batch users each (-tenant
-// picks the tenant, "default" unless given).
+// loopback HTTP listener (the full wire stack, no external process).
+// Honest users perturb locally with their assigned group's budget,
+// exactly like real clients; Byzantine users submit high-half poison
+// values. Reports travel in batched POST /v1/tenants/{tenant}/ingest
+// requests of -batch users each (-tenant picks the tenant, "default"
+// unless given); -wire bin sends -frames batches per request as a frame
+// stream, -wire udp one datagram per batch.
 //
 // After ingest the epoch is sealed and the live and cached estimates are
-// read back. -assert fails the run unless a sane per-epoch estimate is
-// served. -scrape-metrics scrapes the collector's /metrics before and
-// after the run and fails unless the server-side ingest counter delta for
-// the tenant matches the client-side acked report count — an end-to-end
+// read back. The run fails unless they hold for any traffic: weights
+// that sum to 1, a live mean in [-1, 1], and a cached estimate of a
+// sealed epoch. How close the mean must come to the honest truth depends
+// on the traffic, so the command's tests check that, not the command.
+// -scrape-metrics scrapes the collector's /metrics before and after the
+// run and fails unless the server-side ingest counter delta for the
+// tenant matches the client-side acked report count — an end-to-end
 // check that the observability pipeline counts exactly what the wire
 // acked.
 //
@@ -32,8 +36,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net"
@@ -57,81 +63,70 @@ import (
 )
 
 func main() {
+	if _, err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal("daploadgen: ", err)
+	}
+}
+
+// served is what one run sent and read back: the acked report count, the
+// honest population's true mean, and the live and cached estimates.
+type served struct {
+	Acked        int
+	HonestMean   float64
+	Live, Cached *transport.EstimateResponse
+}
+
+// run is the whole command: it parses args (exiting on a bad flag, as
+// the flag package does), drives the collector, reads the estimates back
+// and returns an error when any traffic-independent check fails (see
+// sane and -scrape-metrics).
+func run(args []string, stdout io.Writer) (served, error) {
+	fs := flag.NewFlagSet("daploadgen", flag.ExitOnError)
 	var (
-		addr    = flag.String("addr", "http://127.0.0.1:8080", "collector base URL; empty boots an in-process collector")
-		tenant  = flag.String("tenant", transport.DefaultTenant, "tenant to drive")
-		users   = flag.Int("users", 0, "users to simulate (0 = derive from -reports)")
-		reports = flag.Int("reports", 10000, "target total report count (used when -users is 0)")
-		conns   = flag.Int("conns", 4, "concurrent sender connections")
-		batch   = flag.Int("batch", 200, "users per ingest request")
-		gamma   = flag.Float64("gamma", 0, "Byzantine user fraction")
-		atkEps  = flag.Int("attack-epochs", 1, "attacker epochs the workload spans (drives epoch-adaptive attacks like ramp and burst)")
-		lo      = flag.Float64("lo", -0.5, "honest value range low")
-		hi      = flag.Float64("hi", 0.1, "honest value range high")
-		seed    = flag.Uint64("seed", 1, "workload rng seed")
-		assert  = flag.Bool("assert", false, "fail unless a sane per-epoch estimate is served")
-		retries = flag.Int("retries", 0, "retry transient failures (network errors, 5xx) up to this many times per request")
-		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
-		memProf = flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
-		scrapeM = flag.Bool("scrape-metrics", false, "scrape the collector's /metrics before and after the run and fail unless the server-side ingest counter delta matches the client-side acked count")
-		wire    = flag.String("wire", "", "ingest wire: json | bin (binary frames over HTTP) | udp (binary frames over UDP); empty follows the tenant's advertised preference")
-		udpAddr = flag.String("udp-addr", "", "UDP ingest socket address for -wire=udp (empty uses the collector's advertised udp_addr)")
-		frames  = flag.Int("frames", 8, "frames coalesced per HTTP request on -wire=bin (the frame-stream wire; 1 = one request per frame)")
+		addr    = fs.String("addr", "http://127.0.0.1:8080", "collector base URL; empty boots an in-process collector")
+		tenant  = fs.String("tenant", transport.DefaultTenant, "tenant to drive")
+		users   = fs.Int("users", 0, "users to simulate (0 = derive from -reports)")
+		reports = fs.Int("reports", 10000, "target total report count (used when -users is 0)")
+		conns   = fs.Int("conns", 4, "concurrent sender connections")
+		batch   = fs.Int("batch", 200, "users per ingest request")
+		gamma   = fs.Float64("gamma", 0, "Byzantine user fraction")
+		atkEps  = fs.Int("attack-epochs", 1, "attacker epochs the workload spans (drives epoch-adaptive attacks like ramp and burst)")
+		lo      = fs.Float64("lo", -0.5, "honest value range low")
+		hi      = fs.Float64("hi", 0.1, "honest value range high")
+		seed    = fs.Uint64("seed", 1, "workload rng seed")
+		retries = fs.Int("retries", 0, "retry transient failures (network errors, 5xx) up to this many times per request")
+		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this path")
+		memProf = fs.String("memprofile", "", "write a pprof heap profile at exit to this path")
+		scrapeM = fs.Bool("scrape-metrics", false, "scrape the collector's /metrics before and after the run and fail unless the server-side ingest counter delta matches the client-side acked count")
+		wire    = fs.String("wire", "", "ingest wire: json | bin (binary frames over HTTP) | udp (binary frames over UDP); empty follows the tenant's advertised preference")
+		udpAddr = fs.String("udp-addr", "", "UDP ingest socket address for -wire=udp (empty uses the collector's advertised udp_addr)")
+		frames  = fs.Int("frames", 8, "frames per HTTP request on -wire=bin (the frame-stream wire; 1 = one request per frame)")
 	)
 	// Self-serve collector spec (only with -addr ""): -spec file.json plus
 	// the shared protocol/serving flags as overrides — the same resolution
 	// path cmd/dapcollect uses, so the two binaries cannot drift. The
 	// default spec serves with epoch warm starts on (serve.warm), the
 	// recommended production setting; a -spec file chooses its own.
-	sf := specflag.New(flag.CommandLine, core.NewSpec(core.MeanTask(),
+	sf := specflag.New(fs, core.NewSpec(core.MeanTask(),
 		core.WithBudget(1, 0.25), core.WithScheme(core.SchemeEMFStar),
 		core.WithServe(core.ServeSpec{Warm: true})))
-	flag.Parse()
-	// Profiles are flushed through stopProfiles rather than defers: the
-	// failure paths below exit the process, and os.Exit would otherwise
-	// discard the profile exactly when a failing run is being profiled.
-	var profileStops []func()
-	stopProfiles := func() {
-		for i := len(profileStops) - 1; i >= 0; i-- {
-			profileStops[i]()
-		}
-		profileStops = nil
-	}
-	fatal := func(args ...any) {
-		stopProfiles()
-		log.Fatal(append([]any{"daploadgen: "}, args...)...)
-	}
+	_ = fs.Parse(args) // ExitOnError: a bad flag never returns here
+	var res served
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fatal(err)
+			return res, err
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return res, err
 		}
-		profileStops = append(profileStops, func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		})
-	}
-	if *memProf != "" {
-		profileStops = append(profileStops, func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				log.Print("daploadgen: ", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows retained memory
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Print("daploadgen: ", err)
-			}
-		})
+		defer pprof.StopCPUProfile()
 	}
 
 	base := *addr
 	if base != "" && sf.Path() != "" {
-		fatal("-spec configures the self-served collector and needs -addr \"\"")
+		return res, errors.New("-spec configures the self-served collector and needs -addr \"\"")
 	}
 	// The Byzantine mix's adversary comes from the resolved spec's attack
 	// section (self-serve mode) or the bare -attack flag (external
@@ -142,28 +137,37 @@ func main() {
 	if base == "" {
 		sp, err := sf.Resolve()
 		if err != nil {
-			fatal(err)
+			return res, err
 		}
 		advSpec = sp.Attack
 		sp.Attack = nil
 		var closeSrv func()
 		base, closeSrv, err = selfServe(sp, *users, *reports, *wire == "udp")
 		if err != nil {
-			fatal(err)
+			return res, err
 		}
 		defer closeSrv()
-		fmt.Printf("daploadgen: self-serving collector at %s\n", base)
+		fmt.Fprintf(stdout, "daploadgen: self-serving collector at %s\n", base)
 	} else {
 		var err error
 		if advSpec, err = sf.Attack(); err != nil {
-			fatal(err)
+			return res, err
 		}
 	}
-	adv, epochs := resolveAdversary(advSpec, *atkEps, fatal)
+	// Registered after the self-served collector's close, so it runs
+	// before it: the profile shows the memory the collector retains.
+	if *memProf != "" {
+		defer writeHeapProfile(*memProf)
+	}
+	adv, epochs, err := resolveAdversary(fs, advSpec, *atkEps, stdout)
+	if err != nil {
+		return res, err
+	}
 	hc := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        *conns * 2,
 		MaxIdleConnsPerHost: *conns * 2,
 	}}
+	defer hc.CloseIdleConnections()
 	client := transport.NewClient(base, hc)
 	if *retries > 0 {
 		client.SetRetry(*retries, retryMaxWait)
@@ -172,10 +176,10 @@ func main() {
 	ctx := context.Background()
 	cfg, err := c.Config(ctx)
 	if err != nil {
-		fatal(err)
+		return res, err
 	}
 	if cfg.Kind != "" && cfg.Kind != "mean" {
-		fatal(fmt.Sprintf("tenant kind %q not supported (mean only)", cfg.Kind))
+		return res, fmt.Errorf("tenant kind %q not supported (mean only)", cfg.Kind)
 	}
 	// Resolve the ingest wire: the flag wins, then the tenant's advertised
 	// preference (spec serve.wire), then JSON.
@@ -194,89 +198,102 @@ func main() {
 			udpTarget = cfg.UDPAddr
 		}
 		if udpTarget == "" {
-			fatal("collector advertises no udp_addr; pass -udp-addr or open the socket")
+			return res, errors.New("collector advertises no udp_addr; pass -udp-addr or open the socket")
 		}
 	default:
-		fatal(fmt.Sprintf("unknown -wire %q (want json, bin or udp)", w))
+		return res, fmt.Errorf("unknown -wire %q (want json, bin or udp)", w)
 	}
 
-	entries, honestMean := workload(cfg, adv, epochs, *users, *reports, *gamma, *lo, *hi, *seed)
+	entries, honestMean, err := workload(cfg, adv, epochs, *users, *reports, *gamma, *lo, *hi, *seed)
+	if err != nil {
+		return res, err
+	}
+	res.HonestMean = honestMean
 	var total int
 	for _, e := range entries {
 		total += len(e.Values)
 	}
-	fmt.Printf("daploadgen: %d users, %d reports, γ=%g, %d conns, batch %d, wire %s\n",
+	fmt.Fprintf(stdout, "daploadgen: %d users, %d reports, γ=%g, %d conns, batch %d, wire %s\n",
 		len(entries), total, *gamma, *conns, *batch, w)
 
 	var ingestedBefore float64
 	if *scrapeM || w == "udp" {
 		if ingestedBefore, err = scrapeIngested(hc, base, *tenant); err != nil {
-			fatal("scrape /metrics: ", err)
+			return res, fmt.Errorf("scrape /metrics: %w", err)
 		}
 	}
 
 	runStart := time.Now()
-	accepted, err := drive(entries, *conns, *batch, makeSender(ctx, c, w, udpTarget, *tenant, *frames, entries))
+	perBatch := max(*batch, 1)
+	perJob := 1
+	if w == "bin" {
+		perJob = max(*frames, 1)
+	}
+	accepted, err := drive(entries, *conns, perBatch*perJob, perBatch,
+		makeSender(ctx, c, w, udpTarget, *tenant, perBatch, entries))
 	if err != nil {
-		fatal(err)
+		return res, err
 	}
 	if w == "udp" {
 		// Fire-and-forget wire: wait for the datagrams to drain into the
 		// engine and count what actually landed; the difference is loss.
-		delivered, derr := waitDelivered(func() (float64, error) {
+		delivered, err := waitDelivered(func() (float64, error) {
 			return scrapeIngested(hc, base, *tenant)
 		}, ingestedBefore, accepted)
-		if derr != nil {
-			fatal(derr)
+		if err != nil {
+			return res, err
 		}
 		if delivered < accepted {
-			fmt.Printf("daploadgen: udp loss: %d of %d reports dropped\n", accepted-delivered, accepted)
+			fmt.Fprintf(stdout, "daploadgen: udp loss: %d of %d reports dropped\n", accepted-delivered, accepted)
 		}
 		accepted = delivered
 	}
-	fmt.Printf("daploadgen: ingested %d reports in %v (%d retries)\n",
+	res.Acked = accepted
+	fmt.Fprintf(stdout, "daploadgen: ingested %d reports in %v (%d retries)\n",
 		accepted, time.Since(runStart).Round(time.Millisecond), client.Retries())
 
 	// Seal the epoch so the cached estimate covers what was just sent.
 	if _, err := c.Rotate(ctx); err != nil {
-		fatal("rotate: ", err)
+		return res, fmt.Errorf("rotate: %w", err)
 	}
-	live, err := c.Estimate(ctx, "1")
+	if res.Live, err = c.Estimate(ctx, "1"); err != nil {
+		return res, fmt.Errorf("live estimate: %w", err)
+	}
+	res.Cached, err = c.Estimate(ctx, "0")
+	fmt.Fprintf(stdout, "daploadgen: live estimate → mean %.4f γ̂ %.3f (epoch %d)\n", res.Live.Mean, res.Live.Gamma, res.Live.Epoch)
 	if err != nil {
-		fatal("live estimate: ", err)
+		return res, fmt.Errorf("no cached per-epoch estimate: %w", err)
 	}
-	cached, cachedErr := c.Estimate(ctx, "0")
-	fmt.Printf("daploadgen: live estimate → mean %.4f γ̂ %.3f (epoch %d)\n", live.Mean, live.Gamma, live.Epoch)
-	if cachedErr == nil {
-		fmt.Printf("daploadgen: cached per-epoch estimate → mean %.4f (epoch %d)\n", cached.Mean, cached.Epoch)
-	}
+	fmt.Fprintf(stdout, "daploadgen: cached per-epoch estimate → mean %.4f (epoch %d)\n", res.Cached.Mean, res.Cached.Epoch)
 
-	failed := false
 	if *scrapeM {
 		after, err := scrapeIngested(hc, base, *tenant)
 		if err != nil {
-			fatal("scrape /metrics: ", err)
+			return res, fmt.Errorf("scrape /metrics: %w", err)
 		}
-		if serverIngested := after - ingestedBefore; serverIngested != float64(accepted) {
-			fmt.Printf("daploadgen: FAIL metrics cross-check: server ingested %.0f reports, client acked %d\n",
-				serverIngested, accepted)
-			failed = true
-		} else {
-			fmt.Printf("daploadgen: metrics cross-check OK: server ingested %.0f == client acked %d\n",
+		serverIngested := after - ingestedBefore
+		if serverIngested != float64(accepted) {
+			return res, fmt.Errorf("metrics cross-check: server ingested %.0f reports, client acked %d",
 				serverIngested, accepted)
 		}
+		fmt.Fprintf(stdout, "daploadgen: metrics cross-check OK: server ingested %.0f == client acked %d\n",
+			serverIngested, accepted)
 	}
-	if *assert {
-		if err := sane(live, cached, cachedErr, honestMean, *gamma); err != nil {
-			fmt.Printf("daploadgen: FAIL %v\n", err)
-			failed = true
-		} else {
-			fmt.Println("daploadgen: estimate sanity OK")
-		}
+	return res, sane(res.Live, res.Cached)
+}
+
+// writeHeapProfile writes a pprof heap profile to path; a failure is
+// logged, not returned, as the run itself has finished.
+func writeHeapProfile(path string) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Print("daploadgen: ", err)
+		return
 	}
-	stopProfiles()
-	if failed {
-		os.Exit(1)
+	defer f.Close()
+	runtime.GC() // settle the heap so the profile shows retained memory
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		log.Print("daploadgen: ", err)
 	}
 }
 
@@ -292,15 +309,11 @@ func selfServe(sp core.Spec, users, reports int, wantUDP bool) (string, func(), 
 		sp.Serve = &core.ServeSpec{}
 	}
 	if sp.Serve.ExpectedUsers == 0 {
-		expected := users
-		if expected == 0 {
-			// Mirror workload sizing: users round-robin over the h groups and
-			// group t's users report 2^t times, so -reports total reports come
-			// from about reports·h/(2^h−1) users.
-			h := int(math.Ceil(math.Log2(sp.Eps/sp.Eps0)-1e-12)) + 1
-			expected = reports * h / (1<<h - 1)
+		est, err := core.Build(sp)
+		if err != nil {
+			return "", nil, err
 		}
-		sp.Serve.ExpectedUsers = expected
+		sp.Serve.ExpectedUsers = userCount(users, reports, len(est.Groups()))
 	}
 	srv, err := transport.NewServerOpts(sp, transport.ServerOptions{})
 	if err != nil {
@@ -334,8 +347,53 @@ func selfServe(sp core.Spec, users, reports int, wantUDP bool) (string, func(), 
 	return "http://" + ln.Addr().String(), closeFn, nil
 }
 
+// userCount is the workload's user total: users when set, otherwise the
+// users that send about reports reports when they round-robin over h
+// groups and group t's users report 2^t times.
+func userCount(users, reports, h int) int {
+	if users > 0 {
+		return users
+	}
+	return max(reports*h/(1<<h-1), 1)
+}
+
 // entry is one user's upload.
 type entry = transport.ReportRequest
+
+// resolveAdversary turns a resolved attack spec (nil = default BBA) into
+// the adversary driving the Byzantine mix, sizing the workload to the
+// attack's own epoch schedule unless -attack-epochs was set explicitly
+// on fs.
+func resolveAdversary(fs *flag.FlagSet, advSpec *attack.Spec, atkEpochs int, stdout io.Writer) (attack.Adversary, int, error) {
+	if advSpec == nil {
+		return attack.NewBBA(attack.RangeHighHalf, attack.DistUniform), atkEpochs, nil
+	}
+	adv, err := attack.New(*advSpec)
+	if err != nil {
+		return nil, 0, err
+	}
+	if advSpec.Categorical() {
+		return nil, 0, errors.New("categorical attacks cannot drive the mean-task load generator")
+	}
+	// An epoch-adaptive attack at the default -attack-epochs 1 would stay
+	// pinned to its epoch-0 phase (a default ramp never fires); size the
+	// workload to the attack's own schedule unless the flag was set
+	// explicitly.
+	if advSpec.EpochAdaptive() {
+		explicit := false
+		fs.Visit(func(fl *flag.Flag) {
+			if fl.Name == "attack-epochs" {
+				explicit = true
+			}
+		})
+		if !explicit {
+			atkEpochs = advSpec.EpochSpan()
+			fmt.Fprintf(stdout, "daploadgen: attack %q is epoch-adaptive; spanning %d attacker epochs (override with -attack-epochs)\n",
+				advSpec.Name, atkEpochs)
+		}
+	}
+	return adv, atkEpochs, nil
+}
 
 // workload builds the client mix: users round-robin across groups, honest
 // users perturb one value per report slot with the group budget, Byzantine
@@ -345,49 +403,14 @@ type entry = transport.ReportRequest
 // (ramp, burst) through attack.Env — and users whose adversary emits
 // nothing for an epoch (burst off-phase, dropout) stay silent. Returns the
 // entries and the honest population's true mean.
-// resolveAdversary turns a resolved attack spec (nil = default BBA) into
-// the adversary driving the Byzantine mix, sizing the workload to the
-// attack's own epoch schedule unless -attack-epochs was set explicitly.
-func resolveAdversary(advSpec *attack.Spec, atkEpochs int, fatal func(args ...any)) (attack.Adversary, int) {
-	adv := attack.Adversary(attack.NewBBA(attack.RangeHighHalf, attack.DistUniform))
-	epochs := atkEpochs
-	if advSpec != nil {
-		var err error
-		if adv, err = attack.New(*advSpec); err != nil {
-			fatal(err)
-		}
-		if advSpec.Categorical() {
-			fatal("categorical attacks cannot drive the mean-task load generator")
-		}
-		// An epoch-adaptive attack at the default -attack-epochs 1 would
-		// stay pinned to its epoch-0 phase (a default ramp never fires);
-		// size the workload to the attack's own schedule unless the flag
-		// was set explicitly.
-		if advSpec.EpochAdaptive() {
-			explicit := false
-			flag.Visit(func(fl *flag.Flag) {
-				if fl.Name == "attack-epochs" {
-					explicit = true
-				}
-			})
-			if !explicit {
-				epochs = advSpec.EpochSpan()
-				fmt.Printf("daploadgen: attack %q is epoch-adaptive; spanning %d attacker epochs (override with -attack-epochs)\n",
-					advSpec.Name, epochs)
-			}
-		}
-	}
-	return adv, epochs
-}
-
-func workload(cfg *transport.ConfigResponse, adv attack.Adversary, atkEpochs, users, reports int, gamma, lo, hi float64, seed uint64) ([]entry, float64) {
+func workload(cfg *transport.ConfigResponse, adv attack.Adversary, atkEpochs, users, reports int, gamma, lo, hi float64, seed uint64) ([]entry, float64, error) {
 	r := rng.New(seed)
 	mechs := make([]*pm.Mechanism, len(cfg.Groups))
 	envs := make([]attack.Env, len(cfg.Groups))
 	for i, g := range cfg.Groups {
 		m, err := pm.New(g.Eps)
 		if err != nil {
-			log.Fatal("daploadgen: ", err)
+			return nil, 0, err
 		}
 		mechs[i] = m
 		envs[i] = attack.EnvFor(m, 0)
@@ -396,15 +419,8 @@ func workload(cfg *transport.ConfigResponse, adv attack.Adversary, atkEpochs, us
 	if atkEpochs < 1 {
 		atkEpochs = 1
 	}
-	// Estimated user total for spreading the epoch index over the run;
-	// mirrors selfServe's sizing when -users is 0.
-	estUsers := users
-	if estUsers == 0 {
-		h := len(cfg.Groups)
-		if estUsers = reports * h / (1<<h - 1); estUsers < 1 {
-			estUsers = 1
-		}
-	}
+	// Estimated user total for spreading the epoch index over the run.
+	estUsers := userCount(users, reports, len(cfg.Groups))
 	var entries []entry
 	var honestSum float64
 	var honest int
@@ -438,25 +454,24 @@ func workload(cfg *transport.ConfigResponse, adv attack.Adversary, atkEpochs, us
 		total += len(vals)
 	}
 	if honest == 0 {
-		return entries, 0
+		return entries, 0, nil
 	}
-	return entries, honestSum / float64(honest)
+	return entries, honestSum / float64(honest), nil
 }
 
-// sendFunc uploads the batch entries[lo:hi] (seq identifies the frame on
-// the binary wires) and returns the acked — or, on UDP, sent — report
-// count. A sender may coalesce batches (the frame-stream wire): a call
-// that only buffers returns (0, nil) and the worker's closer flushes the
-// tail, returning what it acked. mkSend builds one sender per worker, so
-// per-connection state (a UDP socket with its own sequence, a pending
-// frame buffer) stays unshared.
+// sendFunc uploads one job, the entries [lo, hi), and returns the acked —
+// or, on UDP, sent — report count. seq numbers the job's first batch;
+// the binary wires number its frames from it. mkSend builds one sender
+// per worker, with a closer for its per-connection state (a UDP socket
+// with its own sequence); the closer may be nil.
 type sendFunc func(seq uint64, lo, hi int) (int, error)
 
 // makeSender builds the per-worker sender factory for the chosen wire.
-// All three wires batch identically; only the serialization and transport
-// differ. On the bin wire, frames consecutive batches ride one HTTP
-// request as a length-prefixed frame stream.
-func makeSender(ctx context.Context, c *transport.TenantClient, w, udpTarget, tenant string, frames int, entries []entry) func() (sendFunc, func() (int, error), error) {
+// All three wires cut jobs into batches of batch users alike; only the
+// serialization and transport differ. The bin wire sends a job's batches
+// as one frame-stream request, one frame each; json and udp jobs are one
+// batch.
+func makeSender(ctx context.Context, c *transport.TenantClient, w, udpTarget, tenant string, batch int, entries []entry) func() (sendFunc, func() error, error) {
 	// The binary wires reuse the workload's user/value storage; only the
 	// entry headers are re-typed, once.
 	var wentries []wirebin.Entry
@@ -466,40 +481,30 @@ func makeSender(ctx context.Context, c *transport.TenantClient, w, udpTarget, te
 			wentries[i] = wirebin.Entry{User: e.User, Group: e.Group, Values: e.Values}
 		}
 	}
-	noFlush := func() (int, error) { return 0, nil }
+	acked := func(res *transport.IngestResponse, err error) (int, error) {
+		if err != nil {
+			return 0, err
+		}
+		if res.Rejected > 0 {
+			return res.Accepted, fmt.Errorf("collector rejected %d entries: %v", res.Rejected, res.Errors)
+		}
+		return res.Accepted, nil
+	}
 	switch w {
 	case "bin":
-		if frames < 1 {
-			frames = 1
-		}
-		return func() (sendFunc, func() (int, error), error) {
-			pend := make([][]wirebin.Entry, 0, frames)
-			var seqBase uint64
-			flush := func() (int, error) {
-				if len(pend) == 0 {
-					return 0, nil
+		return func() (sendFunc, func() error, error) {
+			var frames [][]wirebin.Entry
+			return func(seq uint64, lo, hi int) (int, error) {
+				frames = frames[:0]
+				for ; lo < hi; lo += batch {
+					frames = append(frames, wentries[lo:min(lo+batch, hi)])
 				}
-				res, err := c.IngestFrames(ctx, seqBase, pend)
-				pend = pend[:0]
-				if err != nil {
-					return 0, err
+				res, err := c.IngestFrames(ctx, seq, frames)
+				if err == nil && res.Frames < len(frames) {
+					return res.Accepted, fmt.Errorf("collector applied %d of %d frames: %v", res.Frames, len(frames), res.Errors)
 				}
-				if res.Rejected > 0 {
-					return res.Accepted, fmt.Errorf("collector rejected %d entries: %v", res.Rejected, res.Errors)
-				}
-				return res.Accepted, nil
-			}
-			send := func(seq uint64, lo, hi int) (int, error) {
-				if len(pend) == 0 {
-					seqBase = seq
-				}
-				pend = append(pend, wentries[lo:hi])
-				if len(pend) < frames {
-					return 0, nil
-				}
-				return flush()
-			}
-			return send, flush, nil
+				return acked(res, err)
+			}, nil, nil
 		}
 	case "udp":
 		// Frames to the default tenant travel without a tenant name; the
@@ -507,53 +512,42 @@ func makeSender(ctx context.Context, c *transport.TenantClient, w, udpTarget, te
 		if tenant == transport.DefaultTenant {
 			tenant = ""
 		}
-		return func() (sendFunc, func() (int, error), error) {
+		return func() (sendFunc, func() error, error) {
 			uc, err := transport.DialUDP(udpTarget, tenant)
 			if err != nil {
 				return nil, nil, err
 			}
 			return func(_ uint64, lo, hi int) (int, error) {
-					if _, err := uc.Send(wentries[lo:hi]); err != nil {
-						return 0, err
-					}
-					n := 0
-					for i := lo; i < hi; i++ {
-						n += len(wentries[i].Values)
-					}
-					return n, nil
-				}, func() (int, error) {
-					return 0, uc.Close()
-				}, nil
-		}
-	default:
-		return func() (sendFunc, func() (int, error), error) {
-			return func(_ uint64, lo, hi int) (int, error) {
-				res, err := c.Ingest(ctx, entries[lo:hi])
-				if err != nil {
+				if _, err := uc.Send(wentries[lo:hi]); err != nil {
 					return 0, err
 				}
-				if res.Rejected > 0 {
-					return res.Accepted, fmt.Errorf("collector rejected %d entries: %v", res.Rejected, res.Errors)
+				n := 0
+				for i := lo; i < hi; i++ {
+					n += len(wentries[i].Values)
 				}
-				return res.Accepted, nil
-			}, noFlush, nil
+				return n, nil
+			}, uc.Close, nil
+		}
+	default:
+		return func() (sendFunc, func() error, error) {
+			return func(_ uint64, lo, hi int) (int, error) {
+				return acked(c.Ingest(ctx, entries[lo:hi]))
+			}, nil, nil
 		}
 	}
 }
 
-// drive sends the entries in batches over conns parallel workers and
-// returns the accepted report count.
-func drive(entries []entry, conns, batch int, mkSend func() (sendFunc, func() (int, error), error)) (int, error) {
-	if batch < 1 {
-		batch = 1
-	}
+// drive sends the entries in jobs of jobSize over conns parallel workers
+// and returns the accepted report count. A job's seq is the 1-based index
+// of its first batch of batch entries.
+func drive(entries []entry, conns, jobSize, batch int, mkSend func() (sendFunc, func() error, error)) (int, error) {
 	type job struct {
 		seq    uint64
 		lo, hi int
 	}
 	var jobs []job
-	for lo := 0; lo < len(entries); lo += batch {
-		jobs = append(jobs, job{uint64(len(jobs) + 1), lo, min(lo+batch, len(entries))})
+	for lo := 0; lo < len(entries); lo += jobSize {
+		jobs = append(jobs, job{uint64(lo/batch + 1), lo, min(lo+jobSize, len(entries))})
 	}
 	var (
 		wg       sync.WaitGroup
@@ -570,7 +564,7 @@ func drive(entries []entry, conns, batch int, mkSend func() (sendFunc, func() (i
 		mu.Unlock()
 	}
 	ch := make(chan job)
-	for w := 0; w < conns; w++ {
+	for w := 0; w < max(conns, 1); w++ { // no worker would block the job feed forever
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -584,9 +578,9 @@ func drive(entries []entry, conns, batch int, mkSend func() (sendFunc, func() (i
 			for j := range ch {
 				record(send(j.seq, j.lo, j.hi))
 			}
-			// The closer flushes any batches still pending in a coalescing
-			// sender (and releases the connection).
-			record(closeSend())
+			if closeSend != nil {
+				record(0, closeSend())
+			}
 		}()
 	}
 	for _, j := range jobs {
@@ -641,8 +635,12 @@ func scrapeIngested(hc *http.Client, base, tenant string) (float64, error) {
 	return sc.Value("dap_stream_reports_ingested_total", map[string]string{"tenant": tenant}), nil
 }
 
-// sane validates the served estimates.
-func sane(live, cached *transport.EstimateResponse, cachedErr error, honestMean, gamma float64) error {
+// sane checks what holds for any traffic: the weights sum to 1, the
+// live mean is a finite value in [-1, 1], and the cached estimate comes
+// from a sealed epoch. Accuracy against the honest mean depends on the
+// traffic (a red-team mix may legitimately break any bound), so it is left
+// to the caller that knows the traffic.
+func sane(live, cached *transport.EstimateResponse) error {
 	var wSum float64
 	for _, w := range live.Weights {
 		wSum += w
@@ -652,15 +650,6 @@ func sane(live, cached *transport.EstimateResponse, cachedErr error, honestMean,
 	}
 	if live.Mean < -1 || live.Mean > 1 || math.IsNaN(live.Mean) {
 		return fmt.Errorf("mean %v outside [-1,1]", live.Mean)
-	}
-	if gamma == 0 && math.Abs(live.Mean-honestMean) > 0.35 {
-		return fmt.Errorf("no-attack mean %v far from truth %v", live.Mean, honestMean)
-	}
-	if gamma > 0 && math.Abs(live.Mean-honestMean) > 0.5 {
-		return fmt.Errorf("attacked mean %v implausibly far from truth %v", live.Mean, honestMean)
-	}
-	if cachedErr != nil {
-		return fmt.Errorf("no cached per-epoch estimate: %v", cachedErr)
 	}
 	if cached.Epoch < 1 {
 		return fmt.Errorf("cached estimate has epoch %d", cached.Epoch)

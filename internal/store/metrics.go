@@ -21,7 +21,7 @@ var (
 		"WAL write or fsync failures that degraded the store (failed batches roll back and refund).")
 	metBatchRecords = metrics.NewHistogram("dap_wal_group_commit_records",
 		"WAL log positions (LSNs) coalesced per group-commit write: one per ingested report, one per other record.",
-		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
+		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384})
 	metFsync = metrics.NewHistogram("dap_wal_fsync_duration_seconds",
 		"WAL fsync(2) latency.",
 		[]float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1})

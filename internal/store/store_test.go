@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/wirebin"
 )
 
@@ -789,5 +792,43 @@ func TestFlakyLatency(t *testing.T) {
 	}
 	if d := time.Since(start); d < 20*time.Millisecond {
 		t.Errorf("append took %v, want ≥20ms of injected latency", d)
+	}
+}
+
+// TestGroupCommitHistogramHoldsABatch: a group commit logs one LSN per
+// entry, so a durable 200-user batch is a 200-LSN commit, and two such
+// batches coalesced into one write are 400. Both land in finite buckets
+// of the group-commit histogram, not in +Inf.
+func TestGroupCommitHistogramHoldsABatch(t *testing.T) {
+	s := openTest(t, t.TempDir(), Options{Sync: SyncOS})
+	mustLoad(t, s)
+	bucket := func(le string) float64 {
+		var buf bytes.Buffer
+		if _, err := metrics.Default().WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := metrics.Parse(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc.Value("dap_wal_group_commit_records_bucket", map[string]string{"le": le})
+	}
+	for _, tc := range []struct {
+		users  int
+		le, lo string // the bucket the commit lands in, and the one below
+	}{{200, "256", "128"}, {400, "512", "256"}} {
+		batch := make([]IngestEntry, tc.users)
+		for i := range batch {
+			g := i % 3
+			batch[i] = IngestEntry{User: fmt.Sprintf("u%03d", i), Group: g, Values: make([]float64, 1<<g)}
+		}
+		atLE, atLo := bucket(tc.le), bucket(tc.lo)
+		if _, err := s.AppendIngestBatch("a", batch); err != nil {
+			t.Fatal(err)
+		}
+		if dLE, dLo := bucket(tc.le)-atLE, bucket(tc.lo)-atLo; dLE != 1 || dLo != 0 {
+			t.Errorf("a %d-entry commit moved le=%s by %v and le=%s by %v, want 1 and 0",
+				tc.users, tc.le, dLE, tc.lo, dLo)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/store"
+	"repro/internal/wirebin"
 )
 
 // durableServerSpec keeps warm start off so recovered estimates are a pure
@@ -306,6 +307,45 @@ func TestStoreDownDegradedMode(t *testing.T) {
 	flaky.Heal()
 	if err := c.Tenant(DefaultTenant).Report(ctx, j.User, j.Group.Index, vals); err != nil {
 		t.Fatalf("report after heal: %v", err)
+	}
+}
+
+// TestFrameStreamStoreDownAcksAppliedPrefix: a frame-stream request
+// whose store write fails on a later frame answers 200, acking the frames
+// already applied and listing the store error, instead of a 503 that
+// invites resending frames whose budgets are spent. Resending only the
+// unacked frame then lands it.
+func TestFrameStreamStoreDownAcksAppliedPrefix(t *testing.T) {
+	flaky := store.NewFlaky(store.OS{})
+	srv, _, c := newDurableServer(t, t.TempDir(), flaky, ServerOptions{})
+	defer srv.Close()
+	ctx := context.Background()
+	tc := c.Tenant(DefaultTenant)
+
+	frames := [][]wirebin.Entry{
+		{{User: "a0", Group: 0, Values: []float64{0.1}}},
+		{{User: "a1", Group: 0, Values: []float64{0.2}}},
+	}
+	flaky.FailWrites(2, false, false) // the second frame's WAL write fails
+	res, err := tc.IngestFrames(ctx, 7, frames)
+	if err != nil {
+		t.Fatalf("frame stream with the store failing on frame 2: %v, want 200 acking frame 1", err)
+	}
+	if res.Frames != 1 || res.Seq != 7 || res.Accepted != 1 || res.Rejected != 0 ||
+		len(res.Errors) != 1 || !strings.Contains(res.Errors[0], "store") {
+		t.Fatalf("response %+v, want frame 1 (seq 7) acked and one store error", res)
+	}
+	st, err := tc.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.GroupReports[0] != 1 {
+		t.Fatalf("group reports %v, want the first frame's report alone", st.GroupReports)
+	}
+
+	res, err = tc.IngestFrames(ctx, 8, frames[res.Frames:])
+	if err != nil || res.Accepted != 1 || res.Rejected != 0 {
+		t.Fatalf("resending the unacked frame: %+v, %v; want it accepted", res, err)
 	}
 }
 

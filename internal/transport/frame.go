@@ -103,8 +103,8 @@ func isFrameStream(r *http.Request) bool {
 
 // handleIngestFrame is the binary branch of the ingest route: one frame
 // per request body — or, with the stream content type, several
-// length-prefixed frames — lossless (the response acks the last frame's
-// sequence). A frame's tenant must be empty or match the route's tenant;
+// length-prefixed frames — lossless (the response acks the last applied
+// frame's sequence; Frames counts the applied prefix). A frame's tenant must be empty or match the route's tenant;
 // the URL is authoritative, a mismatched frame is rejected whole.
 func (s *Server) handleIngestFrame(w http.ResponseWriter, r *http.Request, t *stream.Tenant) {
 	fc := codecPool.Get().(*ingestCodec)
@@ -185,6 +185,14 @@ func (s *Server) handleIngestFrame(w http.ResponseWriter, r *http.Request, t *st
 		frameHTTP.decoded.Inc()
 		res, err := applyBatch(t, fr.Entries)
 		if err != nil {
+			if out.Frames > 0 {
+				// The store failed under a later frame: the earlier ones
+				// landed and spent their users' budgets, so a 503 inviting
+				// a resend of the whole body would be wrong. Ack the
+				// applied prefix and report the failure.
+				out.Errors = append(out.Errors, err.Error())
+				break
+			}
 			writeEngineErr(w, err)
 			return
 		}
